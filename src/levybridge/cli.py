@@ -149,8 +149,7 @@ def cmd_price(cfg: ScenarioConfig, out: str | None) -> int:
     curve = cfg.build_curve()
     records = []
     for t, xi in block.points:
-        psi = _core.psi_total(spec, t, xi)
-        mean = _core.conditional_moment(spec, t, xi, 1)
+        psi, (mean,) = _core._posterior_moments(spec, t, xi, (1,))
         records.append(
             {
                 "t": t,
@@ -261,7 +260,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+        detail = "".join(f" {k}={v}" for k, v in getattr(exc, "diagnostics", {}).items())
+        print(f"numeric error: {exc}{detail}", file=sys.stderr)
         return 2
     except LevyBridgeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,11 @@ The central object is the aggregate
 over the terminal law nu = sum w_i delta_{z_i} + p(z) dz. It normalizes the
 posterior of the terminal value given the state xi at time t, drives the
 Markov transition density, and its reciprocal is the density of the plain
-increment law with respect to the conditioned one. All operations here are
-exact-in-principle quadratures or sums; sampling lives in `sampler`.
+increment law with respect to the conditioned one. For 0 < t < horizon
+every posterior functional comes from one engine, `_tilted_sums`, which
+evaluates the z^q-weighted aggregate on nodes shared by all states of a call
+(a scalar call is a batch of one); prior moments at t = 0 use quadrature.
+Sampling lives in `sampler`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import partial
 
 import numpy as np
 from scipy import special as _sp
+from scipy.linalg import eigh_tridiagonal
 
 from . import numerics
 from .errors import (
@@ -28,10 +32,11 @@ from .errors import (
     InvalidPinError,
     NumericError,
     UnreachableStateError,
+    UnsupportedKernelError,
 )
 from .kernels import BrownianKernel, GammaKernel, Kernel
 from .laws import TerminalLaw
-from .numerics import DensityComponent, MixedMeasure
+from .numerics import DensityComponent
 
 __all__ = [
     "LRBSpec",
@@ -93,10 +98,9 @@ class LRBSpec:
                     f"kernel support ({lo}, {hi})"
                 )
 
-    def _check_time(self, t: float, *, terminal_ok: bool = False) -> float:
+    def _check_time(self, t: float) -> float:
         t = float(t)
-        hi_ok = t <= self.horizon if terminal_ok else t < self.horizon
-        if not (0.0 <= t and hi_ok):
+        if not 0.0 <= t < self.horizon:
             raise DomainError(f"time {t} outside [0, {self.horizon})")
         return t
 
@@ -121,53 +125,15 @@ def _atom_log_terms(spec: LRBSpec, t: float, xi) -> np.ndarray:
     return steps + (logw - base)[None, :]
 
 
-def _weight_values(kernel: Kernel, T: float, t: float, xi: float, z) -> np.ndarray:
-    """f(T-t, z - xi) / f(T, z) with 0 outside the kernel support, vectorized."""
-    z = np.asarray(z, dtype=float)
-    ld_step = kernel.log_density(T - t, z - xi)
-    ld_base = kernel.log_density(T, z)
-    ok = np.isfinite(ld_base)
-    arg = np.where(ok, ld_step - np.where(ok, ld_base, 0.0), -np.inf)
-    with np.errstate(over="ignore"):
-        return np.exp(arg)
-
-
-def psi_total(
-    spec: LRBSpec,
-    t: float,
-    xi: float,
-    *,
-    abs_tol: float = numerics.DEFAULT_ABS_TOL,
-    rel_tol: float = numerics.DEFAULT_REL_TOL,
-) -> float:
+def psi_total(spec: LRBSpec, t: float, xi: float) -> float:
     """Total mass of the unnormalized conditional terminal measure at (t, xi).
 
     Equals 1 at t = 0 identically. This is the Radon-Nikodym density of the
     conditioned path law with respect to the plain one on information up to
-    t, and therefore a martingale of the state; tests lean on that.
+    t, and therefore a martingale of the state; tests lean on that. It is
+    `psi_total_many` on a batch of one state.
     """
-    t = spec._check_time(t)
-    if t == 0.0:
-        return 1.0
-    xi = float(xi)
-    total = 0.0
-    if spec.terminal.atoms:
-        with np.errstate(over="ignore"):
-            terms = np.exp(_atom_log_terms(spec, t, xi)[0])
-        total += float(np.sum(terms))
-    if spec.terminal.density is not None:
-        fn = partial(_weight_values, spec.kernel, spec.horizon, t, xi)
-        extra = (xi,) if spec.kernel.nondecreasing else ()
-        total += numerics.integrate(
-            MixedMeasure(density=spec.terminal.density),
-            fn,
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-            extra_breakpoints=extra,
-        )
-    if not math.isfinite(total):
-        raise NumericError(f"psi at (t={t}, xi={xi}) is not finite", value=total)
-    return total
+    return float(psi_total_many(spec, t, np.array([float(xi)]))[0])
 
 
 def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
@@ -179,16 +145,10 @@ def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched psi / posterior-mean evaluation (shared nodes per call, so results
-# are independent of how callers batch their states)
+# the tilted-sum engine: every posterior functional is evaluated here, on
+# nodes shared by all states of a call (a scalar call is a batch of one)
 
 _CHUNK = 16384
-
-
-def _effective_interval(d: DensityComponent) -> tuple[float, float]:
-    # posterior components built by terminal_posterior carry no cdf, so the
-    # localisation must work from the pdf alone
-    return numerics.mass_interval(d, 1e-16)
 
 
 def _log_integrand_probe(spec, t, sub, plo, phi, d):
@@ -198,6 +158,8 @@ def _log_integrand_probe(spec, t, sub, plo, phi, d):
     the pinning term), so the density's own effective interval is not a safe
     window. A coarse log-space scan per block finds, for every state, the
     node set within e^-60 of that state's peak; the union is the window.
+    Returns the window, the fewest probe points any row keeps, and the probe
+    step.
     """
     probe = np.linspace(plo, phi, 513)
     T = spec.horizon
@@ -207,23 +169,25 @@ def _log_integrand_probe(spec, t, sub, plo, phi, d):
     lbase = spec.kernel.log_density(T, probe)
     total = lw + np.where(np.isfinite(lbase), lp - lbase, -np.inf)[None, :]
     row_max = np.max(total, axis=1)
+    if not np.all(np.isfinite(row_max)):
+        raise NumericError(
+            "tilted integrand underflows on the whole probe window",
+            t=t, states=(sub.min(), sub.max()), window=(plo, phi),
+        )
     keep = total >= row_max[:, None] - 60.0
-    alive = np.isfinite(row_max)
-    keep &= alive[:, None]
     cols = np.nonzero(np.any(keep, axis=0))[0]
-    if cols.size == 0:
-        return None
     step = probe[1] - probe[0]
     lo = max(plo, float(probe[cols[0]]) - step)
     hi = min(phi, float(probe[cols[-1]]) + step)
-    narrow = max(3, int(np.min(np.sum(keep[alive], axis=1))))
-    return lo, hi, narrow * step
+    return lo, hi, int(np.min(np.sum(keep, axis=1))), step
 
 
 def _brownian_density_sums(spec, t, xis, powers):
     d = spec.terminal.density
     T = spec.horizon
-    lo_p, hi_p = _effective_interval(d)
+    # posterior components built by terminal_posterior carry no cdf, so the
+    # localisation must work from the pdf alone
+    lo_p, hi_p = numerics.mass_interval(d, 1e-16)
     sd = math.sqrt(T * (T - t) / t)
     centers = xis * (T / t)
     order = np.argsort(centers)
@@ -236,13 +200,14 @@ def _brownian_density_sums(spec, t, xis, powers):
         sub = xis[idx]
         plo = max(d.lower, min(lo_p, float(centers[idx[0]]) - 12.0 * sd))
         phi = min(d.upper, max(hi_p, float(centers[idx[-1]]) + 12.0 * sd))
-        if not plo < phi:
-            continue
-        window = _log_integrand_probe(spec, t, sub, plo, phi, d)
-        if window is None:
-            # every integrand in the block underflows: no resolvable mass
-            continue
-        lo, hi, feature = window
+        lo, hi, narrow, step = _log_integrand_probe(spec, t, sub, plo, phi, d)
+        # an integrand spanning fewer than 8 probe points (a wide prior window
+        # around a sharp weight) is probed again inside the window it was
+        # found in, for as long as that window keeps shrinking
+        while narrow < 8 and hi - lo < 0.5 * (phi - plo):
+            plo, phi = lo, hi
+            lo, hi, narrow, step = _log_integrand_probe(spec, t, sub, plo, phi, d)
+        feature = max(3, narrow) * step
 
         def rows(nodes, sub=sub):
             w = _weight_many(spec.kernel, T, t, sub, nodes)
@@ -251,8 +216,11 @@ def _brownian_density_sums(spec, t, xis, powers):
 
         panels = int(min(max(16, 4 * math.ceil((hi - lo) / feature)), 384))
         res = numerics.composite_quad_batch(
-            rows, lo, hi, abs_tol=1e-13, rel_tol=1e-11, init_panels=panels, max_doublings=5
+            rows, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=panels, max_doublings=5
         )
+        # a Brownian psi is never 0: a zero row means the density underflowed
+        if 0 in powers and not np.all(res[powers.index(0)] > 0.0):
+            raise NumericError("tilted integrand underflows", t=t, states=(sub.min(), sub.max()))
         for i, q in enumerate(powers):
             out[q][idx] = res[i]
     return out
@@ -272,9 +240,18 @@ _JACOBI_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _jacobi_rule(n: int, beta: float):
+    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1], by Golub-Welsch.
+
+    (scipy's roots_jacobi loses about 1e-10 relative at beta near -1, n >= 128.)
+    """
     key = (n, beta)
     if key not in _JACOBI_CACHE:
-        _JACOBI_CACHE[key] = _sp.roots_jacobi(n, 0.0, beta)
+        k = np.arange(1.0, n)
+        s = 2.0 * k + beta
+        diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
+        off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+        x, vecs = eigh_tridiagonal(diag, off)
+        _JACOBI_CACHE[key] = (x, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2)
     return _JACOBI_CACHE[key]
 
 
@@ -290,7 +267,7 @@ def _gamma_density_sums(spec, t, xis, powers):
     T = spec.horizon
     a = k.m * (T - t)
     mT = k.m * T
-    lo_p, hi_p = _effective_interval(d)
+    lo_p, hi_p = numerics.mass_interval(d, 1e-16)
     log_c = _sp.gammaln(mT) - _sp.gammaln(a)
 
     def h(z, q):
@@ -300,23 +277,42 @@ def _gamma_density_sums(spec, t, xis, powers):
 
     out = {q: np.zeros_like(xis) for q in powers}
     inside = xis >= lo_p
-    for group, from_zero in ((np.nonzero(inside)[0], True), (np.nonzero(~inside)[0], False)):
+    # states at or past the top of the support carry no density mass
+    below = xis < d.upper
+    for group, from_zero in ((np.nonzero(inside & below)[0], True), (np.nonzero(~inside)[0], False)):
         if group.size == 0:
             continue
         xg = xis[group]
-        W = hi_p - xg
-        live = W > 0
-        if from_zero:
-            res = _jacobi_tilted(h, xg[live], W[live], a, powers)
+        if from_zero and math.isfinite(d.upper):
+            res = _jacobi_tilted(h, xg, d.upper - xg, a, powers)
+        elif from_zero:
+            span = _gamma_spans(h, xg, a, max(powers), hi_p - lo_p)
+            res = _jacobi_tilted(h, xg, np.maximum(hi_p - xg, span), a, powers)
         else:
-            w0 = lo_p - xg[live]
-            res = _plain_tilted(h, xg[live], w0, W[live], a, powers)
-        scale = np.exp(xg[live] + log_c)
+            res = _plain_tilted(h, xg, lo_p - xg, hi_p - xg, a, powers)
+        scale = np.exp(xg + log_c)
         for q in powers:
-            vals = np.zeros(xg.shape)
-            vals[live] = res[q] * scale
-            out[q][group] = vals
+            out[q][group] = res[q] * scale
     return out
+
+
+def _gamma_spans(h, xg, a, q, width):
+    """Per-state span W past which w^(a-1) h(xi + w) is below e^-60 of its peak.
+
+    For priors unbounded above; spans double from 1/16 to 4096 prior widths
+    (the caller never cuts below hi_p - xi). A decaying w^(a-1) is left out.
+    """
+    w = width * 2.0 ** np.arange(-4.0, 13.0)
+    with np.errstate(divide="ignore"):
+        g = np.log(h(xg[:, None] + w[None, :], q)) + max(a - 1.0, 0.0) * np.log(w)[None, :]
+    peak = np.max(g, axis=1)
+    last = w.size - 1 - np.argmax((g >= peak[:, None] - 60.0)[:, ::-1], axis=1)
+    if not np.all(np.isfinite(peak)) or np.any(last == w.size - 1):
+        raise NumericError(
+            "tilted integrand underflows or does not decay on the probed spans",
+            states=(xg.min(), xg.max()), window=(w[0], w[-1]),
+        )
+    return w[last + 1]
 
 
 def _jacobi_tilted(h, xg, W, a, powers):
@@ -328,13 +324,14 @@ def _jacobi_tilted(h, xg, W, a, powers):
         cur = {}
         for q in powers:
             cur[q] = (W / 2.0) ** a * (h(z, q) @ wts)
-        if prev is not None:
-            diff = max(float(np.max(np.abs(cur[q] - prev[q]))) for q in powers)
-            scale = max(float(np.max(np.abs(cur[q]))) for q in powers)
-            if diff <= max(1e-12, 1e-9 * scale):
-                return cur
+        if prev is not None and all(
+            np.all(np.abs(cur[q] - prev[q]) <= 1e-11 * np.abs(cur[q])) for q in powers
+        ):
+            return cur
         prev = cur
-    return prev
+    raise NumericError(
+        "Gauss-Jacobi tilted sums did not converge", order=n, states=(xg.min(), xg.max())
+    )
 
 
 def _plain_tilted(h, xg, w0, W, a, powers):
@@ -350,7 +347,11 @@ def _plain_tilted(h, xg, w0, W, a, powers):
 
 
 def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
-    """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over xi."""
+    """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over xi.
+
+    Densities are integrated by the Brownian or the gamma branch; no other
+    continuous kernel has a rule.
+    """
     xis = np.asarray(xis, dtype=float)
     out = {q: np.zeros_like(xis) for q in powers}
     if spec.terminal.atoms:
@@ -360,27 +361,21 @@ def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[
         for q in powers:
             out[q] += e @ (locs**q)
     if spec.terminal.density is not None:
+        if isinstance(spec.kernel, BrownianKernel):
+            branch = _brownian_density_sums
+        elif isinstance(spec.kernel, GammaKernel):
+            branch = _gamma_density_sums
+        else:
+            raise UnsupportedKernelError(
+                f"no tilted-sum rule for a density under {type(spec.kernel).__name__}"
+            )
         for start in range(0, xis.size, _CHUNK):
             sl = slice(start, min(start + _CHUNK, xis.size))
-            if isinstance(spec.kernel, BrownianKernel):
-                part = _brownian_density_sums(spec, t, xis[sl], powers)
-            elif isinstance(spec.kernel, GammaKernel):
-                part = _gamma_density_sums(spec, t, xis[sl], powers)
-            else:
-                part = {
-                    q: np.array([
-                        numerics.integrate(
-                            MixedMeasure(density=spec.terminal.density),
-                            lambda z, _x=x, _q=q: (z**_q)
-                            * _weight_values(spec.kernel, spec.horizon, t, _x, z),
-                            extra_breakpoints=(x,) if spec.kernel.nondecreasing else (),
-                        )
-                        for x in xis[sl]
-                    ])
-                    for q in powers
-                }
+            part = branch(spec, t, xis[sl], powers)
             for q in powers:
                 out[q][sl] += part[q]
+    if not all(np.all(np.isfinite(v)) for v in out.values()):
+        raise NumericError("tilted sums are not finite", t=t, states=(xis.min(), xis.max()))
     return out
 
 
@@ -420,17 +415,8 @@ def transition_density(spec: LRBSpec, s: float, x: float, t: float, y):
     """
     if spec.kernel.discrete:
         raise DomainError("lattice spec: use transition_mass")
-    s, t = float(s), float(t)
-    if t >= spec.horizon:
-        raise DomainError("t at or beyond the horizon: use terminal_posterior")
-    if not 0.0 <= s < t:
-        raise DomainError(f"need 0 <= s < t, got s={s}, t={t}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    psi_t = psi_total_many(spec, t, y_arr)
-    psi_s = psi_total(spec, s, x)
-    if psi_s <= 0.0:
-        raise UnreachableStateError(f"state x={x} at s={s} has zero mass")
-    out = psi_t / psi_s * spec.kernel.density(t - s, y_arr - x)
+    out = _psi_ratio(spec, s, x, t, y_arr) * spec.kernel.density(t - s, y_arr - x)
     return out if np.ndim(y) else float(out[0])
 
 
@@ -438,46 +424,49 @@ def transition_mass(spec: LRBSpec, s: float, x: int, t: float, j):
     """Lattice analogue of `transition_density` on lattice points j."""
     if not spec.kernel.discrete:
         raise DomainError("continuous spec: use transition_density")
+    j_arr = np.atleast_1d(np.asarray(j))
+    out = _psi_ratio(spec, s, x, t, j_arr) * spec.kernel.mass(t - s, j_arr - int(x))
+    return out if np.ndim(j) else float(out[0])
+
+
+def _psi_ratio(spec: LRBSpec, s: float, x: float, t: float, ys: np.ndarray) -> np.ndarray:
+    """psi_t(ys) / psi_s(x), the tilt of the plain transition from (s, x) to t."""
     s, t = float(s), float(t)
     if t >= spec.horizon:
         raise DomainError("t at or beyond the horizon: use terminal_posterior")
     if not 0.0 <= s < t:
         raise DomainError(f"need 0 <= s < t, got s={s}, t={t}")
-    j_arr = np.atleast_1d(np.asarray(j))
-    psi_t = np.array([psi_total(spec, t, float(jj)) for jj in j_arr])
     psi_s = psi_total(spec, s, float(x))
     if psi_s <= 0.0:
         raise UnreachableStateError(f"state x={x} at s={s} has zero mass")
-    out = psi_t / psi_s * spec.kernel.mass(t - s, j_arr - int(x))
-    return out if np.ndim(j) else float(out[0])
+    return psi_total_many(spec, t, ys.astype(float)) / psi_s
 
 
 def terminal_posterior(spec: LRBSpec, s: float, xi: float) -> TerminalLaw:
     """Conditional law of the terminal value given state xi at time s.
 
-    s = 0 returns the prior unchanged. The result is a full TerminalLaw, so
-    its normalization is re-validated on construction.
+    s = 0 returns the prior unchanged. Later laws take their atom weights and
+    density mass from the tilted sums that give psi, without quadrature.
     """
     s = spec._check_time(s)
     if s == 0.0:
         return spec.terminal
     xi = float(xi)
-    psi = psi_total(spec, s, xi)
+    return _posterior(spec, s, xi, psi_total(spec, s, xi))
+
+
+def _posterior(spec: LRBSpec, s: float, xi: float, psi: float) -> TerminalLaw:
     if psi <= 0.0:
         raise UnreachableStateError(f"state xi={xi} at s={s} has zero mass")
-    atoms = []
+    atoms, atom_sum = [], 0.0
     if spec.terminal.atoms:
         with np.errstate(over="ignore"):
             terms = np.exp(_atom_log_terms(spec, s, xi)[0])
-        for (z, _), w_new in zip(spec.terminal.atoms, terms / psi):
-            if w_new > 0.0:
-                atoms.append((z, float(w_new)))
-    comp = None
-    if spec.terminal.density is not None:
-        d = spec.terminal.density
-        lo = d.lower
-        if spec.kernel.nondecreasing:
-            lo = max(lo, xi)
+        atom_sum = float(np.sum(terms))
+        atoms = [(z, float(w)) for (z, _), w in zip(spec.terminal.atoms, terms / psi) if w > 0.0]
+    comp, d = None, spec.terminal.density
+    if d is not None:
+        lo = max(d.lower, xi) if spec.kernel.nondecreasing else d.lower
         if lo < d.upper:
             comp = DensityComponent(
                 pdf=partial(_posterior_pdf, spec.kernel, spec.horizon, s, xi, d.pdf, psi),
@@ -486,12 +475,13 @@ def terminal_posterior(spec: LRBSpec, s: float, xi: float) -> TerminalLaw:
                 breakpoints=d.breakpoints,
                 tail=d.tail,
             )
-    return TerminalLaw(atoms=tuple(atoms), density=comp)
+    density_mass = (psi - atom_sum) / psi if comp is not None else 0.0
+    return TerminalLaw._from_sums(tuple(atoms), comp, density_mass)
 
 
 def _posterior_pdf(kernel, T, s, xi, base_pdf, norm, z):
     z = np.asarray(z, dtype=float)
-    w = _weight_values(kernel, T, s, xi, z)
+    w = _weight_many(kernel, T, s, np.array([xi]), np.atleast_1d(z))[0].reshape(z.shape)
     out = np.asarray(base_pdf(z)) * w / norm
     return out if out.ndim else float(out)
 
@@ -509,10 +499,27 @@ def conditional_moment(spec: LRBSpec, s: float, xi: float, q: int) -> float:
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise DomainError(f"moment order must be an integer >= 1, got {q}")
-    post = terminal_posterior(spec, s, xi)
+    return _posterior_moments(spec, s, xi, (q,))[1][0]
+
+
+def _posterior_moments(spec: LRBSpec, s: float, xi: float, orders) -> tuple[float, list[float]]:
+    """psi and the conditional moments of the given orders at state xi at s.
+
+    At s = 0 these are the prior's, by quadrature; later ones all come from one
+    batch-of-one engine call. The highest order's tail is certified.
+    """
+    s = spec._check_time(s)
+    if s == 0.0:
+        if spec.terminal.density is not None:
+            _certify_moment_tail(spec.terminal.density, max(orders))
+        return 1.0, [numerics.integrate(spec.terminal.measure, lambda z, q=q: z**q) for q in orders]
+    xi = float(xi)
+    sums = _tilted_sums(spec, s, np.array([xi]), powers=(0, *orders))
+    psi = float(sums[0][0])
+    post = _posterior(spec, s, xi, psi)
     if post.density is not None:
-        _certify_moment_tail(post.density, q)
-    return numerics.integrate(post.measure, lambda z: z**q)
+        _certify_moment_tail(post.density, max(orders))
+    return psi, [float(sums[q][0]) / psi for q in orders]
 
 
 def _certify_moment_tail(d: DensityComponent, q: int) -> None:
@@ -614,16 +621,19 @@ def increment_joint_density(spec: LRBSpec, alphas, increments) -> float:
     ys = np.asarray(increments, dtype=float)
     if ys.shape != alphas.shape:
         raise DomainError("increments and partition must have equal length")
-    mix = _ftilde(spec, float(np.sum(ys)))
+    return _kernel_joint(spec, float(np.sum(ys)), zip(alphas, ys))
+
+
+def _kernel_joint(spec: LRBSpec, total: float, pairs) -> float:
+    """_ftilde at the increment total times the kernel factors of (duration, increment) pairs."""
+    mix = _ftilde(spec, total)
     if mix == 0.0:
         return 0.0
     if spec.kernel.discrete:
-        logs = sum(float(spec.kernel.log_mass(a, int(y))) for a, y in zip(alphas, ys))
+        logs = sum(float(spec.kernel.log_mass(a, int(y))) for a, y in pairs)
     else:
-        logs = sum(float(spec.kernel.log_density(a, y)) for a, y in zip(alphas, ys))
-    if logs == -math.inf:
-        return 0.0
-    return mix * math.exp(logs)
+        logs = sum(float(spec.kernel.log_density(a, y)) for a, y in pairs)
+    return 0.0 if logs == -math.inf else mix * math.exp(logs)
 
 
 def reordered_increment_conditional(spec: LRBSpec, observed, query) -> float:
@@ -642,22 +652,7 @@ def reordered_increment_conditional(spec: LRBSpec, observed, query) -> float:
     _check_partition(spec, [a for a, _ in (*observed, *query)])
     t_obs = sum(a for a, _ in observed)
     s_obs = sum(y for _, y in observed)
-    if t_obs == 0.0:
-        psi = 1.0
-    else:
-        psi = psi_total(spec, t_obs, s_obs)
-        if psi <= 0.0:
-            raise UnreachableStateError(
-                f"observed state ({t_obs}, {s_obs}) has zero mass"
-            )
-    total = s_obs + sum(y for _, y in query)
-    mix = _ftilde(spec, total)
-    if mix == 0.0:
-        return 0.0
-    if spec.kernel.discrete:
-        logs = sum(float(spec.kernel.log_mass(a, int(y))) for a, y in query)
-    else:
-        logs = sum(float(spec.kernel.log_density(a, y)) for a, y in query)
-    if logs == -math.inf:
-        return 0.0
-    return mix * math.exp(logs) / psi
+    psi = psi_total(spec, t_obs, s_obs)
+    if psi <= 0.0:
+        raise UnreachableStateError(f"observed state ({t_obs}, {s_obs}) has zero mass")
+    return _kernel_joint(spec, s_obs + sum(y for _, y in query), query) / psi

@@ -1,7 +1,9 @@
 """Terminal (horizon) laws: atoms plus an optional density component.
 
 Construction validates total mass 1 by quadrature, so every law handed to
-the conditional-law machinery is an honest probability measure. Density
+the conditional-law machinery is an honest probability measure. Posterior
+laws built by `core` take their masses from the sums that define them
+instead (`TerminalLaw._from_sums`). Density
 callables are built from module-level functions via functools.partial and
 therefore pickle cleanly, which the worker pool relies on.
 """
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import numerics
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .numerics import DensityComponent, MixedMeasure
 
 __all__ = ["TerminalLaw"]
@@ -118,6 +120,19 @@ class TerminalLaw:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _from_sums(cls, atoms, density, density_mass: float) -> "TerminalLaw":
+        """A law from sorted atoms and a density mass computed with them (no quadrature)."""
+        atom_mass = sum(w for _, w in atoms)
+        if not abs(atom_mass + density_mass - 1.0) <= MASS_TOL:
+            raise NumericError(
+                "law masses do not total 1", atom_mass=atom_mass, density_mass=density_mass
+            )
+        law = object.__new__(cls)
+        for name, value in (("atoms", atoms), ("density", density), ("density_mass", density_mass)):
+            object.__setattr__(law, name, value)
+        return law
+
+    @classmethod
     def from_atoms(cls, pairs) -> "TerminalLaw":
         return cls(atoms=tuple((float(z), float(w)) for z, w in pairs))
 
@@ -216,4 +231,4 @@ class TerminalLaw:
                 sampler=partial(_shifted_draw, d.sampler, dx) if d.sampler else None,
                 cdf=partial(_shifted_cdf, d.cdf, dx) if d.cdf else None,
             )
-        return TerminalLaw(atoms=atoms, density=comp)
+        return TerminalLaw._from_sums(atoms, comp, self.density_mass)

@@ -231,14 +231,7 @@ class MixedMeasure:
         return sum(w for _, w in self.atoms)
 
 
-def integrate(
-    measure: MixedMeasure,
-    fn: Callable,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    extra_breakpoints: Sequence[float] = (),
-) -> float:
+def integrate(measure: MixedMeasure, fn: Callable) -> float:
     """Integrate ``fn`` against a mixed measure.
 
     Atom contributions are summed exactly; the density part goes through
@@ -255,18 +248,10 @@ def integrate(
         total += w * v
     d = measure.density
     if d is not None:
-        total += _quad_density(d, fn, abs_tol, rel_tol, extra_breakpoints)
-    return total
-
-
-def _quad_density(d, fn, abs_tol, rel_tol, extra_breakpoints):
-    pts = sorted({float(p) for p in (*d.breakpoints, *extra_breakpoints) if d.lower < p < d.upper})
-    edges = [d.lower, *pts, d.upper]
-    total = 0.0
-    g = lambda z: float(fn(z)) * float(d.pdf(z))
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _quad_segment(g, a, b, abs_tol, rel_tol)
-        total += val
+        edges = [d.lower, *d.breakpoints, d.upper]
+        g = lambda z: float(fn(z)) * float(d.pdf(z))
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += _quad_segment(g, a, b, DEFAULT_ABS_TOL, DEFAULT_REL_TOL)[0]
     return total
 
 

@@ -245,14 +245,22 @@ def critical_information(
     if strike >= df * z_hi:
         return ExerciseBoundary(kind="empty")
 
+    def g_many(xis) -> np.ndarray:
+        return df * _core.posterior_mean_many(spec, t, xis) - strike
+
     def g(xi: float) -> float:
-        return df * _core.conditional_moment(spec, t, xi, 1) - strike
+        return float(g_many(np.array([xi]))[0])
 
     b_lo, b_hi = _reachable_interval(spec)
     if mode == "monotone":
-        # interior starting bracket around the mean interpolation of the
-        # state, which always lies strictly inside the reachable interval
-        mid = (t / spec.horizon) * spec.terminal.mean()
+        # interior starting bracket around the interpolated centre of the
+        # terminal support, which always lies strictly inside the reachable
+        # interval (a subordinator's terminal support starts at z_lo >= 0)
+        if math.isfinite(z_hi):
+            centre = 0.5 * (z_lo + z_hi) if math.isfinite(z_lo) else z_hi
+        else:
+            centre = z_lo + 1.0 if math.isfinite(z_lo) else 0.0
+        mid = (t / spec.horizon) * centre
         lo = b_lo + 0.5 * (mid - b_lo) if math.isfinite(b_lo) else mid - max(1.0, abs(mid))
         hi = b_hi - 0.5 * (b_hi - mid) if math.isfinite(b_hi) else mid + max(1.0, abs(mid))
         g_lo, g_hi = g(lo), g(hi)
@@ -287,7 +295,7 @@ def critical_information(
     # to the reachable bounds
     lo, hi = _scan_range(spec, t)
     xs = np.linspace(lo, hi, 257)
-    vals = np.array([g(float(x)) for x in xs])
+    vals = g_many(xs)
     crossings: list[float] = []
     for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if fa == 0.0:
@@ -419,10 +427,7 @@ def sde_coefficients(spec: _core.LRBSpec, curve: RateCurve, t: float, xi: float)
     if not isinstance(spec.kernel, BrownianKernel):
         raise UnsupportedKernelError("price SDE coefficients need the Brownian kernel")
     t = spec._check_time(t)
-    x_t = price(spec, curve, t, xi)
-    post = _core.terminal_posterior(spec, t, xi)
-    m1 = numerics.integrate(post.measure, lambda z: z)
-    m2 = numerics.integrate(post.measure, lambda z: z * z)
+    _, (m1, m2) = _core._posterior_moments(spec, t, xi, (1, 2))
     var = max(m2 - m1 * m1, 0.0)
     df = curve.discount(t, spec.horizon)
-    return curve.short_rate(t) * x_t, df * var / (spec.horizon - t)
+    return curve.short_rate(t) * df * m1, df * var / (spec.horizon - t)

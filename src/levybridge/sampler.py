@@ -75,15 +75,10 @@ def _check_grid(spec: _core.LRBSpec, times) -> np.ndarray:
 # terminal draws
 
 
-def _component_interval(d: DensityComponent) -> tuple[float, float]:
-    """Finite interval holding all but ~1e-14 of the component's mass."""
-    return numerics.mass_interval(d, 1e-14)
-
-
 def _density_draw(d: DensityComponent, rng, size: int) -> np.ndarray:
     if d.sampler is not None:
         return np.asarray(d.sampler(rng, size=size), dtype=float)
-    lo, hi = _component_interval(d)
+    lo, hi = numerics.mass_interval(d, 1e-14)
     us = rng.uniform(size=size)
     out = np.empty(size)
     pdf = lambda z: float(d.pdf(z))
@@ -222,10 +217,13 @@ def _markov_step_continuous(spec, s, t, x_arr, rng) -> np.ndarray:
 def _markov_step_lattice(spec, s, t, x_arr, rng) -> np.ndarray:
     top = int(max(z for z, _ in spec.terminal.atoms))
     dt = t - s
+    # psi on every lattice state any path can reach, in one batch
+    base = int(np.min(x_arr))
+    psi_all = _core.psi_total_many(spec, t, np.arange(base, top + 1, dtype=float))
     out = np.empty_like(x_arr)
     for i, x in enumerate(x_arr):
         js = np.arange(0, top - int(x) + 1)
-        psi = np.array([_core.psi_total(spec, t, float(x + j)) for j in js])
+        psi = psi_all[int(x) - base :]
         probs = psi * np.asarray(spec.kernel.mass(dt, js))
         total = probs.sum()
         if not total > 0:

@@ -4,8 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from levybridge import checks, cli
+from levybridge import checks, cli, core
 from levybridge.checks import CheckResult
+from levybridge.errors import NumericError
 
 
 def binary_scenario(**blocks) -> dict:
@@ -130,6 +131,38 @@ def test_price_unreachable_state_is_a_numeric_error(tmp_path):
     }
     cfg = write(tmp_path, payload)
     assert cli.main(["price", "--config", cfg]) == 2
+
+
+def mixed_scenario(**blocks) -> dict:
+    d = {
+        "kernel": {"family": "brownian"},
+        "horizon": 1.0,
+        "terminal_law": {
+            "atoms": [[-0.75, 0.3]],
+            "density": {"family": "normal", "mu": 0.5, "sigma2": 0.64, "weight": 0.7},
+        },
+    }
+    d.update(blocks)
+    return d
+
+
+def test_price_far_tail_state(tmp_path, capsys):
+    # psi here is 4.7e-13; an absolute quadrature tolerance of 1e-10 once
+    # lost it and the command exited with a "config error"
+    cfg = write(tmp_path, mixed_scenario(price={"points": [[0.5, -10.0]]}))
+    assert cli.main(["price", "--config", cfg]) == 0
+    rec = json.loads(capsys.readouterr().out)[0]
+    assert abs(rec["psi"] / 4.716923255240162e-13 - 1.0) < 1e-10
+
+
+def test_numeric_error_reports_diagnostics(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericError("x", window=(1, 2))
+
+    monkeypatch.setattr(core, "_tilted_sums", failing)
+    cfg = write(tmp_path, binary_scenario(price={"points": [[0.5, 0.25]]}))
+    assert cli.main(["price", "--config", cfg]) == 2
+    assert "window=" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate as sci_integrate
 
+import quad_reference
 from levybridge import core
 from levybridge.core import LRBSpec
 from levybridge.errors import (
@@ -48,6 +50,17 @@ def gamma_scaled_spec(kappa=1.5):
     return LRBSpec(
         kernel=GammaKernel(2.0), horizon=1.0, terminal=TerminalLaw.gamma(2.0, kappa)
     )
+
+
+def cauchy_spec():
+    heavy = DensityComponent(
+        pdf=lambda z: 1.0 / (math.pi * (1.0 + np.asarray(z) ** 2)),
+        lower=-math.inf,
+        upper=math.inf,
+        tail="power",
+        cdf=lambda z: 0.5 + math.atan(z) / math.pi,
+    )
+    return LRBSpec(kernel=BrownianKernel(), horizon=1.0, terminal=TerminalLaw(density=heavy))
 
 
 def poisson_spec():
@@ -143,16 +156,95 @@ def test_psi_time_domain():
 
 
 def test_psi_many_matches_scalar():
+    # both engine entry points against the independent QUADPACK reference
     for spec, xis in (
         (mixed_spec(), np.linspace(-4.0, 4.0, 21)),
         (gamma_atom_spec(), np.linspace(0.05, 2.4, 21)),
         (gamma_scaled_spec(), np.linspace(0.05, 6.0, 21)),
     ):
         for t in (0.1, 0.5, 0.9):
+            ref = np.array([quad_reference.psi(spec, t, x) for x in xis])
             many = core.psi_total_many(spec, t, xis)
             one = np.array([core.psi_total(spec, t, x) for x in xis])
-            # agreement is bounded by the scalar route's own budget (rel 1e-9)
-            assert np.all(np.abs(many - one) <= 2e-9 * np.maximum(one, 1e-30) + 1e-10)
+            assert np.all(np.abs(many - ref) <= 1e-10 * ref)
+            assert np.all(np.abs(one - ref) <= 1e-10 * ref)
+
+
+@given(
+    law=st.sampled_from(["mixed", "gamma"]),
+    t=st.floats(0.05, 0.95),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    pick=st.integers(0, 39),
+)
+def test_scalar_psi_is_a_batch_of_one(law, t, unit, pick):
+    # a state's psi must not depend on which other states share its call
+    spec, lo, hi = (mixed_spec(), -8.0, 8.0) if law == "mixed" else (gamma_scaled_spec(), 0.01, 30.0)
+    xis = lo + (hi - lo) * np.array(unit)
+    x = float(xis[pick % xis.size])
+    one = core.psi_total(spec, t, x)
+    many = core.psi_total_many(spec, t, xis)[pick % xis.size]
+    assert abs(one - many) <= 1e-10 * one
+
+
+def test_psi_gamma_far_states_match_closed_form():
+    # the gamma branch once cut the prior at its 1 - 1e-16 quantile (61.7),
+    # losing psi past about xi = 30 and failing outright near xi = 100
+    kappa = 1.5
+    spec = gamma_scaled_spec(kappa)
+    xis = np.geomspace(0.1, 200.0, 25)
+    for t in (0.1, 0.5, 0.9):
+        psi = kappa ** (-2.0 * t) * np.exp((1.0 - 1.0 / kappa) * xis)
+        mean = xis + 2.0 * (1.0 - t) * kappa
+        for got, want in (
+            (core.psi_total_many(spec, t, xis), psi),
+            (np.array([core.psi_total(spec, t, x) for x in xis]), psi),
+            (core.posterior_mean_many(spec, t, xis), mean),
+            (np.array([core.conditional_moment(spec, t, x, 1) for x in xis]), mean),
+        ):
+            assert np.all(np.abs(got - want) <= 1e-10 * want)
+    assert np.isfinite(core.psi_total(spec, 0.1, 100.0))
+
+
+def test_psi_cauchy_prior_matches_reference():
+    # a prior window of +-3e15 once hid a unit-wide integrand from the probe
+    spec = cauchy_spec()
+    for t, xi in ((0.5, 0.3), (0.9, -5.0)):
+        want = quad_reference.psi(spec, t, xi)
+        assert abs(core.psi_total(spec, t, xi) - want) <= 1e-9 * want
+        assert abs(core.psi_total_many(spec, t, np.array([xi, 0.0]))[0] - want) <= 1e-9 * want
+
+
+def _mixed_closed_form(t, xi):
+    """(psi, posterior mean) of mixed_spec by Gaussian algebra in mpmath."""
+    with mp.workdps(30):
+        t, xi = mp.mpf(t), mp.mpf(xi)
+
+        def npdf(x, m, v):
+            return mp.exp(-((x - m) ** 2) / (2 * v)) / mp.sqrt(2 * mp.pi * v)
+
+        v_atom = t * (1 - t)
+        v_dens = v_atom + t**2 * mp.mpf("0.64")
+        atom = mp.mpf("0.3") * npdf(xi, -mp.mpf("0.75") * t, v_atom)
+        dens = mp.mpf("0.7") * npdf(xi, mp.mpf("0.5") * t, v_dens)
+        dens_mean = mp.mpf("0.5") + mp.mpf("0.64") * t / v_dens * (xi - mp.mpf("0.5") * t)
+        psi = (atom + dens) / npdf(xi, 0, t)
+        mean = (-mp.mpf("0.75") * atom + dens_mean * dens) / (atom + dens)
+        return float(psi), float(mean)
+
+
+def test_mixed_law_matches_mpmath_closed_form():
+    spec = mixed_spec()
+    xis = np.linspace(-30.0, 30.0, 25)
+    for t in (0.1, 0.5, 0.9):
+        psi, mean = np.array([_mixed_closed_form(t, x) for x in xis]).T
+        one = [(core.psi_total(spec, t, x), core.conditional_moment(spec, t, x, 1)) for x in xis]
+        for got, want, floor in (
+            (core.psi_total_many(spec, t, xis), psi, 0.0),
+            (np.array([p for p, _ in one]), psi, 0.0),
+            (core.posterior_mean_many(spec, t, xis), mean, 1.0),
+            (np.array([m for _, m in one]), mean, 1.0),
+        ):
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), floor))
 
 
 def test_psi_many_far_states():
@@ -176,7 +268,9 @@ def test_posterior_mean_many_matches_moment():
     xis = np.array([-1.0, 0.0, 0.5, 1.5])
     many = core.posterior_mean_many(spec, 0.5, xis)
     for x, m in zip(xis, many):
-        assert abs(m - core.conditional_moment(spec, 0.5, x, 1)) < 1e-10
+        want = quad_reference.posterior_mean(spec, 0.5, x)
+        assert abs(m - want) < 1e-11
+        assert abs(core.conditional_moment(spec, 0.5, x, 1) - want) < 1e-11
 
 
 def test_unreachable_state_raises():
@@ -292,18 +386,8 @@ def test_conditional_moment_second_moment():
 
 
 def test_infinite_moment_is_reported():
-    heavy = DensityComponent(
-        pdf=lambda z: 1.0 / (math.pi * (1.0 + np.asarray(z) ** 2)),
-        lower=-math.inf,
-        upper=math.inf,
-        tail="power",
-        cdf=lambda z: 0.5 + math.atan(z) / math.pi,
-    )
-    spec = LRBSpec(
-        kernel=BrownianKernel(), horizon=1.0, terminal=TerminalLaw(density=heavy)
-    )
     with pytest.raises(InfiniteMomentError):
-        core.conditional_moment(spec, 0.0, 0.0, 1)
+        core.conditional_moment(cauchy_spec(), 0.0, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------

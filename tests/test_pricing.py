@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from levybridge import core, pricing
+import quad_reference
+from levybridge import checks, core, pricing
 from levybridge.core import LRBSpec
 from levybridge.errors import (
     DomainError,
@@ -120,8 +121,11 @@ def test_price_many_matches_scalar():
     curve = RateCurve.flat(0.03)
     xis = np.array([0.2, 0.9, 2.0])
     vec = price_many(spec, curve, 0.4, xis)
+    df = curve.discount(0.4, 1.0)
     for x, v in zip(xis, vec):
-        assert abs(v - price(spec, curve, 0.4, float(x))) < 1e-9
+        want = df * quad_reference.posterior_mean(spec, 0.4, float(x))
+        assert abs(v - want) < 1e-10
+        assert abs(price(spec, curve, 0.4, float(x)) - want) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +191,20 @@ def test_set_mode_agrees_with_threshold_when_monotone():
     curve = RateCurve.flat(0.0)
     mono = critical_information(spec, curve, 0.5, 0.5)
     loose = critical_information(spec, curve, 0.5, 0.5, mode="set")
+    assert loose.kind == "intervals"
+    assert len(loose.intervals) == 1
+    a, b = loose.intervals[0]
+    assert abs(a - mono.threshold) < 1e-7
+    assert math.isinf(b)
+
+
+def test_set_mode_on_mixed_law():
+    # the scan's far states once lost psi to QUADPACK's absolute tolerance,
+    # and the rebuilt posterior failed validation with a DomainError
+    spec = checks.brownian_mixed()
+    curve = RateCurve.flat(0.0)
+    mono = critical_information(spec, curve, 0.5, 0.3)
+    loose = critical_information(spec, curve, 0.5, 0.3, mode="set")
     assert loose.kind == "intervals"
     assert len(loose.intervals) == 1
     a, b = loose.intervals[0]

@@ -1,0 +1,95 @@
+"""Every posterior functional past t = 0 runs on the tilted-sum engine alone.
+
+The specs are built first, because validating a user's terminal law is
+quadrature's job. After that `numerics.integrate` is made to raise, and
+every scalar entry point must still answer: a second evaluation route for
+psi, moments or posteriors would trip it.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from levybridge import checks, cli, core, numerics, pricing
+from levybridge.config import ScenarioConfig
+from levybridge.errors import UnsupportedKernelError
+from levybridge.kernels import BrownianKernel, Kernel
+from levybridge.laws import TerminalLaw
+from levybridge.pricing import RateCurve
+
+
+def test_scalar_functionals_use_only_the_engine(tmp_path, capsys, monkeypatch):
+    mixed = checks.brownian_mixed()
+    poisson = checks.poisson_atomic()
+    curve = RateCurve.flat(0.02)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"family": "brownian"},
+        "horizon": 1.0,
+        "terminal_law": {"atoms": [[0.0, 1.0]]},
+        "price": {"points": [[0.5, -10.0], [0.3, 0.2]]},
+    }))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerics.integrate called")
+
+    monkeypatch.setattr(numerics, "integrate", forbidden)
+    # the CLI builds its spec from the file; hand it the prebuilt mixed law
+    monkeypatch.setattr(ScenarioConfig, "build_spec", lambda self: mixed)
+
+    assert core.psi_total(mixed, 0.5, 0.3) > 0.0
+    assert core.rn_derivative(mixed, 0.5, 0.3) > 0.0
+    assert np.isfinite(core.conditional_moment(mixed, 0.5, 0.3, 2))
+    assert np.isfinite(pricing.price(mixed, curve, 0.5, 0.3))
+    assert all(np.isfinite(pricing.sde_coefficients(mixed, curve, 0.5, 0.3)))
+    assert core.transition_density(mixed, 0.2, 0.1, 0.6, 0.4) > 0.0
+    assert core.transition_mass(poisson, 0.2, 0, 0.6, 2) > 0.0
+    post = core.terminal_posterior(mixed, 0.5, -10.0)
+    assert post.density is not None and len(post.atoms) == 1
+    kinds = [
+        pricing.critical_information(mixed, curve, 0.5, 0.3, mode=mode).kind
+        for mode in ("monotone", "set")
+    ]
+    assert kinds == ["threshold", "intervals"]
+    assert cli.main(["price", "--config", str(cfg)]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["xi"] for r in records] == [-10.0, 0.2]
+
+
+class WideKernel(Kernel):
+    """A continuous kernel, N(0, 2t), that the engine has no rule for."""
+
+    discrete = False
+    nondecreasing = False
+    _base = BrownianKernel()
+
+    def log_density(self, t, x):
+        return self._base.log_density(2.0 * t, x)
+
+    def density(self, t, x):
+        return np.exp(self.log_density(t, x))
+
+    def cdf(self, t, x):
+        return self._base.cdf(2.0 * t, x)
+
+    def quantile(self, t, q):
+        return self._base.quantile(2.0 * t, q)
+
+    def sample(self, rng, t, size=None):
+        return self._base.sample(rng, 2.0 * t, size)
+
+    def mean(self, t):
+        return 0.0
+
+    def variance(self, t):
+        return 2.0 * t
+
+    def increment_support(self, t):
+        return self._base.increment_support(t)
+
+
+def test_other_continuous_kernels_are_refused():
+    spec = core.LRBSpec(kernel=WideKernel(), horizon=1.0, terminal=TerminalLaw.normal(0.0, 1.0))
+    with pytest.raises(UnsupportedKernelError):
+        core.psi_total(spec, 0.5, 0.3)
