@@ -1,5 +1,6 @@
 # Call prices on a binary bond across strikes: root-based closed form,
-# direct quadrature, and a Monte Carlo estimate with its standard error.
+# the checks' quadrature reference, and a Monte Carlo estimate with its
+# standard error.
 # Degenerate strikes at both ends show the "all" and "empty" exercise
 # regions next to the interior "monotone" ones.
 
@@ -13,6 +14,7 @@ from levybridge import (
     RateCurve,
     TerminalLaw,
     call_price,
+    checks,
     critical_information,
     price_many,
     sample_marginals,
@@ -47,8 +49,8 @@ def main():
     for k in STRIKES:
         call = CallSpec(strike=k, maturity=MATURITY)
         boundary = critical_information(spec, curve, MATURITY, k)
-        closed = call_price(spec, curve, call, method="closed", boundary=boundary)
-        quad = call_price(spec, curve, call, method="quadrature", boundary=boundary)
+        closed = call_price(spec, curve, call, boundary=boundary)
+        quad = checks._quadrature_call_price(spec, curve, call, boundary)
 
         payoff = df0 * np.maximum(bond - k, 0.0)
         mc = float(payoff.mean())

@@ -2,9 +2,9 @@
 
 Construct a process from an increment kernel (Brownian, gamma, Poisson), a
 horizon, and a terminal law; then evaluate conditional laws, simulate paths,
-and price cash flows whose value is revealed at the horizon. Every closed
-form in the package has an independent quadrature or Monte Carlo route next
-to it, wired together in `checks`.
+and price cash flows whose value is revealed at the horizon. Each quantity
+has one production route; the independent quadrature and Monte Carlo routes
+that check the closed forms live in `checks` and the tests.
 """
 
 from .bridge import BridgeSpec, sample_path, transition_cdf

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from . import numerics
 from .errors import DomainError, InvalidPinError, KernelClassError
 from .kernels import BrownianKernel, GammaKernel, Kernel, PoissonKernel
 from .paths import SamplePath
@@ -110,65 +109,30 @@ def _pinned_step_params(spec: BridgeSpec, t: float) -> tuple[float, float]:
     return t - spec.start_time, spec.end_time - t
 
 
-def transition_cdf(spec: BridgeSpec, t: float, y, *, method: str = "exact"):
-    """P[bridge state at t <= y].
+def transition_cdf(spec: BridgeSpec, t: float, y):
+    """P[bridge state at t <= y], from the kernel family's exact law.
 
-    ``exact`` dispatches on the kernel family (normal / beta / binomial);
-    ``quadrature`` integrates the transition density and exists as an
-    independent check route.
+    The pinned state is normal (Brownian), a scaled beta (gamma) or
+    binomial (Poisson); the checks compare this with an integral of
+    `transition_density`.
     """
     t = spec._check_interior(t)
     dt, rem = _pinned_step_params(spec, t)
     x, z = spec.start_value, spec.end_value
-    if method == "exact":
-        k = spec.kernel
-        if isinstance(k, BrownianKernel):
-            mean = x + dt / (dt + rem) * (z - x)
-            var = dt * rem / (dt + rem)
-            out = _sp.ndtr((np.asarray(y, dtype=float) - mean) / math.sqrt(var))
-            return out if np.ndim(out) else float(out)
-        if isinstance(k, GammaKernel):
-            ratio = (np.asarray(y, dtype=float) - x) / (z - x)
-            out = _sp.betainc(k.m * dt, k.m * rem, np.clip(ratio, 0.0, 1.0))
-            return out if np.ndim(out) else float(out)
-        if isinstance(k, PoissonKernel):
-            n = int(z - x)
-            p = dt / (dt + rem)
-            kk = np.floor(np.asarray(y, dtype=float) - x)
-            out = np.where(kk < 0, 0.0, _sp.bdtr(np.clip(kk, 0, n), n, p))
-            return out if np.ndim(out) else float(out)
-        raise KernelClassError(f"no exact bridge CDF for {type(spec.kernel).__name__}")
-    if method == "quadrature":
-        if spec.kernel.discrete:
-            j = int(math.floor(float(y) - x))
-            if j < 0:
-                return 0.0
-            pts = np.arange(0, min(j, int(z - x)) + 1) + int(x)
-            return float(np.sum(transition_mass(spec, t, pts)))
-        lo, hi = _bridge_interval(spec, t)
-        y = float(y)
-        if y <= lo:
-            return 0.0
-        if y >= hi:
-            return 1.0
-        val, _ = numerics._quad_segment(
-            lambda v: float(transition_density(spec, t, v)), lo, y, 1e-12, 1e-11
-        )
-        return min(max(val, 0.0), 1.0)
-    raise DomainError(f"unknown method {method!r}")
-
-
-def _bridge_interval(spec: BridgeSpec, t: float) -> tuple[float, float]:
-    """Interval carrying (essentially) all bridge mass at time t."""
-    dt, rem = _pinned_step_params(spec, t)
-    x, z = spec.start_value, spec.end_value
-    if isinstance(spec.kernel, BrownianKernel):
+    k = spec.kernel
+    y = np.asarray(y, dtype=float)
+    if isinstance(k, BrownianKernel):
         mean = x + dt / (dt + rem) * (z - x)
-        sd = math.sqrt(dt * rem / (dt + rem))
-        return mean - 13.5 * sd, mean + 13.5 * sd
-    if spec.kernel.nondecreasing:
-        return min(x, z), max(x, z)
-    raise KernelClassError(f"no support rule for {type(spec.kernel).__name__}")
+        out = _sp.ndtr((y - mean) / math.sqrt(dt * rem / (dt + rem)))
+    elif isinstance(k, GammaKernel):
+        out = _sp.betainc(k.m * dt, k.m * rem, np.clip((y - x) / (z - x), 0.0, 1.0))
+    elif isinstance(k, PoissonKernel):
+        n = int(z - x)
+        kk = np.floor(y - x)
+        out = np.where(kk < 0, 0.0, _sp.bdtr(np.clip(kk, 0, n), n, dt / (dt + rem)))
+    else:
+        raise KernelClassError(f"no exact bridge CDF for {type(k).__name__}")
+    return out if np.ndim(out) else float(out)
 
 
 def sample_step(kernel: Kernel, dt: float, remaining: float, x, z, rng, size=None):
@@ -199,28 +163,12 @@ def sample_step(kernel: Kernel, dt: float, remaining: float, x, z, rng, size=Non
     raise KernelClassError(f"no exact bridge sampler for {type(kernel).__name__}")
 
 
-def _sample_step_inverse_cdf(spec: BridgeSpec, t: float, rng) -> float:
-    """One bridge draw through the numeric inverse-CDF fallback."""
-    u = float(rng.uniform())
-    if spec.kernel.discrete:
-        n = int(spec.end_value - spec.start_value)
-        pts = np.arange(n + 1) + int(spec.start_value)
-        masses = np.asarray(transition_mass(spec, t, pts), dtype=float)
-        cum = np.cumsum(masses)
-        cum /= cum[-1]
-        return float(pts[int(np.searchsorted(cum, u, side="left"))])
-    lo, hi = _bridge_interval(spec, t)
-    pdf = lambda y: float(transition_density(spec, t, y))
-    return numerics.inverse_cdf(pdf, lo, hi, u, tol=1e-10)
-
-
-def sample_path(spec: BridgeSpec, times, rng, *, method: str = "exact") -> SamplePath:
+def sample_path(spec: BridgeSpec, times, rng) -> SamplePath:
     """Sample the bridge on a strictly increasing grid inside (start, end].
 
-    The walk re-pins after every step, so draws at successive grid points
-    have the correct joint law. A grid point equal to the horizon is set to
-    the pinned value exactly. ``method`` is ``exact`` (kernel-specific
-    conditionals) or ``inverse_cdf`` (generic numeric fallback).
+    Every step is an exact `sample_step` draw, and the walk re-pins after
+    it, so draws at successive grid points have the correct joint law. A
+    grid point equal to the horizon is set to the pinned value exactly.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -231,25 +179,14 @@ def sample_path(spec: BridgeSpec, times, rng, *, method: str = "exact") -> Sampl
         raise DomainError(
             f"grid must lie inside ({spec.start_time}, {spec.end_time}]"
         )
-    if method not in ("exact", "inverse_cdf"):
-        raise DomainError(f"unknown method {method!r}")
     values = np.empty_like(times)
     cur_t, cur_x = spec.start_time, spec.start_value
     for k, t in enumerate(times):
         if t == spec.end_time:
             values[k] = spec.end_value
-        elif method == "exact":
+        else:
             values[k] = sample_step(
                 spec.kernel, t - cur_t, spec.end_time - t, cur_x, spec.end_value, rng
             )
-        else:
-            step_spec = BridgeSpec(
-                kernel=spec.kernel,
-                end_time=spec.end_time,
-                end_value=spec.end_value,
-                start_time=cur_t,
-                start_value=cur_x,
-            )
-            values[k] = _sample_step_inverse_cdf(step_spec, t, rng)
         cur_t, cur_x = t, values[k]
     return SamplePath(times=times, values=values)

@@ -18,6 +18,7 @@ from scipy import stats as _sci_stats
 
 from . import bridge as _bridge
 from . import core as _core
+from . import numerics
 from . import pricing as _pricing
 from . import sampler as _sampler
 from .kernels import BrownianKernel, GammaKernel, PoissonKernel
@@ -109,6 +110,70 @@ def _rng(seed: int, sub: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
+# reference routes: the bridge CDF and the call price by quadrature of the
+# bridge density, independent of the kernels' exact CDFs
+
+
+def _bridge_interval(pin: _bridge.BridgeSpec, t: float) -> tuple[float, float]:
+    """Interval carrying (essentially) all bridge mass at time t (Brownian or subordinator)."""
+    dt, rem = t - pin.start_time, pin.end_time - t
+    x, z = pin.start_value, pin.end_value
+    if isinstance(pin.kernel, BrownianKernel):
+        mean = x + dt / (dt + rem) * (z - x)
+        sd = math.sqrt(dt * rem / (dt + rem))
+        return mean - 13.5 * sd, mean + 13.5 * sd
+    return min(x, z), max(x, z)
+
+
+def _quadrature_bridge_cdf(pin: _bridge.BridgeSpec, t: float, y: float) -> float:
+    """P[bridge state at t <= y]: the bridge masses summed, or its density integrated.
+
+    Continuous bridges take y = -inf or +inf.
+    """
+    x, z = pin.start_value, pin.end_value
+    if pin.kernel.discrete:
+        j = int(math.floor(float(y) - x))
+        if j < 0:
+            return 0.0
+        pts = np.arange(0, min(j, int(z - x)) + 1) + int(x)
+        return float(np.sum(_bridge.transition_mass(pin, t, pts)))
+    lo, hi = _bridge_interval(pin, t)
+    y = float(y)
+    if y <= lo:
+        return 0.0
+    if y >= hi:
+        return 1.0
+    val, _ = numerics._quad_segment(
+        lambda v: float(_bridge.transition_density(pin, t, v)), lo, y, 1e-12, 1e-11
+    )
+    return min(max(val, 0.0), 1.0)
+
+
+def _quadrature_call_price(spec, curve, call, boundary) -> float:
+    """`pricing.call_price` with every exceedance weight from `_quadrature_bridge_cdf`."""
+    if boundary.kind == "empty":
+        return 0.0
+    s, t = call.valuation_time, call.maturity
+    df_t = curve.discount(t, spec.horizon)
+    if boundary.kind == "all":
+        pieces = ((-math.inf, math.inf),)
+    elif boundary.kind == "threshold":
+        pieces = ((boundary.threshold, math.inf),)
+    else:
+        pieces = boundary.intervals
+
+    def discounted_exercise_payoff(z: float) -> float:
+        pin = _bridge.BridgeSpec(spec.kernel, spec.horizon, float(z), s, call.xi)
+        weight = sum(
+            _quadrature_bridge_cdf(pin, t, b) - _quadrature_bridge_cdf(pin, t, a) for a, b in pieces
+        )
+        return (df_t * z - call.strike) * weight
+
+    post = _core.terminal_posterior(spec, s, call.xi)
+    return curve.discount(s, t) * numerics.integrate(post.measure, discounted_exercise_payoff)
+
+
+# ---------------------------------------------------------------------------
 # 1. bridge density normalization
 
 
@@ -122,7 +187,7 @@ def check_normalization(seed: int = 0) -> CheckResult:
         for t in (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6):
             for z in pins:
                 pin = _bridge.BridgeSpec(kernel=kernel, end_time=1.0, end_value=z)
-                lo, hi = _bridge._bridge_interval(pin, t)
+                lo, hi = _bridge_interval(pin, t)
                 mass, _ = _sci_integrate.quad(
                     lambda y: float(_bridge.transition_density(pin, t, y)),
                     lo,
@@ -340,9 +405,9 @@ def check_binary_option(seed: int = 707) -> CheckResult:
     call = _pricing.CallSpec(strike=0.5, maturity=0.5)
     boundary = _pricing.critical_information(spec, curve, call.maturity, call.strike)
     margins["threshold"] = abs(boundary.threshold - BINARY_CALL_THRESHOLD) / 1e-9
-    closed = _pricing.call_price(spec, curve, call, method="closed", boundary=boundary)
+    closed = _pricing.call_price(spec, curve, call, boundary=boundary)
     margins["closed vs pinned"] = abs(closed - BINARY_CALL_CLOSED) / 1e-12
-    quad = _pricing.call_price(spec, curve, call, method="quadrature", boundary=boundary)
+    quad = _quadrature_call_price(spec, curve, call, boundary)
     margins["quadrature vs closed"] = abs(quad - closed) / 1e-7
 
     n = 1_000_000
@@ -368,8 +433,8 @@ def check_gamma_option(seed: int = 808) -> CheckResult:
     curve = _pricing.RateCurve.flat(0.0)
     call = _pricing.CallSpec(strike=3.9, maturity=0.5)
     boundary = _pricing.critical_information(spec, curve, call.maturity, call.strike)
-    closed = _pricing.call_price(spec, curve, call, method="closed", boundary=boundary)
-    quad = _pricing.call_price(spec, curve, call, method="quadrature", boundary=boundary)
+    closed = _pricing.call_price(spec, curve, call, boundary=boundary)
+    quad = _quadrature_call_price(spec, curve, call, boundary)
     margins["quadrature vs closed"] = abs(quad - closed) / 1e-6
 
     n = 100_000

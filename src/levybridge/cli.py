@@ -174,7 +174,7 @@ def cmd_option(cfg: ScenarioConfig, out: str | None) -> int:
         xi=block.xi,
     )
     boundary = _pricing.critical_information(spec, curve, call.maturity, call.strike)
-    value = _pricing.call_price(spec, curve, call, method=block.method, boundary=boundary)
+    value = _pricing.call_price(spec, curve, call, boundary=boundary)
     record = {
         "strike": call.strike,
         "maturity": call.maturity,

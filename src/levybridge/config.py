@@ -315,7 +315,7 @@ def _parse_option(data, path: str) -> OptionConfig | None:
         valuation_time=_get_number(data, "valuation_time", path, default=0.0),
         xi=_get_number(data, "xi", path, default=0.0),
         method=_expect_str(
-            data.pop("method", "closed"), f"{path}.method", choices=("closed", "quadrature")
+            data.pop("method", "closed"), f"{path}.method", choices=("closed",)
         ),
     )
     for key in ("strike", "maturity", "valuation_time", "xi"):

@@ -473,7 +473,6 @@ def _posterior(spec: LRBSpec, s: float, xi: float, psi: float) -> TerminalLaw:
                 lower=lo,
                 upper=d.upper,
                 breakpoints=d.breakpoints,
-                tail=d.tail,
             )
     density_mass = (psi - atom_sum) / psi if comp is not None else 0.0
     return TerminalLaw._from_sums(tuple(atoms), comp, density_mass)

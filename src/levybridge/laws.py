@@ -157,7 +157,6 @@ class TerminalLaw:
             pdf=partial(_normal_pdf, mu, sigma, weight),
             lower=-math.inf,
             upper=math.inf,
-            tail="gaussian",
             sampler=partial(_normal_draw, mu, sigma),
             cdf=partial(_normal_cdf, mu, sigma),
         )
@@ -171,7 +170,6 @@ class TerminalLaw:
             pdf=partial(_gamma_pdf, shape, scale, weight),
             lower=0.0,
             upper=math.inf,
-            tail="exponential",
             sampler=partial(_gamma_draw, shape, scale),
             cdf=partial(_gamma_cdf, shape, scale),
         )
@@ -185,7 +183,6 @@ class TerminalLaw:
             pdf=partial(_uniform_pdf, a, b, weight),
             lower=float(a),
             upper=float(b),
-            tail="compact",
             sampler=partial(_uniform_draw, a, b),
             cdf=partial(_uniform_cdf, a, b),
         )
@@ -196,10 +193,6 @@ class TerminalLaw:
     @property
     def measure(self) -> MixedMeasure:
         return MixedMeasure(atoms=self.atoms, density=self.density)
-
-    @property
-    def is_atomic(self) -> bool:
-        return self.density is None
 
     def support(self) -> tuple[float, float]:
         los, his = [], []
@@ -227,7 +220,6 @@ class TerminalLaw:
                 lower=d.lower + dx,
                 upper=d.upper + dx,
                 breakpoints=tuple(p + dx for p in d.breakpoints),
-                tail=d.tail,
                 sampler=partial(_shifted_draw, d.sampler, dx) if d.sampler else None,
                 cdf=partial(_shifted_cdf, d.cdf, dx) if d.cdf else None,
             )

@@ -1,4 +1,4 @@
-"""Quadrature over mixed measures, monotone root finding, special functions.
+"""Quadrature over mixed measures and monotone root finding.
 
 Everything downstream (conditional laws, pricing, samplers) funnels its
 numerical work through this module so that tolerances live in one place.
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _sci_integrate
 from scipy import optimize as _sci_optimize
-from scipy import special as _sci_special
 
 from .errors import DomainError, NoRootError, NonMonotoneError, NumericError
 
@@ -27,57 +26,10 @@ __all__ = [
     "find_root_monotone",
     "inverse_cdf",
     "composite_quad_batch",
-    "norm_cdf",
-    "norm_ppf",
-    "log_gamma",
-    "beta_fn",
-    "reg_inc_beta",
-    "reg_lower_gamma",
-    "reg_lower_gamma_inv",
 ]
 
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-9
-
-_TAIL_CLASSES = ("gaussian", "exponential", "power", "compact")
-
-
-# ---------------------------------------------------------------------------
-# special functions (Cephes via scipy; accuracy contract pinned by tests)
-
-
-def norm_cdf(x):
-    """Standard normal CDF."""
-    return _sci_special.ndtr(x)
-
-
-def norm_ppf(q):
-    """Standard normal quantile function."""
-    return _sci_special.ndtri(q)
-
-
-def log_gamma(x):
-    return _sci_special.gammaln(x)
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Euler beta function B(a, b)."""
-    return float(math.exp(_sci_special.betaln(a, b)))
-
-
-def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta I(x; a, b)."""
-    return _sci_special.betainc(a, b, x)
-
-
-def reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x)."""
-    return _sci_special.gammainc(a, x)
-
-
-def reg_lower_gamma_inv(a, q):
-    """Inverse of `reg_lower_gamma` in its second argument."""
-    return _sci_special.gammaincinv(a, q)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +51,6 @@ class DensityComponent:
         outside.
     breakpoints:
         Interior points where the pdf is non-smooth; quadrature splits there.
-    tail:
-        Decay class hint, one of ``gaussian | exponential | power | compact``.
     sampler:
         Optional exact draw, ``sampler(rng, size) -> ndarray`` returning
         variates of the normalized density.
@@ -113,15 +63,12 @@ class DensityComponent:
     lower: float
     upper: float
     breakpoints: tuple[float, ...] = ()
-    tail: str = "exponential"
     sampler: Callable | None = None
     cdf: Callable | None = None
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise DomainError(f"density support [{self.lower}, {self.upper}] is empty")
-        if self.tail not in _TAIL_CLASSES:
-            raise DomainError(f"unknown tail class {self.tail!r}")
         pts = tuple(sorted(p for p in self.breakpoints if self.lower < p < self.upper))
         object.__setattr__(self, "breakpoints", pts)
 

@@ -17,13 +17,8 @@ import numpy as np
 from . import bridge as _bridge
 from . import core as _core
 from . import numerics
-from .errors import (
-    DomainError,
-    NonMonotoneError,
-    NumericError,
-    UnsupportedKernelError,
-)
-from .kernels import BrownianKernel, GammaKernel
+from .errors import DomainError, NumericError, UnsupportedKernelError
+from .kernels import BrownianKernel
 from .laws import TerminalLaw
 
 __all__ = [
@@ -189,17 +184,19 @@ def _toward(bound: float, x: float, up: bool) -> float:
     return bound - 0.25 * (bound - x)
 
 
-def _scan_range(spec: _core.LRBSpec, t: float) -> tuple[float, float]:
+def _scan_range(spec: _core.LRBSpec, t: float, strike: float, df: float) -> tuple[float, float]:
     """Finite state interval outside which the price sign cannot change.
 
     Past these bounds the posterior is pinned to an edge of the terminal
     support, so the price sits within any strike that passed the entry
-    support checks. Subordinator states fill (0, sup support) outright; for
-    the Brownian kernel the bounds scale the support by t/T plus a bridge
-    deviation allowance.
+    support checks. Subordinator states fill (0, sup support); since the
+    terminal value is at least the state there, the price is at least
+    df * xi and the scan stops at 2 * strike / df. For the Brownian kernel
+    the bounds scale the support by t/T plus a bridge deviation allowance.
     """
     if spec.kernel.nondecreasing:
         b_lo, b_hi = _reachable_interval(spec)
+        b_hi = min(b_hi, 2.0 * strike / df)
         inset = 1e-9 * (b_hi - b_lo)
         return b_lo + inset, b_hi - inset
     los, his = [], []
@@ -293,7 +290,7 @@ def critical_information(
     # strike at both edges yet dip below in between, so the whole range in
     # which the sign is not yet settled is scanned, and edge pieces extend
     # to the reachable bounds
-    lo, hi = _scan_range(spec, t)
+    lo, hi = _scan_range(spec, t, strike, df)
     xs = np.linspace(lo, hi, 257)
     vals = g_many(xs)
     crossings: list[float] = []
@@ -322,12 +319,10 @@ def critical_information(
 # European call on the cash-flow price
 
 
-def _region_weight(spec, boundary, s, xi_s, t, z, method):
+def _region_weight(spec, boundary, s, xi_s, t, z):
     """P[state at t lies in the exercise region | state (s, xi_s), pin z]."""
     if boundary.kind == "all":
         return 1.0
-    if boundary.kind == "empty":
-        return 0.0
     pin = _bridge.BridgeSpec(
         kernel=spec.kernel,
         end_time=spec.horizon,
@@ -335,13 +330,12 @@ def _region_weight(spec, boundary, s, xi_s, t, z, method):
         start_time=s,
         start_value=xi_s,
     )
-    how = "exact" if method == "closed" else "quadrature"
     if boundary.kind == "threshold":
-        return 1.0 - float(_bridge.transition_cdf(pin, t, boundary.threshold, method=how))
+        return 1.0 - _bridge.transition_cdf(pin, t, boundary.threshold)
     total = 0.0
     for a, b in boundary.intervals:
-        cdf_b = 1.0 if math.isinf(b) else float(_bridge.transition_cdf(pin, t, b, method=how))
-        cdf_a = 0.0 if math.isinf(a) else float(_bridge.transition_cdf(pin, t, a, method=how))
+        cdf_b = 1.0 if math.isinf(b) else _bridge.transition_cdf(pin, t, b)
+        cdf_a = 0.0 if math.isinf(a) else _bridge.transition_cdf(pin, t, a)
         total += cdf_b - cdf_a
     return total
 
@@ -351,21 +345,18 @@ def call_price(
     curve: RateCurve,
     call: CallSpec,
     *,
-    method: str = "closed",
     boundary: ExerciseBoundary | None = None,
 ) -> float:
     """Price at (call.valuation_time, call.xi) of a call on the cash-flow price.
 
-    ``closed`` evaluates the bridge exceedance weights with the kernel's
-    exact CDF (normal / regularized incomplete beta); ``quadrature``
-    integrates the bridge transition density instead and exists as the
-    independent route the coherence tests compare against. A precomputed
-    ``boundary`` skips the critical-information solve.
+    The posterior of the terminal value is integrated against the
+    discounted payoff times the bridge exceedance weight, which the
+    kernel's exact bridge CDF (normal / regularized incomplete beta) gives
+    in closed form. A precomputed ``boundary`` skips the
+    critical-information solve.
     """
     if spec.kernel.discrete:
         raise UnsupportedKernelError("call pricing needs a continuous kernel")
-    if method not in ("closed", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
     s, t, xi_s = call.valuation_time, call.maturity, call.xi
     if not t < spec.horizon:
         raise DomainError(f"option maturity {t} must precede the horizon {spec.horizon}")
@@ -378,7 +369,7 @@ def call_price(
     df_t = curve.discount(t, spec.horizon)
 
     def discounted_exercise_payoff(z: float) -> float:
-        return (df_t * z - call.strike) * _region_weight(spec, boundary, s, xi_s, t, z, method)
+        return (df_t * z - call.strike) * _region_weight(spec, boundary, s, xi_s, t, z)
 
     return df_st * numerics.integrate(post_s.measure, discounted_exercise_payoff)
 

@@ -4,11 +4,13 @@ Two independent routes produce the same law:
 
 * terminal-first (the default): draw the terminal value from its law, then
   walk the pinned bridge with the kernel's exact conditional steps;
-* markov-chain: walk the unpinned state forward, drawing every step from the
-  numeric CDF of the Markov transition density.
+* markov-chain: walk the unpinned state forward; every step, the horizon
+  included, inverts the Markov transition law on one grid, batched over
+  all paths (lattice kernels sum the transition masses).
 
-The second route never touches the bridge conditionals, which is what makes
-the cross-validation tests between the two meaningful.
+The second route never touches the bridge conditionals or the terminal
+posterior, which is what makes the cross-validation tests between the two
+meaningful.
 
 Reproducibility contract: path i of a bulk simulation is generated from the
 substream (seed, i) regardless of worker count or batching, so equal seeds
@@ -22,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from . import bridge as _bridge
 from . import core as _core
@@ -182,49 +185,99 @@ def sample_marginals(
 
 
 # ---------------------------------------------------------------------------
-# markov-chain sampling via numeric CDF inversion
+# markov-chain sampling by grid inversion in the kernel's quantile coordinate
 
-_MARKOV_GRID = 1025
-_U_EPS = 1e-12
+# probit-spaced cell edges: cells shrink toward both ends of (0, 1), where a
+# tilt that grows with the state (psi_t ~ e^{c xi} on a gamma law) keeps mass
+_U_GRID = _sp.ndtr(np.linspace(-7.0, 7.0, 1025))
+_MASS_RTOL = 1e-3
 
 
 def _markov_step_continuous(spec, s, t, x_arr, rng) -> np.ndarray:
-    """Advance all paths from states x at time s to time t (t < horizon)."""
-    dt = t - s
-    u_grid = np.linspace(_U_EPS, 1.0 - _U_EPS, _MARKOV_GRID)
-    w_grid = np.asarray(spec.kernel.quantile(dt, u_grid), dtype=float)
-    nodes = x_arr[:, None] + w_grid[None, :]
-    h = _core.psi_total_many(spec, t, nodes.ravel()).reshape(nodes.shape)
-    du = u_grid[1] - u_grid[0]
-    cdf = np.concatenate(
-        [np.zeros((h.shape[0], 1)), np.cumsum(0.5 * (h[:, 1:] + h[:, :-1]) * du, axis=1)],
-        axis=1,
-    )
-    norm = cdf[:, -1]
-    if np.any(~np.isfinite(norm)) or np.any(norm <= 0):
-        raise NumericError("markov step: transition density failed to normalize")
-    cdf /= norm[:, None]
-    v = rng.uniform(size=x_arr.size)
-    idx = np.clip((cdf < v[:, None]).sum(axis=1), 1, _MARKOV_GRID - 1)
-    rows = np.arange(x_arr.size)
-    c_lo = cdf[rows, idx - 1]
-    c_hi = cdf[rows, idx]
-    frac = np.where(c_hi > c_lo, (v - c_lo) / (c_hi - c_lo), 0.5)
-    u_star = u_grid[idx - 1] + frac * du
-    return x_arr + np.asarray(spec.kernel.quantile(dt, u_star), dtype=float)
+    """Advance all paths from states x at time s to time t (t <= horizon).
+
+    With w = F^-1_{t-s}(u), the next state x + w has density
+    psi_t(x + w) / psi_s(x) in u before the horizon. At the horizon a path
+    first picks an atom, with odds from the atom terms of psi_s, or the
+    density part, whose density in u is p(x + w) / f(T, x + w) / psi_s(x).
+    The density is taken constant on each cell at its midpoint; states where
+    it can jump (atoms under a subordinator before the horizon, the
+    density's finite edges at it) are extra cell edges. A row whose grid
+    mass misses its share of psi_s by more than _MASS_RTOL of psi_s raises.
+    """
+    T, n, dt = spec.horizon, x_arr.size, t - s
+    psi_s = _core.psi_total_many(spec, s, x_arr)
+    out, target = np.full(n, np.nan), psi_s
+    if t == T:
+        pick = rng.uniform(size=n) * psi_s
+        if spec.terminal.atoms:
+            with np.errstate(over="ignore"):
+                cum = np.cumsum(np.exp(_core._atom_log_terms(spec, s, x_arr)), axis=1)
+            idx = (cum < pick[:, None]).sum(axis=1)
+            if spec.terminal.density is None:
+                # rounding can leave pick past the last atom term
+                idx = np.minimum(idx, cum.shape[1] - 1)
+            hit = idx < cum.shape[1]
+            out[hit] = np.array([z for z, _ in spec.terminal.atoms])[idx[hit]]
+            target = psi_s - cum[:, -1]
+    rows = np.nonzero(np.isnan(out))[0]
+    v = rng.uniform(size=n)[rows]
+    if rows.size == 0:
+        return out
+    x, d = x_arr[rows], spec.terminal.density
+    if t < T:
+        jumps = [z for z, _ in spec.terminal.atoms] if spec.kernel.nondecreasing else []
+    else:
+        jumps = [b for b in (d.lower, *d.breakpoints, d.upper) if math.isfinite(b)]
+    u_jump = spec.kernel.cdf(dt, np.asarray(jumps)[None, :] - x[:, None])
+    edges = np.broadcast_to(_U_GRID, (x.size, _U_GRID.size))
+    edges = np.sort(np.hstack([edges, np.clip(u_jump, _U_GRID[0], _U_GRID[-1])]), axis=1)
+    width = np.diff(edges, axis=1)
+    nodes = x[:, None] + spec.kernel.quantile(dt, 0.5 * (edges[:, 1:] + edges[:, :-1]))
+    if t < T:
+        h = _core.psi_total_many(spec, t, nodes.ravel()).reshape(nodes.shape)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            lb = spec.kernel.log_density(T, nodes)
+            lb_ok = np.isfinite(lb)
+            h = np.where(lb_ok, np.exp(np.log(d.pdf(nodes)) - np.where(lb_ok, lb, 0.0)), 0.0)
+    cdf = np.hstack([np.zeros((x.size, 1)), np.cumsum(h * width, axis=1)])
+    miss = np.abs(cdf[:, -1] - target[rows]) / psi_s[rows]
+    if not np.all(miss <= _MASS_RTOL):
+        i = int(np.argmax(np.nan_to_num(miss, nan=np.inf)))
+        raise NumericError(
+            "markov step: grid mass misses psi", t=t, states=(x.min(), x.max()),
+            miss=float(miss[i]), state=float(x[i]), psi=float(psi_s[rows][i]),
+        )
+    # invert the piecewise-linear cdf in the cell that holds v * mass
+    c = v * cdf[:, -1]
+    r = np.arange(x.size)
+    idx = np.clip((cdf < c[:, None]).sum(axis=1), 1, width.shape[1])
+    c_lo, c_hi = cdf[r, idx - 1], cdf[r, idx]
+    frac = np.where(c_hi > c_lo, (c - c_lo) / (c_hi - c_lo), 0.5)
+    out[rows] = x + spec.kernel.quantile(dt, edges[r, idx - 1] + frac * width[r, idx - 1])
+    return out
 
 
 def _markov_step_lattice(spec, s, t, x_arr, rng) -> np.ndarray:
-    top = int(max(z for z, _ in spec.terminal.atoms))
-    dt = t - s
-    # psi on every lattice state any path can reach, in one batch
+    """Lattice analogue of `_markov_step_continuous`, summed exactly.
+
+    At the horizon the tilt is w_i / Q_T(z_i) on the atoms z_i.
+    """
+    top = int(spec.terminal.atoms[-1][0])
+    # the tilt on every lattice state any path can reach, in one batch
     base = int(np.min(x_arr))
-    psi_all = _core.psi_total_many(spec, t, np.arange(base, top + 1, dtype=float))
+    if t < spec.horizon:
+        tilt = _core.psi_total_many(spec, t, np.arange(base, top + 1, dtype=float))
+    else:
+        tilt = np.zeros(top + 1 - base)
+        for z, w in spec.terminal.atoms:
+            if z >= base:
+                tilt[int(z) - base] = w / float(spec.kernel.mass(spec.horizon, int(z)))
     out = np.empty_like(x_arr)
     for i, x in enumerate(x_arr):
         js = np.arange(0, top - int(x) + 1)
-        psi = psi_all[int(x) - base :]
-        probs = psi * np.asarray(spec.kernel.mass(dt, js))
+        probs = tilt[int(x) - base :] * np.asarray(spec.kernel.mass(t - s, js))
         total = probs.sum()
         if not total > 0:
             raise NumericError(f"markov lattice step from {x} has zero mass")
@@ -233,30 +286,20 @@ def _markov_step_lattice(spec, s, t, x_arr, rng) -> np.ndarray:
     return out
 
 
-def _posterior_draw(spec, s, x, rng) -> float:
-    post = _core.terminal_posterior(spec, s, float(x))
-    tmp = _core.LRBSpec(kernel=spec.kernel, horizon=spec.horizon, terminal=post)
-    return float(draw_terminal(tmp, rng))
-
-
 def _markov_values(spec, times, rng, n_paths: int) -> np.ndarray:
+    step = _markov_step_lattice if spec.kernel.discrete else _markov_step_continuous
     values = np.empty((n_paths, times.size))
     cur_t = 0.0
     cur_x = np.zeros(n_paths)
     for j, t in enumerate(times):
-        if t == spec.horizon:
-            cur_x = np.array([_posterior_draw(spec, cur_t, x, rng) for x in cur_x])
-        elif spec.kernel.discrete:
-            cur_x = _markov_step_lattice(spec, cur_t, t, cur_x, rng)
-        else:
-            cur_x = _markov_step_continuous(spec, cur_t, t, cur_x, rng)
+        cur_x = step(spec, cur_t, t, cur_x, rng)
         values[:, j] = cur_x
         cur_t = t
     return values
 
 
 def sample_lrb_markov(spec: _core.LRBSpec, times, rng) -> SamplePath:
-    """One conditioned path drawn by numeric inversion of the transition CDF."""
+    """One conditioned path drawn by grid inversion of the Markov transition law."""
     times = _check_grid(spec, times)
     values = _markov_values(spec, times, rng, 1)[0]
     return SamplePath(times=times, values=values)

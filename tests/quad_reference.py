@@ -1,4 +1,5 @@
-"""QUADPACK reference for the tilted sums behind psi and posterior moments.
+"""QUADPACK references: the tilted sums behind psi and posterior moments,
+and a bridge path drawn by numeric inversion of its transition CDF.
 
 The library evaluates every posterior functional with one batched engine,
 `core._tilted_sums`. This module computes the same sums,
@@ -8,6 +9,10 @@ The library evaluates every posterior functional with one batched engine,
 one state at a time with scipy's adaptive quadrature. It shares no code with
 the engine: no node sharing, no localisation probe, no Gauss-Jacobi rule.
 The tolerance is relative only, so far-tail values keep their digits.
+
+`sample_path_inverse_cdf` is the generic counterpart of the kernels' exact
+bridge steps (`bridge.sample_step`): each draw inverts the integral of the
+bridge transition density, or the cumulative lattice masses.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import math
 import numpy as np
 from scipy import integrate
 
+from levybridge import bridge, checks, numerics
 from levybridge.kernels import GammaKernel
+from levybridge.paths import SamplePath
 
 
 def tilted_sum(spec, t: float, xi: float, q: int = 0, rel_tol: float = 1e-12) -> float:
@@ -79,3 +86,31 @@ def psi(spec, t: float, xi: float) -> float:
 
 def posterior_mean(spec, t: float, xi: float) -> float:
     return tilted_sum(spec, t, xi, 1) / tilted_sum(spec, t, xi, 0)
+
+
+def _bridge_step_inverse_cdf(pin, t: float, rng) -> float:
+    """One draw of the bridge state at t by numeric inversion of its CDF."""
+    u = float(rng.uniform())
+    if pin.kernel.discrete:
+        pts = np.arange(int(pin.end_value - pin.start_value) + 1) + int(pin.start_value)
+        cum = np.cumsum(np.asarray(bridge.transition_mass(pin, t, pts), dtype=float))
+        cum /= cum[-1]
+        return float(pts[int(np.searchsorted(cum, u, side="left"))])
+    lo, hi = checks._bridge_interval(pin, t)
+    pdf = lambda y: float(bridge.transition_density(pin, t, y))
+    return numerics.inverse_cdf(pdf, lo, hi, u, tol=1e-10)
+
+
+def sample_path_inverse_cdf(pin, times, rng) -> SamplePath:
+    """`bridge.sample_path` with every step drawn by `_bridge_step_inverse_cdf`."""
+    times = np.asarray(times, dtype=float)
+    values = np.empty_like(times)
+    cur_t, cur_x = pin.start_time, pin.start_value
+    for k, t in enumerate(times):
+        if t == pin.end_time:
+            values[k] = pin.end_value
+        else:
+            step = bridge.BridgeSpec(pin.kernel, pin.end_time, pin.end_value, cur_t, cur_x)
+            values[k] = _bridge_step_inverse_cdf(step, t, rng)
+        cur_t, cur_x = t, values[k]
+    return SamplePath(times=times, values=values)

@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 from scipy import integrate as sci_integrate
 from scipy import stats
 
+import quad_reference
 from levybridge import bridge
+from levybridge.checks import _quadrature_bridge_cdf
 from levybridge.bridge import BridgeSpec, sample_path, sample_step, transition_cdf
 from levybridge.errors import DomainError, InvalidPinError, KernelClassError
-from levybridge.kernels import BrownianKernel, GammaKernel, PoissonKernel
+from levybridge.kernels import BrownianKernel, GammaKernel, Kernel, PoissonKernel
 from levybridge.sampler import RandomStream
 
 
@@ -135,17 +137,17 @@ def test_interior_time_required():
 def test_cdf_exact_matches_quadrature(spec, ys):
     t = 0.5 * (spec.start_time + spec.end_time)
     for y in ys:
-        a = transition_cdf(spec, t, y, method="exact")
-        b = transition_cdf(spec, t, y, method="quadrature")
+        a = transition_cdf(spec, t, y)
+        b = _quadrature_bridge_cdf(spec, t, y)
         assert abs(a - b) < 1e-8
 
 
 def test_cdf_poisson_sum_route():
     spec = BridgeSpec(kernel=PoissonKernel(2.0), end_time=1.0, end_value=5)
-    got = transition_cdf(spec, 0.3, 2, method="quadrature")
+    got = _quadrature_bridge_cdf(spec, 0.3, 2)
     want = stats.binom.cdf(2, 5, 0.3)
     assert abs(got - want) < 1e-12
-    assert abs(transition_cdf(spec, 0.3, 2, method="exact") - want) < 1e-12
+    assert abs(transition_cdf(spec, 0.3, 2) - want) < 1e-12
 
 
 def test_gamma_exceedance_identity_pin():
@@ -168,9 +170,39 @@ def test_gamma_exceedance_identity_pin():
     assert abs((1.0 - got) - 0.44426116910648084) < 1e-12
 
 
-def test_cdf_method_validated():
-    with pytest.raises(DomainError):
-        transition_cdf(brownian_pin(), 0.5, 0.0, method="magic")
+class _WideKernel(Kernel):
+    """N(0, 2t) increments: a continuous kernel with no exact bridge CDF."""
+
+    discrete = False
+    nondecreasing = False
+    _base = BrownianKernel()
+
+    def log_density(self, t, x):
+        return self._base.log_density(2.0 * t, x)
+
+    def cdf(self, t, x):
+        return self._base.cdf(2.0 * t, x)
+
+    def quantile(self, t, q):
+        return self._base.quantile(2.0 * t, q)
+
+    def sample(self, rng, t, size=None):
+        return self._base.sample(rng, 2.0 * t, size)
+
+    def mean(self, t):
+        return 0.0
+
+    def variance(self, t):
+        return 2.0 * t
+
+    def increment_support(self, t):
+        return self._base.increment_support(t)
+
+
+def test_cdf_kernel_validated():
+    spec = BridgeSpec(kernel=_WideKernel(), end_time=1.0, end_value=0.0)
+    with pytest.raises(KernelClassError):
+        transition_cdf(spec, 0.5, 0.0)
 
 
 @given(
@@ -240,8 +272,6 @@ def test_sample_path_grid_validation():
         sample_path(spec, [0.0, 0.5], rng)
     with pytest.raises(DomainError):
         sample_path(spec, [0.5, 1.2], rng)
-    with pytest.raises(DomainError):
-        sample_path(spec, [0.5], rng, method="nope")
 
 
 def test_sample_path_hits_the_pin():
@@ -260,7 +290,7 @@ def test_sample_path_inverse_cdf_agrees_with_exact():
     )
     numeric = np.array(
         [
-            sample_path(spec, t, RandomStream(601, i).generator(), method="inverse_cdf").values[0]
+            quad_reference.sample_path_inverse_cdf(spec, t, RandomStream(601, i).generator()).values[0]
             for i in range(400)
         ]
     )
@@ -271,7 +301,7 @@ def test_sample_path_inverse_cdf_agrees_with_exact():
 def test_sample_path_inverse_cdf_lattice():
     spec = BridgeSpec(kernel=PoissonKernel(1.0), end_time=1.0, end_value=4)
     rng = RandomStream(602, 0).generator()
-    p = sample_path(spec, [0.3, 0.6, 1.0], rng, method="inverse_cdf")
+    p = quad_reference.sample_path_inverse_cdf(spec, [0.3, 0.6, 1.0], rng)
     assert p.values[-1] == 4.0
     assert np.all(np.diff(np.concatenate([[0.0], p.values])) >= 0)
     assert np.all(p.values == np.round(p.values))

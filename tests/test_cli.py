@@ -182,14 +182,15 @@ def test_option_record(tmp_path, capsys):
     assert abs(rec["price"] - 0.09573123063700656) < 1e-10
 
 
-def test_option_quadrature_route(tmp_path, capsys):
+def test_option_quadrature_is_a_config_error(tmp_path, capsys):
+    # the quadrature call price is a reference route in `checks`, not an option
     cfg = write(
         tmp_path,
         binary_scenario(option={"strike": 0.5, "maturity": 0.5, "method": "quadrature"}),
     )
-    assert cli.main(["option", "--config", cfg]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert abs(rec["price"] - 0.09573123063700656) < 1e-6
+    assert cli.main(["option", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "scenario.option.method" in err and "closed" in err
 
 
 def test_option_writes_to_file(tmp_path):

@@ -57,7 +57,6 @@ def cauchy_spec():
         pdf=lambda z: 1.0 / (math.pi * (1.0 + np.asarray(z) ** 2)),
         lower=-math.inf,
         upper=math.inf,
-        tail="power",
         cdf=lambda z: 0.5 + math.atan(z) / math.pi,
     )
     return LRBSpec(kernel=BrownianKernel(), horizon=1.0, terminal=TerminalLaw(density=heavy))

@@ -4,26 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate as sci_integrate
+from scipy import special
 
 from levybridge import numerics
+from levybridge.bridge import BridgeSpec, transition_density
 from levybridge.errors import DomainError, NoRootError, NonMonotoneError, NumericError
+from levybridge.kernels import BrownianKernel, GammaKernel
 from levybridge.numerics import DensityComponent, MixedMeasure
 
 
 # ---------------------------------------------------------------------------
-# special functions
+# special functions, pinned where the library calls them
 
 
 def test_norm_cdf_pins():
-    assert numerics.norm_cdf(0.0) == 0.5
+    k = BrownianKernel()
+    assert k.cdf(1.0, 0.0) == 0.5
     # classic two-sided 5% quantile
-    assert abs(numerics.norm_cdf(1.959963984540054) - 0.975) < 1e-15
-    assert abs(numerics.norm_ppf(0.975) - 1.959963984540054) < 1e-12
+    assert abs(k.cdf(1.0, 1.959963984540054) - 0.975) < 1e-15
+    assert abs(k.quantile(1.0, 0.975) - 1.959963984540054) < 1e-12
 
 
 def test_log_gamma_pin():
     # Gamma(1/2) = sqrt(pi)
-    assert abs(numerics.log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-15
+    assert abs(special.gammaln(0.5) - 0.5 * math.log(math.pi)) < 1e-15
 
 
 @given(
@@ -31,8 +35,14 @@ def test_log_gamma_pin():
     b=st.floats(0.1, 20.0),
 )
 def test_beta_fn_matches_log_gamma_identity(a, b):
-    want = math.exp(numerics.log_gamma(a) + numerics.log_gamma(b) - numerics.log_gamma(a + b))
-    assert abs(numerics.beta_fn(a, b) - want) <= 1e-13 * want
+    # the gamma bridge from 0 to 1 over [0, 1] is Beta(a, b) at t = a / (a + b):
+    # its density, built from kernel log-densities, carries the beta function
+    pin = BridgeSpec(kernel=GammaKernel(a + b), end_time=1.0, end_value=1.0)
+    t = a / (a + b)
+    y = 0.5
+    log_beta = special.gammaln(a) + special.gammaln(b) - special.gammaln(a + b)
+    want = math.exp((a - 1.0) * math.log(y) + (b - 1.0) * math.log(1.0 - y) - log_beta)
+    assert abs(transition_density(pin, t, y) - want) <= 1e-13 * want
 
 
 @given(
@@ -41,15 +51,20 @@ def test_beta_fn_matches_log_gamma_identity(a, b):
     b=st.floats(0.2, 10.0),
 )
 def test_reg_inc_beta_symmetry(x, a, b):
-    lhs = numerics.reg_inc_beta(x, a, b)
-    rhs = 1.0 - numerics.reg_inc_beta(1.0 - x, b, a)
+    # the regularized incomplete beta behind the gamma bridge CDF; x is
+    # rounded so that 1 - x is exact (below 1e-16 it would round to 1)
+    x = 1.0 - (1.0 - x)
+    lhs = special.betainc(a, b, x)
+    rhs = 1.0 - special.betainc(b, a, 1.0 - x)
     assert abs(lhs - rhs) < 1e-13
 
 
 @given(a=st.floats(0.3, 15.0), q=st.floats(1e-6, 1.0 - 1e-6))
 def test_reg_lower_gamma_roundtrip(a, q):
-    x = numerics.reg_lower_gamma_inv(a, q)
-    assert abs(numerics.reg_lower_gamma(a, x) - q) < 1e-10
+    # GammaKernel(1) over time a is Gamma(a, 1): quantile, then cdf
+    k = GammaKernel(1.0)
+    x = k.quantile(a, q)
+    assert abs(k.cdf(a, x) - q) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +76,12 @@ def _unit_uniform():
         pdf=lambda z: np.where((np.asarray(z) >= 0) & (np.asarray(z) <= 1), 1.0, 0.0),
         lower=0.0,
         upper=1.0,
-        tail="compact",
     )
 
 
 def test_density_component_validation():
     with pytest.raises(DomainError):
         DensityComponent(pdf=lambda z: 1.0, lower=1.0, upper=0.0)
-    with pytest.raises(DomainError):
-        DensityComponent(pdf=lambda z: 1.0, lower=0.0, upper=1.0, tail="weird")
 
 
 def test_density_component_breakpoints_filtered_and_sorted():
@@ -96,8 +108,7 @@ def test_effective_interval_gaussian_tail():
         pdf=lambda z: np.exp(-0.5 * np.asarray(z) ** 2) / math.sqrt(2 * math.pi),
         lower=-math.inf,
         upper=math.inf,
-        tail="gaussian",
-        cdf=lambda z: numerics.norm_cdf(z),
+        cdf=special.ndtr,
     )
     lo, hi = d.effective_interval(1e-16)
     # the 1e-16 normal quantile sits near 8.2 standard deviations
@@ -150,7 +161,6 @@ def test_integrate_kink_with_breakpoint():
         lower=0.0,
         upper=1.0,
         breakpoints=(0.3,),
-        tail="compact",
     )
     got = numerics.integrate(MixedMeasure(density=d), lambda z: abs(z - 0.3))
     want = 0.5 * 0.3**2 + 0.5 * 0.7**2

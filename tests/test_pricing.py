@@ -212,6 +212,22 @@ def test_set_mode_on_mixed_law():
     assert math.isinf(b)
 
 
+@pytest.mark.parametrize("r,want", [(0.0, 1.05), (0.05, 1.12594536157330)])
+def test_set_mode_on_a_subordinator_with_unbounded_terminal_law(r, want):
+    # the scan once ran up to the infinite top of the terminal support and
+    # produced nan states; X_T >= xi caps it at 2 * strike / df
+    spec = checks.gamma_pricing()
+    curve = RateCurve.flat(r)
+    mono = critical_information(spec, curve, 0.5, 3.0)
+    loose = critical_information(spec, curve, 0.5, 3.0, mode="set")
+    assert loose.kind == "intervals"
+    assert len(loose.intervals) == 1
+    a, b = loose.intervals[0]
+    assert abs(a - mono.threshold) < 1e-7
+    assert abs(a - want) < 1e-7
+    assert b == math.inf
+
+
 # ---------------------------------------------------------------------------
 # call prices
 
@@ -231,8 +247,9 @@ def test_call_price_routes_agree():
     spec = binary_spec()
     call = CallSpec(strike=0.3, maturity=0.5)
     curve = RateCurve.flat(0.02)
-    a = call_price(spec, curve, call, method="closed")
-    b = call_price(spec, curve, call, method="quadrature")
+    a = call_price(spec, curve, call)
+    boundary = critical_information(spec, curve, call.maturity, call.strike)
+    b = checks._quadrature_call_price(spec, curve, call, boundary)
     assert abs(a - b) < 1e-7
 
 
@@ -264,8 +281,6 @@ def test_call_maturity_and_kernel_guards():
             curve,
             CallSpec(strike=0.3, maturity=0.5),
         )
-    with pytest.raises(DomainError):
-        call_price(binary_spec(), curve, CallSpec(strike=0.3, maturity=0.5), method="x")
 
 
 def test_call_price_set_boundary_routes_agree():
@@ -274,8 +289,8 @@ def test_call_price_set_boundary_routes_agree():
     curve = RateCurve.flat(0.0)
     boundary = critical_information(spec, curve, 0.6, 1.4, mode="set")
     call = CallSpec(strike=1.4, maturity=0.6)
-    a = call_price(spec, curve, call, method="closed", boundary=boundary)
-    b = call_price(spec, curve, call, method="quadrature", boundary=boundary)
+    a = call_price(spec, curve, call, boundary=boundary)
+    b = checks._quadrature_call_price(spec, curve, call, boundary)
     assert abs(a - b) < 1e-6
     assert a > 0.0
 
@@ -284,8 +299,9 @@ def test_call_price_nonzero_valuation_state():
     spec = gamma_pricing_spec()
     curve = RateCurve.flat(0.01)
     call = CallSpec(strike=2.0, maturity=0.7, valuation_time=0.3, xi=1.1)
-    a = call_price(spec, curve, call, method="closed")
-    b = call_price(spec, curve, call, method="quadrature")
+    a = call_price(spec, curve, call)
+    boundary = critical_information(spec, curve, call.maturity, call.strike)
+    b = checks._quadrature_call_price(spec, curve, call, boundary)
     assert a > 0.0
     assert abs(a - b) < 1e-6
 

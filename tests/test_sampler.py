@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from levybridge import sampler
+from levybridge import checks, sampler
+from levybridge.checks import ks_critical_value
 from levybridge.core import LRBSpec
-from levybridge.errors import DomainError
+from levybridge.errors import DomainError, NumericError
 from levybridge.kernels import BrownianKernel, GammaKernel, PoissonKernel
 from levybridge.laws import TerminalLaw
 from levybridge.sampler import RandomStream
@@ -209,6 +210,72 @@ def test_markov_lattice_route():
     assert np.all(vals == np.round(vals))
     assert np.all(vals[:, 1] >= vals[:, 0])
     assert set(np.unique(vals[:, 1])) <= {0.0, 2.0, 5.0}
+
+
+# ---------------------------------------------------------------------------
+# markov route on laws whose horizon step has a density part
+
+
+@pytest.fixture(scope="module")
+def gamma_routes():
+    """Markov and terminal-first samples at (0.5, horizon), 400 paths each."""
+    spec = gamma_scaled_spec()
+    return tuple(
+        sampler.sample_marginals(spec, [0.5, 1.0], 400, RandomStream(seed, 0).generator(), method=m)
+        for seed, m in ((61, "markov"), (62, "terminal_first"))
+    )
+
+
+def test_gamma_markov_mean(gamma_routes):
+    # psi_t grows like e^(xi / 3) on this law; a grid uniform in u left that
+    # growth to its top cell, and the mean at t = 0.5 came out near 6.45
+    vals = gamma_routes[0][:, 0]
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    assert abs(vals.mean() - 1.5) < 4.0 * se
+
+
+def test_gamma_markov_agrees_with_terminal_first(gamma_routes):
+    a, b = gamma_routes
+    for j in range(2):
+        stat = stats.ks_2samp(a[:, j], b[:, j], method="asymp").statistic
+        assert stat < ks_critical_value(400, 400, 0.01)
+
+
+def test_mixed_markov_horizon_picks_atoms_at_their_weight():
+    # the horizon step alone, from terminal-first states at t = 0.5
+    spec = checks.brownian_mixed()
+    x = sampler.sample_marginals(spec, [0.5], 2000, RandomStream(64, 0).generator())[:, 0]
+    z = sampler._markov_step_continuous(spec, 0.5, 1.0, x, RandomStream(65, 0).generator())
+    hits = float(np.mean(z == -0.75))
+    assert abs(hits - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / z.size)
+    ref = sampler.draw_terminal(spec, RandomStream(66, 0).generator(), size=2000)
+    stat = stats.ks_2samp(z, ref, method="asymp").statistic
+    assert stat < ks_critical_value(2000, 2000, 0.01)
+
+
+def test_gamma_markov_paths_reach_the_horizon():
+    # these seeds once failed in QUADPACK at the horizon draw
+    spec = gamma_scaled_spec()
+    times = [0.25, 0.5, 0.75, 1.0]
+    runs = [
+        sampler.simulate_paths(spec, times, 1, seed, method="markov")
+        for seed in (1, 10, 14, 25, 37, 40, 56)
+    ]
+    runs.append(sampler.simulate_paths(spec, times, 8, 7, method="markov"))
+    for out in runs:
+        assert np.all(np.isfinite(out))
+        assert np.all(np.diff(np.hstack([np.zeros((out.shape[0], 1)), out]), axis=1) >= 0.0)
+
+
+def test_markov_grid_miss_is_reported(monkeypatch):
+    # a grid of 8 cells cannot carry psi_s to 1e-3
+    monkeypatch.setattr(sampler, "_U_GRID", special.ndtr(np.linspace(-7.0, 7.0, 9)))
+    rng = RandomStream(63, 0).generator()
+    with pytest.raises(NumericError) as err:
+        sampler._markov_step_continuous(gamma_scaled_spec(), 0.25, 0.5, np.array([0.3]), rng)
+    diag = err.value.diagnostics
+    assert diag["t"] == 0.5 and diag["states"] == (0.3, 0.3)
+    assert diag["miss"] > 1e-3 and abs(diag["psi"] - 0.9023683) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from levybridge import checks, cli, core, numerics, pricing
+from levybridge import checks, cli, core, numerics, pricing, sampler
 from levybridge.config import ScenarioConfig
 from levybridge.errors import UnsupportedKernelError
 from levybridge.kernels import BrownianKernel, Kernel
@@ -93,3 +93,16 @@ def test_other_continuous_kernels_are_refused():
     spec = core.LRBSpec(kernel=WideKernel(), horizon=1.0, terminal=TerminalLaw.normal(0.0, 1.0))
     with pytest.raises(UnsupportedKernelError):
         core.psi_total(spec, 0.5, 0.3)
+
+
+def test_markov_route_needs_no_terminal_posterior(monkeypatch):
+    # every Markov step, the horizon included, inverts one grid per path; the
+    # per-path posterior and its QUADPACK inversion are not a second route
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second sampling route called")
+
+    monkeypatch.setattr(core, "terminal_posterior", forbidden)
+    monkeypatch.setattr(numerics, "inverse_cdf", forbidden)
+    for spec in (checks.brownian_mixed(), checks.gamma_scaled()):
+        out = sampler.simulate_paths(spec, [0.5, 1.0], 4, 5, method="markov")
+        assert np.all(np.isfinite(out))
