@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, InvalidPinError, KernelClassError
-from .kernels import BrownianKernel, GammaKernel, Kernel, PoissonKernel
+from .kernels import BrownianKernel, GammaKernel, Kernel, PoissonKernel, _lattice_inverse
 from .paths import SamplePath
 
 __all__ = ["BridgeSpec", "transition_density", "transition_mass", "transition_cdf",
@@ -135,32 +135,35 @@ def transition_cdf(spec: BridgeSpec, t: float, y):
     return out if np.ndim(out) else float(out)
 
 
-def sample_step(kernel: Kernel, dt: float, remaining: float, x, z, rng, size=None):
-    """Exact one-step draw of a pinned kernel at elapsed dt, pin remaining away.
+def _inverse_step(kernel: Kernel, dt: float, remaining: float, x, z, u):
+    """u-quantile of the pinned step at elapsed dt, pin remaining away.
 
-    Vectorized over (x, z); this is the primitive both bridge paths and the
-    terminal-conditioned process sampler are built from.
+    Vectorized over (x, z, u) with u in (0, 1): this inverts the exact law
+    that `transition_cdf` evaluates (normal, scaled beta or binomial), and
+    both bridge paths and the terminal-first process sampler are built on it.
     """
+    frac = dt / (dt + remaining)
+    x = np.asarray(x, dtype=float)
+    if isinstance(kernel, BrownianKernel):
+        sd = math.sqrt(dt * remaining / (dt + remaining))
+        return x + frac * (np.asarray(z, dtype=float) - x) + sd * _sp.ndtri(u)
+    if isinstance(kernel, GammaKernel):
+        beta = _sp.betaincinv(kernel.m * dt, kernel.m * remaining, u)
+        return x + beta * (np.asarray(z, dtype=float) - x)
+    if isinstance(kernel, PoissonKernel):
+        u, n = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(np.asarray(z) - x, dtype=np.int64))
+        return x + _lattice_inverse(lambda k: _sp.bdtr(k, n, frac), u, n)
+    raise KernelClassError(f"no exact bridge sampler for {type(kernel).__name__}")
+
+
+def sample_step(kernel: Kernel, dt: float, remaining: float, x, z, rng, size=None):
+    """Exact one-step draw of a pinned kernel: `_inverse_step` fed rng.uniform."""
     if dt <= 0 or remaining <= 0:
         raise DomainError("step and remaining times must be positive")
-    if isinstance(kernel, BrownianKernel):
-        frac = dt / (dt + remaining)
-        mean = np.asarray(x, dtype=float) + frac * (np.asarray(z, dtype=float) - x)
-        sd = math.sqrt(dt * remaining / (dt + remaining))
-        return rng.normal(mean, sd, size=size)
-    if isinstance(kernel, GammaKernel):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if size is None:
-            # beta() does not broadcast scalar parameters over x and z
-            size = np.broadcast(x, z).shape or None
-        frac = rng.beta(kernel.m * dt, kernel.m * remaining, size=size)
-        return x + frac * (z - x)
-    if isinstance(kernel, PoissonKernel):
-        n = np.asarray(np.asarray(z) - np.asarray(x), dtype=np.int64)
-        p = dt / (dt + remaining)
-        return np.asarray(x) + rng.binomial(n, p, size=size)
-    raise KernelClassError(f"no exact bridge sampler for {type(kernel).__name__}")
+    if size is None:
+        size = np.broadcast(np.asarray(x), np.asarray(z)).shape or None
+    return _inverse_step(kernel, dt, remaining, x, z, rng.uniform(size=size))
 
 
 def sample_path(spec: BridgeSpec, times, rng) -> SamplePath:

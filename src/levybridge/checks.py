@@ -480,7 +480,7 @@ def check_sde_quadratic_variation(seed: int = 909) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 12. worker count does not change simulated output
+# 12. neither the worker count nor the batch changes simulated output
 
 
 def check_determinism(seed: int = 1234) -> CheckResult:
@@ -493,8 +493,15 @@ def check_determinism(seed: int = 1234) -> CheckResult:
     same_vals = bool(np.array_equal(one, many))
     same_bytes = _cli.paths_to_csv(times, one) == _cli.paths_to_csv(times, many)
     margins = {"values": 0.0 if same_vals else 2.0, "csv bytes": 0.0 if same_bytes else 2.0}
+    for method in ("terminal_first", "markov"):
+        big = _sampler.simulate_paths(spec, times, 64, seed, method=method)
+        small = _sampler.simulate_paths(spec, times, 16, seed, method=method)
+        margins[f"first 16 of 64, {method}"] = 0.0 if np.array_equal(big[:16], small) else 2.0
     return _verdict(
-        "determinism", margins, "1 worker vs 4 workers, fixed seed, 64 paths x 10 times"
+        "determinism",
+        margins,
+        "1 worker vs 4 workers, and the first 16 of 64 paths vs 16 paths on both methods, "
+        "fixed seed, 64 paths x 10 times",
     )
 
 

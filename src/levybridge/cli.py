@@ -19,7 +19,7 @@ from . import checks as _checks
 from . import core as _core
 from . import pricing as _pricing
 from . import sampler as _sampler
-from .config import ScenarioConfig, parse_scenario
+from .config import ScenarioConfig, _expect_seed, parse_scenario
 from .errors import (
     ConfigError,
     DomainError,
@@ -123,7 +123,7 @@ def _load_scenario(path: str, seed_override: int | None) -> ScenarioConfig:
         raise ConfigError("scenario", f"invalid JSON in {path}: {exc}") from exc
     cfg = parse_scenario(raw)
     if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
+        cfg = replace(cfg, seed=_expect_seed(seed_override, "--seed"))
     return cfg
 
 
@@ -133,12 +133,10 @@ def _require(block, name: str):
     return block
 
 
-def cmd_simulate(cfg: ScenarioConfig, out: str | None, workers: int) -> int:
+def cmd_simulate(cfg: ScenarioConfig, out: str | None) -> int:
     sim = _require(cfg.simulate, "simulate")
     spec = cfg.build_spec()
-    values = _sampler.simulate_paths(
-        spec, sim.grid, sim.n_paths, cfg.seed, method=sim.method, workers=workers
-    )
+    values = _sampler.simulate_paths(spec, sim.grid, sim.n_paths, cfg.seed, method=sim.method)
     _emit(paths_to_csv(sim.grid, values), out)
     return 0
 
@@ -227,7 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="write simulated paths as CSV")
     common(p_sim)
     p_sim.add_argument("--out", required=True, help="output CSV path")
-    p_sim.add_argument("--workers", type=int, default=1, help="parallel path workers")
+    p_sim.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted and ignored: all paths are drawn as one vectorised batch",
+    )
 
     for name, helptext in (
         ("price", "evaluate the cash-flow price on (t, xi) points"),
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_scenario(args.config, args.seed)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.workers)
+            return cmd_simulate(cfg, args.out)
         if args.command == "price":
             return cmd_price(cfg, args.out)
         if args.command == "option":

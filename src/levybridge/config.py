@@ -55,6 +55,14 @@ def _expect_int(value, path: str) -> int:
     return value
 
 
+def _expect_seed(value, path: str) -> int:
+    """A path-simulation seed: an integer in [0, 2**64)."""
+    seed = _expect_int(value, path)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(path, f"expected an integer in [0, 2**64), got {seed}")
+    return seed
+
+
 def _expect_str(value, path: str, choices=None) -> str:
     if not isinstance(value, str):
         raise ConfigError(path, f"expected a string, got {value!r}")
@@ -364,7 +372,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         horizon=_expect_number(data["horizon"], "scenario.horizon"),
         terminal_law=_parse_terminal(data["terminal_law"], "scenario.terminal_law"),
         rate=_parse_rate(data.get("rate"), "scenario.rate"),
-        seed=_expect_int(seed, "scenario.seed"),
+        seed=_expect_seed(seed, "scenario.seed"),
         simulate=_parse_simulate(data.get("simulate"), "scenario.simulate"),
         price=_parse_price(data.get("price"), "scenario.price"),
         option=_parse_option(data.get("option"), "scenario.option"),

@@ -17,7 +17,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import special as _sp
-from scipy import stats as _st
 
 from .errors import DomainError, KernelClassError
 
@@ -29,6 +28,21 @@ def _check_time(t: float) -> float:
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"elapsed time must be positive and finite, got {t}")
     return t
+
+
+def _lattice_inverse(cdf, q, hi) -> np.ndarray:
+    """Smallest integer k in [0, hi] with cdf(k) >= q, elementwise (cdf(hi) >= q).
+
+    Bisection on brackets (lo, hi] with cdf(lo) < q from lo = -1; ``cdf``
+    maps an int64 array shaped like ``q`` to cumulative masses.
+    """
+    q = np.asarray(q, dtype=float)
+    lo, hi = np.full(q.shape, -1), np.array(np.broadcast_to(hi, q.shape), dtype=np.int64)
+    while np.any(wide := hi - lo > 1):
+        mid = (lo + hi) // 2
+        below = cdf(np.maximum(mid, 0)) < q
+        lo, hi = np.where(wide & below, mid, lo), np.where(wide & ~below, mid, hi)
+    return hi
 
 
 class Kernel(abc.ABC):
@@ -228,9 +242,16 @@ class PoissonKernel(Kernel):
         return out if out.ndim else float(out)
 
     def quantile(self, t, q):
-        t = _check_time(t)
-        out = _st.poisson.ppf(q, self.intensity * t)
-        out = np.asarray(out)
+        # a pdtr search; -1 at q <= 0 and inf at q >= 1, as scipy's poisson.ppf
+        mu = self.intensity * _check_time(t)
+        q = np.asarray(q, dtype=float)
+        inside = (q > 0.0) & (q < 1.0)
+        qi = np.where(inside, q, 0.5)
+        hi = np.full(q.shape, math.ceil(mu) + 1)
+        while np.any(short := _sp.pdtr(hi, mu) < qi):
+            hi = np.where(short, 2 * hi, hi)
+        k = _lattice_inverse(lambda k: _sp.pdtr(k, mu), qi, hi)
+        out = np.select([inside, q <= 0.0, q >= 1.0], [k, -1.0, np.inf], np.nan)
         return out if out.ndim else float(out)
 
     def sample(self, rng, t, size=None):

@@ -3,9 +3,10 @@
 Construction validates total mass 1 by quadrature, so every law handed to
 the conditional-law machinery is an honest probability measure. Posterior
 laws built by `core` take their masses from the sums that define them
-instead (`TerminalLaw._from_sums`). Density
-callables are built from module-level functions via functools.partial and
-therefore pickle cleanly, which the worker pool relies on.
+instead (`TerminalLaw._from_sums`). Each built-in density carries its
+normalised quantile function, which the samplers feed uniforms to. Density
+callables are built from module-level functions via functools.partial, so
+laws pickle cleanly.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ def _normal_cdf(mu, sigma, z):
     return _sp.ndtr((np.asarray(z, dtype=float) - mu) / sigma)
 
 
-def _normal_draw(mu, sigma, rng, size=None):
-    return rng.normal(mu, sigma, size=size)
+def _normal_quantile(mu, sigma, u):
+    return mu + sigma * _sp.ndtri(u)
 
 
 def _gamma_pdf(shape, scale, weight, z):
@@ -57,8 +58,8 @@ def _gamma_cdf(shape, scale, z):
     return _sp.gammainc(shape, np.maximum(np.asarray(z, dtype=float), 0.0) / scale)
 
 
-def _gamma_draw(shape, scale, rng, size=None):
-    return rng.gamma(shape, scale, size=size)
+def _gamma_quantile(shape, scale, u):
+    return scale * _sp.gammaincinv(shape, u)
 
 
 def _uniform_pdf(a, b, weight, z):
@@ -71,8 +72,8 @@ def _uniform_cdf(a, b, z):
     return np.clip((np.asarray(z, dtype=float) - a) / (b - a), 0.0, 1.0)
 
 
-def _uniform_draw(a, b, rng, size=None):
-    return rng.uniform(a, b, size=size)
+def _uniform_quantile(a, b, u):
+    return a + (b - a) * np.asarray(u, dtype=float)
 
 
 def _shifted_pdf(base, dx, z):
@@ -83,8 +84,8 @@ def _shifted_cdf(base, dx, z):
     return base(np.asarray(z, dtype=float) - dx)
 
 
-def _shifted_draw(base, dx, rng, size=None):
-    return np.asarray(base(rng, size=size)) + dx
+def _shifted_quantile(base, dx, u):
+    return np.asarray(base(u)) + dx
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ class TerminalLaw:
             pdf=partial(_normal_pdf, mu, sigma, weight),
             lower=-math.inf,
             upper=math.inf,
-            sampler=partial(_normal_draw, mu, sigma),
+            quantile=partial(_normal_quantile, mu, sigma),
             cdf=partial(_normal_cdf, mu, sigma),
         )
         return cls(atoms=tuple(atoms), density=comp)
@@ -170,7 +171,7 @@ class TerminalLaw:
             pdf=partial(_gamma_pdf, shape, scale, weight),
             lower=0.0,
             upper=math.inf,
-            sampler=partial(_gamma_draw, shape, scale),
+            quantile=partial(_gamma_quantile, shape, scale),
             cdf=partial(_gamma_cdf, shape, scale),
         )
         return cls(atoms=tuple(atoms), density=comp)
@@ -183,7 +184,7 @@ class TerminalLaw:
             pdf=partial(_uniform_pdf, a, b, weight),
             lower=float(a),
             upper=float(b),
-            sampler=partial(_uniform_draw, a, b),
+            quantile=partial(_uniform_quantile, a, b),
             cdf=partial(_uniform_cdf, a, b),
         )
         return cls(atoms=tuple(atoms), density=comp)
@@ -220,7 +221,7 @@ class TerminalLaw:
                 lower=d.lower + dx,
                 upper=d.upper + dx,
                 breakpoints=tuple(p + dx for p in d.breakpoints),
-                sampler=partial(_shifted_draw, d.sampler, dx) if d.sampler else None,
+                quantile=partial(_shifted_quantile, d.quantile, dx) if d.quantile else None,
                 cdf=partial(_shifted_cdf, d.cdf, dx) if d.cdf else None,
             )
         return TerminalLaw._from_sums(atoms, comp, self.density_mass)

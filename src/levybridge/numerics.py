@@ -51,19 +51,19 @@ class DensityComponent:
         outside.
     breakpoints:
         Interior points where the pdf is non-smooth; quadrature splits there.
-    sampler:
-        Optional exact draw, ``sampler(rng, size) -> ndarray`` returning
-        variates of the normalized density.
+    quantile:
+        Optional inverse of the normalized CDF, ``quantile(u) -> ndarray``
+        for u in (0, 1); samplers turn uniforms into exact draws with it.
     cdf:
         Optional normalized CDF of the component (values in [0, 1]); used for
-        tail localisation and as a sampling fallback.
+        tail localisation.
     """
 
     pdf: Callable
     lower: float
     upper: float
     breakpoints: tuple[float, ...] = ()
-    sampler: Callable | None = None
+    quantile: Callable | None = None
     cdf: Callable | None = None
 
     def __post_init__(self):
@@ -80,12 +80,12 @@ class DensityComponent:
         """
         lo, hi = self.lower, self.upper
         if math.isinf(lo):
-            lo = self._quantile(eps)
+            lo = self._cdf_quantile(eps)
         if math.isinf(hi):
-            hi = self._quantile(1.0 - eps)
+            hi = self._cdf_quantile(1.0 - eps)
         return lo, hi
 
-    def _quantile(self, q: float) -> float:
+    def _cdf_quantile(self, q: float) -> float:
         if self.cdf is None:
             raise NumericError(
                 "density component has an infinite tail and no cdf; "

@@ -5,22 +5,31 @@ Two independent routes produce the same law:
 * terminal-first (the default): draw the terminal value from its law, then
   walk the pinned bridge with the kernel's exact conditional steps;
 * markov-chain: walk the unpinned state forward; every step, the horizon
-  included, inverts the Markov transition law on one grid, batched over
-  all paths (lattice kernels sum the transition masses).
+  included, inverts the Markov transition law on one grid per path
+  (lattice kernels sum the transition masses).
 
 The second route never touches the bridge conditionals or the terminal
 posterior, which is what makes the cross-validation tests between the two
 meaningful.
 
-Reproducibility contract: path i of a bulk simulation is generated from the
-substream (seed, i) regardless of worker count or batching, so equal seeds
-give bit-identical path sets.
+Both routes draw all paths of a call as one batch, turning counter-based
+uniforms into draws with exact inverse-CDF transforms. Uniform number d of
+path i is a hash of (seed, i, d), in the style of Salmon et al., SC'11,
+"Parallel random numbers: as easy as 1, 2, 3". Every path takes the same
+draw numbers whatever it draws: 0 picks a terminal atom (at the horizon
+step of the Markov route), 1 draws from the terminal density, and 2 + j
+drives grid step j.
+
+Reproducibility contract: path i of `simulate_paths` depends only on
+(spec, times, seed, method, i). The batch it is drawn in does not change
+it, so simulate_paths(n)[:k] equals simulate_paths(k) bit for bit. The
+entry points that take a Generator draw one seed from it and run the same
+route.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +57,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RandomStream:
-    """A named substream of a master seed.
+    """A named substream of a master seed, as a numpy Generator.
 
     Substreams with distinct indices are statistically independent and do not
-    depend on how many other substreams exist, which keeps parallel runs
-    reproducible path by path.
+    depend on how many other substreams exist. Callers that need independent
+    Generators (checks, tests, scripts) take them from here; `simulate_paths`
+    needs none.
     """
 
     seed: int
@@ -61,6 +71,45 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.substream,))
         return np.random.default_rng(ss)
+
+
+# ---------------------------------------------------------------------------
+# counter-based uniforms
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_ATOM, _DENSITY, _STEP = 0, 1, 2  # draw numbers; grid step j uses _STEP + j
+
+
+def _finalize(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function: a bijection of uint64 arrays."""
+    x = (x ^ (x >> np.uint64(30))) * _MIX1
+    x = (x ^ (x >> np.uint64(27))) * _MIX2
+    return x ^ (x >> np.uint64(31))
+
+
+def _key(seed) -> np.ndarray:
+    """The mixed seed, shape (1,), that keys every uniform of a call."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return _finalize(np.array([seed], dtype=np.uint64) + _GOLDEN)
+
+
+def _uniforms(key: np.ndarray, paths: np.ndarray, draw: int) -> np.ndarray:
+    """Uniform number ``draw`` of each path index in ``paths``, inside (0, 1).
+
+    Two rounds of the finalizer, keyed by the mixed seed, hash the counter
+    (path << 32) | draw. The top 52 bits map to ((x >> 12) + 0.5) 2^-52,
+    which is exact in double precision and never 0 or 1.
+    """
+    ctr = (paths.astype(np.uint64) << np.uint64(32)) | np.uint64(draw)
+    x = _finalize(_finalize(ctr ^ key) + key)
+    return ((x >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
+def _seed_from(rng: np.random.Generator) -> int:
+    return int(rng.integers(2**64, dtype=np.uint64))
 
 
 def _check_grid(spec: _core.LRBSpec, times) -> np.ndarray:
@@ -78,45 +127,39 @@ def _check_grid(spec: _core.LRBSpec, times) -> np.ndarray:
 # terminal draws
 
 
-def _density_draw(d: DensityComponent, rng, size: int) -> np.ndarray:
-    if d.sampler is not None:
-        return np.asarray(d.sampler(rng, size=size), dtype=float)
+def _density_quantile(d: DensityComponent, u: np.ndarray) -> np.ndarray:
+    if d.quantile is not None:
+        return np.asarray(d.quantile(u), dtype=float)
     lo, hi = numerics.mass_interval(d, 1e-14)
-    us = rng.uniform(size=size)
-    out = np.empty(size)
     pdf = lambda z: float(d.pdf(z))
-    for i, u in enumerate(us):
-        out[i] = numerics.inverse_cdf(pdf, lo, hi, float(u), breakpoints=d.breakpoints)
+    return np.array(
+        [numerics.inverse_cdf(pdf, lo, hi, float(v), breakpoints=d.breakpoints) for v in u]
+    )
+
+
+def _terminal_values(spec: _core.LRBSpec, key, paths: np.ndarray) -> np.ndarray:
+    law = spec.terminal
+    out = np.empty(paths.size)
+    dens = np.ones(paths.size, dtype=bool)
+    if law.atoms:
+        locs = np.array([z for z, _ in law.atoms])
+        cum = np.cumsum([w for _, w in law.atoms])
+        idx = np.searchsorted(cum, _uniforms(key, paths, _ATOM), side="right")
+        if law.density is None:
+            # rounding can leave u past the last cumulative atom weight
+            idx = np.minimum(idx, locs.size - 1)
+        dens = idx == locs.size
+        out[~dens] = locs[idx[~dens]]
+    if np.any(dens):
+        out[dens] = _density_quantile(law.density, _uniforms(key, paths[dens], _DENSITY))
     return out
 
 
 def draw_terminal(spec: _core.LRBSpec, rng, size=None):
     """Draw terminal values from the spec's terminal law."""
-    law = spec.terminal
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    u = rng.uniform(size=n)
-    out = np.empty(n)
-    k = len(law.atoms)
-    if k:
-        locs = np.array([z for z, _ in law.atoms])
-        cum = np.cumsum([w for _, w in law.atoms])
-        idx = np.searchsorted(cum, u, side="right")
-    else:
-        idx = np.full(n, 0, dtype=int)
-        locs = np.empty(0)
-    from_density = idx >= k if k else np.ones(n, dtype=bool)
-    if k:
-        hit = ~from_density
-        out[hit] = locs[idx[hit]]
-    n_dens = int(np.count_nonzero(from_density))
-    if n_dens:
-        if law.density is None:
-            # numerically u landed past the last cumulative atom weight
-            out[from_density] = locs[-1]
-        else:
-            out[from_density] = _density_draw(law.density, rng, n_dens)
-    return float(out[0]) if scalar else out
+    n = 1 if size is None else int(size)
+    out = _terminal_values(spec, _key(_seed_from(rng)), np.arange(n))
+    return float(out[0]) if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -142,46 +185,24 @@ def sample_levy_paths(kernel: Kernel, times, n_paths: int, rng) -> np.ndarray:
 # terminal-first sampling
 
 
-def sample_lrb_terminal_first(spec: _core.LRBSpec, times, rng) -> SamplePath:
-    """One conditioned path: draw the terminal value, then bridge to it."""
-    times = _check_grid(spec, times)
-    values = _terminal_first_values(spec, times, rng, 1)[0]
-    return SamplePath(times=times, values=values)
-
-
-def _terminal_first_values(spec, times, rng, n_paths: int) -> np.ndarray:
-    z = np.atleast_1d(draw_terminal(spec, rng, size=n_paths))
-    values = np.empty((n_paths, times.size))
-    cur_t = 0.0
-    cur_x = np.zeros(n_paths)
+def _terminal_first_values(spec, times, key, paths) -> np.ndarray:
+    z = _terminal_values(spec, key, paths)
+    values = np.empty((paths.size, times.size))
+    cur_t, cur_x = 0.0, np.zeros(paths.size)
     for j, t in enumerate(times):
         if t == spec.horizon:
             values[:, j] = z
         else:
-            values[:, j] = _bridge.sample_step(
-                spec.kernel, t - cur_t, spec.horizon - t, cur_x, z, rng
-            )
-        cur_t = t
-        cur_x = values[:, j]
+            u, rem = _uniforms(key, paths, _STEP + j), spec.horizon - t
+            values[:, j] = _bridge._inverse_step(spec.kernel, t - cur_t, rem, cur_x, z, u)
+        cur_t, cur_x = t, values[:, j]
     return values
 
 
-def sample_marginals(
-    spec: _core.LRBSpec, times, n_paths: int, rng, *, method: str = "terminal_first"
-) -> np.ndarray:
-    """Vectorized bulk sampling; returns values of shape (n_paths, len(times)).
-
-    Bulk draws share one generator, so they are reproducible for a fixed
-    seed but are not the per-path substream protocol of `simulate_paths`.
-    """
-    times = _check_grid(spec, times)
-    if int(n_paths) < 1:
-        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
-    if method == "terminal_first":
-        return _terminal_first_values(spec, times, rng, int(n_paths))
-    if method == "markov":
-        return _markov_values(spec, times, rng, int(n_paths))
-    raise DomainError(f"unknown method {method!r}")
+def sample_lrb_terminal_first(spec: _core.LRBSpec, times, rng) -> SamplePath:
+    """One conditioned path: draw the terminal value, then bridge to it."""
+    values = _simulate(spec, times, 1, _seed_from(rng), "terminal_first")[0]
+    return SamplePath(times=times, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -193,37 +214,47 @@ _U_GRID = _sp.ndtr(np.linspace(-7.0, 7.0, 1025))
 _MASS_RTOL = 1e-3
 
 
-def _markov_step_continuous(spec, s, t, x_arr, rng) -> np.ndarray:
+def _psi_per_path(spec, t, states) -> np.ndarray:
+    """psi_t on each row of ``states``, one engine call per row (path).
+
+    The engine picks its window per block (Brownian) and its Gauss-Jacobi
+    order per batch (gamma), so a batch mixing paths would let one path's
+    draws depend on the others.
+    """
+    return np.stack([_core.psi_total_many(spec, t, row) for row in states])
+
+
+def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     """Advance all paths from states x at time s to time t (t <= horizon).
 
-    With w = F^-1_{t-s}(u), the next state x + w has density
-    psi_t(x + w) / psi_s(x) in u before the horizon. At the horizon a path
-    first picks an atom, with odds from the atom terms of psi_s, or the
-    density part, whose density in u is p(x + w) / f(T, x + w) / psi_s(x).
+    ``u`` holds one uniform per path, and so does ``pick``, which is read
+    only at the horizon, and only on laws with atoms. With
+    w = F^-1_{t-s}(u), the next state x + w has density psi_t(x + w) /
+    psi_s(x) in u before the horizon. At the horizon a path first picks an
+    atom, with odds from the atom terms of psi_s, or the density part, whose
+    density in u is p(x + w) / f(T, x + w) / psi_s(x).
     The density is taken constant on each cell at its midpoint; states where
     it can jump (atoms under a subordinator before the horizon, the
     density's finite edges at it) are extra cell edges. A row whose grid
     mass misses its share of psi_s by more than _MASS_RTOL of psi_s raises.
     """
     T, n, dt = spec.horizon, x_arr.size, t - s
-    psi_s = _core.psi_total_many(spec, s, x_arr)
+    psi_s = _psi_per_path(spec, s, x_arr[:, None])[:, 0]
     out, target = np.full(n, np.nan), psi_s
-    if t == T:
-        pick = rng.uniform(size=n) * psi_s
-        if spec.terminal.atoms:
-            with np.errstate(over="ignore"):
-                cum = np.cumsum(np.exp(_core._atom_log_terms(spec, s, x_arr)), axis=1)
-            idx = (cum < pick[:, None]).sum(axis=1)
-            if spec.terminal.density is None:
-                # rounding can leave pick past the last atom term
-                idx = np.minimum(idx, cum.shape[1] - 1)
-            hit = idx < cum.shape[1]
-            out[hit] = np.array([z for z, _ in spec.terminal.atoms])[idx[hit]]
-            target = psi_s - cum[:, -1]
+    if t == T and spec.terminal.atoms:
+        with np.errstate(over="ignore"):
+            cum = np.cumsum(np.exp(_core._atom_log_terms(spec, s, x_arr)), axis=1)
+        idx = (cum < (pick * psi_s)[:, None]).sum(axis=1)
+        if spec.terminal.density is None:
+            # rounding can leave pick past the last atom term
+            idx = np.minimum(idx, cum.shape[1] - 1)
+        hit = idx < cum.shape[1]
+        out[hit] = np.array([z for z, _ in spec.terminal.atoms])[idx[hit]]
+        target = psi_s - cum[:, -1]
     rows = np.nonzero(np.isnan(out))[0]
-    v = rng.uniform(size=n)[rows]
     if rows.size == 0:
         return out
+    v = u[rows]
     x, d = x_arr[rows], spec.terminal.density
     if t < T:
         jumps = [z for z, _ in spec.terminal.atoms] if spec.kernel.nondecreasing else []
@@ -235,7 +266,7 @@ def _markov_step_continuous(spec, s, t, x_arr, rng) -> np.ndarray:
     width = np.diff(edges, axis=1)
     nodes = x[:, None] + spec.kernel.quantile(dt, 0.5 * (edges[:, 1:] + edges[:, :-1]))
     if t < T:
-        h = _core.psi_total_many(spec, t, nodes.ravel()).reshape(nodes.shape)
+        h = _psi_per_path(spec, t, nodes)
     else:
         with np.errstate(divide="ignore", over="ignore"):
             lb = spec.kernel.log_density(T, nodes)
@@ -259,66 +290,68 @@ def _markov_step_continuous(spec, s, t, x_arr, rng) -> np.ndarray:
     return out
 
 
-def _markov_step_lattice(spec, s, t, x_arr, rng) -> np.ndarray:
+def _markov_step_lattice(spec, s, t, x_arr, u) -> np.ndarray:
     """Lattice analogue of `_markov_step_continuous`, summed exactly.
 
-    At the horizon the tilt is w_i / Q_T(z_i) on the atoms z_i.
+    The tilt lives on the fixed lattice 0..top (paths start at 0 and never
+    decrease), so no path's draw depends on the others. At the horizon the
+    tilt is w_i / Q_T(z_i) on the atoms z_i.
     """
     top = int(spec.terminal.atoms[-1][0])
-    # the tilt on every lattice state any path can reach, in one batch
-    base = int(np.min(x_arr))
+    ys = np.arange(top + 1)
     if t < spec.horizon:
-        tilt = _core.psi_total_many(spec, t, np.arange(base, top + 1, dtype=float))
+        tilt = _core.psi_total_many(spec, t, ys.astype(float))
     else:
-        tilt = np.zeros(top + 1 - base)
+        tilt = np.zeros(top + 1)
         for z, w in spec.terminal.atoms:
-            if z >= base:
-                tilt[int(z) - base] = w / float(spec.kernel.mass(spec.horizon, int(z)))
+            tilt[int(z)] = w / float(spec.kernel.mass(spec.horizon, int(z)))
     out = np.empty_like(x_arr)
-    for i, x in enumerate(x_arr):
-        js = np.arange(0, top - int(x) + 1)
-        probs = tilt[int(x) - base :] * np.asarray(spec.kernel.mass(t - s, js))
-        total = probs.sum()
-        if not total > 0:
-            raise NumericError(f"markov lattice step from {x} has zero mass")
-        cum = np.cumsum(probs) / total
-        out[i] = x + js[int(np.searchsorted(cum, rng.uniform(), side="left"))]
+    rows = max(1, 2**20 // ys.size)  # bounds the (paths, lattice) block in memory
+    for start in range(0, x_arr.size, rows):
+        x = x_arr[start : start + rows]
+        cum = np.cumsum(tilt * spec.kernel.mass(t - s, ys[None, :] - x[:, None]), axis=1)
+        if not np.all(cum[:, -1] > 0):
+            state = float(x[np.argmin(cum[:, -1])])
+            raise NumericError("markov lattice step has zero mass", t=t, state=state)
+        target = u[start : start + rows] * cum[:, -1]
+        out[start : start + rows] = ys[(cum < target[:, None]).sum(axis=1)]
     return out
 
 
-def _markov_values(spec, times, rng, n_paths: int) -> np.ndarray:
-    step = _markov_step_lattice if spec.kernel.discrete else _markov_step_continuous
-    values = np.empty((n_paths, times.size))
-    cur_t = 0.0
-    cur_x = np.zeros(n_paths)
+def _markov_values(spec, times, key, paths) -> np.ndarray:
+    values = np.empty((paths.size, times.size))
+    cur_t, cur_x = 0.0, np.zeros(paths.size)
     for j, t in enumerate(times):
-        cur_x = step(spec, cur_t, t, cur_x, rng)
-        values[:, j] = cur_x
-        cur_t = t
+        u = _uniforms(key, paths, _STEP + j)
+        if spec.kernel.discrete:
+            cur_x = _markov_step_lattice(spec, cur_t, t, cur_x, u)
+        else:
+            pick = _uniforms(key, paths, _ATOM) if t == spec.horizon else None
+            cur_x = _markov_step_continuous(spec, cur_t, t, cur_x, u, pick)
+        values[:, j], cur_t = cur_x, t
     return values
 
 
 def sample_lrb_markov(spec: _core.LRBSpec, times, rng) -> SamplePath:
     """One conditioned path drawn by grid inversion of the Markov transition law."""
-    times = _check_grid(spec, times)
-    values = _markov_values(spec, times, rng, 1)[0]
+    values = _simulate(spec, times, 1, _seed_from(rng), "markov")[0]
     return SamplePath(times=times, values=values)
 
 
 # ---------------------------------------------------------------------------
-# bulk simulation with per-path substreams
+# bulk simulation
+
+_ROUTES = {"terminal_first": _terminal_first_values, "markov": _markov_values}
 
 
-def _simulate_chunk(spec, times, seed, method, indices) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    out = np.empty((len(indices), times.size))
-    for row, i in enumerate(indices):
-        rng = RandomStream(int(seed), int(i)).generator()
-        if method == "terminal_first":
-            out[row] = _terminal_first_values(spec, times, rng, 1)[0]
-        else:
-            out[row] = _markov_values(spec, times, rng, 1)[0]
-    return out
+def _simulate(spec, times, n_paths, seed, method) -> np.ndarray:
+    times = _check_grid(spec, times)
+    if method not in _ROUTES:
+        raise DomainError(f"unknown method {method!r}")
+    n_paths = int(n_paths)
+    if n_paths <= 0:
+        raise DomainError(f"n_paths must be positive, got {n_paths}")
+    return _ROUTES[method](spec, times, _key(seed), np.arange(n_paths))
 
 
 def simulate_paths(
@@ -330,30 +363,18 @@ def simulate_paths(
     method: str = "terminal_first",
     workers: int = 1,
 ) -> np.ndarray:
-    """Simulate n_paths on a common grid, one substream per path index.
+    """Simulate n_paths on a common grid from counter-based uniforms.
 
-    The result is a (n_paths, len(times)) array that depends only on
-    (spec, times, seed, method); the worker count changes wall time, not
-    values.
+    The result is a (n_paths, len(times)) array whose row i depends only on
+    (spec, times, seed, method, i); ``seed`` must be an integer in
+    [0, 2**64). ``workers`` is accepted and ignored: the paths of a call are
+    drawn as one vectorised batch.
     """
-    times = _check_grid(spec, times)
-    if method not in ("terminal_first", "markov"):
-        raise DomainError(f"unknown method {method!r}")
-    n_paths = int(n_paths)
-    if n_paths <= 0:
-        raise DomainError("n_paths must be positive")
-    workers = max(1, int(workers))
-    indices = np.arange(n_paths)
-    if workers == 1:
-        return _simulate_chunk(spec, times, seed, method, indices)
-    chunks = np.array_split(indices, workers * 4)
-    chunks = [c for c in chunks if c.size]
-    out = np.empty((n_paths, times.size))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_simulate_chunk, spec, times, seed, method, chunk)
-            for chunk in chunks
-        ]
-        for chunk, fut in zip(chunks, futures):
-            out[chunk] = fut.result()
-    return out
+    return _simulate(spec, times, n_paths, seed, method)
+
+
+def sample_marginals(
+    spec: _core.LRBSpec, times, n_paths: int, rng, *, method: str = "terminal_first"
+) -> np.ndarray:
+    """`simulate_paths` on one seed drawn from ``rng``; shape (n_paths, len(times))."""
+    return _simulate(spec, times, n_paths, _seed_from(rng), method)

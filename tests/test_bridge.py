@@ -261,6 +261,26 @@ def test_gamma_step_vector_draws_match_beta_law():
     assert d.pvalue > 0.01
 
 
+@pytest.mark.parametrize(
+    "kernel,x,z",
+    [(BrownianKernel(), -0.4, 1.3), (GammaKernel(2.0), 0.3, 2.1), (PoissonKernel(1.5), 1, 9)],
+    ids=["brownian", "gamma", "poisson"],
+)
+def test_sample_step_matches_transition_cdf(kernel, x, z):
+    # one pinned step from (0.2, x) to t = 0.55, pin (1, z): 20000 draws, KS
+    # distance to the exact CDF (on the lattice for Poisson) at alpha 1e-6
+    pin = BridgeSpec(kernel=kernel, end_time=1.0, end_value=z, start_time=0.2, start_value=x)
+    n = 20000
+    draws = np.sort(sample_step(kernel, 0.35, 0.45, x, z, RandomStream(507, 0).generator(), n))
+    if kernel.discrete:
+        ks = np.arange(x, z + 1)
+        empirical = np.searchsorted(draws, ks, side="right") / n
+        d = float(np.max(np.abs(empirical - transition_cdf(pin, 0.55, ks))))
+        assert d < math.sqrt(-0.5 * math.log(1e-6 / 2.0) / n)
+    else:
+        assert stats.kstest(draws, lambda y: transition_cdf(pin, 0.55, y)).pvalue > 1e-6
+
+
 def test_sample_path_grid_validation():
     spec = brownian_pin()
     rng = np.random.default_rng(0)

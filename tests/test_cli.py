@@ -85,6 +85,18 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert b.read_bytes() == c.read_bytes()
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # it once escaped as a raw ValueError from numpy's SeedSequence
+    block = {"simulate": {"grid": [0.5, 1.0], "n_paths": 3}}
+    out = str(tmp_path / "x.csv")
+    cfg = write(tmp_path, {**binary_scenario(**block), "seed": -5})
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 1
+    assert "config error: scenario.seed:" in capsys.readouterr().err
+    cfg = write(tmp_path, binary_scenario(**block))
+    assert cli.main(["simulate", "--config", cfg, "--out", out, "--seed", "-5"]) == 1
+    assert "config error: --seed:" in capsys.readouterr().err
+
+
 def test_simulate_requires_its_block(tmp_path):
     cfg = write(tmp_path, binary_scenario())
     out = tmp_path / "x.csv"

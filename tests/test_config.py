@@ -204,3 +204,14 @@ def test_error_message_carries_the_field():
     with pytest.raises(ConfigError) as err:
         parse_scenario({"kernel": {"family": "brownian"}, "horizon": 1.0})
     assert str(err.value).startswith("scenario.terminal_law:")
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 2**64])
+def test_seed_outside_the_counter_range_is_rejected(seed):
+    d = minimal_dict()
+    d["seed"] = seed
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(d)
+    assert err.value.field == "scenario.seed"
+    d["seed"] = 2**64 - 1
+    assert parse_scenario(d).seed == 2**64 - 1

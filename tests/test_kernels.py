@@ -158,3 +158,14 @@ def test_sample_scalar_and_shape():
     arr = GammaKernel(1.0).sample(rng, 1.0, size=(3, 2))
     assert arr.shape == (3, 2)
     assert np.all(arr > 0)
+
+
+def test_poisson_quantile_matches_scipy_ppf():
+    # the pdtr search replaced scipy.stats.poisson.ppf; pin it on a grid
+    from scipy import stats
+
+    q = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(0.0, 1.0, 1001), [1.0 - 2.0**-53, 1.0]])
+    for intensity, t in ((1.0, 1.0), (2.5, 0.3), (40.0, 2.0), (0.01, 0.5)):
+        got = PoissonKernel(intensity).quantile(t, q)
+        assert np.array_equal(got, stats.poisson.ppf(q, intensity * t))
+    assert PoissonKernel(2.0).quantile(1.0, 0.5) == 2.0

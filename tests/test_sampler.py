@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import levybridge
 from levybridge import checks, sampler
 from levybridge.checks import ks_critical_value
 from levybridge.core import LRBSpec
 from levybridge.errors import DomainError, NumericError
 from levybridge.kernels import BrownianKernel, GammaKernel, PoissonKernel
 from levybridge.laws import TerminalLaw
+from levybridge.numerics import DensityComponent
 from levybridge.sampler import RandomStream
 
 
@@ -85,6 +90,16 @@ def test_draw_terminal_density_moments():
     draws = sampler.draw_terminal(spec, rng, size=20000)
     se = math.sqrt(2.0 * 1.5**2 / draws.size)
     assert abs(draws.mean() - 3.0) < 4.0 * se
+
+
+def test_density_without_quantile_is_inverted_numerically():
+    # a density with no quantile falls back to one numerical inversion per draw
+    tri = DensityComponent(pdf=lambda z: np.where((z >= 0) & (z <= 1), 2.0 * z, 0.0),
+                           lower=0.0, upper=1.0)
+    spec = LRBSpec(kernel=BrownianKernel(), horizon=1.0, terminal=TerminalLaw(density=tri))
+    draws = sampler.draw_terminal(spec, RandomStream(15, 0).generator(), size=400)
+    assert np.all((draws > 0.0) & (draws < 1.0))
+    assert abs(draws.mean() - 2.0 / 3.0) < 4.0 * math.sqrt(1.0 / 18.0 / draws.size)
 
 
 def test_draw_terminal_scalar():
@@ -245,7 +260,8 @@ def test_mixed_markov_horizon_picks_atoms_at_their_weight():
     # the horizon step alone, from terminal-first states at t = 0.5
     spec = checks.brownian_mixed()
     x = sampler.sample_marginals(spec, [0.5], 2000, RandomStream(64, 0).generator())[:, 0]
-    z = sampler._markov_step_continuous(spec, 0.5, 1.0, x, RandomStream(65, 0).generator())
+    pick, u = RandomStream(65, 0).generator().uniform(size=(2, x.size))
+    z = sampler._markov_step_continuous(spec, 0.5, 1.0, x, u, pick)
     hits = float(np.mean(z == -0.75))
     assert abs(hits - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / z.size)
     ref = sampler.draw_terminal(spec, RandomStream(66, 0).generator(), size=2000)
@@ -270,9 +286,9 @@ def test_gamma_markov_paths_reach_the_horizon():
 def test_markov_grid_miss_is_reported(monkeypatch):
     # a grid of 8 cells cannot carry psi_s to 1e-3
     monkeypatch.setattr(sampler, "_U_GRID", special.ndtr(np.linspace(-7.0, 7.0, 9)))
-    rng = RandomStream(63, 0).generator()
+    u = RandomStream(63, 0).generator().uniform(size=1)
     with pytest.raises(NumericError) as err:
-        sampler._markov_step_continuous(gamma_scaled_spec(), 0.25, 0.5, np.array([0.3]), rng)
+        sampler._markov_step_continuous(gamma_scaled_spec(), 0.25, 0.5, np.array([0.3]), u)
     diag = err.value.diagnostics
     assert diag["t"] == 0.5 and diag["states"] == (0.3, 0.3)
     assert diag["miss"] > 1e-3 and abs(diag["psi"] - 0.9023683) < 1e-6
@@ -317,3 +333,83 @@ def test_simulate_paths_methods_and_validation():
         sampler.simulate_paths(spec, [0.5, 1.0], -1, seed=0)
     out = sampler.simulate_paths(spec, [0.5, 1.0], 4, seed=0, method="markov")
     assert out.shape == (4, 2)
+
+
+# ---------------------------------------------------------------------------
+# counter-based uniforms and batch invariance
+
+
+def test_counter_uniforms_are_open_repeatable_and_keyed():
+    key, paths = sampler._key(2024), np.arange(100_000)
+    u = sampler._uniforms(key, paths, 3)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert np.array_equal(u, sampler._uniforms(sampler._key(2024), paths, 3))
+    along_draws = sampler._uniforms(key, np.zeros(100_000, dtype=np.int64), paths)
+    for v in (u, along_draws):
+        assert stats.kstest(v, "uniform").pvalue > 1e-6
+    neighbours = {
+        "seed": sampler._uniforms(sampler._key(2025), paths, 3),
+        "path": sampler._uniforms(key, paths + 1, 3),
+        "draw": sampler._uniforms(key, paths, 4),
+    }
+    for name, v in neighbours.items():
+        assert not np.any(v == u), name
+        assert abs(np.corrcoef(u, v)[0, 1]) < 0.02, name
+
+
+def test_seed_range_is_validated():
+    spec = drift_spec()
+    for seed in (-5, -1, 2**64, 1.5, True):
+        with pytest.raises(DomainError):
+            sampler.simulate_paths(spec, [0.5, 1.0], 2, seed)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert sampler.simulate_paths(spec, [0.5, 1.0], 2, seed).shape == (2, 2)
+
+
+BATCH_LAWS = {
+    "mixed": checks.brownian_mixed,
+    "gamma": checks.gamma_scaled,
+    "binary": checks.brownian_binary,
+    "poisson": checks.poisson_atomic,
+}
+
+
+@pytest.mark.parametrize("method,n", [("terminal_first", 64), ("markov", 16)])
+@pytest.mark.parametrize("law", list(BATCH_LAWS))
+def test_paths_do_not_depend_on_the_batch(law, method, n):
+    # a path's values depend on (spec, times, seed, method, path index) only
+    spec, times = BATCH_LAWS[law](), [0.25, 0.5, 0.75, 1.0]
+    full = sampler.simulate_paths(spec, times, n, 31, method=method)
+    for k in (1, n // 8, n - 1):
+        assert np.array_equal(full[:k], sampler.simulate_paths(spec, times, k, 31, method=method))
+
+
+@pytest.mark.parametrize("method", ["terminal_first", "markov"])
+def test_generator_entry_points_run_the_seeded_route(method):
+    spec, times = checks.brownian_mixed(), [0.5, 1.0]
+    seed = int(RandomStream(77, 0).generator().integers(2**64, dtype=np.uint64))
+    want = sampler.simulate_paths(spec, times, 8, seed, method=method)
+    got = sampler.sample_marginals(spec, times, 8, RandomStream(77, 0).generator(), method=method)
+    assert np.array_equal(got, want)
+    one = {"terminal_first": sampler.sample_lrb_terminal_first, "markov": sampler.sample_lrb_markov}
+    path = one[method](spec, times, RandomStream(77, 0).generator())
+    assert np.array_equal(path.values, want[0])
+    if method == "terminal_first":
+        z = sampler.draw_terminal(spec, RandomStream(77, 0).generator(), size=8)
+        assert np.array_equal(z, want[:, -1])
+
+
+def test_simulate_paths_needs_no_process_pool():
+    code = (
+        "import sys, levybridge\n"
+        "from levybridge import checks\n"
+        "levybridge.simulate_paths(checks.brownian_binary(), [0.5, 1.0], 4, 1, workers=4)\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(levybridge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
