@@ -14,11 +14,11 @@ meaningful.
 
 Both routes draw all paths of a call as one batch, turning counter-based
 uniforms into draws with exact inverse-CDF transforms. Uniform number d of
-path i is a hash of (seed, i, d), in the style of Salmon et al., SC'11,
-"Parallel random numbers: as easy as 1, 2, 3". Every path takes the same
-draw numbers whatever it draws: 0 picks a terminal atom (at the horizon
-step of the Markov route), 1 draws from the terminal density, and 2 + j
-drives grid step j.
+path i is output i of numpy's Philox4x64-10 keyed by (seed, d), the
+counter-based generator of Salmon et al., SC'11, "Parallel random numbers:
+as easy as 1, 2, 3". Every path takes the same draw numbers whatever it
+draws: 0 picks a terminal atom (at the horizon step of the Markov route),
+1 draws from the terminal density, and 2 + j drives grid step j.
 
 Reproducibility contract: path i of `simulate_paths` depends only on
 (spec, times, seed, method, i). The batch it is drawn in does not change
@@ -76,35 +76,31 @@ class RandomStream:
 # ---------------------------------------------------------------------------
 # counter-based uniforms
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 _ATOM, _DENSITY, _STEP = 0, 1, 2  # draw numbers; grid step j uses _STEP + j
 
 
-def _finalize(x: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function: a bijection of uint64 arrays."""
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
-
-
-def _key(seed) -> np.ndarray:
-    """The mixed seed, shape (1,), that keys every uniform of a call."""
+def _key(seed) -> int:
+    """The validated seed, which keys every uniform of a call."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return _finalize(np.array([seed], dtype=np.uint64) + _GOLDEN)
+    return int(seed)
 
 
-def _uniforms(key: np.ndarray, paths: np.ndarray, draw: int) -> np.ndarray:
+def _uniforms(key: int, paths: np.ndarray, draw: int) -> np.ndarray:
     """Uniform number ``draw`` of each path index in ``paths``, inside (0, 1).
 
-    Two rounds of the finalizer, keyed by the mixed seed, hash the counter
-    (path << 32) | draw. The top 52 bits map to ((x >> 12) + 0.5) 2^-52,
-    which is exact in double precision and never 0 or 1.
+    Path i takes output i of numpy's Philox4x64-10 keyed by the 128-bit
+    (seed, draw). The top 52 bits map to ((x >> 12) + 0.5) 2^-52, which is
+    exact in double precision and never 0 or 1.
     """
-    ctr = (paths.astype(np.uint64) << np.uint64(32)) | np.uint64(draw)
-    x = _finalize(_finalize(ctr ^ key) + key)
+    paths = np.asarray(paths, dtype=np.int64)
+    if paths.size == 0:
+        return np.empty(paths.shape)
+    lo, hi = int(paths.min()), int(paths.max())
+    bits = np.random.Philox(key=key | (int(draw) << 64))
+    bits.advance(lo // 4)  # one counter step yields four outputs
+    start = lo - lo % 4
+    x = bits.random_raw(hi - start + 1)[paths - start]
     return ((x >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
 
 

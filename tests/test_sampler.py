@@ -344,7 +344,7 @@ def test_counter_uniforms_are_open_repeatable_and_keyed():
     u = sampler._uniforms(key, paths, 3)
     assert np.all((u > 0.0) & (u < 1.0))
     assert np.array_equal(u, sampler._uniforms(sampler._key(2024), paths, 3))
-    along_draws = sampler._uniforms(key, np.zeros(100_000, dtype=np.int64), paths)
+    along_draws = np.concatenate([sampler._uniforms(key, paths[:1], d) for d in paths])
     for v in (u, along_draws):
         assert stats.kstest(v, "uniform").pvalue > 1e-6
     neighbours = {
@@ -355,6 +355,17 @@ def test_counter_uniforms_are_open_repeatable_and_keyed():
     for name, v in neighbours.items():
         assert not np.any(v == u), name
         assert abs(np.corrcoef(u, v)[0, 1]) < 0.02, name
+
+
+def test_counter_uniforms_are_philox_outputs_at_any_offset():
+    # path i takes output i of the Philox stream keyed by (seed, draw),
+    # whatever subset of paths a call asks for
+    seed, draw = 2**64 - 3, 7
+    raw = np.random.Philox(key=seed | (draw << 64)).random_raw(64)
+    expected = ((raw >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+    key = sampler._key(seed)
+    for paths in (np.arange(64), np.arange(5, 64), np.array([63, 9, 10, 2, 41])):
+        assert np.array_equal(sampler._uniforms(key, paths, draw), expected[paths])
 
 
 def test_seed_range_is_validated():
