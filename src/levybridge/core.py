@@ -146,40 +146,65 @@ def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
 
 # ---------------------------------------------------------------------------
 # the tilted-sum engine: every posterior functional is evaluated here, on
-# nodes shared by all states of a call (a scalar call is a batch of one)
+# nodes shared by all states of a call (a scalar call is a batch of one).
+# Each quadrature level forms one log integrand per (state, node) from the
+# prior's logpdf, exponentiates it once and sums it against the node weights
+# times z^q, tile by tile of states.
 
 _CHUNK = 16384
+_TILE = 1 << 16  # (state, node) entries per tile: the fused passes stay in cache
 
 
-def _log_integrand_probe(spec, t, sub, plo, phi, d):
+def _tiled(fn, n_rows: int, n_cols: int) -> np.ndarray:
+    """fn(rows) over slices of about _TILE / n_cols rows, stacked along axis 0."""
+    step = max(1, _TILE // n_cols)
+    return np.concatenate([fn(slice(i, i + step)) for i in range(0, n_rows, step)])
+
+
+def _brownian_log_weight(T, t, xis, z, extra=0.0):
+    """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shape (n_xi, n_z).
+
+    The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2,
+    built in place on one array; ``extra`` is a per-node term.
+    """
+    e = np.subtract(z[None, :], xis[:, None])
+    np.square(e, out=e)
+    e *= -0.5 / (T - t)
+    e += (0.5 / T) * z * z + 0.5 * math.log(T / (T - t)) + extra
+    return e
+
+
+def _log_integrand_probe(T, t, sub, plo, phi, d):
     """Locate where the weight-times-density integrand actually lives.
 
     The weight can amplify the density's far tail (its log is convex minus
     the pinning term), so the density's own effective interval is not a safe
     window. A coarse log-space scan per block finds, for every state, the
     node set within e^-60 of that state's peak; the union is the window.
-    Returns the window, the fewest probe points any row keeps, and the probe
-    step.
+    Returns the window, the fewest probe points any row keeps, the probe
+    step and each row's peak log integrand.
     """
     probe = np.linspace(plo, phi, 513)
-    T = spec.horizon
-    with np.errstate(divide="ignore"):
-        lp = np.log(np.asarray(d.pdf(probe), dtype=float))
-    lw = spec.kernel.log_density(T - t, probe[None, :] - sub[:, None])
-    lbase = spec.kernel.log_density(T, probe)
-    total = lw + np.where(np.isfinite(lbase), lp - lbase, -np.inf)[None, :]
-    row_max = np.max(total, axis=1)
+    lp = d.logpdf(probe)
+
+    def tile(r):
+        # per row: peak, and the first, last and count of probe points kept
+        total = _brownian_log_weight(T, t, sub[r], probe, lp)
+        peak = np.max(total, axis=1)
+        keep = total >= peak[:, None] - 60.0
+        first, last = np.argmax(keep, axis=1), probe.size - 1 - np.argmax(keep[:, ::-1], axis=1)
+        return np.column_stack([peak, first, last, np.sum(keep, axis=1)])
+
+    row_max, first, last, kept = _tiled(tile, sub.size, probe.size).T
     if not np.all(np.isfinite(row_max)):
         raise NumericError(
             "tilted integrand underflows on the whole probe window",
             t=t, states=(sub.min(), sub.max()), window=(plo, phi),
         )
-    keep = total >= row_max[:, None] - 60.0
-    cols = np.nonzero(np.any(keep, axis=0))[0]
     step = probe[1] - probe[0]
-    lo = max(plo, float(probe[cols[0]]) - step)
-    hi = min(phi, float(probe[cols[-1]]) + step)
-    return lo, hi, int(np.min(np.sum(keep, axis=1))), step
+    lo = max(plo, float(probe[int(first.min())]) - step)
+    hi = min(phi, float(probe[int(last.max())]) + step)
+    return lo, hi, int(kept.min()), step, row_max
 
 
 def _brownian_density_sums(spec, t, xis, powers):
@@ -192,6 +217,7 @@ def _brownian_density_sums(spec, t, xis, powers):
     centers = xis * (T / t)
     order = np.argsort(centers)
     out = {q: np.zeros_like(xis) for q in powers}
+    qs = np.array(powers, dtype=float)
     # sorting keeps each block's union window tight, so the shared-node rule
     # (batch results must not depend on how rows are grouped) stays cheap
     block = 2048
@@ -200,40 +226,46 @@ def _brownian_density_sums(spec, t, xis, powers):
         sub = xis[idx]
         plo = max(d.lower, min(lo_p, float(centers[idx[0]]) - 12.0 * sd))
         phi = min(d.upper, max(hi_p, float(centers[idx[-1]]) + 12.0 * sd))
-        lo, hi, narrow, step = _log_integrand_probe(spec, t, sub, plo, phi, d)
+        lo, hi, narrow, step, row_max = _log_integrand_probe(T, t, sub, plo, phi, d)
         # an integrand spanning fewer than 8 probe points (a wide prior window
         # around a sharp weight) is probed again inside the window it was
         # found in, for as long as that window keeps shrinking
         while narrow < 8 and hi - lo < 0.5 * (phi - plo):
             plo, phi = lo, hi
-            lo, hi, narrow, step = _log_integrand_probe(spec, t, sub, plo, phi, d)
+            lo, hi, narrow, step, row_max = _log_integrand_probe(T, t, sub, plo, phi, d)
         feature = max(3, narrow) * step
 
-        def rows(nodes, sub=sub):
-            w = _weight_many(spec.kernel, T, t, sub, nodes)
-            base = w * np.asarray(d.pdf(nodes))[None, :]
-            return np.stack([base * nodes[None, :] ** q for q in powers])
+        def sums(nodes, wts, sub=sub, row_max=row_max):
+            # one exponent per (state, node), shifted by the row's probe peak
+            # so that far states keep their digits, then one matrix product
+            lp, block = d.logpdf(nodes), wts[:, None] * nodes[:, None] ** qs
+
+            def tile(r):
+                e = _brownian_log_weight(T, t, sub[r], nodes, lp)
+                e -= row_max[r, None]
+                return np.exp(e, out=e) @ block
+
+            return _tiled(tile, sub.size, nodes.size)
 
         panels = int(min(max(16, 4 * math.ceil((hi - lo) / feature)), 384))
         res = numerics.composite_quad_batch(
-            rows, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=panels, max_doublings=5
+            sums, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=panels, max_doublings=5
         )
-        # a Brownian psi is never 0: a zero row means the density underflowed
-        if 0 in powers and not np.all(res[powers.index(0)] > 0.0):
+        res *= np.exp(row_max)[:, None]
+        # a Brownian psi is never 0: a zero row means the sums underflowed
+        if 0 in powers and not np.all(res[:, powers.index(0)] > 0.0):
             raise NumericError("tilted integrand underflows", t=t, states=(sub.min(), sub.max()))
         for i, q in enumerate(powers):
-            out[q][idx] = res[i]
+            out[q][idx] = res[:, i]
     return out
 
 
-def _weight_many(kernel, T, t, xis, z_nodes):
-    """Weight matrix f(T-t, z - xi)/f(T, z), shape (n_xi, n_nodes)."""
+def _log_weight(kernel, T, t, xis, z_nodes):
+    """log of f(T-t, z - xi)/f(T, z), shape (n_xi, n_nodes); -inf off the kernel support."""
     ld_base = kernel.log_density(T, z_nodes)
     ld_step = kernel.log_density(T - t, z_nodes[None, :] - xis[:, None])
-    ok = np.isfinite(ld_base)[None, :]
-    arg = np.where(ok, ld_step - np.where(np.isfinite(ld_base), ld_base, 0.0)[None, :], -np.inf)
-    with np.errstate(over="ignore"):
-        return np.exp(arg)
+    ok = np.isfinite(ld_base)
+    return np.where(ok[None, :], ld_step - np.where(ok, ld_base, 0.0)[None, :], -np.inf)
 
 
 _JACOBI_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
@@ -258,9 +290,9 @@ def _jacobi_rule(n: int, beta: float):
 def _gamma_density_sums(spec, t, xis, powers):
     """Tilted integrals for the gamma kernel.
 
-    Written as e^xi * C * integral_0^W w^(a-1) h(xi + w) dw with h smooth;
-    the w^(a-1) endpoint factor is absorbed by a Gauss-Jacobi rule, which
-    keeps the nodes shared across the whole batch.
+    Written as e^xi * C * integral_0^W w^(a-1) g(xi + w) (xi + w)^q dw with
+    g(z) = z^(1-mT) p(z) smooth; the w^(a-1) endpoint factor is absorbed by a
+    Gauss-Jacobi rule, which keeps the nodes shared across the whole batch.
     """
     d = spec.terminal.density
     k: GammaKernel = spec.kernel
@@ -270,10 +302,10 @@ def _gamma_density_sums(spec, t, xis, powers):
     lo_p, hi_p = numerics.mass_interval(d, 1e-16)
     log_c = _sp.gammaln(mT) - _sp.gammaln(a)
 
-    def h(z, q):
-        # (z)^(1-mT+q) * p(z), with the kernel-support guard
+    def log_g(z):
+        # log of z^(1-mT) p(z), with the kernel-support guard
         z = np.maximum(z, 1e-300)
-        return z ** (1.0 - mT + q) * np.asarray(d.pdf(z))
+        return (1.0 - mT) * np.log(z) + d.logpdf(z)
 
     out = {q: np.zeros_like(xis) for q in powers}
     inside = xis >= lo_p
@@ -284,29 +316,35 @@ def _gamma_density_sums(spec, t, xis, powers):
             continue
         xg = xis[group]
         if from_zero and math.isfinite(d.upper):
-            res = _jacobi_tilted(h, xg, d.upper - xg, a, powers)
+            res = _jacobi_tilted(log_g, xg, d.upper - xg, a, powers)
         elif from_zero:
-            span = _gamma_spans(h, xg, a, max(powers), hi_p - lo_p)
-            res = _jacobi_tilted(h, xg, np.maximum(hi_p - xg, span), a, powers)
+            span = _gamma_spans(log_g, xg, a, max(powers), hi_p - lo_p)
+            res = _jacobi_tilted(log_g, xg, np.maximum(hi_p - xg, span), a, powers)
         else:
-            res = _plain_tilted(h, xg, lo_p - xg, hi_p - xg, a, powers)
-        scale = np.exp(xg + log_c)
-        for q in powers:
-            out[q][group] = res[q] * scale
+            res = _plain_tilted(log_g, xg, lo_p - xg, hi_p - xg, a, powers)
+        res *= np.exp(xg + log_c)[:, None]
+        for i, q in enumerate(powers):
+            out[q][group] = res[:, i]
     return out
 
 
-def _gamma_spans(h, xg, a, q, width):
-    """Per-state span W past which w^(a-1) h(xi + w) is below e^-60 of its peak.
+def _power_sums(g, z, wts, powers) -> np.ndarray:
+    """Columns q of sum over the last axis of wts * g * z^q, one product per power."""
+    return np.stack([(g if q == 0 else g * z**q) @ wts for q in powers], axis=1)
+
+
+def _gamma_spans(log_g, xg, a, q, width):
+    """Per-state span W past which w^(a-1) g(xi + w) (xi + w)^q is below e^-60 of its peak.
 
     For priors unbounded above; spans double from 1/16 to 4096 prior widths
     (the caller never cuts below hi_p - xi). A decaying w^(a-1) is left out.
     """
     w = width * 2.0 ** np.arange(-4.0, 13.0)
+    z = xg[:, None] + w[None, :]
     with np.errstate(divide="ignore"):
-        g = np.log(h(xg[:, None] + w[None, :], q)) + max(a - 1.0, 0.0) * np.log(w)[None, :]
-    peak = np.max(g, axis=1)
-    last = w.size - 1 - np.argmax((g >= peak[:, None] - 60.0)[:, ::-1], axis=1)
+        lg = log_g(z) + q * np.log(np.maximum(z, 1e-300)) + max(a - 1.0, 0.0) * np.log(w)[None, :]
+    peak = np.max(lg, axis=1)
+    last = w.size - 1 - np.argmax((lg >= peak[:, None] - 60.0)[:, ::-1], axis=1)
     if not np.all(np.isfinite(peak)) or np.any(last == w.size - 1):
         raise NumericError(
             "tilted integrand underflows or does not decay on the probed spans",
@@ -315,18 +353,17 @@ def _gamma_spans(h, xg, a, q, width):
     return w[last + 1]
 
 
-def _jacobi_tilted(h, xg, W, a, powers):
+def _jacobi_tilted(log_g, xg, W, a, powers):
     prev = None
     for n in (64, 128, 256, 512):
         x, wts = _jacobi_rule(n, a - 1.0)
-        w_nodes = W[:, None] * (1.0 + x[None, :]) / 2.0
-        z = xg[:, None] + w_nodes
-        cur = {}
-        for q in powers:
-            cur[q] = (W / 2.0) ** a * (h(z, q) @ wts)
-        if prev is not None and all(
-            np.all(np.abs(cur[q] - prev[q]) <= 1e-11 * np.abs(cur[q])) for q in powers
-        ):
+
+        def tile(r):
+            z = xg[r, None] + W[r, None] * (1.0 + x) / 2.0
+            return _power_sums(np.exp(log_g(z)), z, wts, powers)
+
+        cur = (W / 2.0)[:, None] ** a * _tiled(tile, xg.size, n)
+        if prev is not None and np.all(np.abs(cur - prev) <= 1e-11 * np.abs(cur)):
             return cur
         prev = cur
     raise NumericError(
@@ -334,16 +371,17 @@ def _jacobi_tilted(h, xg, W, a, powers):
     )
 
 
-def _plain_tilted(h, xg, w0, W, a, powers):
-    def rows(s):
-        span = (W - w0)[:, None]
-        w = w0[:, None] + span * s[None, :]
-        z = xg[:, None] + w
-        base = w ** (a - 1.0) * span
-        return np.stack([base * h(z, q) for q in powers])
+def _plain_tilted(log_g, xg, w0, W, a, powers):
+    def sums(s, wts):
+        def tile(r):
+            span = (W[r] - w0[r])[:, None]
+            w = w0[r, None] + span * s
+            z = xg[r, None] + w
+            return _power_sums(w ** (a - 1.0) * span * np.exp(log_g(z)), z, wts, powers)
 
-    out = numerics.composite_quad_batch(rows, 0.0, 1.0, init_panels=32, max_doublings=6)
-    return {q: out[i] for i, q in enumerate(powers)}
+        return _tiled(tile, xg.size, s.size)
+
+    return numerics.composite_quad_batch(sums, 0.0, 1.0, init_panels=32, max_doublings=6)
 
 
 def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
@@ -468,20 +506,25 @@ def _posterior(spec: LRBSpec, s: float, xi: float, psi: float) -> TerminalLaw:
     if d is not None:
         lo = max(d.lower, xi) if spec.kernel.nondecreasing else d.lower
         if lo < d.upper:
+            logpdf = partial(
+                _posterior_logpdf, spec.kernel, spec.horizon, s, xi, d.logpdf, math.log(psi)
+            )
             comp = DensityComponent(
-                pdf=partial(_posterior_pdf, spec.kernel, spec.horizon, s, xi, d.pdf, psi),
+                pdf=partial(numerics._exp_of, logpdf),
                 lower=lo,
                 upper=d.upper,
                 breakpoints=d.breakpoints,
+                logpdf=logpdf,
             )
     density_mass = (psi - atom_sum) / psi if comp is not None else 0.0
     return TerminalLaw._from_sums(tuple(atoms), comp, density_mass)
 
 
-def _posterior_pdf(kernel, T, s, xi, base_pdf, norm, z):
+def _posterior_logpdf(kernel, T, s, xi, base_logpdf, log_norm, z):
+    """log base + log weight - log psi: the posterior density in log form."""
     z = np.asarray(z, dtype=float)
-    w = _weight_many(kernel, T, s, np.array([xi]), np.atleast_1d(z))[0].reshape(z.shape)
-    out = np.asarray(base_pdf(z)) * w / norm
+    lw = _log_weight(kernel, T, s, np.array([xi]), np.atleast_1d(z))[0].reshape(z.shape)
+    out = base_logpdf(z) + lw - log_norm
     return out if out.ndim else float(out)
 
 

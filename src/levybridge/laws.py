@@ -4,7 +4,8 @@ Construction validates total mass 1 by quadrature, so every law handed to
 the conditional-law machinery is an honest probability measure. Posterior
 laws built by `core` take their masses from the sums that define them
 instead (`TerminalLaw._from_sums`). Each built-in density carries its
-normalised quantile function, which the samplers feed uniforms to. Density
+normalised quantile function, which the samplers feed uniforms to, and its
+log-density in closed form, which the tilted-sum engine reads. Density
 callables are built from module-level functions via functools.partial, so
 laws pickle cleanly.
 """
@@ -27,9 +28,9 @@ __all__ = ["TerminalLaw"]
 MASS_TOL = 1e-10
 
 
-def _normal_pdf(mu, sigma, weight, z):
+def _normal_logpdf(mu, sigma, weight, z):
     z = np.asarray(z, dtype=float)
-    out = weight * np.exp(-0.5 * ((z - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    out = math.log(weight / (sigma * math.sqrt(2 * math.pi))) - 0.5 * ((z - mu) / sigma) ** 2
     return out if out.ndim else float(out)
 
 
@@ -41,16 +42,11 @@ def _normal_quantile(mu, sigma, u):
     return mu + sigma * _sp.ndtri(u)
 
 
-def _gamma_pdf(shape, scale, weight, z):
+def _gamma_logpdf(shape, scale, weight, z):
     z = np.asarray(z, dtype=float)
+    c = _sp.gammaln(shape) + shape * math.log(scale) - math.log(weight)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = (
-            (shape - 1.0) * np.log(np.where(z > 0, z, 1.0))
-            - z / scale
-            - _sp.gammaln(shape)
-            - shape * math.log(scale)
-        )
-        out = np.where(z > 0, weight * np.exp(logpdf), 0.0)
+        out = np.where(z > 0, (shape - 1.0) * np.log(z) - z / scale - c, -np.inf)
     return out if out.ndim else float(out)
 
 
@@ -62,9 +58,9 @@ def _gamma_quantile(shape, scale, u):
     return scale * _sp.gammaincinv(shape, u)
 
 
-def _uniform_pdf(a, b, weight, z):
+def _uniform_logpdf(a, b, weight, z):
     z = np.asarray(z, dtype=float)
-    out = np.where((z >= a) & (z <= b), weight / (b - a), 0.0)
+    out = np.where((z >= a) & (z <= b), math.log(weight / (b - a)), -np.inf)
     return out if out.ndim else float(out)
 
 
@@ -76,11 +72,8 @@ def _uniform_quantile(a, b, u):
     return a + (b - a) * np.asarray(u, dtype=float)
 
 
-def _shifted_pdf(base, dx, z):
-    return base(np.asarray(z, dtype=float) - dx)
-
-
-def _shifted_cdf(base, dx, z):
+def _shifted(base, dx, z):
+    """A pdf, log-pdf or cdf of Z + dx from that of Z."""
     return base(np.asarray(z, dtype=float) - dx)
 
 
@@ -154,12 +147,14 @@ class TerminalLaw:
         if sigma2 <= 0:
             raise DomainError(f"sigma2 must be positive, got {sigma2}")
         sigma = math.sqrt(sigma2)
+        logpdf = partial(_normal_logpdf, mu, sigma, weight)
         comp = DensityComponent(
-            pdf=partial(_normal_pdf, mu, sigma, weight),
+            pdf=partial(numerics._exp_of, logpdf),
             lower=-math.inf,
             upper=math.inf,
             quantile=partial(_normal_quantile, mu, sigma),
             cdf=partial(_normal_cdf, mu, sigma),
+            logpdf=logpdf,
         )
         return cls(atoms=tuple(atoms), density=comp)
 
@@ -167,12 +162,14 @@ class TerminalLaw:
     def gamma(cls, shape: float, scale: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
         if shape <= 0 or scale <= 0:
             raise DomainError("shape and scale must be positive")
+        logpdf = partial(_gamma_logpdf, shape, scale, weight)
         comp = DensityComponent(
-            pdf=partial(_gamma_pdf, shape, scale, weight),
+            pdf=partial(numerics._exp_of, logpdf),
             lower=0.0,
             upper=math.inf,
             quantile=partial(_gamma_quantile, shape, scale),
             cdf=partial(_gamma_cdf, shape, scale),
+            logpdf=logpdf,
         )
         return cls(atoms=tuple(atoms), density=comp)
 
@@ -180,12 +177,14 @@ class TerminalLaw:
     def uniform(cls, a: float, b: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
         if not a < b:
             raise DomainError("need a < b")
+        logpdf = partial(_uniform_logpdf, a, b, weight)
         comp = DensityComponent(
-            pdf=partial(_uniform_pdf, a, b, weight),
+            pdf=partial(numerics._exp_of, logpdf),
             lower=float(a),
             upper=float(b),
             quantile=partial(_uniform_quantile, a, b),
             cdf=partial(_uniform_cdf, a, b),
+            logpdf=logpdf,
         )
         return cls(atoms=tuple(atoms), density=comp)
 
@@ -217,11 +216,12 @@ class TerminalLaw:
         if self.density is not None:
             d = self.density
             comp = DensityComponent(
-                pdf=partial(_shifted_pdf, d.pdf, dx),
+                pdf=partial(_shifted, d.pdf, dx),
                 lower=d.lower + dx,
                 upper=d.upper + dx,
                 breakpoints=tuple(p + dx for p in d.breakpoints),
                 quantile=partial(_shifted_quantile, d.quantile, dx) if d.quantile else None,
-                cdf=partial(_shifted_cdf, d.cdf, dx) if d.cdf else None,
+                cdf=partial(_shifted, d.cdf, dx) if d.cdf else None,
+                logpdf=partial(_shifted, d.logpdf, dx),
             )
         return TerminalLaw._from_sums(atoms, comp, self.density_mass)

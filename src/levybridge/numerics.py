@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import integrate as _sci_integrate
@@ -57,6 +58,9 @@ class DensityComponent:
     cdf:
         Optional normalized CDF of the component (values in [0, 1]); used for
         tail localisation.
+    logpdf:
+        Log of ``pdf`` (-inf where it vanishes), which the tilted-sum engine
+        reads so that far tails do not underflow. Left out, it is log(pdf).
     """
 
     pdf: Callable
@@ -65,24 +69,29 @@ class DensityComponent:
     breakpoints: tuple[float, ...] = ()
     quantile: Callable | None = None
     cdf: Callable | None = None
+    logpdf: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise DomainError(f"density support [{self.lower}, {self.upper}] is empty")
         pts = tuple(sorted(p for p in self.breakpoints if self.lower < p < self.upper))
         object.__setattr__(self, "breakpoints", pts)
+        if self.logpdf is None:
+            object.__setattr__(self, "logpdf", partial(_log_of, self.pdf))
 
     def effective_interval(self, eps: float = 1e-16) -> tuple[float, float]:
         """Finite interval carrying all but ~eps of the component's mass.
 
-        Finite supports are returned as-is. Infinite tails need a `cdf`; with
-        one, quantiles are bracketed by doubling and bisection.
+        Finite supports are returned as-is. Infinite tails are cut at the
+        ``quantile`` of eps and 1 - eps; without one, quantiles of the `cdf`
+        are bracketed by doubling and bisection.
         """
         lo, hi = self.lower, self.upper
+        find = self._cdf_quantile if self.quantile is None else self.quantile
         if math.isinf(lo):
-            lo = self._cdf_quantile(eps)
+            lo = float(find(eps))
         if math.isinf(hi):
-            hi = self._cdf_quantile(1.0 - eps)
+            hi = float(find(1.0 - eps))
         return lo, hi
 
     def _cdf_quantile(self, q: float) -> float:
@@ -118,12 +127,13 @@ class DensityComponent:
 def mass_interval(component: DensityComponent, eps: float = 1e-14) -> tuple[float, float]:
     """Finite interval carrying all but ~eps of the component's mass.
 
-    With a cdf this is `effective_interval`. Without one, infinite tails are
-    cut by integrating the pdf outward and doubling the cut point until the
-    remaining tail mass drops below eps of the total.
+    With a quantile or a cdf this is `effective_interval`. Without either,
+    infinite tails are cut by integrating the pdf outward and doubling the
+    cut point until the remaining tail mass drops below eps of the total.
     """
     d = component
-    if (math.isfinite(d.lower) and math.isfinite(d.upper)) or d.cdf is not None:
+    bounded = math.isfinite(d.lower) and math.isfinite(d.upper)
+    if bounded or d.quantile is not None or d.cdf is not None:
         return d.effective_interval(eps)
     total, _ = _quad_segment(lambda z: float(d.pdf(z)), d.lower, d.upper, 1e-12, 1e-10)
     lo, hi = d.lower, d.upper
@@ -149,6 +159,17 @@ def mass_interval(component: DensityComponent, eps: float = 1e-14) -> tuple[floa
             r *= 2.0
         lo = r
     return lo, hi
+
+
+def _log_of(pdf, z):
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(pdf(z), dtype=float))
+
+
+def _exp_of(logpdf, z):
+    """The pdf of a component given by its log-density."""
+    out = np.exp(logpdf(z))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -312,7 +333,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def composite_quad_batch(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
     b: float,
     *,
@@ -323,8 +344,9 @@ def composite_quad_batch(
 ) -> np.ndarray:
     """Integrate a batch of smooth integrands over a finite interval.
 
-    ``fn`` maps a node vector of shape (k,) to values of shape (..., k);
-    the return value has shape (...,). Panels are doubled until the result
+    ``fn(nodes, weights)`` takes the node and weight vectors of one rule,
+    both of shape (k,), and returns the weighted sums, of any shape; the
+    last level's sums are returned. Panels are doubled until the result
     stabilizes, which suits the smooth decaying integrands produced by the
     conditional-law machinery. Not adaptive per batch row by design: every
     row sees the same nodes, so results do not depend on how rows are
@@ -340,8 +362,7 @@ def composite_quad_batch(
         half = 0.5 * (edges[1:] - edges[:-1])
         nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
         wts = (half[:, None] * _GL_WEIGHTS).ravel()
-        vals = np.asarray(fn(nodes))
-        cur = vals @ wts
+        cur = np.asarray(fn(nodes, wts))
         if prev is not None:
             diff = float(np.max(np.abs(cur - prev)))
             scale = float(np.max(np.abs(cur))) if np.ndim(cur) else abs(float(cur))

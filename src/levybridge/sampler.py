@@ -267,7 +267,7 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
             lb = spec.kernel.log_density(T, nodes)
             lb_ok = np.isfinite(lb)
-            h = np.where(lb_ok, np.exp(np.log(d.pdf(nodes)) - np.where(lb_ok, lb, 0.0)), 0.0)
+            h = np.where(lb_ok, np.exp(d.logpdf(nodes) - np.where(lb_ok, lb, 0.0)), 0.0)
     cdf = np.hstack([np.zeros((x.size, 1)), np.cumsum(h * width, axis=1)])
     miss = np.abs(cdf[:, -1] - target[rows]) / psi_s[rows]
     if not np.all(miss <= _MASS_RTOL):

@@ -246,6 +246,33 @@ def test_mixed_law_matches_mpmath_closed_form():
             assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), floor))
 
 
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_mixed_law_far_states_match_mpmath(t):
+    # past |xi| ~ 32 the normal prior's pdf underflows where the integrand
+    # lives; the engine's log-domain exponent keeps those states
+    spec = mixed_spec()
+    xis = np.array([-40.0, -36.0, -32.0, 32.0, 36.0, 40.0])
+    psi, mean = np.array([_mixed_closed_form(t, x) for x in xis]).T
+    assert np.all(psi > 0.0)
+    for got, want in (
+        (core.psi_total_many(spec, t, xis), psi),
+        (np.array([core.psi_total(spec, t, x) for x in xis]), psi),
+        (core.posterior_mean_many(spec, t, xis), mean),
+        (np.array([core.conditional_moment(spec, t, x, 1) for x in xis]), mean),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 0.999])
+def test_brownian_log_weight_closed_form(t):
+    k, T = BrownianKernel(), 1.0
+    z = np.linspace(-250.0, 250.0, 1001)
+    xis = np.linspace(-200.0, 200.0, 161)
+    got = core._brownian_log_weight(T, t, xis, z)
+    want = k.log_density(T - t, z[None, :] - xis[:, None]) - k.log_density(T, z)[None, :]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 def test_psi_many_far_states():
     # far states are where naive windows lose the integrand entirely
     spec = drift_spec()

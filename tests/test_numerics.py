@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from levybridge import numerics
 from levybridge.bridge import BridgeSpec, transition_density
 from levybridge.errors import DomainError, NoRootError, NonMonotoneError, NumericError
 from levybridge.kernels import BrownianKernel, GammaKernel
+from levybridge.core import LRBSpec, psi_total, terminal_posterior
+from levybridge.laws import TerminalLaw
 from levybridge.numerics import DensityComponent, MixedMeasure
 
 
@@ -114,6 +117,73 @@ def test_effective_interval_gaussian_tail():
     # the 1e-16 normal quantile sits near 8.2 standard deviations
     assert 7.5 < hi < 9.5
     assert -9.5 < lo < -7.5
+
+
+def _built_in_densities():
+    mixed = TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),))
+    gamma = TerminalLaw.gamma(2.0, 1.5)
+    return {
+        "normal": mixed.density,
+        "gamma": gamma.density,
+        "uniform": TerminalLaw.uniform(-1.0, 2.0, weight=0.4, atoms=((5.0, 0.6),)).density,
+        "shifted_normal": mixed.translate(2.5).density,
+        "shifted_gamma": gamma.translate(-1.0).density,
+    }
+
+
+@pytest.mark.parametrize("name", ["normal", "gamma", "shifted_normal", "shifted_gamma"])
+def test_effective_interval_quantile_matches_cdf_bracketing(name):
+    d = _built_in_densities()[name]
+    by_cdf = dataclasses.replace(d, quantile=None)
+    # near 1 a cdf resolves only to an ulp, which moves its bracketed root by
+    # ulp / pdf; at these levels that is far below the tolerance
+    for eps in (1e-3, 1e-6):
+        got, want = d.effective_interval(eps), by_cdf.effective_interval(eps)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("name", ["normal", "gamma", "uniform", "shifted_normal", "shifted_gamma"])
+def test_built_in_logpdf_matches_log_pdf(name):
+    d = _built_in_densities()[name]
+    lo, hi = d.effective_interval(1e-12)
+    z = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 401), [lo - 1e4, hi + 1e4]])
+    pdf, logpdf = np.asarray(d.pdf(z)), np.asarray(d.logpdf(z))
+    pos = pdf > 0.0
+    assert np.all(np.abs(logpdf[pos] - np.log(pdf[pos])) <= 1e-12 * np.maximum(1.0, np.abs(logpdf[pos])))
+    assert np.all(logpdf[(z < d.lower) | (z > d.upper)] == -np.inf)
+    inside = (z > d.lower) & (z < d.upper)
+    # where the pdf underflows inside the support the log stays finite
+    assert np.all(np.isfinite(logpdf[inside]))
+    if name != "uniform":
+        assert np.any(inside & ~pos)
+    assert d.logpdf(float(z[200])) == pytest.approx(float(logpdf[200]), rel=1e-14)
+
+
+def test_logpdf_defaults_to_log_of_pdf():
+    d = DensityComponent(pdf=lambda z: np.exp(-np.abs(z)) / 2.0, lower=-math.inf, upper=math.inf)
+    z = np.array([-3.0, 0.0, 2.0])
+    assert np.array_equal(d.logpdf(z), np.log(d.pdf(z)))
+    assert _unit_uniform().logpdf(2.0) == -np.inf
+
+
+def test_posterior_logpdf_is_log_base_weight_over_psi():
+    spec = LRBSpec(
+        BrownianKernel(), 1.0, TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),))
+    )
+    t, xi = 0.5, 0.3
+    d = terminal_posterior(spec, t, xi).density
+    z = np.linspace(-6.0, 6.0, 121)
+    prior = spec.terminal.density
+    k = spec.kernel
+    want = (
+        prior.logpdf(z) + k.log_density(1.0 - t, z - xi) - k.log_density(1.0, z)
+        - math.log(psi_total(spec, t, xi))
+    )
+    assert np.all(np.abs(d.logpdf(z) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.abs(d.pdf(z) - np.exp(want)) <= 1e-12 * np.exp(want))
+    far = np.array([-60.0, 60.0])
+    assert np.all(d.pdf(far) == 0.0) and np.all(np.isfinite(d.logpdf(far)))
 
 
 def test_mixed_measure_atom_validation():
@@ -242,7 +312,9 @@ def test_composite_quad_batch_matches_quad():
     def rows(nodes):
         return np.stack([f(nodes) for f in fns])
 
-    got = numerics.composite_quad_batch(rows, -8.0, 8.0, abs_tol=1e-12, rel_tol=1e-12)
+    got = numerics.composite_quad_batch(
+        lambda x, w: rows(x) @ w, -8.0, 8.0, abs_tol=1e-12, rel_tol=1e-12
+    )
     for i, f in enumerate(fns):
         want, _ = sci_integrate.quad(f, -8.0, 8.0, epsabs=1e-13, epsrel=1e-13)
         assert abs(got[i] - want) < 1e-10
@@ -254,13 +326,13 @@ def test_composite_quad_batch_row_grouping_consistency():
     g = lambda x: 1.0 / (1.0 + x**2)
     tol = 1e-11
     both = numerics.composite_quad_batch(
-        lambda x: np.stack([f(x), g(x)]), -6.0, 6.0, abs_tol=tol, rel_tol=tol
+        lambda x, w: np.stack([f(x), g(x)]) @ w, -6.0, 6.0, abs_tol=tol, rel_tol=tol
     )
     alone_f = numerics.composite_quad_batch(
-        lambda x: f(x)[None, :], -6.0, 6.0, abs_tol=tol, rel_tol=tol
+        lambda x, w: f(x)[None, :] @ w, -6.0, 6.0, abs_tol=tol, rel_tol=tol
     )
     alone_g = numerics.composite_quad_batch(
-        lambda x: g(x)[None, :], -6.0, 6.0, abs_tol=tol, rel_tol=tol
+        lambda x, w: g(x)[None, :] @ w, -6.0, 6.0, abs_tol=tol, rel_tol=tol
     )
     assert abs(both[0] - alone_f[0]) < 50 * tol
     assert abs(both[1] - alone_g[0]) < 50 * tol
@@ -268,14 +340,14 @@ def test_composite_quad_batch_row_grouping_consistency():
 
 def test_composite_quad_batch_interval_validation():
     with pytest.raises(DomainError):
-        numerics.composite_quad_batch(lambda x: x, 1.0, 1.0)
+        numerics.composite_quad_batch(lambda x, w: x @ w, 1.0, 1.0)
     with pytest.raises(DomainError):
-        numerics.composite_quad_batch(lambda x: x, 0.0, math.inf)
+        numerics.composite_quad_batch(lambda x, w: x @ w, 0.0, math.inf)
 
 
 def test_composite_quad_batch_reports_non_convergence():
     # one level is never enough to claim stabilization
     with pytest.raises(NumericError):
         numerics.composite_quad_batch(
-            lambda x: np.cos(40.0 * x)[None, :], 0.0, 10.0, init_panels=1, max_doublings=0
+            lambda x, w: np.cos(40.0 * x)[None, :] @ w, 0.0, 10.0, init_panels=1, max_doublings=0
         )

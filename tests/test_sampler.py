@@ -424,3 +424,19 @@ def test_simulate_paths_needs_no_process_pool():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_library_calls_write_nothing_to_stdout():
+    # a caller that reads its last stdout line as a result must get its own line
+    code = (
+        "import numpy as np, levybridge\n"
+        "from levybridge import checks\n"
+        "levybridge.psi_total_many(checks.brownian_mixed(), 0.5, np.linspace(-40.0, 40.0, 9))\n"
+        "levybridge.simulate_paths(checks.brownian_mixed(), [0.5, 1.0], 4, 1, method='markov')\n"
+    )
+    src = os.path.dirname(os.path.dirname(levybridge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
