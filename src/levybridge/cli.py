@@ -200,6 +200,9 @@ def cmd_verify(cfg: ScenarioConfig, out: str | None) -> int:
             "statistic": r.statistic,
             "threshold": r.threshold,
             "pass": r.passed,
+            "elapsed_s": r.elapsed,
+            "detail": r.detail,
+            "parts": dict(r.parts),
         }
         for r in results
     ]

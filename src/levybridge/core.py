@@ -10,8 +10,10 @@ posterior of the terminal value given the state xi at time t, drives the
 Markov transition density, and its reciprocal is the density of the plain
 increment law with respect to the conditioned one. For 0 < t < horizon
 every posterior functional comes from one engine, `_tilted_sums`, which
-evaluates the z^q-weighted aggregate on nodes shared by all states of a call
-(a scalar call is a batch of one); prior moments at t = 0 use quadrature.
+evaluates the z^q-weighted aggregate state by state: each state's window,
+nodes and stopping rule depend on that state alone, so its values do not
+change with the batch it comes in (a scalar call is a batch of one); prior
+moments at t = 0 use quadrature.
 Sampling lives in `sampler`.
 """
 
@@ -145,66 +147,64 @@ def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the tilted-sum engine: every posterior functional is evaluated here, on
-# nodes shared by all states of a call (a scalar call is a batch of one).
-# Each quadrature level forms one log integrand per (state, node) from the
-# prior's logpdf, exponentiates it once and sums it against the node weights
-# times z^q, tile by tile of states.
+# the tilted-sum engine: every posterior functional is evaluated here, state
+# by state (a scalar call is a batch of one). Each row has its own window,
+# nodes and stopping level; each quadrature level forms one log integrand
+# per (state, node) from the prior's logpdf, exponentiates it once and sums
+# it against the node weights times z^q, tile by tile of states.
 
-_CHUNK = 16384
-_TILE = 1 << 16  # (state, node) entries per tile: the fused passes stay in cache
-
-
-def _tiled(fn, n_rows: int, n_cols: int) -> np.ndarray:
-    """fn(rows) over slices of about _TILE / n_cols rows, stacked along axis 0."""
-    step = max(1, _TILE // n_cols)
-    return np.concatenate([fn(slice(i, i + step)) for i in range(0, n_rows, step)])
+_PROBE = np.linspace(0.0, 1.0, 65)
+_CHUNK = 4096  # states per branch call: bounds the per-state arrays of a call
 
 
 def _brownian_log_weight(T, t, xis, z, extra=0.0):
     """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shape (n_xi, n_z).
 
     The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2,
-    built in place on one array; ``extra`` is a per-node term.
+    built in place on one array. ``z`` holds nodes shared by every state,
+    shape (n_z,), or one row of nodes per state; ``extra`` is a per-node term.
     """
-    e = np.subtract(z[None, :], xis[:, None])
+    e = np.subtract(z, xis[:, None])
     np.square(e, out=e)
     e *= -0.5 / (T - t)
-    e += (0.5 / T) * z * z + 0.5 * math.log(T / (T - t)) + extra
+    zz = np.square(z)
+    zz *= 0.5 / T
+    e += zz
+    e += extra
+    e += 0.5 * math.log(T / (T - t))
     return e
 
 
-def _log_integrand_probe(T, t, sub, plo, phi, d):
-    """Locate where the weight-times-density integrand actually lives.
+def _log_integrand_probe(T, t, xis, plo, phi, d):
+    """Locate where each state's weight-times-density integrand actually lives.
 
     The weight can amplify the density's far tail (its log is convex minus
     the pinning term), so the density's own effective interval is not a safe
-    window. A coarse log-space scan per block finds, for every state, the
-    node set within e^-60 of that state's peak; the union is the window.
-    Returns the window, the fewest probe points any row keeps, the probe
-    step and each row's peak log integrand.
+    window. A coarse log-space scan of each row's window [plo, phi] keeps
+    the probe points within e^-60 of that row's peak. Returns per row the
+    window around them, the number kept and the peak log integrand.
     """
-    probe = np.linspace(plo, phi, 513)
-    lp = d.logpdf(probe)
+    span = phi - plo
 
     def tile(r):
-        # per row: peak, and the first, last and count of probe points kept
-        total = _brownian_log_weight(T, t, sub[r], probe, lp)
+        z = plo[r, None] + span[r, None] * _PROBE
+        total = _brownian_log_weight(T, t, xis[r], z, d.logpdf(z))
         peak = np.max(total, axis=1)
         keep = total >= peak[:, None] - 60.0
-        first, last = np.argmax(keep, axis=1), probe.size - 1 - np.argmax(keep[:, ::-1], axis=1)
+        first, last = np.argmax(keep, axis=1), _PROBE.size - 1 - np.argmax(keep[:, ::-1], axis=1)
         return np.column_stack([peak, first, last, np.sum(keep, axis=1)])
 
-    row_max, first, last, kept = _tiled(tile, sub.size, probe.size).T
-    if not np.all(np.isfinite(row_max)):
+    peak, first, last, kept = numerics._tiled(tile, xis.size, _PROBE.size).T
+    if not np.all(np.isfinite(peak)):
+        bad = xis[~np.isfinite(peak)]
         raise NumericError(
             "tilted integrand underflows on the whole probe window",
-            t=t, states=(sub.min(), sub.max()), window=(plo, phi),
+            t=t, states=(bad.min(), bad.max()),
         )
-    step = probe[1] - probe[0]
-    lo = max(plo, float(probe[int(first.min())]) - step)
-    hi = min(phi, float(probe[int(last.max())]) + step)
-    return lo, hi, int(kept.min()), step, row_max
+    step = span / (_PROBE.size - 1)
+    lo = np.maximum(plo, plo + (first - 1.0) * step)
+    hi = np.minimum(phi, plo + (last + 1.0) * step)
+    return lo, hi, kept, peak
 
 
 def _brownian_density_sums(spec, t, xis, powers):
@@ -215,49 +215,36 @@ def _brownian_density_sums(spec, t, xis, powers):
     lo_p, hi_p = numerics.mass_interval(d, 1e-16)
     sd = math.sqrt(T * (T - t) / t)
     centers = xis * (T / t)
-    order = np.argsort(centers)
-    out = {q: np.zeros_like(xis) for q in powers}
-    qs = np.array(powers, dtype=float)
-    # sorting keeps each block's union window tight, so the shared-node rule
-    # (batch results must not depend on how rows are grouped) stays cheap
-    block = 2048
-    for start in range(0, xis.size, block):
-        idx = order[start : start + block]
-        sub = xis[idx]
-        plo = max(d.lower, min(lo_p, float(centers[idx[0]]) - 12.0 * sd))
-        phi = min(d.upper, max(hi_p, float(centers[idx[-1]]) + 12.0 * sd))
-        lo, hi, narrow, step, row_max = _log_integrand_probe(T, t, sub, plo, phi, d)
-        # an integrand spanning fewer than 8 probe points (a wide prior window
-        # around a sharp weight) is probed again inside the window it was
-        # found in, for as long as that window keeps shrinking
-        while narrow < 8 and hi - lo < 0.5 * (phi - plo):
-            plo, phi = lo, hi
-            lo, hi, narrow, step, row_max = _log_integrand_probe(T, t, sub, plo, phi, d)
-        feature = max(3, narrow) * step
+    lo = np.maximum(d.lower, np.minimum(lo_p, centers - 12.0 * sd))
+    hi = np.minimum(d.upper, np.maximum(hi_p, centers + 12.0 * sd))
+    row_max = np.empty_like(xis)
+    todo = np.arange(xis.size)
+    while todo.size:
+        # a row whose integrand spans fewer than 8 probe points (a wide prior
+        # window around a sharp weight) is probed again inside the window it
+        # was found in, for as long as that window keeps shrinking
+        plo, phi = lo[todo], hi[todo]
+        lo[todo], hi[todo], kept, row_max[todo] = _log_integrand_probe(T, t, xis[todo], plo, phi, d)
+        todo = todo[(kept < 8) & (hi[todo] - lo[todo] < 0.5 * (phi - plo))]
 
-        def sums(nodes, wts, sub=sub, row_max=row_max):
-            # one exponent per (state, node), shifted by the row's probe peak
-            # so that far states keep their digits, then one matrix product
-            lp, block = d.logpdf(nodes), wts[:, None] * nodes[:, None] ** qs
+    def sums(z, wts, r):
+        # one exponent per (state, node), shifted by the row's probe peak so
+        # that far states keep their digits
+        lp = d.logpdf(z)
+        lp -= row_max[r, None]
+        e = _brownian_log_weight(T, t, xis[r], z, lp)
+        np.exp(e, out=e)
+        e *= wts
+        return _power_sums(e, z, powers)
 
-            def tile(r):
-                e = _brownian_log_weight(T, t, sub[r], nodes, lp)
-                e -= row_max[r, None]
-                return np.exp(e, out=e) @ block
-
-            return _tiled(tile, sub.size, nodes.size)
-
-        panels = int(min(max(16, 4 * math.ceil((hi - lo) / feature)), 384))
-        res = numerics.composite_quad_batch(
-            sums, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=panels, max_doublings=5
-        )
-        res *= np.exp(row_max)[:, None]
-        # a Brownian psi is never 0: a zero row means the sums underflowed
-        if 0 in powers and not np.all(res[:, powers.index(0)] > 0.0):
-            raise NumericError("tilted integrand underflows", t=t, states=(sub.min(), sub.max()))
-        for i, q in enumerate(powers):
-            out[q][idx] = res[:, i]
-    return out
+    res = numerics.composite_quad_batch(
+        sums, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=4, max_doublings=8
+    )
+    res *= np.exp(row_max)[:, None]
+    # a Brownian psi is never 0: a zero row means the sums underflowed
+    if 0 in powers and not np.all(res[:, powers.index(0)] > 0.0):
+        raise NumericError("tilted integrand underflows", t=t, states=(xis.min(), xis.max()))
+    return res
 
 
 def _log_weight(kernel, T, t, xis, z_nodes):
@@ -292,7 +279,7 @@ def _gamma_density_sums(spec, t, xis, powers):
 
     Written as e^xi * C * integral_0^W w^(a-1) g(xi + w) (xi + w)^q dw with
     g(z) = z^(1-mT) p(z) smooth; the w^(a-1) endpoint factor is absorbed by a
-    Gauss-Jacobi rule, which keeps the nodes shared across the whole batch.
+    Gauss-Jacobi rule whose order each state raises until it converges.
     """
     d = spec.terminal.density
     k: GammaKernel = spec.kernel
@@ -307,7 +294,7 @@ def _gamma_density_sums(spec, t, xis, powers):
         z = np.maximum(z, 1e-300)
         return (1.0 - mT) * np.log(z) + d.logpdf(z)
 
-    out = {q: np.zeros_like(xis) for q in powers}
+    out = np.zeros((xis.size, len(powers)))
     inside = xis >= lo_p
     # states at or past the top of the support carry no density mass
     below = xis < d.upper
@@ -322,15 +309,17 @@ def _gamma_density_sums(spec, t, xis, powers):
             res = _jacobi_tilted(log_g, xg, np.maximum(hi_p - xg, span), a, powers)
         else:
             res = _plain_tilted(log_g, xg, lo_p - xg, hi_p - xg, a, powers)
-        res *= np.exp(xg + log_c)[:, None]
-        for i, q in enumerate(powers):
-            out[q][group] = res[:, i]
+        out[group] = res * np.exp(xg + log_c)[:, None]
     return out
 
 
-def _power_sums(g, z, wts, powers) -> np.ndarray:
-    """Columns q of sum over the last axis of wts * g * z^q, one product per power."""
-    return np.stack([(g if q == 0 else g * z**q) @ wts for q in powers], axis=1)
+def _power_sums(g, z, powers) -> np.ndarray:
+    """Columns q of sum over the last axis of g * z^q, one product per power.
+
+    Plain sums rather than matrix products: numpy sums each row on its own,
+    so a row's value does not depend on how many rows share the array.
+    """
+    return np.stack([np.sum(g if q == 0 else g * z**q, axis=-1) for q in powers], axis=-1)
 
 
 def _gamma_spans(log_g, xg, a, q, width):
@@ -354,50 +343,55 @@ def _gamma_spans(log_g, xg, a, q, width):
 
 
 def _jacobi_tilted(log_g, xg, W, a, powers):
-    prev = None
-    for n in (64, 128, 256, 512):
+    """Gauss-Jacobi sums of orders 32, 64, ...; each row keeps the first order
+    that agrees with the previous one to 1e-11 relative."""
+    out, prev, todo = np.empty((xg.size, len(powers))), None, np.arange(xg.size)
+    for n in (32, 64, 128, 256, 512):
         x, wts = _jacobi_rule(n, a - 1.0)
 
-        def tile(r):
+        def tile(sl):
+            r = todo[sl]
             z = xg[r, None] + W[r, None] * (1.0 + x) / 2.0
-            return _power_sums(np.exp(log_g(z)), z, wts, powers)
+            return _power_sums(np.exp(log_g(z)) * wts, z, powers)
 
-        cur = (W / 2.0)[:, None] ** a * _tiled(tile, xg.size, n)
-        if prev is not None and np.all(np.abs(cur - prev) <= 1e-11 * np.abs(cur)):
-            return cur
+        cur = (W[todo] / 2.0)[:, None] ** a * numerics._tiled(tile, todo.size, n)
+        if prev is not None:
+            done = np.all(np.abs(cur - prev) <= 1e-11 * np.abs(cur), axis=1)
+            out[todo[done]] = cur[done]
+            todo, cur = todo[~done], cur[~done]
+            if todo.size == 0:
+                return out
         prev = cur
     raise NumericError(
-        "Gauss-Jacobi tilted sums did not converge", order=n, states=(xg.min(), xg.max())
+        "Gauss-Jacobi tilted sums did not converge",
+        order=n, states=(xg[todo].min(), xg[todo].max()),
     )
 
 
 def _plain_tilted(log_g, xg, w0, W, a, powers):
-    def sums(s, wts):
-        def tile(r):
-            span = (W[r] - w0[r])[:, None]
-            w = w0[r, None] + span * s
-            z = xg[r, None] + w
-            return _power_sums(w ** (a - 1.0) * span * np.exp(log_g(z)), z, wts, powers)
+    def sums(w, wts, r):
+        z = xg[r, None] + w
+        return _power_sums(w ** (a - 1.0) * np.exp(log_g(z)) * wts, z, powers)
 
-        return _tiled(tile, xg.size, s.size)
-
-    return numerics.composite_quad_batch(sums, 0.0, 1.0, init_panels=32, max_doublings=6)
+    return numerics.composite_quad_batch(sums, w0, W, init_panels=32, max_doublings=6)
 
 
 def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
     """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over xi.
 
-    Densities are integrated by the Brownian or the gamma branch; no other
-    continuous kernel has a rule.
+    Every state is answered on its own: its own probe window and stopping
+    level (Brownian) or Jacobi order (gamma), and sums taken row by row, so
+    a state's values do not depend on the other states of the call, bit for
+    bit. Densities are integrated by the Brownian or the gamma branch; no
+    other continuous kernel has a rule.
     """
     xis = np.asarray(xis, dtype=float)
-    out = {q: np.zeros_like(xis) for q in powers}
+    flat = xis.ravel()
+    out = np.zeros((flat.size, len(powers)))
     if spec.terminal.atoms:
         locs = np.array([z for z, _ in spec.terminal.atoms])
         with np.errstate(over="ignore"):
-            e = np.exp(_atom_log_terms(spec, t, xis))
-        for q in powers:
-            out[q] += e @ (locs**q)
+            out += _power_sums(np.exp(_atom_log_terms(spec, t, flat)), locs, powers)
     if spec.terminal.density is not None:
         if isinstance(spec.kernel, BrownianKernel):
             branch = _brownian_density_sums
@@ -407,14 +401,11 @@ def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[
             raise UnsupportedKernelError(
                 f"no tilted-sum rule for a density under {type(spec.kernel).__name__}"
             )
-        for start in range(0, xis.size, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, xis.size))
-            part = branch(spec, t, xis[sl], powers)
-            for q in powers:
-                out[q][sl] += part[q]
-    if not all(np.all(np.isfinite(v)) for v in out.values()):
-        raise NumericError("tilted sums are not finite", t=t, states=(xis.min(), xis.max()))
-    return out
+        for start in range(0, flat.size, _CHUNK):
+            out[start : start + _CHUNK] += branch(spec, t, flat[start : start + _CHUNK], powers)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("tilted sums are not finite", t=t, states=(flat.min(), flat.max()))
+    return {q: out[:, i].reshape(xis.shape) for i, q in enumerate(powers)}
 
 
 def psi_total_many(spec: LRBSpec, t: float, xis) -> np.ndarray:

@@ -61,6 +61,8 @@ class DensityComponent:
     logpdf:
         Log of ``pdf`` (-inf where it vanishes), which the tilted-sum engine
         reads so that far tails do not underflow. Left out, it is log(pdf).
+
+    `mass_interval` keeps the intervals it finds for a component, by eps.
     """
 
     pdf: Callable
@@ -70,6 +72,7 @@ class DensityComponent:
     quantile: Callable | None = None
     cdf: Callable | None = None
     logpdf: Callable | None = field(default=None, compare=False)
+    _intervals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lower < self.upper:
@@ -130,8 +133,15 @@ def mass_interval(component: DensityComponent, eps: float = 1e-14) -> tuple[floa
     With a quantile or a cdf this is `effective_interval`. Without either,
     infinite tails are cut by integrating the pdf outward and doubling the
     cut point until the remaining tail mass drops below eps of the total.
+    Each component computes its interval once per eps.
     """
-    d = component
+    cache = component._intervals
+    if eps not in cache:
+        cache[eps] = _mass_interval(component, eps)
+    return cache[eps]
+
+
+def _mass_interval(d: DensityComponent, eps: float) -> tuple[float, float]:
     bounded = math.isfinite(d.lower) and math.isfinite(d.upper)
     if bounded or d.quantile is not None or d.cdf is not None:
         return d.effective_interval(eps)
@@ -327,51 +337,74 @@ def inverse_cdf(
 
 
 # ---------------------------------------------------------------------------
-# vectorized composite quadrature (for MC-scale batch evaluation)
+# per-row composite quadrature (for MC-scale batch evaluation)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_TILE = 1 << 14  # (row, node) entries per tile: the fused passes stay in cache
+
+
+def _tiled(fn, n_rows: int, n_cols: int) -> np.ndarray:
+    """fn(rows) over slices of about _TILE / n_cols rows, stacked along axis 0."""
+    step = max(1, _TILE // n_cols)
+    return np.concatenate([fn(slice(i, i + step)) for i in range(0, n_rows, step)])
 
 
 def composite_quad_batch(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    a,
+    b,
     *,
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
     init_panels: int = 8,
     max_doublings: int = 8,
 ) -> np.ndarray:
-    """Integrate a batch of smooth integrands over a finite interval.
+    """Integrate a batch of smooth integrands, row i over [a[i], b[i]].
 
-    ``fn(nodes, weights)`` takes the node and weight vectors of one rule,
-    both of shape (k,), and returns the weighted sums, of any shape; the
-    last level's sums are returned. Panels are doubled until the result
-    stabilizes, which suits the smooth decaying integrands produced by the
-    conditional-law machinery. Not adaptive per batch row by design: every
-    row sees the same nodes, so results do not depend on how rows are
-    batched together.
+    Each row's nodes are one reference composite Gauss-Legendre rule on
+    [0, 1] mapped onto its interval. ``fn(nodes, weights, rows)`` takes the
+    nodes of the rows in the index array ``rows``, shape (len(rows), k),
+    and the reference weights, shape (k,), and returns those rows' weighted
+    sums, shape (len(rows), p); they are scaled by the interval lengths
+    here. Panels double until a row's sums agree with the previous level's
+    to max(abs_tol, rel_tol * its largest |sum|); the row keeps that finer
+    level and leaves the batch. Rows reach ``fn`` in tiles of about _TILE
+    (row, node) entries. A row's result therefore depends on its own
+    integrand alone, bit for bit, as long as ``fn`` treats rows apart.
+    Returns shape (len(a), p).
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"invalid interval [{a}, {b}]")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ok = a.ndim == 1 and a.size > 0 and a.shape == b.shape
+    if not (ok and np.all(np.isfinite(a) & np.isfinite(b) & (a < b))):
+        raise DomainError("need finite intervals a[i] < b[i], given as non-empty 1-d arrays")
+    width = b - a
+    out, prev, todo = None, None, np.arange(a.size)
     panels = init_panels
-    prev = None
     for _ in range(max_doublings + 1):
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
+        edges = np.linspace(0.0, 1.0, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+        nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _GL_NODES).ravel()
         wts = (half[:, None] * _GL_WEIGHTS).ravel()
-        cur = np.asarray(fn(nodes, wts))
-        if prev is not None:
-            diff = float(np.max(np.abs(cur - prev)))
-            scale = float(np.max(np.abs(cur))) if np.ndim(cur) else abs(float(cur))
-            if diff <= max(abs_tol, rel_tol * scale):
-                return cur
+
+        def tile(sl):
+            r = todo[sl]
+            return fn(a[r, None] + width[r, None] * nodes, wts, r) * width[r, None]
+
+        cur = _tiled(tile, todo.size, nodes.size)
+        if prev is None:
+            out = np.empty((a.size, cur.shape[1]))
+        else:
+            diff = np.max(np.abs(cur - prev), axis=1)
+            done = diff <= np.maximum(abs_tol, rel_tol * np.max(np.abs(cur), axis=1))
+            out[todo[done]] = cur[done]
+            todo, cur = todo[~done], cur[~done]
+            if todo.size == 0:
+                return out
         prev = cur
         panels *= 2
     raise NumericError(
         "composite quadrature did not stabilize",
-        interval=(a, b),
+        rows=int(todo.size),
+        interval=(float(a[todo[0]]), float(b[todo[0]])),
         panels=panels // 2,
     )

@@ -5,8 +5,9 @@ Two independent routes produce the same law:
 * terminal-first (the default): draw the terminal value from its law, then
   walk the pinned bridge with the kernel's exact conditional steps;
 * markov-chain: walk the unpinned state forward; every step, the horizon
-  included, inverts the Markov transition law on one grid per path
-  (lattice kernels sum the transition masses).
+  included, inverts the Markov transition law on a grid per path, with
+  psi on the grids of all paths from one engine call (lattice kernels sum
+  the transition masses).
 
 The second route never touches the bridge conditionals or the terminal
 posterior, which is what makes the cross-validation tests between the two
@@ -210,16 +211,6 @@ _U_GRID = _sp.ndtr(np.linspace(-7.0, 7.0, 1025))
 _MASS_RTOL = 1e-3
 
 
-def _psi_per_path(spec, t, states) -> np.ndarray:
-    """psi_t on each row of ``states``, one engine call per row (path).
-
-    The engine picks its window per block (Brownian) and its Gauss-Jacobi
-    order per batch (gamma), so a batch mixing paths would let one path's
-    draws depend on the others.
-    """
-    return np.stack([_core.psi_total_many(spec, t, row) for row in states])
-
-
 def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     """Advance all paths from states x at time s to time t (t <= horizon).
 
@@ -235,7 +226,7 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     mass misses its share of psi_s by more than _MASS_RTOL of psi_s raises.
     """
     T, n, dt = spec.horizon, x_arr.size, t - s
-    psi_s = _psi_per_path(spec, s, x_arr[:, None])[:, 0]
+    psi_s = _core.psi_total_many(spec, s, x_arr)
     out, target = np.full(n, np.nan), psi_s
     if t == T and spec.terminal.atoms:
         with np.errstate(over="ignore"):
@@ -262,7 +253,10 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     width = np.diff(edges, axis=1)
     nodes = x[:, None] + spec.kernel.quantile(dt, 0.5 * (edges[:, 1:] + edges[:, :-1]))
     if t < T:
-        h = _psi_per_path(spec, t, nodes)
+        # one engine call for every path: each distinct state once, and the
+        # engine answers each state on its own
+        states, where = np.unique(nodes, return_inverse=True)
+        h = _core.psi_total_many(spec, t, states)[where.reshape(nodes.shape)]
     else:
         with np.errstate(divide="ignore", over="ignore"):
             lb = spec.kernel.log_density(T, nodes)

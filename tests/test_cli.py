@@ -222,12 +222,18 @@ def test_verify_subset_passes(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report[0]["check"] == "normalization"
     assert report[0]["pass"] is True
+    # the report carries the check's time, detail and per-part margins
+    assert report[0]["elapsed_s"] > 0.0
+    assert isinstance(report[0]["detail"], str)
+    parts = report[0]["parts"]
+    assert parts and max(parts.values()) == report[0]["statistic"]
 
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     def failing(seed=None):
         return CheckResult(
-            name="always_failing", statistic=1.0, threshold=0.5, passed=False
+            name="always_failing", statistic=1.0, threshold=0.5, passed=False,
+            detail="too far", parts=(("a", 1.0), ("b", 0.25)),
         )
 
     monkeypatch.setitem(checks.CHECKS, "always_failing", failing)
@@ -235,6 +241,9 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", "--config", cfg]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report[0]["pass"] is False
+    assert report[0]["detail"] == "too far"
+    assert report[0]["parts"] == {"a": 1.0, "b": 0.25}
+    assert report[0]["elapsed_s"] >= 0.0
 
 
 def test_verify_unknown_check_is_config_error(tmp_path):

@@ -213,6 +213,38 @@ def test_psi_cauchy_prior_matches_reference():
         assert abs(core.psi_total_many(spec, t, np.array([xi, 0.0]))[0] - want) <= 1e-9 * want
 
 
+ROW_LAWS = {
+    # rows differ in probe windows; Cauchy rows re-probe and stop at 128 to
+    # 1024 nodes; the sharp gamma prior stops rows at Jacobi orders 64 and
+    # 128; gamma states below the prior's 1e-16 quantile take the composite
+    # rule
+    "mixed": (mixed_spec, np.linspace(-40.0, 40.0, 33)),
+    "cauchy": (cauchy_spec, np.linspace(-6.0, 6.0, 13)),
+    "uniform": (
+        lambda: LRBSpec(BrownianKernel(), 1.0, TerminalLaw.uniform(-1.0, 2.0)),
+        np.linspace(-3.0, 4.0, 15),
+    ),
+    "gamma": (gamma_scaled_spec, np.concatenate([[1e-12, 1e-10], np.geomspace(1e-3, 200.0, 20)])),
+    "sharp_gamma": (
+        lambda: LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw.gamma(20.0, 0.1)),
+        np.geomspace(1e-3, 6.0, 20),
+    ),
+}
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("law", list(ROW_LAWS))
+def test_engine_rows_do_not_depend_on_the_batch(law, t):
+    # each state's psi and posterior mean equal those of a batch of one, bit for bit
+    make, xis = ROW_LAWS[law]
+    spec = make()
+    for fn in (core.psi_total_many, core.posterior_mean_many):
+        many = fn(spec, t, xis)
+        one = np.array([fn(spec, t, xis[i : i + 1])[0] for i in range(xis.size)])
+        assert np.array_equal(many, one)
+        assert np.array_equal(many[::-1], fn(spec, t, xis[::-1]))
+
+
 def _mixed_closed_form(t, xi):
     """(psi, posterior mean) of mixed_spec by Gaussian algebra in mpmath."""
     with mp.workdps(30):

@@ -309,12 +309,13 @@ def test_composite_quad_batch_matches_quad():
         lambda x: np.cos(x) * np.exp(-np.abs(x) / 3.0),
     ]
 
-    def rows(nodes):
-        return np.stack([f(nodes) for f in fns])
+    def rows(nodes, r):
+        return np.stack([fns[i](z) for i, z in zip(r, nodes)])
 
     got = numerics.composite_quad_batch(
-        lambda x, w: rows(x) @ w, -8.0, 8.0, abs_tol=1e-12, rel_tol=1e-12
-    )
+        lambda x, w, r: (rows(x, r) * w).sum(axis=1)[:, None],
+        np.full(2, -8.0), np.full(2, 8.0), abs_tol=1e-12, rel_tol=1e-12,
+    )[:, 0]
     for i, f in enumerate(fns):
         want, _ = sci_integrate.quad(f, -8.0, 8.0, epsabs=1e-13, epsrel=1e-13)
         assert abs(got[i] - want) < 1e-10
@@ -325,29 +326,33 @@ def test_composite_quad_batch_row_grouping_consistency():
     f = lambda x: np.exp(-(x**2))
     g = lambda x: 1.0 / (1.0 + x**2)
     tol = 1e-11
+    pick = lambda r, x: np.stack([(f, g)[i](z) for i, z in zip(r, x)])
     both = numerics.composite_quad_batch(
-        lambda x, w: np.stack([f(x), g(x)]) @ w, -6.0, 6.0, abs_tol=tol, rel_tol=tol
+        lambda x, w, r: pick(r, x) @ w[:, None], np.full(2, -6.0), np.full(2, 6.0),
+        abs_tol=tol, rel_tol=tol,
     )
     alone_f = numerics.composite_quad_batch(
-        lambda x, w: f(x)[None, :] @ w, -6.0, 6.0, abs_tol=tol, rel_tol=tol
+        lambda x, w, r: f(x) @ w[:, None], np.array([-6.0]), np.array([6.0]), abs_tol=tol, rel_tol=tol
     )
     alone_g = numerics.composite_quad_batch(
-        lambda x, w: g(x)[None, :] @ w, -6.0, 6.0, abs_tol=tol, rel_tol=tol
+        lambda x, w, r: g(x) @ w[:, None], np.array([-6.0]), np.array([6.0]), abs_tol=tol, rel_tol=tol
     )
-    assert abs(both[0] - alone_f[0]) < 50 * tol
-    assert abs(both[1] - alone_g[0]) < 50 * tol
+    assert abs(both[0, 0] - alone_f[0, 0]) < 50 * tol
+    assert abs(both[1, 0] - alone_g[0, 0]) < 50 * tol
 
 
 def test_composite_quad_batch_interval_validation():
+    fn = lambda x, w, r: x @ w[:, None]
     with pytest.raises(DomainError):
-        numerics.composite_quad_batch(lambda x, w: x @ w, 1.0, 1.0)
+        numerics.composite_quad_batch(fn, np.array([1.0]), np.array([1.0]))
     with pytest.raises(DomainError):
-        numerics.composite_quad_batch(lambda x, w: x @ w, 0.0, math.inf)
+        numerics.composite_quad_batch(fn, np.array([0.0]), np.array([math.inf]))
 
 
 def test_composite_quad_batch_reports_non_convergence():
     # one level is never enough to claim stabilization
     with pytest.raises(NumericError):
         numerics.composite_quad_batch(
-            lambda x, w: np.cos(40.0 * x)[None, :] @ w, 0.0, 10.0, init_panels=1, max_doublings=0
+            lambda x, w, r: np.cos(40.0 * x) @ w[:, None],
+            np.array([0.0]), np.array([10.0]), init_panels=1, max_doublings=0,
         )

@@ -8,7 +8,7 @@ import pytest
 from scipy import special, stats
 
 import levybridge
-from levybridge import checks, sampler
+from levybridge import checks, core, sampler
 from levybridge.checks import ks_critical_value
 from levybridge.core import LRBSpec
 from levybridge.errors import DomainError, NumericError
@@ -393,6 +393,26 @@ def test_paths_do_not_depend_on_the_batch(law, method, n):
     full = sampler.simulate_paths(spec, times, n, 31, method=method)
     for k in (1, n // 8, n - 1):
         assert np.array_equal(full[:k], sampler.simulate_paths(spec, times, k, 31, method=method))
+
+
+def test_markov_route_makes_one_engine_call_per_step(monkeypatch):
+    # psi_t on the grids of all paths is one engine call per step before the
+    # horizon, and psi_s at most one more per step, whatever the path count
+    real, calls = core.psi_total_many, []
+
+    def counted(spec, t, xis):
+        calls.append(t)
+        return real(spec, t, xis)
+
+    monkeypatch.setattr(core, "psi_total_many", counted)
+    times = [0.25, 0.5, 0.75, 1.0]
+    seen = []
+    for n in (1, 5, 24):
+        calls.clear()
+        sampler.simulate_paths(checks.brownian_mixed(), times, n, 9, method="markov")
+        assert len(calls) <= (len(times) - 1) + len(times)
+        seen.append(list(calls))
+    assert seen[0] == seen[1] == seen[2]
 
 
 @pytest.mark.parametrize("method", ["terminal_first", "markov"])
