@@ -8,7 +8,6 @@ that check the closed forms live in `checks` and the tests.
 """
 
 from .bridge import BridgeSpec, sample_path, transition_cdf
-from .checks import CHECKS, CheckResult, run_checks
 from .config import ScenarioConfig, parse_scenario, scenario_to_dict
 from .core import (
     LRBSpec,
@@ -62,6 +61,18 @@ from .sampler import (
 )
 
 __version__ = "0.1.0"
+
+# the check suite imports scipy.stats and scipy.integrate, so it loads on
+# first use of one of its names rather than with the package
+_CHECK_NAMES = ("CHECKS", "CheckResult", "run_checks")
+
+
+def __getattr__(name):
+    if name in _CHECK_NAMES:
+        from . import checks
+
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BridgeSpec",

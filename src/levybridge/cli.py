@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import checks as _checks
 from . import core as _core
 from . import pricing as _pricing
 from . import sampler as _sampler
@@ -187,6 +186,9 @@ def cmd_option(cfg: ScenarioConfig, out: str | None) -> int:
 
 
 def cmd_verify(cfg: ScenarioConfig, out: str | None) -> int:
+    # the check suite pulls in scipy.stats and scipy.integrate: load it only here
+    from . import checks as _checks
+
     block = _require(cfg.verify, "verify")
     # an empty list in the block selects the whole suite
     names = list(block.checks) or None

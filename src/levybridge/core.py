@@ -393,19 +393,41 @@ def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[
         with np.errstate(over="ignore"):
             out += _power_sums(np.exp(_atom_log_terms(spec, t, flat)), locs, powers)
     if spec.terminal.density is not None:
-        if isinstance(spec.kernel, BrownianKernel):
-            branch = _brownian_density_sums
-        elif isinstance(spec.kernel, GammaKernel):
-            branch = _gamma_density_sums
-        else:
-            raise UnsupportedKernelError(
-                f"no tilted-sum rule for a density under {type(spec.kernel).__name__}"
-            )
-        for start in range(0, flat.size, _CHUNK):
-            out[start : start + _CHUNK] += branch(spec, t, flat[start : start + _CHUNK], powers)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("tilted sums are not finite", t=t, states=(flat.min(), flat.max()))
+        out += _density_sums(spec, t, flat, powers)
+    _check_finite(out, t, flat)
     return {q: out[:, i].reshape(xis.shape) for i, q in enumerate(powers)}
+
+
+def _density_sums(spec: LRBSpec, t: float, flat: np.ndarray, powers) -> np.ndarray:
+    """The density part of `_tilted_sums` on a flat array of states, shape (n, len(powers))."""
+    if isinstance(spec.kernel, BrownianKernel):
+        branch = _brownian_density_sums
+    elif isinstance(spec.kernel, GammaKernel):
+        branch = _gamma_density_sums
+    else:
+        raise UnsupportedKernelError(
+            f"no tilted-sum rule for a density under {type(spec.kernel).__name__}"
+        )
+    out = np.empty((flat.size, len(powers)))
+    for start in range(0, flat.size, _CHUNK):
+        out[start : start + _CHUNK] = branch(spec, t, flat[start : start + _CHUNK], powers)
+    return out
+
+
+def _check_finite(sums: np.ndarray, t: float, flat: np.ndarray) -> None:
+    if not np.all(np.isfinite(sums)):
+        raise NumericError("tilted sums are not finite", t=t, states=(flat.min(), flat.max()))
+
+
+def _density_psi_many(spec: LRBSpec, t: float, xis: np.ndarray) -> np.ndarray:
+    """The density part of psi_t (0 < t < horizon) on a flat array of states.
+
+    The density branch of `_tilted_sums` on its own, with the same per-state
+    rule; `psi_total_many` adds the atom terms of `_atom_log_terms` to it.
+    """
+    out = _density_sums(spec, t, xis, (0,))
+    _check_finite(out, t, xis)
+    return out[:, 0]
 
 
 def psi_total_many(spec: LRBSpec, t: float, xis) -> np.ndarray:

@@ -5,9 +5,11 @@ Two independent routes produce the same law:
 * terminal-first (the default): draw the terminal value from its law, then
   walk the pinned bridge with the kernel's exact conditional steps;
 * markov-chain: walk the unpinned state forward; every step, the horizon
-  included, inverts the Markov transition law on a grid per path, with
-  psi on the grids of all paths from one engine call (lattice kernels sum
-  the transition masses).
+  included, inverts the Markov transition law on a grid per path. Before
+  the horizon, psi on the grids of all paths is the exact atom terms plus
+  the density part interpolated in log from a lattice k h_t, so the engine
+  sees a number of states that does not grow with the number of paths
+  (lattice kernels sum the transition masses).
 
 The second route never touches the bridge conditionals or the terminal
 posterior, which is what makes the cross-validation tests between the two
@@ -210,6 +212,147 @@ def sample_lrb_terminal_first(spec: _core.LRBSpec, times, rng) -> SamplePath:
 _U_GRID = _sp.ndtr(np.linspace(-7.0, 7.0, 1025))
 _MASS_RTOL = 1e-3
 
+# Before the horizon the density part of psi_t is read off the lattice k h_t,
+# h_t = _LATTICE_STEP standard deviations of the kernel's increment over
+# T - t: log psi_t is interpolated at a state y by the 6-point Lagrange
+# stencil k0 - 2, ..., k0 + 3 around k0 = floor(y / h_t), whose barycentric
+# weights 1 / prod_{m != j} (j - m) are _BARY.
+_LATTICE_STEP = 0.02
+_STENCIL = np.arange(-2, 4)
+_BARY = np.array([-1.0 / 120, 1.0 / 24, -1.0 / 12, 1.0 / 12, -1.0 / 24, 1.0 / 120])
+_NODE_TILE = 1 << 13  # nodes per tile of the per-node lattice work: its arrays stay in cache
+
+
+def _cells(kernel: Kernel, dt: float, x: np.ndarray, u_jump: np.ndarray):
+    """Cell edges in u, shape (n, c + 1), and the states at the cell midpoints, shape (n, c).
+
+    Every row shares the cells of _U_GRID, whose midpoints go through the
+    kernel's quantile once. A row's jump edges (the columns of ``u_jump``)
+    split cells, and only the split cells take quantiles of their own.
+    """
+    grid = _U_GRID
+    mid = kernel.quantile(dt, 0.5 * (grid[1:] + grid[:-1]))
+    edges = np.broadcast_to(grid, (x.size, grid.size))
+    if u_jump.shape[1] == 0:
+        return edges, x[:, None] + mid
+    both = np.hstack([edges, np.clip(u_jump, grid[0], grid[-1])])
+    order = np.argsort(both, axis=1, kind="stable")
+    edges = np.take_along_axis(both, order, axis=1)
+    jump = order >= grid.size
+    # an unsplit cell c is shared cell c minus the jump edges left of it
+    split = jump[:, :-1] | jump[:, 1:]
+    shared = np.arange(split.shape[1]) - np.cumsum(jump, axis=1)[:, :-1]
+    w = mid[np.clip(shared, 0, mid.size - 1)]
+    r, c = np.nonzero(split)
+    w[r, c] = kernel.quantile(dt, 0.5 * (edges[r, c + 1] + edges[r, c]))
+    return edges, x[:, None] + w
+
+
+def _kinks(spec) -> list[float]:
+    """States where the density part of psi_t is not smooth.
+
+    The kernel's support edge and, under a subordinator (psi_t integrates the
+    prior over z >= xi), the prior's finite edges and breakpoints.
+    """
+    pts = list(spec.kernel.increment_support(spec.horizon))
+    if spec.kernel.nondecreasing:
+        d = spec.terminal.density
+        pts += [d.lower, *d.breakpoints, d.upper]
+    return [b for b in pts if math.isfinite(b)]
+
+
+def _lattice_density_psi(spec, t: float, y: np.ndarray) -> np.ndarray:
+    """The density part of psi_t (t < horizon) at the flat array of states y.
+
+    One engine call answers the lattice points that the stencils touch and
+    the nodes evaluated directly: those whose stencil reaches a kink (see
+    `_kinks`). Past a subordinator's finite upper prior edge the density part
+    is 0. The engine answers each state on its own, and a node's stencil and
+    weights depend on the node alone, so every value is independent of the
+    batch. The lattice is a dense array indexed by offset from its smallest
+    k, and the per-node work runs in tiles of _NODE_TILE nodes.
+    """
+    h = _LATTICE_STEP * math.sqrt(spec.kernel.variance(spec.horizon - t))
+    kinks = _kinks(spec)
+    top = spec.terminal.density.upper if spec.kernel.nondecreasing else math.inf
+
+    def stencils(sl):
+        # floor(y / h) of the nodes in sl, and which of them interpolate
+        k0 = np.floor(y[sl] / h)
+        lo, hi = (k0 - 2.0) * h, (k0 + 3.0) * h
+        near = np.zeros(k0.size, dtype=bool)
+        for b in kinks:
+            near |= (lo <= b) & (b <= hi)
+        return k0, near, ~near & (lo <= top)
+
+    tiles = [slice(i, i + _NODE_TILE) for i in range(0, y.size, _NODE_TILE)]
+    kmin = int(np.floor(y.min() / h)) - 2  # lattice point k sits at offset k - kmin
+    starts = np.zeros(int(np.floor(y.max() / h)) + 4 - kmin, dtype=bool)
+    direct = np.zeros(y.size, dtype=bool)
+    for sl in tiles:
+        k0, direct[sl], interp = stencils(sl)
+        starts[k0[interp].astype(np.int64) - (kmin + 2)] = True
+    touched = starts.copy()
+    for j in range(1, _STENCIL.size):
+        touched[j:] |= starts[:-j]
+    offsets = np.flatnonzero(touched)
+    states, inverse = np.unique(y[direct], return_inverse=True)
+    psi = _core._density_psi_many(spec, t, np.concatenate([(kmin + offsets) * h, states]))
+    lattice = psi[: offsets.size]
+    if not np.all(lattice > 0.0):
+        i = int(np.argmin(lattice))
+        raise NumericError(
+            "markov step: psi underflows on the lattice", t=t, state=float((kmin + offsets[i]) * h)
+        )
+    log_psi = np.zeros(touched.size)
+    log_psi[offsets] = np.log(lattice)
+    out = np.zeros(y.size)
+    out[direct] = psi[offsets.size :][inverse]
+    for sl in tiles:
+        k0, _, interp = stencils(sl)
+        k0 = k0[interp]
+        base = k0.astype(np.int64) - (kmin + 2)
+        out[sl][interp] = np.exp(_stencil_sum(y[sl][interp] / h - k0, base, log_psi))
+    return out
+
+
+def _stencil_sum(theta: np.ndarray, base: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum_j L_j(theta) f[base + j], with L_j the Lagrange basis of the stencil.
+
+    L_j = _BARY[j] prod_{m != j} (theta - _STENCIL[m]): prefix products are
+    kept, suffix products built on the way down. Each node's terms are
+    summed in one fixed order, elementwise, so its value does not depend on
+    the other nodes.
+    """
+    left = [1.0]
+    for m in _STENCIL[:-1]:
+        left.append(left[-1] * (theta - m))
+    acc, right = 0.0, 1.0
+    for j in range(_STENCIL.size - 1, -1, -1):
+        acc = acc + (_BARY[j] * left[j] * right) * f[base + j]
+        right = right * (theta - _STENCIL[j])
+    return acc
+
+
+def _psi_on_nodes(spec, t: float, nodes: np.ndarray) -> np.ndarray:
+    """psi_t (t < horizon) at the grid states of all paths, one engine call.
+
+    The density part comes from `_lattice_density_psi`; the atom terms are
+    summed exactly at each node, so their kinks never enter a stencil.
+    """
+    flat = nodes.ravel()
+    if spec.terminal.density is not None:
+        out = _lattice_density_psi(spec, t, flat)
+    else:
+        out = np.zeros(flat.size)
+    if spec.terminal.atoms:
+        with np.errstate(over="ignore"):
+            for lo in range(0, flat.size, _NODE_TILE):
+                sl = slice(lo, lo + _NODE_TILE)
+                out[sl] += np.sum(np.exp(_core._atom_log_terms(spec, t, flat[sl])), axis=-1)
+    _core._check_finite(out, t, flat)
+    return out.reshape(nodes.shape)
+
 
 def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     """Advance all paths from states x at time s to time t (t <= horizon).
@@ -220,10 +363,13 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     psi_s(x) in u before the horizon. At the horizon a path first picks an
     atom, with odds from the atom terms of psi_s, or the density part, whose
     density in u is p(x + w) / f(T, x + w) / psi_s(x).
-    The density is taken constant on each cell at its midpoint; states where
-    it can jump (atoms under a subordinator before the horizon, the
-    density's finite edges at it) are extra cell edges. A row whose grid
-    mass misses its share of psi_s by more than _MASS_RTOL of psi_s raises.
+    The density is taken constant on each cell at its midpoint (see
+    `_cells`); states where it can jump (atoms under a subordinator before
+    the horizon, the density's finite edges at it) are extra cell edges.
+    Before the horizon psi_t at the midpoints comes from `_psi_on_nodes`,
+    whose engine cost does not grow with the number of paths. A row whose
+    grid mass misses its share of a directly evaluated psi_s by more than
+    _MASS_RTOL of psi_s raises.
     """
     T, n, dt = spec.horizon, x_arr.size, t - s
     psi_s = _core.psi_total_many(spec, s, x_arr)
@@ -248,21 +394,17 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     else:
         jumps = [b for b in (d.lower, *d.breakpoints, d.upper) if math.isfinite(b)]
     u_jump = spec.kernel.cdf(dt, np.asarray(jumps)[None, :] - x[:, None])
-    edges = np.broadcast_to(_U_GRID, (x.size, _U_GRID.size))
-    edges = np.sort(np.hstack([edges, np.clip(u_jump, _U_GRID[0], _U_GRID[-1])]), axis=1)
+    edges, nodes = _cells(spec.kernel, dt, x, u_jump)
     width = np.diff(edges, axis=1)
-    nodes = x[:, None] + spec.kernel.quantile(dt, 0.5 * (edges[:, 1:] + edges[:, :-1]))
     if t < T:
-        # one engine call for every path: each distinct state once, and the
-        # engine answers each state on its own
-        states, where = np.unique(nodes, return_inverse=True)
-        h = _core.psi_total_many(spec, t, states)[where.reshape(nodes.shape)]
+        h = _psi_on_nodes(spec, t, nodes)
     else:
         with np.errstate(divide="ignore", over="ignore"):
             lb = spec.kernel.log_density(T, nodes)
             lb_ok = np.isfinite(lb)
             h = np.where(lb_ok, np.exp(d.logpdf(nodes) - np.where(lb_ok, lb, 0.0)), 0.0)
-    cdf = np.hstack([np.zeros((x.size, 1)), np.cumsum(h * width, axis=1)])
+    cdf = np.zeros((x.size, width.shape[1] + 1))
+    np.cumsum(np.multiply(h, width, out=h), axis=1, out=cdf[:, 1:])
     miss = np.abs(cdf[:, -1] - target[rows]) / psi_s[rows]
     if not np.all(miss <= _MASS_RTOL):
         i = int(np.argmax(np.nan_to_num(miss, nan=np.inf)))

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import levybridge
 from levybridge import checks, cli, core
 from levybridge.checks import CheckResult
 from levybridge.errors import NumericError
@@ -288,3 +292,34 @@ def test_no_arguments_exits_one(capsys):
 def test_unknown_command_exits_one(capsys):
     assert cli.main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_check_suite_loads_only_when_used(tmp_path):
+    # the check suite brings in scipy.stats: neither the package import nor a
+    # price request may load it, while its names stay reachable
+    cfg = write(tmp_path, binary_scenario(price={"points": [[0.5, 0.25]]}))
+    code = (
+        "import sys, json, contextlib, io\n"
+        "heavy = ('levybridge.checks', 'scipy.stats')\n"
+        "import levybridge\n"
+        "from levybridge import cli\n"
+        "loaded = [sorted(m for m in heavy if m in sys.modules)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['price', '--config', {cfg!r}]) == 0\n"
+        "loaded.append(sorted(m for m in heavy if m in sys.modules))\n"
+        "names = {}\n"
+        "exec('from levybridge import *', names)\n"
+        "assert names['run_checks'] is levybridge.run_checks\n"
+        "assert 'normalization' in levybridge.CHECKS and levybridge.CheckResult\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = os.path.dirname(os.path.dirname(levybridge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]

@@ -396,23 +396,89 @@ def test_paths_do_not_depend_on_the_batch(law, method, n):
 
 
 def test_markov_route_makes_one_engine_call_per_step(monkeypatch):
-    # psi_t on the grids of all paths is one engine call per step before the
-    # horizon, and psi_s at most one more per step, whatever the path count
-    real, calls = core.psi_total_many, []
+    # a step before the horizon makes one engine call for psi_s and one for
+    # the density part of psi_t on the grids of all paths (its lattice), so
+    # the states the engine receives barely grow with the path count; the
+    # horizon step needs psi_s alone
+    calls = []
+    for name in ("psi_total_many", "_density_psi_many"):
+        def counted(spec, t, xis, real=getattr(core, name), name=name):
+            calls.append((name, float(t), np.size(xis)))
+            return real(spec, t, xis)
 
-    def counted(spec, t, xis):
-        calls.append(t)
-        return real(spec, t, xis)
+        monkeypatch.setattr(core, name, counted)
+    real_step = sampler._markov_step_continuous
 
-    monkeypatch.setattr(core, "psi_total_many", counted)
+    def step(*args, **kwargs):
+        calls.append(None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "_markov_step_continuous", step)
     times = [0.25, 0.5, 0.75, 1.0]
-    seen = []
-    for n in (1, 5, 24):
+    seen, states = [], []
+    for n in (1, 5, 24, 240):
         calls.clear()
         sampler.simulate_paths(checks.brownian_mixed(), times, n, 9, method="markov")
-        assert len(calls) <= (len(times) - 1) + len(times)
-        seen.append(list(calls))
-    assert seen[0] == seen[1] == seen[2]
+        engine = [c for c in calls if c is not None]
+        assert len(engine) <= (len(times) - 1) + len(times)
+        seen.append([c[:2] for c in engine])
+        per_step = np.cumsum([c is None for c in calls])
+        states.append([sum(c[2] for c, k in zip(calls, per_step) if c is not None and k == j)
+                       for j in range(1, len(times))])
+    assert seen[0] == seen[1] == seen[2] == seen[3]
+    assert all(big <= 2 * small for big, small in zip(states[3], states[2]))
+
+
+def _record_psi_on_nodes(monkeypatch):
+    """Every (spec, t, nodes, psi) the Markov steps read psi_t from."""
+    real, seen = sampler._psi_on_nodes, []
+
+    def recorded(spec, t, nodes):
+        psi = real(spec, t, nodes)
+        seen.append((spec, t, nodes.copy(), psi.copy()))
+        return psi
+
+    monkeypatch.setattr(sampler, "_psi_on_nodes", recorded)
+    return seen
+
+
+def _assert_lattice_matches_engine(seen, rtol=1e-9):
+    assert seen
+    for spec, t, nodes, psi in seen:
+        direct = core.psi_total_many(spec, t, nodes)
+        worst = float(np.max(np.abs(psi - direct) / direct))
+        assert worst <= rtol, (t, worst)
+
+
+def test_lattice_psi_matches_the_engine_on_the_bench_markov_calls(monkeypatch):
+    # the mixed-law Markov call of the benchmark's paths workload (16 paths on
+    # the grid 0.25, 0.5, 0.75, 1) at workload seeds 201-210: its seed is the
+    # twelfth word of SeedSequence(workload seed)
+    seen = _record_psi_on_nodes(monkeypatch)
+    spec = checks.brownian_mixed()
+    for bench_seed in range(201, 211):
+        seed = int(np.random.SeedSequence(bench_seed).generate_state(12)[11])
+        sampler.simulate_paths(spec, [0.25, 0.5, 0.75, 1.0], 16, seed, method="markov")
+    assert len(seen) == 30
+    _assert_lattice_matches_engine(seen)
+
+
+@pytest.mark.parametrize("make_spec", [drift_spec, gamma_scaled_spec, checks.brownian_mixed])
+def test_lattice_psi_matches_the_engine_on_the_markov_test_specs(monkeypatch, make_spec):
+    seen = _record_psi_on_nodes(monkeypatch)
+    for times, seed in (([0.25, 0.5, 0.75, 1.0], 61), ([0.5, 0.9, 0.99, 1.0], 62)):
+        sampler.simulate_paths(make_spec(), times, 24, seed, method="markov")
+    _assert_lattice_matches_engine(seen)
+
+
+def test_lattice_psi_next_to_the_gamma_support_edge():
+    # stencils that would cross 0 go to the engine directly; the nodes just
+    # past them interpolate from lattice points above 0
+    spec = gamma_scaled_spec()
+    nodes = np.concatenate([np.geomspace(1e-24, 0.3, 400), np.linspace(0.0, 0.3, 301)])
+    for t in (0.25, 0.5, 0.75, 0.95):
+        psi = sampler._psi_on_nodes(spec, t, nodes[None, :])
+        _assert_lattice_matches_engine([(spec, t, nodes, psi[0])])
 
 
 @pytest.mark.parametrize("method", ["terminal_first", "markov"])
