@@ -7,9 +7,12 @@ Two independent routes produce the same law:
 * markov-chain: walk the unpinned state forward; every step, the horizon
   included, inverts the Markov transition law on a grid per path. Before
   the horizon, psi on the grids of all paths is the exact atom terms plus
-  the density part interpolated in log from a lattice k h_t, so the engine
-  sees a number of states that does not grow with the number of paths
-  (lattice kernels sum the transition masses).
+  the density part interpolated in log from a lattice k h_t (lattice
+  kernels sum the transition masses). The engine never gets more than
+  three states per grid node. When h_t is comparable to the grid spacing
+  (dt / (T - t) small) and the paths' grids overlap, as on the Brownian
+  laws a few steps from the horizon, its states barely grow with the
+  number of paths; elsewhere the lattice gains less or is not used.
 
 The second route never touches the bridge conditionals or the terminal
 posterior, which is what makes the cross-validation tests between the two
@@ -221,6 +224,8 @@ _LATTICE_STEP = 0.02
 _STENCIL = np.arange(-2, 4)
 _BARY = np.array([-1.0 / 120, 1.0 / 24, -1.0 / 12, 1.0 / 12, -1.0 / 24, 1.0 / 120])
 _NODE_TILE = 1 << 13  # nodes per tile of the per-node lattice work: its arrays stay in cache
+_DENSE_SPAN = 8  # longest dense lattice index, in multiples of the number of nodes
+_ROW_COST = 3  # most engine states per node of a row that reads the lattice
 
 
 def _cells(kernel: Kernel, dt: float, x: np.ndarray, u_jump: np.ndarray):
@@ -261,63 +266,90 @@ def _kinks(spec) -> list[float]:
     return [b for b in pts if math.isfinite(b)]
 
 
-def _lattice_density_psi(spec, t: float, y: np.ndarray) -> np.ndarray:
-    """The density part of psi_t (t < horizon) at the flat array of states y.
+def _lattice_density_psi(spec, t: float, nodes: np.ndarray) -> np.ndarray:
+    """The density part of psi_t (t < horizon) at the grid states ``nodes``, one row per path.
 
     One engine call answers the lattice points that the stencils touch and
-    the nodes evaluated directly: those whose stencil reaches a kink (see
-    `_kinks`). Past a subordinator's finite upper prior edge the density part
-    is 0. The engine answers each state on its own, and a node's stencil and
-    weights depend on the node alone, so every value is independent of the
-    batch. The lattice is a dense array indexed by offset from its smallest
-    k, and the per-node work runs in tiles of _NODE_TILE nodes.
+    the nodes evaluated directly. Those are the nodes whose stencil reaches
+    a kink (see `_kinks`), and every node of a row whose stencils would
+    touch more than _ROW_COST lattice points per node, counting its nodes
+    next to a kink. A row touches that many when h_t is small against the
+    spacing of its grid, i.e. when dt / (T - t) is large (above about 19 on
+    a Brownian kernel, where the row costs 0.68 sqrt(dt / (T - t)) points
+    per node). So the engine never gets more than _ROW_COST states per node;
+    it gets far fewer only where the rows of many paths overlap on the
+    lattice. Past a subordinator's finite upper prior edge the density part
+    is 0. The engine answers each state on its own, and a node's route,
+    stencil and weights depend on its row alone, so every value is
+    independent of the batch.
+
+    The touched lattice points are marked in a dense array indexed by
+    offset from their smallest k or, when that would be longer than
+    _DENSE_SPAN times the number of nodes, listed in a sorted array. The
+    per-node work runs in tiles of _NODE_TILE nodes.
     """
     h = _LATTICE_STEP * math.sqrt(spec.kernel.variance(spec.horizon - t))
     kinks = _kinks(spec)
     top = spec.terminal.density.upper if spec.kernel.nondecreasing else math.inf
-
-    def stencils(sl):
-        # floor(y / h) of the nodes in sl, and which of them interpolate
-        k0 = np.floor(y[sl] / h)
-        lo, hi = (k0 - 2.0) * h, (k0 + 3.0) * h
-        near = np.zeros(k0.size, dtype=bool)
-        for b in kinks:
-            near |= (lo <= b) & (b <= hi)
-        return k0, near, ~near & (lo <= top)
-
+    rows, cols = nodes.shape
+    y = nodes.ravel()
     tiles = [slice(i, i + _NODE_TILE) for i in range(0, y.size, _NODE_TILE)]
-    kmin = int(np.floor(y.min() / h)) - 2  # lattice point k sits at offset k - kmin
-    starts = np.zeros(int(np.floor(y.max() / h)) + 4 - kmin, dtype=bool)
+    k0 = np.empty(y.size)  # floor(y / h): the stencil of a node is k0 - 2, ..., k0 + 3
     direct = np.zeros(y.size, dtype=bool)
+    interp = np.zeros(y.size, dtype=bool)
     for sl in tiles:
-        k0, direct[sl], interp = stencils(sl)
-        starts[k0[interp].astype(np.int64) - (kmin + 2)] = True
-    touched = starts.copy()
-    for j in range(1, _STENCIL.size):
-        touched[j:] |= starts[:-j]
-    offsets = np.flatnonzero(touched)
+        k = np.floor(y[sl] / h)
+        lo, hi = (k - 2.0) * h, (k + 3.0) * h
+        for b in kinks:
+            direct[sl] |= (lo <= b) & (b <= hi)
+        interp[sl] = ~direct[sl] & (lo <= top)
+        k0[sl] = k
+    # the lattice points a row's stencils touch (exact on a sorted row) and its direct nodes
+    by_row = k0.reshape(rows, cols)
+    cost = np.minimum(np.abs(np.diff(by_row, axis=1)), _STENCIL.size).sum(axis=1) + _STENCIL.size
+    cost += direct.reshape(rows, cols).sum(axis=1)
+    own = (cost > _ROW_COST * cols) | (np.abs(by_row).max(axis=1) > 2.0**62)  # k0 must fit int64
+    direct.reshape(rows, cols)[own] = True
+    interp.reshape(rows, cols)[own] = False
+
+    ki = k0[interp].astype(np.int64)
+    dense = ki.size > 0 and np.ptp(ki) + _STENCIL.size <= _DENSE_SPAN * y.size
+    if dense:
+        kmin = int(ki.min()) + int(_STENCIL[0])  # lattice point k sits at offset k - kmin
+        starts = np.zeros(int(np.ptp(ki)) + _STENCIL.size, dtype=bool)
+        starts[ki - ki.min()] = True  # first stencil points
+        touched = starts.copy()
+        for j in range(1, _STENCIL.size):
+            touched[j:] |= starts[:-j]
+        points = kmin + np.flatnonzero(touched)
+    else:
+        points = np.unique(np.add.outer(np.unique(ki), _STENCIL))
     states, inverse = np.unique(y[direct], return_inverse=True)
-    psi = _core._density_psi_many(spec, t, np.concatenate([(kmin + offsets) * h, states]))
-    lattice = psi[: offsets.size]
+    query = np.concatenate([points * h, states])
+    psi = _core._density_psi_many(spec, t, query) if query.size else query
+    lattice = psi[: points.size]
     if not np.all(lattice > 0.0):
         i = int(np.argmin(lattice))
         raise NumericError(
-            "markov step: psi underflows on the lattice", t=t, state=float((kmin + offsets[i]) * h)
+            "markov step: psi underflows on the lattice", t=t, state=float(points[i] * h)
         )
-    log_psi = np.zeros(touched.size)
-    log_psi[offsets] = np.log(lattice)
+    if dense:
+        log_psi, at = np.zeros(touched.size), lambda k: k - kmin
+        log_psi[points - kmin] = np.log(lattice)
+    else:
+        log_psi, at = np.log(lattice), lambda k: np.searchsorted(points, k)
     out = np.zeros(y.size)
-    out[direct] = psi[offsets.size :][inverse]
+    out[direct] = psi[points.size :][inverse]
     for sl in tiles:
-        k0, _, interp = stencils(sl)
-        k0 = k0[interp]
-        base = k0.astype(np.int64) - (kmin + 2)
-        out[sl][interp] = np.exp(_stencil_sum(y[sl][interp] / h - k0, base, log_psi))
+        sel = interp[sl]
+        k = k0[sl][sel].astype(np.int64)
+        f = [log_psi[at(k + m)] for m in _STENCIL]
+        out[sl][sel] = np.exp(_stencil_sum(y[sl][sel] / h - k, f))
     return out
 
 
-def _stencil_sum(theta: np.ndarray, base: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sum_j L_j(theta) f[base + j], with L_j the Lagrange basis of the stencil.
+def _stencil_sum(theta: np.ndarray, f: list[np.ndarray]) -> np.ndarray:
+    """sum_j L_j(theta) f[j], with L_j the Lagrange basis of the stencil.
 
     L_j = _BARY[j] prod_{m != j} (theta - _STENCIL[m]): prefix products are
     kept, suffix products built on the way down. Each node's terms are
@@ -329,7 +361,7 @@ def _stencil_sum(theta: np.ndarray, base: np.ndarray, f: np.ndarray) -> np.ndarr
         left.append(left[-1] * (theta - m))
     acc, right = 0.0, 1.0
     for j in range(_STENCIL.size - 1, -1, -1):
-        acc = acc + (_BARY[j] * left[j] * right) * f[base + j]
+        acc = acc + (_BARY[j] * left[j] * right) * f[j]
         right = right * (theta - _STENCIL[j])
     return acc
 
@@ -342,7 +374,7 @@ def _psi_on_nodes(spec, t: float, nodes: np.ndarray) -> np.ndarray:
     """
     flat = nodes.ravel()
     if spec.terminal.density is not None:
-        out = _lattice_density_psi(spec, t, flat)
+        out = _lattice_density_psi(spec, t, nodes)
     else:
         out = np.zeros(flat.size)
     if spec.terminal.atoms:
@@ -367,7 +399,8 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     `_cells`); states where it can jump (atoms under a subordinator before
     the horizon, the density's finite edges at it) are extra cell edges.
     Before the horizon psi_t at the midpoints comes from `_psi_on_nodes`,
-    whose engine cost does not grow with the number of paths. A row whose
+    whose engine cost stops growing with the number of paths only where
+    their grids overlap on the lattice (see `_lattice_density_psi`). A row whose
     grid mass misses its share of a directly evaluated psi_s by more than
     _MASS_RTOL of psi_s raises.
     """
@@ -403,8 +436,7 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
             lb = spec.kernel.log_density(T, nodes)
             lb_ok = np.isfinite(lb)
             h = np.where(lb_ok, np.exp(d.logpdf(nodes) - np.where(lb_ok, lb, 0.0)), 0.0)
-    cdf = np.zeros((x.size, width.shape[1] + 1))
-    np.cumsum(np.multiply(h, width, out=h), axis=1, out=cdf[:, 1:])
+    cdf = np.hstack([np.zeros((x.size, 1)), np.cumsum(h * width, axis=1)])
     miss = np.abs(cdf[:, -1] - target[rows]) / psi_s[rows]
     if not np.all(miss <= _MASS_RTOL):
         i = int(np.argmax(np.nan_to_num(miss, nan=np.inf)))

@@ -481,6 +481,45 @@ def test_lattice_psi_next_to_the_gamma_support_edge():
         _assert_lattice_matches_engine([(spec, t, nodes, psi[0])])
 
 
+@pytest.mark.parametrize("times", [[0.5, 1 - 1e-6, 1.0], [0.5, 1 - 2e-6, 1 - 1e-6, 1.0]])
+def test_lattice_never_sends_the_engine_more_states_than_nodes(monkeypatch, times):
+    # near the horizon h_t is far below the grid spacing of a long step, whose
+    # stencils would not overlap: its rows go to the engine node by node; a
+    # short step there reads the lattice, spread over many h_t
+    seen, sizes, real = _record_psi_on_nodes(monkeypatch), [], core._density_psi_many
+
+    def counted(spec, t, xis):
+        sizes.append(np.size(xis))
+        return real(spec, t, xis)
+
+    monkeypatch.setattr(core, "_density_psi_many", counted)
+    n = 16
+    sampler.simulate_paths(drift_spec(), times, n, 9, method="markov")
+    assert len(sizes) == len(times) - 1
+    assert all(k <= n * 1025 for k in sizes), sizes
+    _assert_lattice_matches_engine(seen)
+
+
+def test_lattice_values_depend_on_the_row_alone(monkeypatch):
+    # a row's psi is the same bit for bit alone and in a batch, and whether
+    # the touched lattice points are indexed densely or by a sorted array
+    real = sampler._psi_on_nodes
+    seen = _record_psi_on_nodes(monkeypatch)
+    for make_spec, times in (
+        (checks.brownian_mixed, [0.25, 0.5, 0.75, 1.0]),
+        (gamma_scaled_spec, [0.5, 0.9, 0.99, 1.0]),
+        (drift_spec, [0.5, 1 - 2e-6, 1 - 1e-6, 1.0]),
+    ):
+        sampler.simulate_paths(make_spec(), times, 8, 5, method="markov")
+    assert len(seen) == 9
+    for spec, t, nodes, psi in seen:
+        for i in range(nodes.shape[0]):
+            assert np.array_equal(real(spec, t, nodes[i : i + 1]), psi[i : i + 1])
+    monkeypatch.setattr(sampler, "_DENSE_SPAN", 0)
+    for spec, t, nodes, psi in seen:
+        assert np.array_equal(real(spec, t, nodes), psi)
+
+
 @pytest.mark.parametrize("method", ["terminal_first", "markov"])
 def test_generator_entry_points_run_the_seeded_route(method):
     spec, times = checks.brownian_mixed(), [0.5, 1.0]
