@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sci_integrate
+from scipy import special as _sp
 from scipy import stats as _sci_stats
 
 from . import bridge as _bridge
@@ -91,10 +92,12 @@ def gamma_atomic() -> _core.LRBSpec:
     )
 
 
+GAMMA_PRICING_M, GAMMA_PRICING_KAPPA = 3.0, 1.3
+
+
 def gamma_pricing() -> _core.LRBSpec:
-    return _core.LRBSpec(
-        kernel=GammaKernel(3.0), horizon=1.0, terminal=TerminalLaw.gamma(3.0, 1.3)
-    )
+    m, kappa = GAMMA_PRICING_M, GAMMA_PRICING_KAPPA
+    return _core.LRBSpec(kernel=GammaKernel(m), horizon=1.0, terminal=TerminalLaw.gamma(m, kappa))
 
 
 def poisson_atomic() -> _core.LRBSpec:
@@ -424,7 +427,8 @@ def check_binary_option(seed: int = 707) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 10. gamma-kernel call: regularized-beta form vs quadrature vs Monte Carlo
+# 10. gamma-kernel call: regularized-beta form vs the marginal closed form,
+# quadrature and Monte Carlo
 
 
 def check_gamma_option(seed: int = 808) -> CheckResult:
@@ -436,6 +440,14 @@ def check_gamma_option(seed: int = 808) -> CheckResult:
     closed = _pricing.call_price(spec, curve, call, boundary=boundary)
     quad = _quadrature_call_price(spec, curve, call, boundary)
     margins["quadrature vs closed"] = abs(quad - closed) / 1e-6
+    # the terminal law is the kernel's own at the horizon, so xi_t is
+    # Gamma(m t, kappa), the price is xi + m (T - t) kappa and the call is
+    # a kappa Q(a + 1, x0 / kappa) - x0 Q(a, x0 / kappa), a = m t,
+    # x0 = K - m (T - t) kappa
+    m, kappa = GAMMA_PRICING_M, GAMMA_PRICING_KAPPA
+    a, x0 = m * call.maturity, call.strike - m * (spec.horizon - call.maturity) * kappa
+    marginal = float(a * kappa * _sp.gammaincc(a + 1.0, x0 / kappa) - x0 * _sp.gammaincc(a, x0 / kappa))
+    margins["marginal closed form vs closed"] = abs(marginal - closed) / 1e-10
 
     n = 100_000
     xi = _sampler.sample_marginals(spec, [call.maturity], n, _rng(seed, 0))[:, 0]
@@ -446,7 +458,8 @@ def check_gamma_option(seed: int = 808) -> CheckResult:
     return _verdict(
         "gamma_option",
         margins,
-        f"closed {closed:.12g}, quadrature {quad:.12g}, mc mean {float(np.mean(payoff)):.12g}",
+        f"closed {closed:.12g}, marginal closed form {marginal:.12g}, quadrature {quad:.12g}, "
+        f"mc mean {float(np.mean(payoff)):.12g}",
     )
 
 

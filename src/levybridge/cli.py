@@ -179,7 +179,11 @@ def cmd_option(cfg: ScenarioConfig, out: str | None) -> int:
         "xi": call.xi,
         "method": block.method,
         "price": value,
-        "boundary": {"kind": boundary.kind, "threshold": boundary.threshold},
+        "boundary": {
+            "kind": boundary.kind,
+            "threshold": boundary.threshold,
+            "evaluations": boundary.evaluations,
+        },
     }
     _emit(dumps17(record) + "\n", out)
     return 0

@@ -13,7 +13,7 @@ every posterior functional comes from one engine, `_tilted_sums`, which
 evaluates the z^q-weighted aggregate state by state: each state's window,
 nodes and stopping rule depend on that state alone, so its values do not
 change with the batch it comes in (a scalar call is a batch of one); prior
-moments at t = 0 use quadrature.
+moments at t = 0 use the double-exponential rule of `numerics.density_sums`.
 Sampling lives in `sampler`.
 """
 
@@ -316,10 +316,14 @@ def _gamma_density_sums(spec, t, xis, powers):
 def _power_sums(g, z, powers) -> np.ndarray:
     """Columns q of sum over the last axis of g * z^q, one product per power.
 
+    A power may also be a node function, h(z) elementwise, in place of z^q.
     Plain sums rather than matrix products: numpy sums each row on its own,
     so a row's value does not depend on how many rows share the array.
     """
-    return np.stack([np.sum(g if q == 0 else g * z**q, axis=-1) for q in powers], axis=-1)
+    return np.stack(
+        [np.sum(g if q == 0 else g * (q(z) if callable(q) else z**q), axis=-1) for q in powers],
+        axis=-1,
+    )
 
 
 def _gamma_spans(log_g, xg, a, q, width):
@@ -379,10 +383,11 @@ def _plain_tilted(log_g, xg, w0, W, a, powers):
 def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
     """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over xi.
 
-    Every state is answered on its own: its own probe window and stopping
-    level (Brownian) or Jacobi order (gamma), and sums taken row by row, so
-    a state's values do not depend on the other states of the call, bit for
-    bit. Densities are integrated by the Brownian or the gamma branch; no
+    Under the Brownian kernel a q may be a smooth node function h(z) in place
+    of z^q (see `_power_sums`). Every state is answered on its own: its own
+    probe window and stopping level (Brownian) or Jacobi order (gamma), and
+    sums taken row by row, so a state's values do not depend on the other
+    states of the call, bit for bit. Densities are integrated by the Brownian or the gamma branch; no
     other continuous kernel has a rule.
     """
     xis = np.asarray(xis, dtype=float)
@@ -560,14 +565,16 @@ def conditional_moment(spec: LRBSpec, s: float, xi: float, q: int) -> float:
 def _posterior_moments(spec: LRBSpec, s: float, xi: float, orders) -> tuple[float, list[float]]:
     """psi and the conditional moments of the given orders at state xi at s.
 
-    At s = 0 these are the prior's, by quadrature; later ones all come from one
-    batch-of-one engine call. The highest order's tail is certified.
+    At s = 0 these are the prior's, from `TerminalLaw.expect`; later ones all
+    come from one batch-of-one engine call. The highest order's tail is
+    certified.
     """
     s = spec._check_time(s)
     if s == 0.0:
         if spec.terminal.density is not None:
             _certify_moment_tail(spec.terminal.density, max(orders))
-        return 1.0, [numerics.integrate(spec.terminal.measure, lambda z, q=q: z**q) for q in orders]
+        moments = spec.terminal.expect([lambda z, q=q: z**q for q in orders])
+        return 1.0, [float(m) for m in moments]
     xi = float(xi)
     sums = _tilted_sums(spec, s, np.array([xi]), powers=(0, *orders))
     psi = float(sums[0][0])

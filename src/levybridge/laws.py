@@ -1,9 +1,10 @@
 """Terminal (horizon) laws: atoms plus an optional density component.
 
-Construction validates total mass 1 by quadrature, so every law handed to
-the conditional-law machinery is an honest probability measure. Posterior
-laws built by `core` take their masses from the sums that define them
-instead (`TerminalLaw._from_sums`). Each built-in density carries its
+Construction validates total mass 1 with the double-exponential rule of
+`numerics.density_sums`, so every law handed to the conditional-law
+machinery is an honest probability measure. Posterior laws built by `core`
+take their masses from the sums that define them instead
+(`TerminalLaw._from_sums`). Each built-in density carries its
 normalised quantile function, which the samplers feed uniforms to, and its
 log-density in closed form, which the tilted-sum engine reads. Density
 callables are built from module-level functions via functools.partial, so
@@ -87,8 +88,8 @@ class TerminalLaw:
 
     ``atoms`` are (location, weight) point masses; ``density`` carries the
     absolutely continuous rest. Weights plus density mass must total 1
-    within 1e-10 (checked by quadrature at construction). There is no way
-    to represent a singular continuous part, on purpose.
+    within 1e-10 (checked with `numerics.density_sums` at construction).
+    There is no way to represent a singular continuous part, on purpose.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -103,9 +104,7 @@ class TerminalLaw:
                 raise DomainError("atom weights must be strictly positive")
         d_mass = 0.0
         if self.density is not None:
-            d_mass = numerics.integrate(
-                MixedMeasure(density=self.density), lambda z: 1.0
-            )
+            d_mass = float(numerics.density_sums(self.density, (np.ones_like,))[0])
         object.__setattr__(self, "density_mass", d_mass)
         total = measure.atom_mass + d_mass
         if abs(total - 1.0) > MASS_TOL:
@@ -204,8 +203,23 @@ class TerminalLaw:
             his.append(self.density.upper)
         return min(los), max(his)
 
+    def expect(self, fns, *, splits=(), bulk=None) -> np.ndarray:
+        """Expectations of each fn in ``fns`` (array in, array out) under the law.
+
+        Atoms are summed exactly and the density goes to
+        `numerics.density_sums` with ``splits`` and ``bulk``.
+        """
+        locs = np.array([z for z, _ in self.atoms])
+        weights = np.array([w for _, w in self.atoms])
+        out = np.array([float(np.dot(weights, fn(locs))) if locs.size else 0.0 for fn in fns])
+        if not np.all(np.isfinite(out)):
+            raise NumericError("expectation not finite at the atoms", values=out)
+        if self.density is not None:
+            out += numerics.density_sums(self.density, fns, splits=splits, bulk=bulk)
+        return out
+
     def mean(self) -> float:
-        return numerics.integrate(self.measure, lambda z: z)
+        return float(self.expect((lambda z: z,))[0])
 
     def translate(self, dx: float) -> "TerminalLaw":
         """The law of Z + dx."""

@@ -10,15 +10,16 @@ critical information level whenever the price is monotone in the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy import special as _sp
 
-from . import bridge as _bridge
 from . import core as _core
 from . import numerics
-from .errors import DomainError, NumericError, UnsupportedKernelError
-from .kernels import BrownianKernel
+from .errors import DomainError, NumericError, UnreachableStateError, UnsupportedKernelError
+from .kernels import BrownianKernel, GammaKernel
 from .laws import TerminalLaw
 
 __all__ = [
@@ -136,12 +137,14 @@ class ExerciseBoundary:
     kind ``threshold`` means the region is (threshold, +inf); ``all`` and
     ``empty`` are the degenerate regions; ``intervals`` carries an explicit
     union of open intervals (endpoints may be infinite), produced when the
-    price map is not monotone and set mode was requested.
+    price map is not monotone and set mode was requested. ``evaluations``
+    counts the engine calls (`core.posterior_mean_many`) the solve made.
     """
 
     kind: str
     threshold: float | None = None
     intervals: tuple[tuple[float, float], ...] = ()
+    evaluations: int = field(default=0, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +207,16 @@ def _scan_range(spec: _core.LRBSpec, t: float, strike: float, df: float) -> tupl
         los.append(z)
         his.append(z)
     if spec.terminal.density is not None:
-        e_lo, e_hi = spec.terminal.density.effective_interval()
+        e_lo, e_hi = numerics.mass_interval(spec.terminal.density, 1e-16)
         los.append(e_lo)
         his.append(e_hi)
     frac = t / spec.horizon
     sd = math.sqrt(t * (spec.horizon - t) / spec.horizon)
     return frac * min(los) - 14.0 * sd, frac * max(his) + 14.0 * sd
+
+
+_SAMPLES = 33  # monotonicity samples across the bracket of a threshold
+_SCAN = 257  # sign samples across the scan range of set mode
 
 
 def critical_information(
@@ -222,11 +229,15 @@ def critical_information(
 ) -> ExerciseBoundary:
     """Boundary of {xi : price(t, xi) > strike} in the information state.
 
-    In ``monotone`` mode the price map is re-verified to be nondecreasing on
-    the bracketing interval each call (raising NonMonotoneError otherwise)
-    and the region is a single threshold. ``set`` mode drops the assumption
-    and returns a union of intervals found by sign scanning plus root
-    polishing.
+    Every price evaluation is a batched `core.posterior_mean_many` call. In
+    ``monotone`` mode one call takes the bracket ends and 33 samples between
+    them, which must be nondecreasing (NonMonotoneError otherwise); an end
+    whose sign is not yet settled is widened first. The region is then a
+    single threshold, polished by `numerics.solve_brackets` inside the
+    straddling sample pair and checked by its residual. ``set`` mode drops
+    the assumption: it scans the range in which the sign can change with
+    257 samples in one call, polishes every crossing in one solver run and
+    returns the union of intervals on which the price exceeds the strike.
     """
     if spec.kernel.discrete:
         raise UnsupportedKernelError("exercise boundaries need a continuous kernel")
@@ -241,12 +252,12 @@ def critical_information(
         return ExerciseBoundary(kind="all")
     if strike >= df * z_hi:
         return ExerciseBoundary(kind="empty")
+    calls = 0
 
     def g_many(xis) -> np.ndarray:
-        return df * _core.posterior_mean_many(spec, t, xis) - strike
-
-    def g(xi: float) -> float:
-        return float(g_many(np.array([xi]))[0])
+        nonlocal calls
+        calls += 1
+        return df * _core.posterior_mean_many(spec, t, np.asarray(xis, dtype=float)) - strike
 
     b_lo, b_hi = _reachable_interval(spec)
     if mode == "monotone":
@@ -260,84 +271,106 @@ def critical_information(
         mid = (t / spec.horizon) * centre
         lo = b_lo + 0.5 * (mid - b_lo) if math.isfinite(b_lo) else mid - max(1.0, abs(mid))
         hi = b_hi - 0.5 * (b_hi - mid) if math.isfinite(b_hi) else mid + max(1.0, abs(mid))
-        g_lo, g_hi = g(lo), g(hi)
+        xs = np.linspace(lo, hi, _SAMPLES)
+        vals = g_many(xs)
+        g_lo, g_hi = vals[0], vals[-1]
         for _ in range(120):
             if g_lo <= 0.0:
                 break
             lo = _toward(b_lo, lo, up=False)
-            g_lo = g(lo)
+            g_lo = g_many([lo])[0]
         for _ in range(120):
             if g_hi >= 0.0:
                 break
             hi = _toward(b_hi, hi, up=True)
-            g_hi = g(hi)
+            g_hi = g_many([hi])[0]
         if g_lo > 0.0:
             # under monotonicity a positive sign at the far low edge settles it
-            return ExerciseBoundary(kind="all")
+            return ExerciseBoundary(kind="all", evaluations=calls)
         if g_hi < 0.0:
-            return ExerciseBoundary(kind="empty")
-        root = numerics.find_root_monotone(g, lo, hi, tol=1e-13, samples=33)
-        resid = abs(g(root))
-        if resid > 1e-10 * max(1.0, strike):
+            return ExerciseBoundary(kind="empty", evaluations=calls)
+        if (lo, hi) != (xs[0], xs[-1]):
+            xs = np.linspace(lo, hi, _SAMPLES)
+            vals = g_many(xs)
+        root, resid = numerics.sampled_root(g_many, xs, vals, tol=1e-13)
+        if abs(resid) > 1e-10 * max(1.0, strike):
             raise NumericError(
                 "critical information root residual too large",
-                residual=resid,
+                residual=abs(resid),
                 threshold=root,
             )
-        return ExerciseBoundary(kind="threshold", threshold=root)
+        return ExerciseBoundary(kind="threshold", threshold=root, evaluations=calls)
 
     # set mode has no monotonicity to lean on: the price can exceed the
     # strike at both edges yet dip below in between, so the whole range in
     # which the sign is not yet settled is scanned, and edge pieces extend
     # to the reachable bounds
     lo, hi = _scan_range(spec, t, strike, df)
-    xs = np.linspace(lo, hi, 257)
+    xs = np.linspace(lo, hi, _SCAN)
     vals = g_many(xs)
-    crossings: list[float] = []
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            crossings.append(float(a))
-        elif (fa < 0) != (fb < 0):
-            crossings.append(
-                float(numerics.find_root_monotone(g, float(a), float(b), tol=1e-13, samples=2))
-            )
-    pieces: list[tuple[float, float]] = []
-    edges = [float(lo), *crossings, float(hi)]
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a and g(0.5 * (a + b)) > 0.0:
-            pieces.append((a, b))
+    a, b, fa, fb = xs[:-1], xs[1:], vals[:-1], vals[1:]
+    cross = (fa != 0.0) & ((fa < 0.0) != (fb < 0.0))
+    roots = np.empty(0)
+    if np.any(cross):
+        roots, _ = numerics.solve_brackets(
+            g_many, a[cross], b[cross], fa[cross], fb[cross], tol=1e-13
+        )
+    edges = np.concatenate([[lo], np.sort(np.concatenate([a[fa == 0.0], roots])), [hi]])
+    left, right = edges[:-1], edges[1:]
+    wide = right > left
+    left, right = left[wide], right[wide]
+    above = g_many(0.5 * (left + right)) > 0.0
+    pieces = [(float(u), float(v)) for u, v in zip(left[above], right[above])]
     if not pieces:
-        return ExerciseBoundary(kind="empty")
+        return ExerciseBoundary(kind="empty", evaluations=calls)
     if pieces[0][0] == edges[0] and vals[0] > 0:
         pieces[0] = (b_lo, pieces[0][1])
     if pieces[-1][1] == edges[-1] and vals[-1] > 0:
         pieces[-1] = (pieces[-1][0], b_hi)
-    return ExerciseBoundary(kind="intervals", intervals=tuple(pieces))
+    return ExerciseBoundary(kind="intervals", intervals=tuple(pieces), evaluations=calls)
 
 
 # ---------------------------------------------------------------------------
 # European call on the cash-flow price
 
 
-def _region_weight(spec, boundary, s, xi_s, t, z):
-    """P[state at t lies in the exercise region | state (s, xi_s), pin z]."""
+def _exceedance_ends(boundary: ExerciseBoundary) -> tuple[tuple[float, float], ...]:
+    """(c, sign) pairs with 1[xi in region] = sum of sign * 1[xi > c] (c = -inf: 1)."""
     if boundary.kind == "all":
-        return 1.0
-    pin = _bridge.BridgeSpec(
-        kernel=spec.kernel,
-        end_time=spec.horizon,
-        end_value=float(z),
-        start_time=s,
-        start_value=xi_s,
-    )
+        return ((-math.inf, 1.0),)
     if boundary.kind == "threshold":
-        return 1.0 - _bridge.transition_cdf(pin, t, boundary.threshold)
-    total = 0.0
+        return ((boundary.threshold, 1.0),)
+    ends = []
     for a, b in boundary.intervals:
-        cdf_b = 1.0 if math.isinf(b) else _bridge.transition_cdf(pin, t, b)
-        cdf_a = 0.0 if math.isinf(a) else _bridge.transition_cdf(pin, t, a)
-        total += cdf_b - cdf_a
-    return total
+        ends.append((a, 1.0))
+        if math.isfinite(b):
+            ends.append((b, -1.0))
+    return tuple(ends)
+
+
+def _exceedance(kernel, T, s, x, t, c, z) -> np.ndarray:
+    """P[xi_t > c | xi_s = x, X_T = z] from the pinned bridge's exact law, vectorised over z.
+
+    Given the pin the state is normal (Brownian) or x + (z - x) B with
+    B ~ Beta(m (t - s), m (T - t)) (gamma), as in `bridge.transition_cdf`.
+    """
+    if c == -math.inf:
+        return np.ones(z.shape)
+    if isinstance(kernel, BrownianKernel):
+        mean = x + (t - s) / (T - s) * (z - x)
+        return _sp.ndtr((mean - c) / math.sqrt((t - s) * (T - t) / (T - s)))
+    if isinstance(kernel, GammaKernel):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.clip((z - c) / (z - x), 0.0, 1.0)
+        return _sp.betainc(kernel.m * (T - t), kernel.m * (t - s), y)
+    raise UnsupportedKernelError(f"no exact bridge law for {type(kernel).__name__}")
+
+
+def _exercise_payoff(kernel, T, s, x, t, df_t, strike, ends, z) -> np.ndarray:
+    """(df_t z - strike) P[xi_t in the exercise region | xi_s = x, X_T = z], elementwise."""
+    z = np.asarray(z, dtype=float)
+    weight = sum(sign * _exceedance(kernel, T, s, x, t, c, z) for c, sign in ends)
+    return (df_t * z - strike) * weight
 
 
 def call_price(
@@ -349,11 +382,14 @@ def call_price(
 ) -> float:
     """Price at (call.valuation_time, call.xi) of a call on the cash-flow price.
 
-    The posterior of the terminal value is integrated against the
-    discounted payoff times the bridge exceedance weight, which the
-    kernel's exact bridge CDF (normal / regularized incomplete beta) gives
-    in closed form. A precomputed ``boundary`` skips the
-    critical-information solve.
+    The discounted payoff times the bridge exceedance weight, which the
+    kernel's exact bridge law (normal / regularized incomplete beta) gives
+    in closed form, is one node function g(z), summed against the posterior
+    of the terminal value on arrays: atoms exactly; under the Brownian
+    kernel past time 0, the density by the tilted-sum engine with g as a
+    column; otherwise by `TerminalLaw.expect` on the posterior, split where
+    a gamma bridge's weight starts, (z - c)^(m (T - t)) at z = c. A
+    precomputed ``boundary`` skips the critical-information solve.
     """
     if spec.kernel.discrete:
         raise UnsupportedKernelError("call pricing needs a continuous kernel")
@@ -364,14 +400,21 @@ def call_price(
         boundary = critical_information(spec, curve, t, call.strike)
     if boundary.kind == "empty":
         return 0.0
-    post_s = _core.terminal_posterior(spec, s, xi_s)
     df_st = curve.discount(s, t)
     df_t = curve.discount(t, spec.horizon)
-
-    def discounted_exercise_payoff(z: float) -> float:
-        return (df_t * z - call.strike) * _region_weight(spec, boundary, s, xi_s, t, z)
-
-    return df_st * numerics.integrate(post_s.measure, discounted_exercise_payoff)
+    ends = _exceedance_ends(boundary)
+    payoff = partial(_exercise_payoff, spec.kernel, spec.horizon, s, xi_s, t, df_t, call.strike, ends)
+    if s > 0.0 and isinstance(spec.kernel, BrownianKernel):
+        sums = _core._tilted_sums(spec, s, np.array([xi_s]), powers=(0, payoff))
+        psi = float(sums[0][0])
+        if psi <= 0.0:
+            raise UnreachableStateError(f"state xi={xi_s} at s={s} has zero mass")
+        return df_st * float(sums[payoff][0]) / psi
+    post = _core.terminal_posterior(spec, s, xi_s)
+    splits = [c for c, _ in ends if math.isfinite(c)] if spec.kernel.nondecreasing else []
+    prior = spec.terminal.density
+    bulk = numerics.bulk_interval(prior) if prior is not None else None
+    return df_st * float(post.expect((payoff,), splits=splits, bulk=bulk)[0])
 
 
 # ---------------------------------------------------------------------------

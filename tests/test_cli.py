@@ -196,6 +196,12 @@ def test_option_record(tmp_path, capsys):
     assert rec["boundary"]["kind"] == "threshold"
     assert abs(rec["boundary"]["threshold"] - 0.25) < 1e-9
     assert abs(rec["price"] - 0.09573123063700656) < 1e-10
+    # the engine calls of the boundary solve: the same count on every run
+    counts = {rec["boundary"]["evaluations"]}
+    for _ in range(2):
+        assert cli.main(["option", "--config", cfg]) == 0
+        counts.add(json.loads(capsys.readouterr().out)["boundary"]["evaluations"])
+    assert len(counts) == 1 and counts.pop() >= 2
 
 
 def test_option_quadrature_is_a_config_error(tmp_path, capsys):
@@ -298,19 +304,38 @@ def test_unknown_command_exits_one(capsys):
 # import cost
 
 
+def gamma_scenario(**blocks) -> dict:
+    d = {
+        "kernel": {"family": "gamma", "m": 2.0},
+        "horizon": 1.0,
+        "terminal_law": {"density": {"family": "gamma", "shape": 2.0, "scale": 1.5}},
+    }
+    d.update(blocks)
+    return d
+
+
 def test_check_suite_loads_only_when_used(tmp_path):
-    # the check suite brings in scipy.stats: neither the package import nor a
-    # price request may load it, while its names stay reachable
-    cfg = write(tmp_path, binary_scenario(price={"points": [[0.5, 0.25]]}))
+    # the check suite brings in scipy.stats, and QUADPACK and brentq are
+    # reference and fallback routes: neither the package import nor a price
+    # or option request on the mixed and gamma laws may load them, while the
+    # check names stay reachable
+    heavy = ("levybridge.checks", "scipy.stats", "scipy.integrate", "scipy.optimize")
+    requests = [("price", write(tmp_path, binary_scenario(price={"points": [[0.5, 0.25]]}), "b.json"))]
+    for name, scenario, strike in (("mixed", mixed_scenario, 0.3), ("gamma", gamma_scenario, 3.5)):
+        blocks = {"price": {"points": [[0.0, 0.0], [0.5, 0.3]]},
+                  "option": {"strike": strike, "maturity": 0.5}}
+        cfg = write(tmp_path, scenario(**blocks), f"{name}.json")
+        requests += [("price", cfg), ("option", cfg)]
     code = (
         "import sys, json, contextlib, io\n"
-        "heavy = ('levybridge.checks', 'scipy.stats')\n"
+        f"heavy = {heavy!r}\n"
         "import levybridge\n"
         "from levybridge import cli\n"
         "loaded = [sorted(m for m in heavy if m in sys.modules)]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['price', '--config', {cfg!r}]) == 0\n"
-        "loaded.append(sorted(m for m in heavy if m in sys.modules))\n"
+        f"for command, cfg in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([command, '--config', cfg]) == 0, (command, cfg)\n"
+        "    loaded.append(sorted(m for m in heavy if m in sys.modules))\n"
         "names = {}\n"
         "exec('from levybridge import *', names)\n"
         "assert names['run_checks'] is levybridge.run_checks\n"
@@ -322,4 +347,4 @@ def test_check_suite_loads_only_when_used(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], []]
+    assert json.loads(proc.stdout) == [[]] * (1 + len(requests))

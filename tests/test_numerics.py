@@ -1,10 +1,12 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate as sci_integrate
+from scipy import optimize as sci_optimize
 from scipy import special
 
 from levybridge import numerics
@@ -167,6 +169,57 @@ def test_logpdf_defaults_to_log_of_pdf():
     assert _unit_uniform().logpdf(2.0) == -np.inf
 
 
+def _mp_normal(mu, s2, w):
+    pdf = lambda z: w * mpmath.npdf(z, mu, mpmath.sqrt(s2))
+    return pdf, lambda z: z * pdf(z), [-mpmath.inf, mu, mpmath.inf]
+
+
+def _mp_gamma(a, scale):
+    # in u = z^a, where z^(a - 1) dz = du / a and the integrand is smooth at 0
+    pdf = lambda u: mpmath.exp(-u ** (1 / a) / scale) / (a * mpmath.gamma(a) * scale**a)
+    return pdf, lambda u: u ** (1 / a) * pdf(u), [0, 1, mpmath.inf]
+
+
+def _mp_uniform(a, b, w):
+    return lambda z: w / (b - a), lambda z: z * w / (b - a), [a, b]
+
+
+@pytest.mark.parametrize("law,reference", [
+    (TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),)), _mp_normal(0.5, 0.64, 0.7)),
+    (TerminalLaw.uniform(-1.0, 2.0, weight=0.4, atoms=((5.0, 0.6),)),
+     _mp_uniform(-1, 2, mpmath.mpf("0.4"))),
+    (TerminalLaw.gamma(0.5, 1.0), _mp_gamma(mpmath.mpf("0.5"), 1)),
+    (TerminalLaw.gamma(1.5, 1.0), _mp_gamma(mpmath.mpf("1.5"), 1)),
+    (TerminalLaw.gamma(2.0, 1.5), _mp_gamma(2, mpmath.mpf("1.5"))),
+    (TerminalLaw.gamma(0.1, 1.0), _mp_gamma(mpmath.mpf("0.1"), 1)),
+], ids=["normal+atoms", "uniform+atom", "gamma(0.5,1)", "gamma(1.5,1)", "gamma(2,1.5)", "gamma(0.1,1)"])
+def test_law_mass_and_mean_match_mpmath(law, reference):
+    # the double-exponential rule against mpmath's own quadrature of the
+    # closed-form density (30 digits), z^(a - 1) edges included (QUADPACK
+    # put the mass of Gamma(0.1, 1) at 0.99999999986 and refused the law)
+    pdf, first_moment, points = reference
+    with mpmath.workdps(30):
+        mass = mpmath.quad(pdf, points)
+        first = mpmath.quad(first_moment, points)
+    atom_mass = sum(w for _, w in law.atoms)
+    atom_mean = sum(z * w for z, w in law.atoms)
+    assert abs(law.density_mass - float(mass)) <= 1e-12
+    assert abs(law.mean() - float(first + atom_mean)) <= 1e-12 * max(1.0, abs(float(first)))
+    assert abs(atom_mass + law.density_mass - 1.0) <= 1e-12
+
+
+def test_density_sums_refuse_an_integrand_that_does_not_decay():
+    # the Cauchy density integrates, z times it does not: the rule raises
+    # rather than return its truncated sum
+    d = DensityComponent(
+        pdf=lambda z: 1.0 / (math.pi * (1.0 + np.asarray(z) ** 2)),
+        lower=-math.inf, upper=math.inf, quantile=lambda u: np.tan(math.pi * (np.asarray(u) - 0.5)),
+    )
+    assert abs(numerics.density_sums(d, (np.ones_like,))[0] - 1.0) < 1e-12
+    with pytest.raises(NumericError):
+        numerics.density_sums(d, (lambda z: z,))
+
+
 def test_posterior_logpdf_is_log_base_weight_over_psi():
     spec = LRBSpec(
         BrownianKernel(), 1.0, TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),))
@@ -262,7 +315,7 @@ def test_find_root_monotone_no_sign_change():
 
 def test_find_root_monotone_rejects_wiggles():
     with pytest.raises(NonMonotoneError):
-        numerics.find_root_monotone(lambda x: math.sin(x), -1.0, 20.0)
+        numerics.find_root_monotone(np.sin, -1.0, 20.0)
 
 
 def test_find_root_monotone_bad_bracket():
@@ -279,6 +332,36 @@ def test_find_root_monotone_cubic_family(a, b, c):
     f = lambda x: a * x**3 + b * x - c
     root = numerics.find_root_monotone(f, -50.0, 50.0)
     assert abs(f(root)) < 1e-7 * max(1.0, abs(c))
+
+
+@given(
+    a=st.floats(0.1, 5.0),
+    b=st.floats(0.1, 5.0),
+    c=st.floats(-10.0, 10.0),
+)
+def test_solve_brackets_matches_brentq_on_cubic_family(a, b, c):
+    # the root (|root| < 5) from three brackets in one batch: each agrees with
+    # brentq and with a batch of one, and the value returned is f there
+    f = lambda x: a * x**3 + b * x - c
+    want = sci_optimize.brentq(f, -50.0, 50.0, xtol=1e-13, rtol=8.9e-16)
+    lo, hi = np.array([-50.0, -5.0, -50.0]), np.array([50.0, 50.0, 5.0])
+    x, fx = numerics.solve_brackets(f, lo, hi, f(lo), f(hi), tol=1e-13)
+    assert np.all(np.abs(x - want) <= 2e-13 * max(1.0, abs(want)))
+    assert np.array_equal(fx, f(x))
+    alone, _ = numerics.solve_brackets(f, lo[:1], hi[:1], f(lo[:1]), f(hi[:1]), tol=1e-13)
+    assert alone[0] == x[0]
+
+
+def test_solve_brackets_contracts():
+    f = lambda x: x - 0.5
+    with pytest.raises(NoRootError):
+        numerics.solve_brackets(f, [1.0], [2.0], [0.5], [1.5], tol=1e-12)
+    # an end with value 0 is the root, and fn is not called for it
+    x, fx = numerics.solve_brackets(None, [0.5, -1.0], [2.0, 0.0], [0.0, -1.0], [1.5, 0.0], tol=1e-12)
+    assert list(x) == [0.5, 0.0] and list(fx) == [0.0, 0.0]
+    with pytest.raises(NumericError):
+        numerics.solve_brackets(lambda x: np.where(x > 0.3, np.nan, -1.0), [0.0], [1.0], [-1.0], [1.0],
+                                tol=1e-12)
 
 
 def test_inverse_cdf_uniform_quantiles():

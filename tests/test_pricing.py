@@ -139,6 +139,17 @@ def test_threshold_pin_binary():
     assert abs(b.threshold - 0.25) < 1e-9
 
 
+@pytest.mark.parametrize("strike", [0.999, 0.001])
+def test_threshold_far_in_the_tail_widens_the_bracket(strike):
+    # the starting bracket misses these roots: one end is widened with calls
+    # of one state, then the 33 samples are taken again on the final bracket.
+    # Closed form: rho1 = sigmoid(2 xi - 1/2) at t = 1/2
+    b = critical_information(binary_spec(), RateCurve.flat(0.0), 0.5, strike)
+    assert b.kind == "threshold"
+    assert abs(b.threshold - (math.log(strike / (1.0 - strike)) + 0.5) / 2.0) < 1e-12
+    assert b.evaluations > 6
+
+
 def test_threshold_extremes():
     spec = binary_spec()
     curve = RateCurve.flat(0.0)
@@ -210,6 +221,32 @@ def test_set_mode_on_mixed_law():
     a, b = loose.intervals[0]
     assert abs(a - mono.threshold) < 1e-7
     assert math.isinf(b)
+
+
+def test_set_mode_on_a_restart_spec():
+    # a restart posterior carries neither quantile nor cdf; set mode once
+    # asked it for effective_interval() and raised "no cdf"
+    spec = core.restart(checks.brownian_mixed(), 0.5, 0.3)
+    curve = RateCurve.flat(0.0)
+    mono = critical_information(spec, curve, 0.2, 0.2)
+    assert abs(mono.threshold - 0.15260563166880797) < 1e-12
+    loose = critical_information(spec, curve, 0.2, 0.2, mode="set")
+    assert loose.kind == "intervals"
+    assert len(loose.intervals) == 1
+    a, b = loose.intervals[0]
+    assert abs(a - mono.threshold) < 1e-12
+    assert math.isinf(b)
+
+
+@pytest.mark.parametrize("mode", ["monotone", "set"])
+def test_boundary_counts_its_engine_calls(mode):
+    # one call for the samples (33 or 257), then one per solver step: the
+    # count is a property of the inputs and repeats exactly
+    spec = checks.brownian_mixed()
+    curve = RateCurve.flat(0.02)
+    counts = {critical_information(spec, curve, 0.5, 0.3, mode=mode).evaluations for _ in range(3)}
+    assert len(counts) == 1
+    assert 2 <= counts.pop() <= 30
 
 
 @pytest.mark.parametrize("r,want", [(0.0, 1.05), (0.05, 1.12594536157330)])
@@ -293,6 +330,28 @@ def test_call_price_set_boundary_routes_agree():
     b = checks._quadrature_call_price(spec, curve, call, boundary)
     assert abs(a - b) < 1e-6
     assert a > 0.0
+
+
+def test_gamma_call_matches_marginal_closed_form():
+    # the self-conjugate gamma law has xi_t ~ Gamma(m t, kappa) and price
+    # xi + m (T - t) kappa, so the call is a kappa Q(a + 1, x0 / kappa)
+    # - x0 Q(a, x0 / kappa) with a = m t and x0 = K - m (T - t) kappa;
+    # mpmath (dps 30) at the inputs of check 10
+    spec = checks.gamma_pricing()
+    got = call_price(spec, RateCurve.flat(0.0), CallSpec(strike=3.9, maturity=0.5))
+    assert abs(got - 0.601303286234700) < 1e-10
+
+
+def test_call_price_brownian_valuation_state_routes_agree():
+    # past time 0 the Brownian density part is a column of the tilted-sum engine
+    spec = checks.brownian_mixed()
+    curve = RateCurve.flat(0.02)
+    call = CallSpec(strike=0.3, maturity=0.6, valuation_time=0.25, xi=0.4)
+    boundary = critical_information(spec, curve, call.maturity, call.strike)
+    a = call_price(spec, curve, call, boundary=boundary)
+    b = checks._quadrature_call_price(spec, curve, call, boundary)
+    assert a > 0.0
+    assert abs(a - b) < 1e-7
 
 
 def test_call_price_nonzero_valuation_state():

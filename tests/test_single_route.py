@@ -1,25 +1,40 @@
-"""Every posterior functional past t = 0 runs on the tilted-sum engine alone.
+"""Every functional runs on the array rules alone: no QUADPACK, no brentq.
 
-The specs are built first, because validating a user's terminal law is
-quadrature's job. After that `numerics.integrate` is made to raise, and
-every scalar entry point must still answer: a second evaluation route for
-psi, moments or posteriors would trip it.
+`numerics.integrate`, `numerics._quad_segment` and `scipy.optimize.brentq`
+are made to raise before anything is built. The built-in laws validate
+their mass with `numerics.density_sums`, posterior functionals past t = 0
+run on the tilted-sum engine, exercise boundaries on `numerics.solve_brackets`
+and call prices on node sums: a second evaluation route would trip the
+guards. QUADPACK and brentq remain for user densities without a quantile
+(`numerics.mass_interval` and `DensityComponent.effective_interval`) and
+for the references in `checks` and the tests.
 """
 
 import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from levybridge import checks, cli, core, numerics, pricing, sampler
 from levybridge.config import ScenarioConfig
 from levybridge.errors import UnsupportedKernelError
 from levybridge.kernels import BrownianKernel, Kernel
 from levybridge.laws import TerminalLaw
-from levybridge.pricing import RateCurve
+from levybridge.pricing import CallSpec, RateCurve
+
+
+def forbid_quadpack_and_brentq(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("QUADPACK or brentq called")
+
+    for owner, name in ((numerics, "integrate"), (numerics, "_quad_segment"),
+                        (scipy.optimize, "brentq")):
+        monkeypatch.setattr(owner, name, forbidden)
 
 
 def test_scalar_functionals_use_only_the_engine(tmp_path, capsys, monkeypatch):
+    forbid_quadpack_and_brentq(monkeypatch)
     mixed = checks.brownian_mixed()
     poisson = checks.poisson_atomic()
     curve = RateCurve.flat(0.02)
@@ -31,10 +46,6 @@ def test_scalar_functionals_use_only_the_engine(tmp_path, capsys, monkeypatch):
         "price": {"points": [[0.5, -10.0], [0.3, 0.2]]},
     }))
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("numerics.integrate called")
-
-    monkeypatch.setattr(numerics, "integrate", forbidden)
     # the CLI builds its spec from the file; hand it the prebuilt mixed law
     monkeypatch.setattr(ScenarioConfig, "build_spec", lambda self: mixed)
 
@@ -55,6 +66,28 @@ def test_scalar_functionals_use_only_the_engine(tmp_path, capsys, monkeypatch):
     assert cli.main(["price", "--config", str(cfg)]) == 0
     records = json.loads(capsys.readouterr().out)
     assert [r["xi"] for r in records] == [-10.0, 0.2]
+
+
+def test_laws_boundaries_and_call_prices_need_no_quadpack(monkeypatch):
+    forbid_quadpack_and_brentq(monkeypatch)
+    laws = [
+        TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),)),
+        TerminalLaw.gamma(0.5, 1.0),
+        TerminalLaw.uniform(-1.0, 2.0, weight=0.4, atoms=((5.0, 0.6),)),
+        TerminalLaw.from_atoms([(0.0, 0.5), (1.0, 0.5)]),
+    ]
+    assert all(np.isfinite(law.mean()) for law in laws)
+    curve = RateCurve.flat(0.02)
+    for spec, strike in ((checks.brownian_mixed(), 0.3), (checks.gamma_pricing(), 3.5)):
+        kinds = [
+            pricing.critical_information(spec, curve, 0.5, strike, mode=mode).kind
+            for mode in ("monotone", "set")
+        ]
+        assert kinds == ["threshold", "intervals"]
+        assert core.conditional_moment(spec, 0.0, 0.0, 2) > 0.0
+        for s, xi in ((0.0, 0.0), (0.25, 0.4)):
+            call = CallSpec(strike=strike, maturity=0.5, valuation_time=s, xi=xi)
+            assert pricing.call_price(spec, curve, call) > 0.0
 
 
 class WideKernel(Kernel):
