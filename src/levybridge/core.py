@@ -247,12 +247,11 @@ def _brownian_density_sums(spec, t, xis, powers):
     return res
 
 
-def _log_weight(kernel, T, t, xis, z_nodes):
-    """log of f(T-t, z - xi)/f(T, z), shape (n_xi, n_nodes); -inf off the kernel support."""
-    ld_base = kernel.log_density(T, z_nodes)
-    ld_step = kernel.log_density(T - t, z_nodes[None, :] - xis[:, None])
+def _log_weight(kernel, T, t, z, step):
+    """log of f(T-t, step)/f(T, z) elementwise, step = z - xi; -inf off the kernel support."""
+    ld_base = kernel.log_density(T, z)
     ok = np.isfinite(ld_base)
-    return np.where(ok[None, :], ld_step - np.where(ok, ld_base, 0.0)[None, :], -np.inf)
+    return np.where(ok, kernel.log_density(T - t, step) - np.where(ok, ld_base, 0.0), -np.inf)
 
 
 _JACOBI_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
@@ -316,14 +315,10 @@ def _gamma_density_sums(spec, t, xis, powers):
 def _power_sums(g, z, powers) -> np.ndarray:
     """Columns q of sum over the last axis of g * z^q, one product per power.
 
-    A power may also be a node function, h(z) elementwise, in place of z^q.
     Plain sums rather than matrix products: numpy sums each row on its own,
     so a row's value does not depend on how many rows share the array.
     """
-    return np.stack(
-        [np.sum(g if q == 0 else g * (q(z) if callable(q) else z**q), axis=-1) for q in powers],
-        axis=-1,
-    )
+    return np.stack([np.sum(g if q == 0 else g * z**q, axis=-1) for q in powers], axis=-1)
 
 
 def _gamma_spans(log_g, xg, a, q, width):
@@ -383,11 +378,10 @@ def _plain_tilted(log_g, xg, w0, W, a, powers):
 def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
     """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over xi.
 
-    Under the Brownian kernel a q may be a smooth node function h(z) in place
-    of z^q (see `_power_sums`). Every state is answered on its own: its own
-    probe window and stopping level (Brownian) or Jacobi order (gamma), and
-    sums taken row by row, so a state's values do not depend on the other
-    states of the call, bit for bit. Densities are integrated by the Brownian or the gamma branch; no
+    Every state is answered on its own: its own probe window and stopping
+    level (Brownian) or Jacobi order (gamma), and sums taken row by row, so
+    a state's values do not depend on the other states of the call, bit for
+    bit. Densities are integrated by the Brownian or the gamma branch; no
     other continuous kernel has a rule.
     """
     xis = np.asarray(xis, dtype=float)
@@ -511,7 +505,8 @@ def terminal_posterior(spec: LRBSpec, s: float, xi: float) -> TerminalLaw:
     return _posterior(spec, s, xi, psi_total(spec, s, xi))
 
 
-def _posterior(spec: LRBSpec, s: float, xi: float, psi: float) -> TerminalLaw:
+def _posterior(spec: LRBSpec, s: float, xi: float, psi: float, origin: float = 0.0) -> TerminalLaw:
+    """The law of X_T - origin given state xi at s > 0, where psi = psi_total(spec, s, xi)."""
     if psi <= 0.0:
         raise UnreachableStateError(f"state xi={xi} at s={s} has zero mass")
     atoms, atom_sum = [], 0.0
@@ -519,30 +514,35 @@ def _posterior(spec: LRBSpec, s: float, xi: float, psi: float) -> TerminalLaw:
         with np.errstate(over="ignore"):
             terms = np.exp(_atom_log_terms(spec, s, xi)[0])
         atom_sum = float(np.sum(terms))
-        atoms = [(z, float(w)) for (z, _), w in zip(spec.terminal.atoms, terms / psi) if w > 0.0]
+        atoms = [(z - origin, float(w)) for (z, _), w in zip(spec.terminal.atoms, terms / psi) if w > 0.0]
     comp, d = None, spec.terminal.density
     if d is not None:
         lo = max(d.lower, xi) if spec.kernel.nondecreasing else d.lower
         if lo < d.upper:
             logpdf = partial(
-                _posterior_logpdf, spec.kernel, spec.horizon, s, xi, d.logpdf, math.log(psi)
+                _posterior_logpdf, spec.kernel, spec.horizon, s, xi, d.logpdf, math.log(psi), origin
             )
             comp = DensityComponent(
                 pdf=partial(numerics._exp_of, logpdf),
-                lower=lo,
-                upper=d.upper,
-                breakpoints=d.breakpoints,
+                lower=lo - origin,
+                upper=d.upper - origin,
+                breakpoints=tuple(p - origin for p in d.breakpoints),
                 logpdf=logpdf,
             )
     density_mass = (psi - atom_sum) / psi if comp is not None else 0.0
     return TerminalLaw._from_sums(tuple(atoms), comp, density_mass)
 
 
-def _posterior_logpdf(kernel, T, s, xi, base_logpdf, log_norm, z):
-    """log base + log weight - log psi: the posterior density in log form."""
-    z = np.asarray(z, dtype=float)
-    lw = _log_weight(kernel, T, s, np.array([xi]), np.atleast_1d(z))[0].reshape(z.shape)
-    out = base_logpdf(z) + lw - log_norm
+def _posterior_logpdf(kernel, T, s, xi, base_logpdf, log_norm, origin, w):
+    """log base + log weight - log psi at z = origin + w: the density of X_T - origin.
+
+    The kernel's step density takes w + (origin - xi), which with origin = xi
+    is the increment w itself, accurate however close to 0 it comes; z - xi
+    would round to 0 next to z = xi, where a gamma step density is singular.
+    """
+    w = np.asarray(w, dtype=float)
+    z = w + origin
+    out = base_logpdf(z) + _log_weight(kernel, T, s, z, w + (origin - xi)) - log_norm
     return out if out.ndim else float(out)
 
 

@@ -399,7 +399,7 @@ _SOLVER_STEPS = 100  # Chandrupatla steps before a bracket counts as unsettled
 
 
 def find_root_monotone(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[float], float],
     lo: float,
     hi: float,
     *,
@@ -408,17 +408,22 @@ def find_root_monotone(
 ) -> float:
     """Root of a monotone function on a bracketing interval.
 
-    ``fn`` maps an array of points to an array of values. It is evaluated
-    once on ``samples`` evenly spaced points from lo to hi, and those values
-    go to `sampled_root`: the bracket must straddle a sign change
-    (NoRootError otherwise), and the samples must not reveal a reversal of
-    direction (NonMonotoneError). The scan is a guard against misuse, not a
-    proof of monotonicity.
+    ``fn`` maps a point to a value. Its values at ``samples`` evenly spaced
+    points from lo to hi go to `sampled_root`: the bracket must straddle a
+    sign change (NoRootError otherwise), and the samples must not reveal a
+    reversal of direction (NonMonotoneError). The scan is a guard against
+    misuse, not a proof of monotonicity.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    fn_many = partial(_map_scalar, fn)
     xs = np.linspace(lo, hi, samples)
-    return sampled_root(fn, xs, np.asarray(fn(xs), dtype=float), tol=tol)[0]
+    return sampled_root(fn_many, xs, fn_many(xs), tol=tol)[0]
+
+
+def _map_scalar(fn, xs) -> np.ndarray:
+    """A scalar ``fn`` applied point by point."""
+    return np.array([float(fn(x)) for x in xs])
 
 
 def sampled_root(fn, xs: np.ndarray, vals: np.ndarray, *, tol: float) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from scipy import special as _sp
 
 from . import core as _core
 from . import numerics
-from .errors import DomainError, NumericError, UnreachableStateError, UnsupportedKernelError
+from .errors import DomainError, NumericError, UnsupportedKernelError
 from .kernels import BrownianKernel, GammaKernel
 from .laws import TerminalLaw
 
@@ -385,11 +385,13 @@ def call_price(
     The discounted payoff times the bridge exceedance weight, which the
     kernel's exact bridge law (normal / regularized incomplete beta) gives
     in closed form, is one node function g(z), summed against the posterior
-    of the terminal value on arrays: atoms exactly; under the Brownian
-    kernel past time 0, the density by the tilted-sum engine with g as a
-    column; otherwise by `TerminalLaw.expect` on the posterior, split where
-    a gamma bridge's weight starts, (z - c)^(m (T - t)) at z = c. A
-    precomputed ``boundary`` skips the critical-information solve.
+    of the terminal value by `TerminalLaw.expect` on arrays: atoms exactly,
+    the density split where the weight of each exercise-region end c steps,
+    at the z that pins the bridge's state at the maturity to c. That is
+    z = c for a gamma bridge, whose weight starts there as
+    (z - c)^(m (T - t)), and a normal step of width
+    sqrt((T - t)(T - s) / (t - s)) for a Brownian one. A precomputed
+    ``boundary`` skips the critical-information solve.
     """
     if spec.kernel.discrete:
         raise UnsupportedKernelError("call pricing needs a continuous kernel")
@@ -403,18 +405,37 @@ def call_price(
     df_st = curve.discount(s, t)
     df_t = curve.discount(t, spec.horizon)
     ends = _exceedance_ends(boundary)
-    payoff = partial(_exercise_payoff, spec.kernel, spec.horizon, s, xi_s, t, df_t, call.strike, ends)
-    if s > 0.0 and isinstance(spec.kernel, BrownianKernel):
-        sums = _core._tilted_sums(spec, s, np.array([xi_s]), powers=(0, payoff))
-        psi = float(sums[0][0])
-        if psi <= 0.0:
-            raise UnreachableStateError(f"state xi={xi_s} at s={s} has zero mass")
-        return df_st * float(sums[payoff][0]) / psi
-    post = _core.terminal_posterior(spec, s, xi_s)
-    splits = [c for c, _ in ends if math.isfinite(c)] if spec.kernel.nondecreasing else []
+    T = spec.horizon
+    payoff = partial(_exercise_payoff, spec.kernel, T, s, xi_s, t, df_t, call.strike, ends)
+    # the weight of an end c steps where the bridge's state at t is pinned to c
+    if spec.kernel.nondecreasing:
+        splits = [c for c, _ in ends if math.isfinite(c)]
+    else:
+        splits = [xi_s + (c - xi_s) * (T - s) / (t - s) for c, _ in ends if math.isfinite(c)]
     prior = spec.terminal.density
-    bulk = numerics.bulk_interval(prior) if prior is not None else None
-    return df_st * float(post.expect((payoff,), splits=splits, bulk=bulk)[0])
+    bulk = numerics.bulk_interval(prior) if prior is not None else (0.0, 0.0)
+    origin = 0.0
+    if s == 0.0:
+        post = spec.terminal
+    elif spec.kernel.nondecreasing:
+        # the density is singular at z = xi_s like (z - xi_s)^(m (T - s) - 1):
+        # it is summed in the increment z - xi_s, whose nodes can crowd into 0
+        origin = xi_s
+        post = _core._posterior(spec, s, xi_s, _core.psi_total(spec, s, xi_s), origin)
+    else:
+        # the Brownian weight is a normal factor in z, centred at xi_s T / s,
+        # which can be far narrower than the prior
+        post = _core.terminal_posterior(spec, s, xi_s)
+        centre, sd = xi_s * T / s, math.sqrt(T * (T - s) / s)
+        splits += [centre - sd, centre + sd]
+    fn = partial(_shifted, payoff, origin)
+    splits = [c - origin for c in splits]
+    bulk = (bulk[0] - origin, bulk[1] - origin)
+    return df_st * float(post.expect((fn,), splits=splits, bulk=bulk)[0])
+
+
+def _shifted(fn, dx, w):
+    return fn(w + dx)
 
 
 # ---------------------------------------------------------------------------

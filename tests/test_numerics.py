@@ -315,7 +315,7 @@ def test_find_root_monotone_no_sign_change():
 
 def test_find_root_monotone_rejects_wiggles():
     with pytest.raises(NonMonotoneError):
-        numerics.find_root_monotone(np.sin, -1.0, 20.0)
+        numerics.find_root_monotone(lambda x: math.sin(x), -1.0, 20.0)
 
 
 def test_find_root_monotone_bad_bracket():

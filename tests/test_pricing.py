@@ -343,7 +343,6 @@ def test_gamma_call_matches_marginal_closed_form():
 
 
 def test_call_price_brownian_valuation_state_routes_agree():
-    # past time 0 the Brownian density part is a column of the tilted-sum engine
     spec = checks.brownian_mixed()
     curve = RateCurve.flat(0.02)
     call = CallSpec(strike=0.3, maturity=0.6, valuation_time=0.25, xi=0.4)
@@ -360,6 +359,45 @@ def test_call_price_nonzero_valuation_state():
     call = CallSpec(strike=2.0, maturity=0.7, valuation_time=0.3, xi=1.1)
     a = call_price(spec, curve, call)
     boundary = critical_information(spec, curve, call.maturity, call.strike)
+    b = checks._quadrature_call_price(spec, curve, call, boundary)
+    assert a > 0.0
+    assert abs(a - b) < 1e-6
+
+
+@pytest.mark.parametrize("s,xi", [(0.0, 0.0), (0.25, 0.1)])
+def test_call_price_close_to_the_horizon(s, xi):
+    # the exceedance weight steps over about 1e-3 in z, where the bridge's
+    # state at the maturity is pinned to the threshold
+    spec = checks.brownian_mixed()
+    curve = RateCurve.flat(0.02)
+    call = CallSpec(strike=0.2, maturity=1.0 - 1e-6, valuation_time=s, xi=xi)
+    boundary = critical_information(spec, curve, call.maturity, call.strike)
+    a = call_price(spec, curve, call, boundary=boundary)
+    b = checks._quadrature_call_price(spec, curve, call, boundary)
+    assert a > 0.0
+    assert abs(a - b) < 1e-7
+
+
+def test_call_price_on_a_narrow_brownian_posterior():
+    # at s = 1 - 1e-6 the posterior has width about 1e-3 around xi T / s;
+    # mpmath (dps 30) on the posterior of the atom and the normal, with the
+    # threshold 0.19999993352500006 returned here
+    spec = checks.brownian_mixed()
+    curve = RateCurve.flat(0.02)
+    call = CallSpec(strike=0.2, maturity=1.0 - 1e-7, valuation_time=1.0 - 1e-6, xi=0.3)
+    boundary = critical_information(spec, curve, call.maturity, call.strike)
+    assert abs(boundary.threshold - 0.19999993352500006) < 1e-12
+    got = call_price(spec, curve, call, boundary=boundary)
+    assert abs(got - 0.10000061009964324) < 1e-10
+
+
+def test_call_price_on_a_singular_gamma_posterior():
+    # m (T - s) = 0.3: the posterior density grows like (z - xi)^(-0.7) at z = xi
+    spec = gamma_pricing_spec()
+    curve = RateCurve.flat(0.01)
+    call = CallSpec(strike=2.0, maturity=0.95, valuation_time=0.9, xi=2.0)
+    boundary = critical_information(spec, curve, call.maturity, call.strike)
+    a = call_price(spec, curve, call, boundary=boundary)
     b = checks._quadrature_call_price(spec, curve, call, boundary)
     assert a > 0.0
     assert abs(a - b) < 1e-6
