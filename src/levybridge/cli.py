@@ -8,6 +8,7 @@ digits so reruns are diff-able.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -144,18 +145,19 @@ def cmd_price(cfg: ScenarioConfig, out: str | None) -> int:
     block = _require(cfg.price, "price")
     spec = cfg.build_spec()
     curve = cfg.build_curve()
-    records = []
-    for t, xi in block.points:
-        psi, (mean,) = _core._posterior_moments(spec, t, xi, (1,))
-        records.append(
-            {
-                "t": t,
-                "xi": xi,
-                "price": curve.discount(t, spec.horizon) * mean,
-                "posterior_mean": mean,
-                "psi": psi,
-            }
-        )
+    # one engine call for every point of the request, a time per row
+    ts, xis = zip(*block.points)
+    psis, moments = _core._posterior_moments(spec, ts, xis, (1,))
+    records = [
+        {
+            "t": t,
+            "xi": xi,
+            "price": curve.discount(t, spec.horizon) * float(mean),
+            "posterior_mean": float(mean),
+            "psi": float(psi),
+        }
+        for t, xi, psi, (mean,) in zip(ts, xis, psis, moments)
+    ]
     _emit(dumps17(records) + "\n", out)
     return 0
 
@@ -220,7 +222,9 @@ def cmd_verify(cfg: ScenarioConfig, out: str | None) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="levybridge",
         description="Simulate and price terminal-conditioned information processes.",

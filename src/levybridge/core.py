@@ -25,7 +25,6 @@ from functools import partial
 
 import numpy as np
 from scipy import special as _sp
-from scipy.linalg import eigh_tridiagonal
 
 from . import numerics
 from .errors import (
@@ -148,30 +147,70 @@ def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
 
 # ---------------------------------------------------------------------------
 # the tilted-sum engine: every posterior functional is evaluated here, state
-# by state (a scalar call is a batch of one). Each row has its own window,
-# nodes and stopping level; each quadrature level forms one log integrand
-# per (state, node) from the prior's logpdf, exponentiates it once and sums
-# it against the node weights times z^q, tile by tile of states.
+# by state (a scalar call is a batch of one). Each row has its own time,
+# window, nodes and stopping level; each quadrature level forms one log
+# integrand per (state, node) from the prior's logpdf, exponentiates it once
+# and sums it against the node weights times z^q, tile by tile of states.
+# A time ``t`` is one float for every state or an array of one per state;
+# the helpers below tell them apart by isinstance, which costs far less than
+# np.ndim on a float in a loop over tiles.
 
 _PROBE = np.linspace(0.0, 1.0, 65)
 _CHUNK = 4096  # states per branch call: bounds the per-state arrays of a call
+
+
+def _by_time(t):
+    """(time, rows) for each distinct time of ``t``; a scalar time has rows slice(None)."""
+    if not isinstance(t, np.ndarray):
+        return [(t, slice(None))]
+    times, which = np.unique(t, return_inverse=True)
+    return [(float(u), np.flatnonzero(which == i)) for i, u in enumerate(times)]
+
+
+def _rows(t, r):
+    """The times of rows ``r``."""
+    return t[r] if isinstance(t, np.ndarray) else t
+
+
+def _per_row(v):
+    """A per-state value as a column against the nodes; a scalar stays a scalar."""
+    return v[:, None] if isinstance(v, np.ndarray) else v
+
+
+def _t_diag(t):
+    """The time of a diagnostic: the time, or the (min, max) range of per-state times."""
+    lo, hi = float(np.min(t)), float(np.max(t))
+    return lo if lo == hi else (lo, hi)
+
+
+def _half_log_ratio(T, t):
+    """log(T / (T-t)) / 2 by math.log once per distinct time.
+
+    np.log can differ from math.log by an ulp; one function for both keeps a
+    row at a per-state time bit-identical to the same row at a scalar time.
+    """
+    if not isinstance(t, np.ndarray):
+        return 0.5 * math.log(T / (T - t))
+    times, which = np.unique(t, return_inverse=True)
+    return np.array([0.5 * math.log(T / (T - u)) for u in times.tolist()])[which]
 
 
 def _brownian_log_weight(T, t, xis, z, extra=0.0):
     """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shape (n_xi, n_z).
 
     The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2,
-    built in place on one array. ``z`` holds nodes shared by every state,
-    shape (n_z,), or one row of nodes per state; ``extra`` is a per-node term.
+    built in place on one array. ``t`` is one time or one per state; ``z``
+    holds nodes shared by every state, shape (n_z,), or one row of nodes per
+    state; ``extra`` is a per-node term.
     """
     e = np.subtract(z, xis[:, None])
     np.square(e, out=e)
-    e *= -0.5 / (T - t)
+    e *= _per_row(-0.5 / (T - t))
     zz = np.square(z)
     zz *= 0.5 / T
     e += zz
     e += extra
-    e += 0.5 * math.log(T / (T - t))
+    e += _per_row(_half_log_ratio(T, t))
     return e
 
 
@@ -188,7 +227,7 @@ def _log_integrand_probe(T, t, xis, plo, phi, d):
 
     def tile(r):
         z = plo[r, None] + span[r, None] * _PROBE
-        total = _brownian_log_weight(T, t, xis[r], z, d.logpdf(z))
+        total = _brownian_log_weight(T, _rows(t, r), xis[r], z, d.logpdf(z))
         peak = np.max(total, axis=1)
         keep = total >= peak[:, None] - 60.0
         first, last = np.argmax(keep, axis=1), _PROBE.size - 1 - np.argmax(keep[:, ::-1], axis=1)
@@ -199,7 +238,7 @@ def _log_integrand_probe(T, t, xis, plo, phi, d):
         bad = xis[~np.isfinite(peak)]
         raise NumericError(
             "tilted integrand underflows on the whole probe window",
-            t=t, states=(bad.min(), bad.max()),
+            t=_t_diag(t), states=(bad.min(), bad.max()),
         )
     step = span / (_PROBE.size - 1)
     lo = np.maximum(plo, plo + (first - 1.0) * step)
@@ -213,7 +252,7 @@ def _brownian_density_sums(spec, t, xis, powers):
     # posterior components built by terminal_posterior carry no cdf, so the
     # localisation must work from the pdf alone
     lo_p, hi_p = numerics.mass_interval(d, 1e-16)
-    sd = math.sqrt(T * (T - t) / t)
+    sd = np.sqrt(T * (T - t) / t)
     centers = xis * (T / t)
     lo = np.maximum(d.lower, np.minimum(lo_p, centers - 12.0 * sd))
     hi = np.minimum(d.upper, np.maximum(hi_p, centers + 12.0 * sd))
@@ -224,7 +263,9 @@ def _brownian_density_sums(spec, t, xis, powers):
         # window around a sharp weight) is probed again inside the window it
         # was found in, for as long as that window keeps shrinking
         plo, phi = lo[todo], hi[todo]
-        lo[todo], hi[todo], kept, row_max[todo] = _log_integrand_probe(T, t, xis[todo], plo, phi, d)
+        lo[todo], hi[todo], kept, row_max[todo] = _log_integrand_probe(
+            T, _rows(t, todo), xis[todo], plo, phi, d
+        )
         todo = todo[(kept < 8) & (hi[todo] - lo[todo] < 0.5 * (phi - plo))]
 
     def sums(z, wts, r):
@@ -232,7 +273,7 @@ def _brownian_density_sums(spec, t, xis, powers):
         # that far states keep their digits
         lp = d.logpdf(z)
         lp -= row_max[r, None]
-        e = _brownian_log_weight(T, t, xis[r], z, lp)
+        e = _brownian_log_weight(T, _rows(t, r), xis[r], z, lp)
         np.exp(e, out=e)
         e *= wts
         return _power_sums(e, z, powers)
@@ -243,7 +284,7 @@ def _brownian_density_sums(spec, t, xis, powers):
     res *= np.exp(row_max)[:, None]
     # a Brownian psi is never 0: a zero row means the sums underflowed
     if 0 in powers and not np.all(res[:, powers.index(0)] > 0.0):
-        raise NumericError("tilted integrand underflows", t=t, states=(xis.min(), xis.max()))
+        raise NumericError("tilted integrand underflows", t=_t_diag(t), states=(xis.min(), xis.max()))
     return res
 
 
@@ -261,6 +302,8 @@ def _jacobi_rule(n: int, beta: float):
     """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1], by Golub-Welsch.
 
     (scipy's roots_jacobi loses about 1e-10 relative at beta near -1, n >= 128.)
+    The tridiagonal Jacobi matrix is small (n <= 512) and its rule is cached,
+    so a dense numpy eigensolver serves and scipy.linalg is never loaded.
     """
     key = (n, beta)
     if key not in _JACOBI_CACHE:
@@ -268,7 +311,7 @@ def _jacobi_rule(n: int, beta: float):
         s = 2.0 * k + beta
         diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
         off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-        x, vecs = eigh_tridiagonal(diag, off)
+        x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         _JACOBI_CACHE[key] = (x, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2)
     return _JACOBI_CACHE[key]
 
@@ -375,47 +418,62 @@ def _plain_tilted(log_g, xg, w0, W, a, powers):
     return numerics.composite_quad_batch(sums, w0, W, init_panels=32, max_doublings=6)
 
 
-def _tilted_sums(spec: LRBSpec, t: float, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
-    """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over xi.
+def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
+    """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over (t, xi).
 
-    Every state is answered on its own: its own probe window and stopping
-    level (Brownian) or Jacobi order (gamma), and sums taken row by row, so
-    a state's values do not depend on the other states of the call, bit for
-    bit. Densities are integrated by the Brownian or the gamma branch; no
-    other continuous kernel has a rule.
+    ``t`` is one time for every state or an array broadcastable to ``xis``,
+    a time per state; every t must lie in (0, horizon). Every state is
+    answered on its own: its own probe window and stopping level (Brownian)
+    or Jacobi order (gamma), and sums taken row by row, so a state's values
+    depend on its own (t, xi) alone, not on the other states of the call,
+    bit for bit. The Brownian density branch takes the time per row; atom
+    terms and the gamma branch, whose Jacobi rule depends on m (T-t), run
+    once per distinct time. Densities are integrated by the Brownian or the
+    gamma branch; no other continuous kernel has a rule.
     """
     xis = np.asarray(xis, dtype=float)
     flat = xis.ravel()
+    t = np.broadcast_to(np.asarray(t, dtype=float), xis.shape).ravel() if np.ndim(t) else float(t)
+    if np.ndim(t) and t.size and np.all(t == t[0]):
+        t = float(t[0])  # one shared time takes the scalar route, which gives the same bits
     out = np.zeros((flat.size, len(powers)))
     if spec.terminal.atoms:
         locs = np.array([z for z, _ in spec.terminal.atoms])
-        with np.errstate(over="ignore"):
-            out += _power_sums(np.exp(_atom_log_terms(spec, t, flat)), locs, powers)
+        for u, rows in _by_time(t):
+            with np.errstate(over="ignore"):
+                out[rows] += _power_sums(np.exp(_atom_log_terms(spec, u, flat[rows])), locs, powers)
     if spec.terminal.density is not None:
         out += _density_sums(spec, t, flat, powers)
     _check_finite(out, t, flat)
     return {q: out[:, i].reshape(xis.shape) for i, q in enumerate(powers)}
 
 
-def _density_sums(spec: LRBSpec, t: float, flat: np.ndarray, powers) -> np.ndarray:
+def _density_sums(spec: LRBSpec, t, flat: np.ndarray, powers) -> np.ndarray:
     """The density part of `_tilted_sums` on a flat array of states, shape (n, len(powers))."""
     if isinstance(spec.kernel, BrownianKernel):
-        branch = _brownian_density_sums
+        branch, groups = _brownian_density_sums, [(t, slice(None))]
     elif isinstance(spec.kernel, GammaKernel):
-        branch = _gamma_density_sums
+        branch, groups = _gamma_density_sums, _by_time(t)
     else:
         raise UnsupportedKernelError(
             f"no tilted-sum rule for a density under {type(spec.kernel).__name__}"
         )
     out = np.empty((flat.size, len(powers)))
-    for start in range(0, flat.size, _CHUNK):
-        out[start : start + _CHUNK] = branch(spec, t, flat[start : start + _CHUNK], powers)
+    for u, rows in groups:
+        xs = flat[rows]
+        part = np.empty((xs.size, len(powers)))
+        for start in range(0, xs.size, _CHUNK):
+            sl = slice(start, start + _CHUNK)
+            part[sl] = branch(spec, _rows(u, sl), xs[sl], powers)
+        out[rows] = part
     return out
 
 
-def _check_finite(sums: np.ndarray, t: float, flat: np.ndarray) -> None:
+def _check_finite(sums: np.ndarray, t, flat: np.ndarray) -> None:
     if not np.all(np.isfinite(sums)):
-        raise NumericError("tilted sums are not finite", t=t, states=(flat.min(), flat.max()))
+        raise NumericError(
+            "tilted sums are not finite", t=_t_diag(t), states=(flat.min(), flat.max())
+        )
 
 
 def _density_psi_many(spec: LRBSpec, t: float, xis: np.ndarray) -> np.ndarray:
@@ -553,35 +611,58 @@ def _posterior_logpdf(kernel, T, s, xi, base_logpdf, log_norm, origin, w):
 def conditional_moment(spec: LRBSpec, s: float, xi: float, q: int) -> float:
     """q-th conditional moment of the terminal value given state xi at s.
 
-    A geometric tail scan of z^q against the posterior density must certify
-    integrability first; tails that decay too slowly to certify raise
-    InfiniteMomentError rather than returning a quadrature artefact.
+    A batch of one of `_posterior_moments`. Where a tail can be heavy (the
+    prior at s = 0, a gamma-kernel posterior) a geometric tail scan of z^q
+    against the density must certify integrability first; tails that decay
+    too slowly to certify raise InfiniteMomentError rather than returning a
+    quadrature artefact. A Brownian-kernel posterior past s = 0 has every
+    moment finite and is not scanned.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise DomainError(f"moment order must be an integer >= 1, got {q}")
-    return _posterior_moments(spec, s, xi, (q,))[1][0]
+    return float(_posterior_moments(spec, s, xi, (q,))[1][0, 0])
 
 
-def _posterior_moments(spec: LRBSpec, s: float, xi: float, orders) -> tuple[float, list[float]]:
-    """psi and the conditional moments of the given orders at state xi at s.
+def _posterior_moments(spec: LRBSpec, s, xi, orders) -> tuple[np.ndarray, np.ndarray]:
+    """psi and the conditional moments of the given orders at the states (s, xi).
 
-    At s = 0 these are the prior's, from `TerminalLaw.expect`; later ones all
-    come from one batch-of-one engine call. The highest order's tail is
-    certified.
+    ``s`` and ``xi`` are broadcast against each other and flattened; returns
+    psi, shape (n,), and the moments, shape (n, len(orders)). Points at
+    s = 0 take the prior's moments, from `TerminalLaw.expect`, computed once;
+    all later points come from one engine call with a time per row. The
+    highest order's tail is certified where it can diverge: on the prior
+    density at s = 0, and on each posterior density under the gamma kernel,
+    whose tails go like p(z) z^(q - m s). Under the Brownian kernel past
+    s = 0 the posterior is the prior times exp(-s z^2 / (2 T (T - s)) +
+    linear), so every moment is finite and no scan runs.
     """
-    s = spec._check_time(s)
-    if s == 0.0:
+    s, xi = (a.ravel() for a in np.broadcast_arrays(np.asarray(s, float), np.asarray(xi, float)))
+    bad = ~((s >= 0.0) & (s < spec.horizon))
+    if np.any(bad):
+        raise DomainError(f"time {s[bad][0]} outside [0, {spec.horizon})")
+    q = max(orders)
+    psi, moments = np.ones(s.size), np.empty((s.size, len(orders)))
+    at_zero = s == 0.0
+    if np.any(at_zero):
         if spec.terminal.density is not None:
-            _certify_moment_tail(spec.terminal.density, max(orders))
-        moments = spec.terminal.expect([lambda z, q=q: z**q for q in orders])
-        return 1.0, [float(m) for m in moments]
-    xi = float(xi)
-    sums = _tilted_sums(spec, s, np.array([xi]), powers=(0, *orders))
-    psi = float(sums[0][0])
-    post = _posterior(spec, s, xi, psi)
-    if post.density is not None:
-        _certify_moment_tail(post.density, max(orders))
-    return psi, [float(sums[q][0]) / psi for q in orders]
+            _certify_moment_tail(spec.terminal.density, q)
+        moments[at_zero] = spec.terminal.expect([lambda z, k=k: z**k for k in orders])
+    later = np.flatnonzero(~at_zero)
+    if later.size == 0:
+        return psi, moments
+    sums = _tilted_sums(spec, s[later], xi[later], powers=(0, *orders))
+    psi[later] = sums[0]
+    zero = later[sums[0] <= 0.0]
+    if zero.size:
+        raise UnreachableStateError(f"state xi={xi[zero[0]]} at s={s[zero[0]]} has zero mass")
+    for j, k in enumerate(orders):
+        moments[later, j] = sums[k] / sums[0]
+    if spec.terminal.density is not None and not isinstance(spec.kernel, BrownianKernel):
+        for i in later:
+            post = _posterior(spec, float(s[i]), float(xi[i]), float(psi[i]))
+            if post.density is not None:
+                _certify_moment_tail(post.density, q)
+    return psi, moments
 
 
 def _certify_moment_tail(d: DensityComponent, q: int) -> None:

@@ -482,7 +482,7 @@ def sde_coefficients(spec: _core.LRBSpec, curve: RateCurve, t: float, xi: float)
     if not isinstance(spec.kernel, BrownianKernel):
         raise UnsupportedKernelError("price SDE coefficients need the Brownian kernel")
     t = spec._check_time(t)
-    _, (m1, m2) = _core._posterior_moments(spec, t, xi, (1, 2))
+    m1, m2 = (float(m) for m in _core._posterior_moments(spec, t, xi, (1, 2))[1][0])
     var = max(m2 - m1 * m1, 0.0)
     df = curve.discount(t, spec.horizon)
     return curve.short_rate(t) * df * m1, df * var / (spec.horizon - t)

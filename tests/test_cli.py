@@ -101,6 +101,21 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert "config error: --seed:" in capsys.readouterr().err
 
 
+def test_cached_parser_behaves_like_a_fresh_one(tmp_path, capsys):
+    # the parser is built once per process; no call may leak into the next
+    assert cli._build_parser() is cli._build_parser()
+    sim = {"grid": [0.5, 1.0], "n_paths": 3}
+    cfg = write(tmp_path, binary_scenario(price={"points": [[0.5, 0.25]]}, simulate=sim))
+    assert cli.main(["price", "--config"]) == 1
+    assert cli.main(["price", "--config", cfg]) == 0
+    a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(a), "--seed", "5"]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--out", str(b)]) == 0
+    # the scenario seed of binary_scenario is 3
+    assert cli.main(["simulate", "--config", cfg, "--out", str(c), "--seed", "3"]) == 0
+    assert b.read_bytes() == c.read_bytes() != a.read_bytes()
+
+
 def test_simulate_requires_its_block(tmp_path):
     cfg = write(tmp_path, binary_scenario())
     out = tmp_path / "x.csv"
@@ -160,6 +175,27 @@ def mixed_scenario(**blocks) -> dict:
     }
     d.update(blocks)
     return d
+
+
+def test_price_request_makes_one_engine_call(tmp_path, capsys, monkeypatch):
+    # four points at distinct times and one at t = 0: one engine call with a
+    # time per row, and the only tail scan is the prior's at t = 0
+    calls, scans = [], []
+    real_sums, real_scan = core._tilted_sums, core._certify_moment_tail
+    monkeypatch.setattr(core, "_tilted_sums",
+                        lambda spec, t, *a, **k: calls.append(t) or real_sums(spec, t, *a, **k))
+    monkeypatch.setattr(core, "_certify_moment_tail", lambda *a: scans.append(a) or real_scan(*a))
+    points = [[0.2, 0.3], [0.0, 0.0], [0.4, -0.5], [0.6, 1.0], [0.8, 0.1]]
+    cfg = write(tmp_path, mixed_scenario(price={"points": points}))
+    assert cli.main(["price", "--config", cfg]) == 0
+    assert len(calls) == 1 and list(calls[0]) == [0.2, 0.4, 0.6, 0.8]
+    assert len(scans) == 1
+    # each record is the batch of one of the scalar API, bit for bit
+    spec = cli._load_scenario(cfg, None).build_spec()
+    for (t, xi), rec in zip(points, json.loads(capsys.readouterr().out)):
+        assert [rec["t"], rec["xi"]] == [t, xi]
+        assert rec["posterior_mean"] == core.conditional_moment(spec, t, xi, 1)
+        assert rec["psi"] == core.psi_total(spec, t, xi)
 
 
 def test_price_far_tail_state(tmp_path, capsys):
@@ -316,10 +352,12 @@ def gamma_scenario(**blocks) -> dict:
 
 def test_check_suite_loads_only_when_used(tmp_path):
     # the check suite brings in scipy.stats, and QUADPACK and brentq are
-    # reference and fallback routes: neither the package import nor a price
-    # or option request on the mixed and gamma laws may load them, while the
-    # check names stay reachable
-    heavy = ("levybridge.checks", "scipy.stats", "scipy.integrate", "scipy.optimize")
+    # reference and fallback routes; the Gauss-Jacobi rules need no
+    # scipy.linalg: neither the package import nor a price or option request
+    # on the mixed and gamma laws may load them, while the check names stay
+    # reachable
+    heavy = ("levybridge.checks", "scipy.stats", "scipy.integrate", "scipy.optimize",
+             "scipy.linalg")
     requests = [("price", write(tmp_path, binary_scenario(price={"points": [[0.5, 0.25]]}), "b.json"))]
     for name, scenario, strike in (("mixed", mixed_scenario, 0.3), ("gamma", gamma_scenario, 3.5)):
         blocks = {"price": {"points": [[0.0, 0.0], [0.5, 0.3]]},

@@ -13,6 +13,7 @@ from levybridge.errors import (
     DomainError,
     InfiniteMomentError,
     InvalidPinError,
+    NumericError,
     UnreachableStateError,
 )
 from levybridge.kernels import BrownianKernel, GammaKernel, PoissonKernel
@@ -245,6 +246,41 @@ def test_engine_rows_do_not_depend_on_the_batch(law, t):
         assert np.array_equal(many[::-1], fn(spec, t, xis[::-1]))
 
 
+TIME_LAWS = {
+    # Brownian rows take their time natively (the Cauchy rows re-probe);
+    # the gamma branch and the atom terms run once per distinct time
+    "mixed": (mixed_spec, np.linspace(-6.0, 6.0, 9)),
+    "cauchy": (cauchy_spec, np.linspace(-6.0, 6.0, 9)),
+    "uniform": (ROW_LAWS["uniform"][0], np.linspace(-3.0, 4.0, 9)),
+    "gamma": (gamma_scaled_spec, np.geomspace(1e-3, 20.0, 9)),
+    "binary": (
+        lambda: LRBSpec(BrownianKernel(), 1.0, TerminalLaw.from_atoms([(0.0, 0.5), (1.0, 0.5)])),
+        np.linspace(-3.0, 4.0, 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(TIME_LAWS))
+def test_engine_rows_take_their_own_time(law):
+    # a batch with a time per state gives each state the sums of a batch of
+    # one at that scalar time, bit for bit; some times repeat
+    make, xis = TIME_LAWS[law]
+    spec = make()
+    ts = np.array([0.1, 0.9, 0.5, 0.1, 0.3, 0.9, 0.7, 0.5, 0.25])
+    powers = (0, 1, 2)
+    many = core._tilted_sums(spec, ts, xis, powers)
+    for i in range(xis.size):
+        one = core._tilted_sums(spec, float(ts[i]), xis[i : i + 1], powers)
+        assert all(many[q][i] == one[q][0] for q in powers), (ts[i], xis[i])
+
+
+def test_mixed_time_engine_error_reports_the_time_range():
+    # the state at 80 underflows; the diagnostics name the batch's times
+    with pytest.raises(NumericError) as info:
+        core._tilted_sums(mixed_spec(), np.array([0.1, 0.5, 0.9]), np.array([80.0, 0.0, 0.3]))
+    assert info.value.diagnostics["t"] == (0.1, 0.9)
+
+
 def _mixed_closed_form(t, xi):
     """(psi, posterior mean) of mixed_spec by Gaussian algebra in mpmath."""
     with mp.workdps(30):
@@ -441,6 +477,23 @@ def test_conditional_moment_second_moment():
     m2 = core.conditional_moment(spec, 0.5, 1.0, 2)
     # posterior N(1.25, 0.5): second moment = var + mean^2
     assert abs(m2 - (0.5 + 1.25**2)) < 1e-8
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5])
+def test_brownian_posterior_moments_on_a_heavy_prior(t, monkeypatch):
+    # past t = 0 a Brownian posterior is the prior times a normal factor, so
+    # even the Cauchy prior's posterior has every moment finite: no tail scan
+    def no_scan(*args):
+        raise AssertionError("tail scan ran")
+
+    monkeypatch.setattr(core, "_certify_moment_tail", no_scan)
+    spec = cauchy_spec()
+    for xi in (-2.0, 0.3, 1.5):
+        psi = quad_reference.psi(spec, t, xi)
+        for q in (1, 2):
+            want = quad_reference.tilted_sum(spec, t, xi, q) / psi
+            got = core.conditional_moment(spec, t, xi, q)
+            assert np.isfinite(got) and abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_infinite_moment_is_reported():
