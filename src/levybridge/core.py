@@ -268,18 +268,16 @@ def _brownian_density_sums(spec, t, xis, powers):
         )
         todo = todo[(kept < 8) & (hi[todo] - lo[todo] < 0.5 * (phi - plo))]
 
-    def sums(z, wts, r):
+    def values(z, r):
         # one exponent per (state, node), shifted by the row's probe peak so
         # that far states keep their digits
         lp = d.logpdf(z)
         lp -= row_max[r, None]
         e = _brownian_log_weight(T, _rows(t, r), xis[r], z, lp)
-        np.exp(e, out=e)
-        e *= wts
-        return _power_sums(e, z, powers)
+        return _power_values(np.exp(e, out=e), z, powers)
 
     res = numerics.composite_quad_batch(
-        sums, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=4, max_doublings=8
+        values, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=4, max_doublings=8
     )
     res *= np.exp(row_max)[:, None]
     # a Brownian psi is never 0: a zero row means the sums underflowed
@@ -293,27 +291,6 @@ def _log_weight(kernel, T, t, z, step):
     ld_base = kernel.log_density(T, z)
     ok = np.isfinite(ld_base)
     return np.where(ok, kernel.log_density(T - t, step) - np.where(ok, ld_base, 0.0), -np.inf)
-
-
-_JACOBI_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _jacobi_rule(n: int, beta: float):
-    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1], by Golub-Welsch.
-
-    (scipy's roots_jacobi loses about 1e-10 relative at beta near -1, n >= 128.)
-    The tridiagonal Jacobi matrix is small (n <= 512) and its rule is cached,
-    so a dense numpy eigensolver serves and scipy.linalg is never loaded.
-    """
-    key = (n, beta)
-    if key not in _JACOBI_CACHE:
-        k = np.arange(1.0, n)
-        s = 2.0 * k + beta
-        diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
-        off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-        x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        _JACOBI_CACHE[key] = (x, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2)
-    return _JACOBI_CACHE[key]
 
 
 def _gamma_density_sums(spec, t, xis, powers):
@@ -334,7 +311,10 @@ def _gamma_density_sums(spec, t, xis, powers):
     def log_g(z):
         # log of z^(1-mT) p(z), with the kernel-support guard
         z = np.maximum(z, 1e-300)
-        return (1.0 - mT) * np.log(z) + d.logpdf(z)
+        out = np.log(z)
+        out *= 1.0 - mT
+        out += d.logpdf(z)
+        return out
 
     out = np.zeros((xis.size, len(powers)))
     inside = xis >= lo_p
@@ -356,12 +336,30 @@ def _gamma_density_sums(spec, t, xis, powers):
 
 
 def _power_sums(g, z, powers) -> np.ndarray:
-    """Columns q of sum over the last axis of g * z^q, one product per power.
+    """Columns q of sum over the last axis of g * z^q, shape (rows, len(powers)).
 
-    Plain sums rather than matrix products: numpy sums each row on its own,
-    so a row's value does not depend on how many rows share the array.
+    ``g`` has one row per state; ``z`` is one row of points shared by every
+    state, or one row per state. einsum rather than matrix products: it
+    contracts each row on its own, in a fixed order, so a row's value does
+    not depend on how many rows share the array, and z^1 needs no copy.
     """
-    return np.stack([np.sum(g if q == 0 else g * z**q, axis=-1) for q in powers], axis=-1)
+    sub = "rk,rk->r" if np.ndim(z) == 2 else "rk,k->r"
+    return np.stack(
+        [np.einsum("rk->r", g) if q == 0 else np.einsum(sub, g, z if q == 1 else z**q)
+         for q in powers],
+        axis=-1,
+    )
+
+
+def _power_values(g, z, powers) -> np.ndarray:
+    """g * z^q for each q in ``powers``: the integrands of `numerics.composite_quad_batch`,
+    shape (rows, len(powers), nodes)."""
+    if powers == (0,):
+        return g[:, None, :]
+    out = np.empty((g.shape[0], len(powers), g.shape[1]))
+    for i, q in enumerate(powers):
+        np.multiply(g, 1.0 if q == 0 else z if q == 1 else z**q, out=out[:, i])
+    return out
 
 
 def _gamma_spans(log_g, xg, a, q, width):
@@ -371,11 +369,20 @@ def _gamma_spans(log_g, xg, a, q, width):
     (the caller never cuts below hi_p - xi). A decaying w^(a-1) is left out.
     """
     w = width * 2.0 ** np.arange(-4.0, 13.0)
-    z = xg[:, None] + w[None, :]
+    lw = max(a - 1.0, 0.0) * np.log(w)
+
+    def tile(sl):
+        z = xg[sl, None] + w
+        lg = log_g(z)
+        if q:
+            lg += q * np.log(np.maximum(z, 1e-300))
+        lg += lw
+        peak = np.max(lg, axis=1)
+        return np.column_stack([peak, np.argmax((lg >= peak[:, None] - 60.0)[:, ::-1], axis=1)])
+
     with np.errstate(divide="ignore"):
-        lg = log_g(z) + q * np.log(np.maximum(z, 1e-300)) + max(a - 1.0, 0.0) * np.log(w)[None, :]
-    peak = np.max(lg, axis=1)
-    last = w.size - 1 - np.argmax((lg >= peak[:, None] - 60.0)[:, ::-1], axis=1)
+        peak, from_top = numerics._tiled(tile, xg.size, w.size).T
+    last = w.size - 1 - from_top.astype(int)
     if not np.all(np.isfinite(peak)) or np.any(last == w.size - 1):
         raise NumericError(
             "tilted integrand underflows or does not decay on the probed spans",
@@ -389,12 +396,17 @@ def _jacobi_tilted(log_g, xg, W, a, powers):
     that agrees with the previous one to 1e-11 relative."""
     out, prev, todo = np.empty((xg.size, len(powers))), None, np.arange(xg.size)
     for n in (32, 64, 128, 256, 512):
-        x, wts = _jacobi_rule(n, a - 1.0)
+        x, wts = numerics._jacobi_rule(n, a - 1.0)
+        half = (1.0 + x) / 2.0
 
         def tile(sl):
             r = todo[sl]
-            z = xg[r, None] + W[r, None] * (1.0 + x) / 2.0
-            return _power_sums(np.exp(log_g(z)) * wts, z, powers)
+            z = W[r, None] * half
+            z += xg[r, None]
+            e = log_g(z)
+            np.exp(e, out=e)
+            e *= wts
+            return _power_sums(e, z, powers)
 
         cur = (W[todo] / 2.0)[:, None] ** a * numerics._tiled(tile, todo.size, n)
         if prev is not None:
@@ -411,11 +423,11 @@ def _jacobi_tilted(log_g, xg, W, a, powers):
 
 
 def _plain_tilted(log_g, xg, w0, W, a, powers):
-    def sums(w, wts, r):
+    def values(w, r):
         z = xg[r, None] + w
-        return _power_sums(w ** (a - 1.0) * np.exp(log_g(z)) * wts, z, powers)
+        return _power_values(w ** (a - 1.0) * np.exp(log_g(z)), z, powers)
 
-    return numerics.composite_quad_batch(sums, w0, W, init_panels=32, max_doublings=6)
+    return numerics.composite_quad_batch(values, w0, W, init_panels=32, max_doublings=6)
 
 
 def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:

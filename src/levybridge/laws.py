@@ -1,10 +1,12 @@
 """Terminal (horizon) laws: atoms plus an optional density component.
 
-Construction validates total mass 1 with the double-exponential rule of
-`numerics.density_sums`, so every law handed to the conditional-law
-machinery is an honest probability measure. Posterior laws built by `core`
-take their masses from the sums that define them instead
-(`TerminalLaw._from_sums`). Each built-in density carries its
+Construction validates total mass 1, so every law handed to the
+conditional-law machinery is an honest probability measure. A density
+given by the user has its mass summed by the double-exponential rule of
+`numerics.density_sums`; the built-in normal, gamma and uniform densities
+carry their mass, the ``weight`` they were built with, in closed form
+(`TerminalLaw._built_in`), and posterior laws built by `core` take their
+masses from the sums that define them (`TerminalLaw._from_sums`). Each built-in density carries its
 normalised quantile function, which the samplers feed uniforms to, and its
 log-density in closed form, which the tilted-sum engine reads. Density
 callables are built from module-level functions via functools.partial, so
@@ -47,7 +49,12 @@ def _gamma_logpdf(shape, scale, weight, z):
     z = np.asarray(z, dtype=float)
     c = _sp.gammaln(shape) + shape * math.log(scale) - math.log(weight)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(z > 0, (shape - 1.0) * np.log(z) - z / scale - c, -np.inf)
+        out = np.log(z, out=np.empty(z.shape))
+        out *= shape - 1.0
+        out -= z / scale
+    out -= c
+    # one log for every point, then the points off the support (z <= 0)
+    np.copyto(out, -np.inf, where=z <= 0.0)
     return out if out.ndim else float(out)
 
 
@@ -88,7 +95,8 @@ class TerminalLaw:
 
     ``atoms`` are (location, weight) point masses; ``density`` carries the
     absolutely continuous rest. Weights plus density mass must total 1
-    within 1e-10 (checked with `numerics.density_sums` at construction).
+    within 1e-10 (checked at construction, the density's mass summed with
+    `numerics.density_sums`).
     There is no way to represent a singular continuous part, on purpose.
     """
 
@@ -97,16 +105,22 @@ class TerminalLaw:
     density_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._settle(None)
+
+    def _settle(self, density_mass: float | None) -> None:
+        """Check the atoms, set the density's mass (summed numerically unless
+        given) and check that the masses total 1."""
         measure = MixedMeasure(atoms=self.atoms, density=self.density)
         object.__setattr__(self, "atoms", measure.atoms)
         for _, w in self.atoms:
             if w <= 0:
                 raise DomainError("atom weights must be strictly positive")
-        d_mass = 0.0
-        if self.density is not None:
-            d_mass = float(numerics.density_sums(self.density, (np.ones_like,))[0])
-        object.__setattr__(self, "density_mass", d_mass)
-        total = measure.atom_mass + d_mass
+        if density_mass is None:
+            density_mass = 0.0
+            if self.density is not None:
+                density_mass = float(numerics.density_sums(self.density, (np.ones_like,))[0])
+        object.__setattr__(self, "density_mass", density_mass)
+        total = measure.atom_mass + density_mass
         if abs(total - 1.0) > MASS_TOL:
             raise DomainError(f"total mass {total} differs from 1 beyond {MASS_TOL}")
 
@@ -123,6 +137,17 @@ class TerminalLaw:
         law = object.__new__(cls)
         for name, value in (("atoms", atoms), ("density", density), ("density_mass", density_mass)):
             object.__setattr__(law, name, value)
+        return law
+
+    @classmethod
+    def _built_in(cls, atoms, density: DensityComponent, weight: float) -> "TerminalLaw":
+        """A law whose density is built in, with closed-form mass ``weight``."""
+        if not weight > 0.0:
+            raise DomainError(f"density weight must be positive, got {weight}")
+        law = object.__new__(cls)
+        object.__setattr__(law, "atoms", tuple(atoms))
+        object.__setattr__(law, "density", density)
+        law._settle(float(weight))
         return law
 
     @classmethod
@@ -155,7 +180,7 @@ class TerminalLaw:
             cdf=partial(_normal_cdf, mu, sigma),
             logpdf=logpdf,
         )
-        return cls(atoms=tuple(atoms), density=comp)
+        return cls._built_in(atoms, comp, weight)
 
     @classmethod
     def gamma(cls, shape: float, scale: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
@@ -170,7 +195,7 @@ class TerminalLaw:
             cdf=partial(_gamma_cdf, shape, scale),
             logpdf=logpdf,
         )
-        return cls(atoms=tuple(atoms), density=comp)
+        return cls._built_in(atoms, comp, weight)
 
     @classmethod
     def uniform(cls, a: float, b: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
@@ -185,7 +210,7 @@ class TerminalLaw:
             cdf=partial(_uniform_cdf, a, b),
             logpdf=logpdf,
         )
-        return cls(atoms=tuple(atoms), density=comp)
+        return cls._built_in(atoms, comp, weight)
 
     # -- views ---------------------------------------------------------------
 

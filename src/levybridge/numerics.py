@@ -8,10 +8,10 @@ continuous part.
 
 The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
-per-row Gauss-Legendre rule) and `solve_brackets` (vectorised bracketing
-root finder). QUADPACK and `brentq` remain in `integrate`, `inverse_cdf`
-and the fallbacks for components without a quantile, which import them on
-first use.
+per-row composite Gauss-Kronrod rule), `_jacobi_rule` (Gauss-Jacobi) and
+`solve_brackets` (vectorised bracketing root finder). QUADPACK and `brentq`
+remain in `integrate`, `inverse_cdf` and the fallbacks for components
+without a quantile, which import them on first use.
 """
 
 from __future__ import annotations
@@ -553,9 +553,85 @@ def inverse_cdf(
 
 
 # ---------------------------------------------------------------------------
+# Gauss rules from three-term recurrences
+
+
+def _golub_welsch(diag, off, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule whose symmetric tridiagonal Jacobi matrix
+    has ``diag`` and ``off``, for a weight of total ``mass`` (Golub-Welsch).
+
+    The matrices here are small (n <= 512) and their rules are cached, so a
+    dense numpy eigensolver serves and scipy.linalg is never loaded.
+    """
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, mass * vecs[0] ** 2
+
+
+@lru_cache(maxsize=None)
+def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1].
+
+    (scipy's roots_jacobi loses about 1e-10 relative at beta near -1, n >= 128.)
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    return _golub_welsch(diag, off, 2.0 ** (beta + 1.0) / (beta + 1.0))
+
+
+@lru_cache(maxsize=None)
+def _kronrod_rule(n: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2n+1)-point Gauss-Kronrod extension of the n-point Gauss-Legendre rule.
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133) turns the first
+    3n/2 + 1 Legendre recurrence coefficients (alpha = 0, beta_0 = 2,
+    beta_k = k^2 / (4k^2 - 1)) into the Jacobi-Kronrod matrix, whose
+    eigenvalues are the nodes (`_golub_welsch`). Returns the nodes on
+    [-1, 1], the Kronrod weights, and the Gauss weights of the first n
+    nodes: the n Gauss nodes come first, set to numpy's ``leggauss(n)`` (the
+    eigensolver finds them within an ulp or two), then the n + 1 Kronrod
+    nodes. For n = 16 the rule integrates polynomials of degree 49 exactly.
+    """
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    k = np.arange(1.0, math.ceil(1.5 * n) + 1.0)
+    b[0] = 2.0
+    b[1 : k.size + 1] = k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum(
+            (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
+        )
+        s, t = t, s
+    s[1 : n // 2 + 2] = s[: n // 2 + 1]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(
+            -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2]
+        )
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    x, w = _golub_welsch(a, np.sqrt(b[1:]), b[0])
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    order = np.concatenate([np.arange(1, 2 * n, 2), np.arange(0, 2 * n + 1, 2)])
+    x, w = x[order], w[order]
+    x[:n] = gx
+    return x, w, gw
+
+
+# ---------------------------------------------------------------------------
 # per-row composite quadrature (for MC-scale batch evaluation)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _TILE = 1 << 14  # (row, node) entries per tile: the fused passes stay in cache
 
 
@@ -565,8 +641,26 @@ def _tiled(fn, n_rows: int, n_cols: int) -> np.ndarray:
     return np.concatenate([fn(slice(i, i + step)) for i in range(0, n_rows, step)])
 
 
+@lru_cache(maxsize=None)
+def _composite_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_kronrod_rule` on ``panels`` equal panels of [0, 1].
+
+    Returns the nodes, the Kronrod weights and the Gauss weights of the first
+    16 * panels nodes: every panel's Gauss nodes come first, in panel order,
+    then every panel's Kronrod nodes.
+    """
+    x, wk, wg = _kronrod_rule()
+    g = wg.size
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    centre = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    nodes = np.concatenate([(centre + half * x[:g]).ravel(), (centre + half * x[g:]).ravel()])
+    wts = np.concatenate([(half * wk[:g]).ravel(), (half * wk[g:]).ravel()])
+    return nodes, wts, (half * wg).ravel()
+
+
 def composite_quad_batch(
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a,
     b,
     *,
@@ -577,46 +671,51 @@ def composite_quad_batch(
 ) -> np.ndarray:
     """Integrate a batch of smooth integrands, row i over [a[i], b[i]].
 
-    Each row's nodes are one reference composite Gauss-Legendre rule on
-    [0, 1] mapped onto its interval. ``fn(nodes, weights, rows)`` takes the
-    nodes of the rows in the index array ``rows``, shape (len(rows), k),
-    and the reference weights, shape (k,), and returns those rows' weighted
-    sums, shape (len(rows), p); they are scaled by the interval lengths
-    here. Panels double until a row's sums agree with the previous level's
-    to max(abs_tol, rel_tol * its largest |sum|); the row keeps that finer
-    level and leaves the batch. Rows reach ``fn`` in tiles of about _TILE
-    (row, node) entries. A row's result therefore depends on its own
-    integrand alone, bit for bit, as long as ``fn`` treats rows apart.
-    Returns shape (len(a), p).
+    Each level is one reference rule on [0, 1], mapped onto every row's
+    interval: P equal panels, each with the 33-point Gauss-Kronrod extension
+    (K33) of the 16-point Gauss-Legendre rule (G16), built on first use by
+    `_kronrod_rule`. ``fn(nodes, rows)`` takes the nodes of the rows in the
+    index array ``rows``, shape (len(rows), k), and returns the values of p
+    integrands there, shape (len(rows), p, k), unweighted. The first 16 P
+    columns are the G16 nodes of every panel, so the check sums only those:
+    a row is accepted once its G16 x P sums agree with its K33 x P sums to
+    max(abs_tol, rel_tol * its largest |K33 sum|), and it returns the K33
+    sums and leaves the batch. Rows that fail double their panels, up to
+    ``max_doublings`` times. Sums are taken row by row, and rows reach
+    ``fn`` in tiles of about _TILE (row, node) entries, so a row's result
+    depends on its own integrand alone, bit for bit, as long as ``fn``
+    treats rows apart. Returns shape (len(a), p).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     ok = a.ndim == 1 and a.size > 0 and a.shape == b.shape
     if not (ok and np.all(np.isfinite(a) & np.isfinite(b) & (a < b))):
         raise DomainError("need finite intervals a[i] < b[i], given as non-empty 1-d arrays")
     width = b - a
-    out, prev, todo = None, None, np.arange(a.size)
+    out, todo = None, np.arange(a.size)
     panels = init_panels
     for _ in range(max_doublings + 1):
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _GL_NODES).ravel()
-        wts = (half[:, None] * _GL_WEIGHTS).ravel()
+        nodes, wk, wg = _composite_rule(panels)
 
         def tile(sl):
             r = todo[sl]
-            return fn(a[r, None] + width[r, None] * nodes, wts, r) * width[r, None]
+            vals = fn(a[r, None] + width[r, None] * nodes, r)
+            # einsum contracts each row on its own, in a fixed order
+            both = np.stack(
+                [np.einsum("rpk,k->rp", vals, wk), np.einsum("rpk,k->rp", vals[..., : wg.size], wg)],
+                axis=1,
+            )
+            return both * width[r, None, None]
 
-        cur = _tiled(tile, todo.size, nodes.size)
-        if prev is None:
-            out = np.empty((a.size, cur.shape[1]))
-        else:
-            diff = np.max(np.abs(cur - prev), axis=1)
-            done = diff <= np.maximum(abs_tol, rel_tol * np.max(np.abs(cur), axis=1))
-            out[todo[done]] = cur[done]
-            todo, cur = todo[~done], cur[~done]
-            if todo.size == 0:
-                return out
-        prev = cur
+        sums = _tiled(tile, todo.size, nodes.size)
+        kron, gauss = sums[:, 0], sums[:, 1]
+        if out is None:
+            out = np.empty((a.size, kron.shape[1]))
+        diff = np.max(np.abs(kron - gauss), axis=1)
+        done = diff <= np.maximum(abs_tol, rel_tol * np.max(np.abs(kron), axis=1))
+        out[todo[done]] = kron[done]
+        todo = todo[~done]
+        if todo.size == 0:
+            return out
         panels *= 2
     raise NumericError(
         "composite quadrature did not stabilize",

@@ -187,6 +187,34 @@ def _toward(bound: float, x: float, up: bool) -> float:
     return bound - 0.25 * (bound - x)
 
 
+_WIDEN_STEPS = 120  # steps of `_toward` before a bracket end stays unsettled
+_WIDEN_BATCH = 16  # most steps per engine call
+
+
+def _widen(g_many, bound: float, x: float, gx: float, up: bool) -> tuple[float, float]:
+    """Step a bracket end toward ``bound`` until g there is >= 0 (up) or <= 0 (down).
+
+    The steps are those of `_toward`, one after another, at most
+    _WIDEN_STEPS of them; they reach ``g_many`` in batches of 1, 2, 4, ...
+    up to _WIDEN_BATCH points, so a far end costs a dozen engine calls, not
+    one per step, while an end settled by its first step costs one. Returns
+    the first settled point and g there, or the last point tried.
+    """
+    sign = 1.0 if up else -1.0
+    steps, batch = 0, 1
+    while steps < _WIDEN_STEPS and not sign * gx >= 0.0:
+        xs = []
+        for _ in range(min(batch, _WIDEN_STEPS - steps)):
+            xs.append(_toward(bound, xs[-1] if xs else x, up))
+        vals = g_many(xs)
+        hit = np.flatnonzero(sign * vals >= 0.0)
+        k = int(hit[0]) if hit.size else len(xs) - 1
+        x, gx = xs[k], float(vals[k])
+        steps += len(xs)
+        batch = min(2 * batch, _WIDEN_BATCH)
+    return x, gx
+
+
 def _scan_range(spec: _core.LRBSpec, t: float, strike: float, df: float) -> tuple[float, float]:
     """Finite state interval outside which the price sign cannot change.
 
@@ -232,7 +260,7 @@ def critical_information(
     Every price evaluation is a batched `core.posterior_mean_many` call. In
     ``monotone`` mode one call takes the bracket ends and 33 samples between
     them, which must be nondecreasing (NonMonotoneError otherwise); an end
-    whose sign is not yet settled is widened first. The region is then a
+    whose sign is not yet settled is widened first, by `_widen`. The region is then a
     single threshold, polished by `numerics.solve_brackets` inside the
     straddling sample pair and checked by its residual. ``set`` mode drops
     the assumption: it scans the range in which the sign can change with
@@ -273,17 +301,8 @@ def critical_information(
         hi = b_hi - 0.5 * (b_hi - mid) if math.isfinite(b_hi) else mid + max(1.0, abs(mid))
         xs = np.linspace(lo, hi, _SAMPLES)
         vals = g_many(xs)
-        g_lo, g_hi = vals[0], vals[-1]
-        for _ in range(120):
-            if g_lo <= 0.0:
-                break
-            lo = _toward(b_lo, lo, up=False)
-            g_lo = g_many([lo])[0]
-        for _ in range(120):
-            if g_hi >= 0.0:
-                break
-            hi = _toward(b_hi, hi, up=True)
-            g_hi = g_many([hi])[0]
+        lo, g_lo = _widen(g_many, b_lo, lo, vals[0], up=False)
+        hi, g_hi = _widen(g_many, b_hi, hi, vals[-1], up=True)
         if g_lo > 0.0:
             # under monotonicity a positive sign at the far low edge settles it
             return ExerciseBoundary(kind="all", evaluations=calls)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -272,6 +273,26 @@ def test_engine_rows_take_their_own_time(law):
     for i in range(xis.size):
         one = core._tilted_sums(spec, float(ts[i]), xis[i : i + 1], powers)
         assert all(many[q][i] == one[q][0] for q in powers), (ts[i], xis[i])
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_mixed_surface_row_evaluates_65_plus_132_entries(t):
+    # the prior's log-density is read once on each row's 65-point probe and
+    # once on its first quadrature level, 4 panels of the 33-point Kronrod
+    # rule: there the 16-point Gauss sums agree with the Kronrod sums
+    base = mixed_spec().terminal
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.shape(z))
+        return base.density.logpdf(z)
+
+    density = dataclasses.replace(base.density, logpdf=counted)
+    spec = LRBSpec(BrownianKernel(), 1.0, TerminalLaw(atoms=base.atoms, density=density))
+    for xi in np.linspace(-3.0, 3.0, 7) * math.sqrt(t):
+        sizes.clear()
+        core.posterior_mean_many(spec, t, np.array([xi]))
+        assert sizes == [(1, 65), (1, 132)], xi
 
 
 def test_mixed_time_engine_error_reports_the_time_range():

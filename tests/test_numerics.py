@@ -208,6 +208,45 @@ def test_law_mass_and_mean_match_mpmath(law, reference):
     assert abs(atom_mass + law.density_mass - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("law", [
+    TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),)),
+    TerminalLaw.uniform(-1.0, 2.0, weight=0.4, atoms=((5.0, 0.6),)),
+    TerminalLaw.gamma(0.5, 1.0),
+    TerminalLaw.gamma(1.5, 1.0),
+    TerminalLaw.gamma(2.0, 1.5),
+    TerminalLaw.gamma(0.1, 1.0),
+], ids=["normal+atoms", "uniform+atom", "gamma(0.5,1)", "gamma(1.5,1)", "gamma(2,1.5)", "gamma(0.1,1)"])
+def test_built_in_masses_are_closed_forms_the_rule_agrees_with(law):
+    # a built-in density's mass is the weight it was built with; the
+    # double-exponential rule that sums a user's density finds the same
+    assert abs(law.density_mass - (1.0 - sum(w for _, w in law.atoms))) <= 1e-15
+    summed = numerics.density_sums(law.density, (np.ones_like,))[0]
+    assert abs(summed - law.density_mass) <= 1e-12
+
+
+def test_only_user_densities_are_summed_at_construction(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    real = numerics.density_sums
+    monkeypatch.setattr(numerics, "density_sums", counted)
+    TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),))
+    TerminalLaw.gamma(2.0, 1.5)
+    TerminalLaw.uniform(-1.0, 2.0)
+    assert calls == []
+    d = _unit_uniform()
+    assert TerminalLaw(density=d).density_mass == pytest.approx(1.0, abs=1e-12)
+    assert calls == [d]
+    # the total-mass check still runs on every law
+    with pytest.raises(DomainError):
+        TerminalLaw.normal(0.5, 0.64, weight=0.5)
+    with pytest.raises(DomainError):
+        TerminalLaw.gamma(2.0, 1.5, weight=0.0, atoms=((1.0, 1.0),))
+
+
 def test_density_sums_refuse_an_integrand_that_does_not_decay():
     # the Cauchy density integrates, z times it does not: the rule raises
     # rather than return its truncated sum
@@ -386,6 +425,47 @@ def test_inverse_cdf_unnormalized_density():
 # batch quadrature
 
 
+def test_kronrod_rule_extends_gauss_legendre():
+    # K33 keeps the 16 Gauss-Legendre nodes, has positive weights, and is
+    # exact for x^p up to degree 3 * 16 + 1 = 49
+    x, wk, wg = numerics._kronrod_rule()
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    assert x.size == 33 and np.array_equal(x[:16], gx) and np.array_equal(wg, gw)
+    assert np.all(wk > 0.0) and np.all(np.abs(x) < 1.0)
+    assert np.min(np.abs(x[16:, None] - gx)) > 1e-3
+    for p in range(50):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(np.dot(wk, x**p) - exact) <= 1e-14, p
+
+
+def test_kronrod_rule_reproduces_the_quadpack_15_point_table():
+    # Laurie's algorithm at n = 7 against the nodes and weights of QUADPACK's
+    # qk15 (the non-negative half; the rule is symmetric)
+    xgk = [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+           0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+           0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+           0.207784955007898467600689403773245, 0.0]
+    wgk = [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+           0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+           0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+           0.204432940075298892414161999234649, 0.209482141084727828012999174891714]
+    x, wk, _ = numerics._kronrod_rule(7)
+    top = np.argsort(-x)[:8]
+    assert np.max(np.abs(x[top] - xgk)) < 2e-15
+    assert np.max(np.abs(wk[top] - wgk)) < 2e-15
+
+
+def test_composite_rule_puts_gauss_nodes_first():
+    nodes, wk, wg = numerics._composite_rule(4)
+    x, _, gw = numerics._kronrod_rule()
+    assert nodes.size == wk.size == 132 and wg.size == 64
+    # the first 64 nodes are today's G16 x 4 rule on [0, 1]
+    centres = (np.arange(4) + 0.5) / 4
+    assert np.allclose(nodes[:64], (centres[:, None] + x[:16] / 8).ravel(), rtol=0, atol=1e-15)
+    assert np.allclose(wg, np.tile(gw / 8, 4), rtol=0, atol=1e-16)
+    assert abs(wk.sum() - 1.0) < 1e-15 and abs(wg.sum() - 1.0) < 1e-15
+
+
 def test_composite_quad_batch_matches_quad():
     fns = [
         lambda x: np.exp(-0.5 * x**2),
@@ -396,7 +476,7 @@ def test_composite_quad_batch_matches_quad():
         return np.stack([fns[i](z) for i, z in zip(r, nodes)])
 
     got = numerics.composite_quad_batch(
-        lambda x, w, r: (rows(x, r) * w).sum(axis=1)[:, None],
+        lambda x, r: rows(x, r)[:, None, :],
         np.full(2, -8.0), np.full(2, 8.0), abs_tol=1e-12, rel_tol=1e-12,
     )[:, 0]
     for i, f in enumerate(fns):
@@ -411,21 +491,21 @@ def test_composite_quad_batch_row_grouping_consistency():
     tol = 1e-11
     pick = lambda r, x: np.stack([(f, g)[i](z) for i, z in zip(r, x)])
     both = numerics.composite_quad_batch(
-        lambda x, w, r: pick(r, x) @ w[:, None], np.full(2, -6.0), np.full(2, 6.0),
+        lambda x, r: pick(r, x)[:, None, :], np.full(2, -6.0), np.full(2, 6.0),
         abs_tol=tol, rel_tol=tol,
     )
     alone_f = numerics.composite_quad_batch(
-        lambda x, w, r: f(x) @ w[:, None], np.array([-6.0]), np.array([6.0]), abs_tol=tol, rel_tol=tol
+        lambda x, r: f(x)[:, None, :], np.array([-6.0]), np.array([6.0]), abs_tol=tol, rel_tol=tol
     )
     alone_g = numerics.composite_quad_batch(
-        lambda x, w, r: g(x) @ w[:, None], np.array([-6.0]), np.array([6.0]), abs_tol=tol, rel_tol=tol
+        lambda x, r: g(x)[:, None, :], np.array([-6.0]), np.array([6.0]), abs_tol=tol, rel_tol=tol
     )
     assert abs(both[0, 0] - alone_f[0, 0]) < 50 * tol
     assert abs(both[1, 0] - alone_g[0, 0]) < 50 * tol
 
 
 def test_composite_quad_batch_interval_validation():
-    fn = lambda x, w, r: x @ w[:, None]
+    fn = lambda x, r: x[:, None, :]
     with pytest.raises(DomainError):
         numerics.composite_quad_batch(fn, np.array([1.0]), np.array([1.0]))
     with pytest.raises(DomainError):
@@ -433,9 +513,10 @@ def test_composite_quad_batch_interval_validation():
 
 
 def test_composite_quad_batch_reports_non_convergence():
-    # one level is never enough to claim stabilization
+    # on one panel over [0, 10], cos(40x) swings 64 times: its 16-point Gauss
+    # sum and 33-point Kronrod sum disagree, and no doubling is allowed
     with pytest.raises(NumericError):
         numerics.composite_quad_batch(
-            lambda x, w, r: np.cos(40.0 * x) @ w[:, None],
+            lambda x, r: np.cos(40.0 * x)[:, None, :],
             np.array([0.0]), np.array([10.0]), init_panels=1, max_doublings=0,
         )

@@ -141,8 +141,8 @@ def test_threshold_pin_binary():
 
 @pytest.mark.parametrize("strike", [0.999, 0.001])
 def test_threshold_far_in_the_tail_widens_the_bracket(strike):
-    # the starting bracket misses these roots: one end is widened with calls
-    # of one state, then the 33 samples are taken again on the final bracket.
+    # the starting bracket misses these roots: one end is widened by steps
+    # toward its bound, then the 33 samples are taken again on the final bracket.
     # Closed form: rho1 = sigmoid(2 xi - 1/2) at t = 1/2
     b = critical_information(binary_spec(), RateCurve.flat(0.0), 0.5, strike)
     assert b.kind == "threshold"
@@ -247,6 +247,21 @@ def test_boundary_counts_its_engine_calls(mode):
     counts = {critical_information(spec, curve, 0.5, 0.3, mode=mode).evaluations for _ in range(3)}
     assert len(counts) == 1
     assert 2 <= counts.pop() <= 30
+
+
+@pytest.mark.parametrize("strike,kind", [(1.0, "all"), (12.0, "threshold")])
+def test_bracket_widening_is_batched(strike, kind, monkeypatch):
+    # at strike 1 every state's price exceeds the strike, so the low end
+    # steps 120 times toward 0; batches of up to 16 steps per engine call
+    # find the same boundary as one step per call
+    spec, curve = checks.gamma_pricing(), RateCurve.flat(0.03)
+    batched = critical_information(spec, curve, 0.5, strike)
+    monkeypatch.setattr(pricing, "_WIDEN_BATCH", 1)
+    single = critical_information(spec, curve, 0.5, strike)
+    assert batched.kind == kind and batched == single
+    assert batched.evaluations <= single.evaluations
+    if kind == "all":
+        assert (batched.evaluations, single.evaluations) == (12, 121)
 
 
 @pytest.mark.parametrize("r,want", [(0.0, 1.05), (0.05, 1.12594536157330)])
