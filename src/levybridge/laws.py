@@ -4,9 +4,9 @@ Construction validates total mass 1, so every law handed to the
 conditional-law machinery is an honest probability measure. A density
 given by the user has its mass summed by the double-exponential rule of
 `numerics.density_sums`; the built-in normal, gamma and uniform densities
-carry their mass, the ``weight`` they were built with, in closed form
-(`TerminalLaw._built_in`), and posterior laws built by `core` take their
-masses from the sums that define them (`TerminalLaw._from_sums`). Each built-in density carries its
+carry their mass, the ``weight`` they were built with, in closed form, and
+posterior laws built by `core` take their masses from the sums that define
+them (`TerminalLaw._from_sums`). Each built-in density carries its
 normalised quantile function, which the samplers feed uniforms to, and its
 log-density in closed form, which the tilted-sum engine reads. Density
 callables are built from module-level functions via functools.partial, so
@@ -16,7 +16,7 @@ laws pickle cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -53,7 +53,7 @@ def _gamma_logpdf(shape, scale, weight, z):
         out *= shape - 1.0
         out -= z / scale
     out -= c
-    # one log for every point, then the points off the support (z <= 0)
+    # one log for every point, then the points off the support (a nan stays nan)
     np.copyto(out, -np.inf, where=z <= 0.0)
     return out if out.ndim else float(out)
 
@@ -95,32 +95,33 @@ class TerminalLaw:
 
     ``atoms`` are (location, weight) point masses; ``density`` carries the
     absolutely continuous rest. Weights plus density mass must total 1
-    within 1e-10 (checked at construction, the density's mass summed with
-    `numerics.density_sums`).
+    within 1e-10, checked at construction. The density's mass is summed
+    with `numerics.density_sums`, unless the built-in constructors pass it
+    in closed form as ``_mass``.
     There is no way to represent a singular continuous part, on purpose.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     density: DensityComponent | None = None
     density_mass: float = field(init=False, repr=False, compare=False)
+    _mass: InitVar[float | None] = None
 
-    def __post_init__(self):
-        self._settle(None)
-
-    def _settle(self, density_mass: float | None) -> None:
-        """Check the atoms, set the density's mass (summed numerically unless
-        given) and check that the masses total 1."""
+    def __post_init__(self, _mass):
         measure = MixedMeasure(atoms=self.atoms, density=self.density)
         object.__setattr__(self, "atoms", measure.atoms)
         for _, w in self.atoms:
             if w <= 0:
                 raise DomainError("atom weights must be strictly positive")
-        if density_mass is None:
-            density_mass = 0.0
-            if self.density is not None:
-                density_mass = float(numerics.density_sums(self.density, (np.ones_like,))[0])
-        object.__setattr__(self, "density_mass", density_mass)
-        total = measure.atom_mass + density_mass
+        d_mass = 0.0
+        if self.density is not None:
+            if _mass is None:
+                d_mass = float(numerics.density_sums(self.density, (np.ones_like,))[0])
+            elif _mass > 0.0:
+                d_mass = float(_mass)
+            else:
+                raise DomainError(f"density weight must be positive, got {_mass}")
+        object.__setattr__(self, "density_mass", d_mass)
+        total = measure.atom_mass + d_mass
         if abs(total - 1.0) > MASS_TOL:
             raise DomainError(f"total mass {total} differs from 1 beyond {MASS_TOL}")
 
@@ -137,17 +138,6 @@ class TerminalLaw:
         law = object.__new__(cls)
         for name, value in (("atoms", atoms), ("density", density), ("density_mass", density_mass)):
             object.__setattr__(law, name, value)
-        return law
-
-    @classmethod
-    def _built_in(cls, atoms, density: DensityComponent, weight: float) -> "TerminalLaw":
-        """A law whose density is built in, with closed-form mass ``weight``."""
-        if not weight > 0.0:
-            raise DomainError(f"density weight must be positive, got {weight}")
-        law = object.__new__(cls)
-        object.__setattr__(law, "atoms", tuple(atoms))
-        object.__setattr__(law, "density", density)
-        law._settle(float(weight))
         return law
 
     @classmethod
@@ -180,7 +170,7 @@ class TerminalLaw:
             cdf=partial(_normal_cdf, mu, sigma),
             logpdf=logpdf,
         )
-        return cls._built_in(atoms, comp, weight)
+        return cls(atoms=tuple(atoms), density=comp, _mass=weight)
 
     @classmethod
     def gamma(cls, shape: float, scale: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
@@ -195,7 +185,7 @@ class TerminalLaw:
             cdf=partial(_gamma_cdf, shape, scale),
             logpdf=logpdf,
         )
-        return cls._built_in(atoms, comp, weight)
+        return cls(atoms=tuple(atoms), density=comp, _mass=weight)
 
     @classmethod
     def uniform(cls, a: float, b: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
@@ -210,7 +200,7 @@ class TerminalLaw:
             cdf=partial(_uniform_cdf, a, b),
             logpdf=logpdf,
         )
-        return cls._built_in(atoms, comp, weight)
+        return cls(atoms=tuple(atoms), density=comp, _mass=weight)
 
     # -- views ---------------------------------------------------------------
 

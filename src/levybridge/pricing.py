@@ -260,9 +260,9 @@ def critical_information(
     Every price evaluation is a batched `core.posterior_mean_many` call. In
     ``monotone`` mode one call takes the bracket ends and 33 samples between
     them, which must be nondecreasing (NonMonotoneError otherwise); an end
-    whose sign is not yet settled is widened first, by `_widen`. The region is then a
-    single threshold, polished by `numerics.solve_brackets` inside the
-    straddling sample pair and checked by its residual. ``set`` mode drops
+    whose sign is not yet settled is widened first, by `_widen`. The region
+    is then a single threshold, polished by `numerics.solve_brackets` inside
+    the straddling sample pair and checked by its residual. ``set`` mode drops
     the assumption: it scans the range in which the sign can change with
     257 samples in one call, polishes every crossing in one solver run and
     returns the union of intervals on which the price exceeds the strike.

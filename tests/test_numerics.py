@@ -459,7 +459,7 @@ def test_composite_rule_puts_gauss_nodes_first():
     nodes, wk, wg = numerics._composite_rule(4)
     x, _, gw = numerics._kronrod_rule()
     assert nodes.size == wk.size == 132 and wg.size == 64
-    # the first 64 nodes are today's G16 x 4 rule on [0, 1]
+    # the first 64 nodes and their Gauss weights are the composite G16 x 4 rule
     centres = (np.arange(4) + 0.5) / 4
     assert np.allclose(nodes[:64], (centres[:, None] + x[:16] / 8).ravel(), rtol=0, atol=1e-15)
     assert np.allclose(wg, np.tile(gw / 8, 4), rtol=0, atol=1e-16)
