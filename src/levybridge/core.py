@@ -352,8 +352,8 @@ def _power_sums(g, z, powers) -> np.ndarray:
 
 
 def _power_values(g, z, powers) -> np.ndarray:
-    """g * z^q for each q in ``powers``: the integrands of `numerics.composite_quad_batch`,
-    shape (rows, len(powers), nodes)."""
+    """g * z^q for each q in ``powers``, shape (rows, len(powers), nodes): the
+    integrand values a `numerics.composite_quad_batch` callback returns."""
     if powers == (0,):
         return g[:, None, :]
     out = np.empty((g.shape[0], len(powers), g.shape[1]))
