@@ -335,25 +335,15 @@ def _gamma_density_sums(spec, t, xis, powers):
     return out
 
 
-def _power_sums(g, z, powers) -> np.ndarray:
-    """Columns q of sum over the last axis of g * z^q, shape (rows, len(powers)).
+def _power_values(g, z, powers) -> np.ndarray:
+    """g * z^q for each q in ``powers``, shape (rows, len(powers), nodes).
 
     ``g`` has one row per state; ``z`` is one row of points shared by every
-    state, or one row per state. einsum rather than matrix products: it
-    contracts each row on its own, in a fixed order, so a row's value does
-    not depend on how many rows share the array, and z^1 needs no copy.
+    state, or one row per state. These are the integrand values a
+    `numerics.composite_quad_batch` callback returns; callers that sum them
+    contract each row on its own (einsum or a sum over the last axis), so a
+    row's value does not depend on how many rows share the array.
     """
-    sub = "rk,rk->r" if np.ndim(z) == 2 else "rk,k->r"
-    return np.stack(
-        [np.einsum("rk->r", g) if q == 0 else np.einsum(sub, g, z if q == 1 else z**q)
-         for q in powers],
-        axis=-1,
-    )
-
-
-def _power_values(g, z, powers) -> np.ndarray:
-    """g * z^q for each q in ``powers``, shape (rows, len(powers), nodes): the
-    integrand values a `numerics.composite_quad_batch` callback returns."""
     if powers == (0,):
         return g[:, None, :]
     out = np.empty((g.shape[0], len(powers), g.shape[1]))
@@ -404,9 +394,7 @@ def _jacobi_tilted(log_g, xg, W, a, powers):
             z = W[r, None] * half
             z += xg[r, None]
             e = log_g(z)
-            np.exp(e, out=e)
-            e *= wts
-            return _power_sums(e, z, powers)
+            return np.einsum("rpk,k->rp", _power_values(np.exp(e, out=e), z, powers), wts)
 
         cur = (W[todo] / 2.0)[:, None] ** a * numerics._tiled(tile, todo.size, n)
         if prev is not None:
@@ -453,7 +441,8 @@ def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np
         locs = np.array([z for z, _ in spec.terminal.atoms])
         for u, rows in _by_time(t):
             with np.errstate(over="ignore"):
-                out[rows] += _power_sums(np.exp(_atom_log_terms(spec, u, flat[rows])), locs, powers)
+                g = np.exp(_atom_log_terms(spec, u, flat[rows]))
+            out[rows] += _power_values(g, locs, powers).sum(axis=-1)
     if spec.terminal.density is not None:
         out += _density_sums(spec, t, flat, powers)
     _check_finite(out, t, flat)

@@ -16,7 +16,7 @@ laws pickle cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -89,43 +89,55 @@ def _shifted_quantile(base, dx, u):
     return np.asarray(base(u)) + dx
 
 
+def _checked_atoms(atoms) -> tuple[tuple[float, float], ...]:
+    """Atoms as floats sorted by location, each weight strictly positive."""
+    atoms = MixedMeasure(atoms=atoms).atoms
+    if any(w <= 0 for _, w in atoms):
+        raise DomainError("atom weights must be strictly positive")
+    return atoms
+
+
+def _check_total(atoms, density_mass: float) -> None:
+    total = sum(w for _, w in atoms) + density_mass
+    if abs(total - 1.0) > MASS_TOL:
+        raise DomainError(f"total mass {total} differs from 1 beyond {MASS_TOL}")
+
+
 @dataclass(frozen=True)
 class TerminalLaw:
     """Probability law of the pinned terminal value.
 
     ``atoms`` are (location, weight) point masses; ``density`` carries the
     absolutely continuous rest. Weights plus density mass must total 1
-    within 1e-10, checked at construction. The density's mass is summed
-    with `numerics.density_sums`, unless the built-in constructors pass it
-    in closed form as ``_mass``.
+    within 1e-10, checked at construction. The constructor sums the
+    density's mass with `numerics.density_sums`; the built-in normal, gamma
+    and uniform constructors know it in closed form (`_closed_form`).
     There is no way to represent a singular continuous part, on purpose.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     density: DensityComponent | None = None
     density_mass: float = field(init=False, repr=False, compare=False)
-    _mass: InitVar[float | None] = None
 
-    def __post_init__(self, _mass):
-        measure = MixedMeasure(atoms=self.atoms, density=self.density)
-        object.__setattr__(self, "atoms", measure.atoms)
-        for _, w in self.atoms:
-            if w <= 0:
-                raise DomainError("atom weights must be strictly positive")
+    def __post_init__(self):
+        atoms = _checked_atoms(self.atoms)
         d_mass = 0.0
         if self.density is not None:
-            if _mass is None:
-                d_mass = float(numerics.density_sums(self.density, (np.ones_like,))[0])
-            elif _mass > 0.0:
-                d_mass = float(_mass)
-            else:
-                raise DomainError(f"density weight must be positive, got {_mass}")
+            d_mass = float(numerics.density_sums(self.density, (np.ones_like,))[0])
+        _check_total(atoms, d_mass)
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "density_mass", d_mass)
-        total = measure.atom_mass + d_mass
-        if abs(total - 1.0) > MASS_TOL:
-            raise DomainError(f"total mass {total} differs from 1 beyond {MASS_TOL}")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _closed_form(cls, atoms, density, weight: float) -> "TerminalLaw":
+        """A built-in law, whose density has mass ``weight`` (no quadrature)."""
+        if not weight > 0.0:
+            raise DomainError(f"density weight must be positive, got {weight}")
+        atoms = _checked_atoms(atoms)
+        _check_total(atoms, float(weight))
+        return cls._from_sums(atoms, density, float(weight))
 
     @classmethod
     def _from_sums(cls, atoms, density, density_mass: float) -> "TerminalLaw":
@@ -170,7 +182,7 @@ class TerminalLaw:
             cdf=partial(_normal_cdf, mu, sigma),
             logpdf=logpdf,
         )
-        return cls(atoms=tuple(atoms), density=comp, _mass=weight)
+        return cls._closed_form(atoms, comp, weight)
 
     @classmethod
     def gamma(cls, shape: float, scale: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
@@ -185,7 +197,7 @@ class TerminalLaw:
             cdf=partial(_gamma_cdf, shape, scale),
             logpdf=logpdf,
         )
-        return cls(atoms=tuple(atoms), density=comp, _mass=weight)
+        return cls._closed_form(atoms, comp, weight)
 
     @classmethod
     def uniform(cls, a: float, b: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
@@ -200,7 +212,7 @@ class TerminalLaw:
             cdf=partial(_uniform_cdf, a, b),
             logpdf=logpdf,
         )
-        return cls(atoms=tuple(atoms), density=comp, _mass=weight)
+        return cls._closed_form(atoms, comp, weight)
 
     # -- views ---------------------------------------------------------------
 

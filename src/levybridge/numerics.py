@@ -553,80 +553,64 @@ def inverse_cdf(
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules from three-term recurrences
-
-
-def _golub_welsch(diag, off, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the rule whose symmetric tridiagonal Jacobi matrix
-    has ``diag`` and ``off``, for a weight of total ``mass`` (Golub-Welsch).
-
-    The matrices here are small (n <= 512) and their rules are cached, so a
-    dense numpy eigensolver serves and scipy.linalg is never loaded.
-    """
-    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, mass * vecs[0] ** 2
+# Gauss rules
 
 
 @lru_cache(maxsize=None)
 def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1].
+    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1], by Golub-Welsch.
 
     (scipy's roots_jacobi loses about 1e-10 relative at beta near -1, n >= 128.)
+    The tridiagonal Jacobi matrix is small (n <= 512) and its rule is cached,
+    so a dense numpy eigensolver serves and scipy.linalg is never loaded.
     """
     k = np.arange(1.0, n)
     s = 2.0 * k + beta
     diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    return _golub_welsch(diag, off, 2.0 ** (beta + 1.0) / (beta + 1.0))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+
+
+# The 33-point Gauss-Kronrod extension (K33) of the 16-point Gauss-Legendre
+# rule (G16) on [-1, 1], from Laurie's algorithm (Math. Comp. 66 (1997) 1133)
+# on the Legendre recurrence, each entry the double nearest its exact value.
+# The rule is symmetric, so only the nodes >= 0 are listed. G16 nodes:
+# (node, G16 weight, K33 weight); the other K33 nodes: (node, K33 weight).
+# tests/test_numerics.py rebuilds both tables in 40-digit arithmetic.
+_K33_GAUSS = (
+    (0.09501250983763744, 0.1894506104550685, 0.09472840124723005),
+    (0.2816035507792589, 0.18260341504492358, 0.09129203282819166),
+    (0.45801677765722737, 0.16915651939500254, 0.08459580379259064),
+    (0.6178762444026438, 0.14959598881657674, 0.07476982388559955),
+    (0.755404408355003, 0.12462897125553388, 0.062358806011834855),
+    (0.8656312023878318, 0.09515851168249279, 0.047506215976407015),
+    (0.9445750230732326, 0.062253523938647894, 0.031260543647380526),
+    (0.9894009349916499, 0.027152459411754096, 0.013257930688091158),
+)
+_K33_KRONROD = (
+    (0.0, 0.0951542160804983),
+    (0.18916857901808373, 0.09343867406092123),
+    (0.37148378087841627, 0.08833750257911273),
+    (0.5404076763521397, 0.08005394126371929),
+    (0.6897411066817623, 0.06886299519153125),
+    (0.8142402870624444, 0.055205633095422174),
+    (0.9091576670123429, 0.039512951202421966),
+    (0.9715059509693926, 0.022498859440049444),
+    (0.9982392741454446, 0.004742777049247318),
+)
 
 
 @lru_cache(maxsize=None)
-def _kronrod_rule(n: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (2n+1)-point Gauss-Kronrod extension of the n-point Gauss-Legendre rule.
-
-    Laurie's algorithm (Math. Comp. 66 (1997) 1133) turns the first
-    3n/2 + 1 Legendre recurrence coefficients (alpha = 0, beta_0 = 2,
-    beta_k = k^2 / (4k^2 - 1)) into the Jacobi-Kronrod matrix, whose
-    eigenvalues are the nodes (`_golub_welsch`). Returns the nodes on
-    [-1, 1], the Kronrod weights, and the Gauss weights of the first n
-    nodes: the n Gauss nodes come first, set to numpy's ``leggauss(n)`` (the
-    eigensolver finds them within an ulp or two), then the n + 1 Kronrod
-    nodes. For n = 16 the rule integrates polynomials of degree 49 exactly.
+def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K33 on [-1, 1]: its nodes, its weights, and the G16 weights of the
+    first 16 nodes. The 16 G16 nodes come first, in increasing order, then
+    the 17 other nodes. The rule integrates polynomials of degree 49 exactly.
     """
-    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
-    k = np.arange(1.0, math.ceil(1.5 * n) + 1.0)
-    b[0] = 2.0
-    b[1 : k.size + 1] = k * k / (4.0 * k * k - 1.0)
-    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        l = m - k
-        s[k + 1] = np.cumsum(
-            (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
-        )
-        s, t = t, s
-    s[1 : n // 2 + 2] = s[: n // 2 + 1]
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        l = m - k
-        j = n - 1 - l
-        s[j + 1] = np.cumsum(
-            -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2]
-        )
-        j, k = j[-1], (m + 1) // 2
-        if m % 2 == 0:
-            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[k + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    x, w = _golub_welsch(a, np.sqrt(b[1:]), b[0])
-    gx, gw = np.polynomial.legendre.leggauss(n)
-    order = np.concatenate([np.arange(1, 2 * n, 2), np.arange(0, 2 * n + 1, 2)])
-    x, w = x[order], w[order]
-    x[:n] = gx
-    return x, w, gw
+    g, k = np.array(_K33_GAUSS), np.array(_K33_KRONROD)
+    x = np.concatenate([-g[::-1, 0], g[:, 0], -k[:0:-1, 0], k[:, 0]])
+    wk = np.concatenate([g[::-1, 2], g[:, 2], k[:0:-1, 1], k[:, 1]])
+    return x, wk, np.concatenate([g[::-1, 1], g[:, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +657,8 @@ def composite_quad_batch(
 
     Each level is one reference rule on [0, 1], mapped onto every row's
     interval: P equal panels, each with the 33-point Gauss-Kronrod extension
-    (K33) of the 16-point Gauss-Legendre rule (G16), built on first use by
-    `_kronrod_rule`. ``fn(nodes, rows)`` takes the nodes of the rows in the
+    (K33) of the 16-point Gauss-Legendre rule (G16), read from the tables
+    of `_kronrod_rule`. ``fn(nodes, rows)`` takes the nodes of the rows in the
     index array ``rows``, shape (len(rows), k), and returns the values of p
     integrands there, shape (len(rows), p, k), unweighted. The first 16 P
     columns are the G16 nodes of every panel, so the check sums only those:

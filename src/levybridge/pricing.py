@@ -195,13 +195,18 @@ def _widen(g_many, bound: float, x: float, gx: float, up: bool) -> tuple[float, 
     """Step a bracket end toward ``bound`` until g there is >= 0 (up) or <= 0 (down).
 
     The steps are those of `_toward`, one after another, at most
-    _WIDEN_STEPS of them; they reach ``g_many`` in batches of 1, 2, 4, ...
-    up to _WIDEN_BATCH points, so a far end costs a dozen engine calls, not
-    one per step, while an end settled by its first step costs one. Returns
-    the first settled point and g there, or the last point tried.
+    _WIDEN_STEPS of them. Toward a finite bound each step closes a quarter
+    of the gap, so the steps reach ``g_many`` in batches of 1, 2, 4, ... up
+    to _WIDEN_BATCH points: a far end costs a dozen engine calls, not one
+    per step, while an end settled by its first step costs one. Toward an
+    infinite bound each step doubles x, and a batch would send the engine
+    states far past the settled one, where its integrand can underflow, so
+    those steps go one per call. Returns the first settled point and g
+    there, or the last point tried.
     """
     sign = 1.0 if up else -1.0
     steps, batch = 0, 1
+    widest = _WIDEN_BATCH if math.isfinite(bound) else 1
     while steps < _WIDEN_STEPS and not sign * gx >= 0.0:
         xs = []
         for _ in range(min(batch, _WIDEN_STEPS - steps)):
@@ -211,7 +216,7 @@ def _widen(g_many, bound: float, x: float, gx: float, up: bool) -> tuple[float, 
         k = int(hit[0]) if hit.size else len(xs) - 1
         x, gx = xs[k], float(vals[k])
         steps += len(xs)
-        batch = min(2 * batch, _WIDEN_BATCH)
+        batch = min(2 * batch, widest)
     return x, gx
 
 

@@ -264,6 +264,19 @@ def test_bracket_widening_is_batched(strike, kind, monkeypatch):
         assert (batched.evaluations, single.evaluations) == (12, 121)
 
 
+@pytest.mark.parametrize("strike", [20.0, -20.0])
+def test_widening_toward_an_infinite_bound_steps_one_state_per_call(strike, monkeypatch):
+    # the roots lie near +-25; doubling steps settle at +-31, and a batch of
+    # further doublings (63 ... 255) would reach states where the mixed
+    # law's tilted integrand underflows, so these steps are never batched
+    spec, curve = checks.brownian_mixed(), RateCurve.flat(0.0)
+    batched = critical_information(spec, curve, 0.5, strike)
+    monkeypatch.setattr(pricing, "_WIDEN_BATCH", 1)
+    single = critical_information(spec, curve, 0.5, strike)
+    assert batched.kind == "threshold" and batched == single
+    assert 25.0 < abs(batched.threshold) < 26.5
+
+
 @pytest.mark.parametrize("r,want", [(0.0, 1.05), (0.05, 1.12594536157330)])
 def test_set_mode_on_a_subordinator_with_unbounded_terminal_law(r, want):
     # the scan once ran up to the infinite top of the terminal support and
