@@ -299,6 +299,8 @@ def _gamma_density_sums(spec, t, xis, powers):
     Written as e^xi * C * integral_0^W w^(a-1) g(xi + w) (xi + w)^q dw with
     g(z) = z^(1-mT) p(z) smooth; the w^(a-1) endpoint factor is absorbed by a
     Gauss-Jacobi rule whose order each state raises until it converges.
+    log g is (1 - mT + k) log z + r(z) for a prior declaring logpdf =
+    k log z + r(z) (one log per node), else (1 - mT) log z + logpdf(z).
     """
     d = spec.terminal.density
     k: GammaKernel = spec.kernel
@@ -308,13 +310,17 @@ def _gamma_density_sums(spec, t, xis, powers):
     lo_p, hi_p = numerics.mass_interval(d, 1e-16)
     log_c = _sp.gammaln(mT) - _sp.gammaln(a)
 
-    def log_g(z):
-        # log of z^(1-mT) p(z), with the kernel-support guard
+    declared = d.edge_power is not None and d.lower == 0.0
+    power, rest = (1.0 - mT + d.edge_power, d.edge_rest) if declared else (1.0 - mT, d.logpdf)
+
+    def log_g(z, q=0):
+        # log of z^(1-mT+q) p(z), with the kernel-support guard
         z = np.maximum(z, 1e-300)
-        out = np.log(z)
-        out *= 1.0 - mT
-        out += d.logpdf(z)
-        return out
+        r = rest(z)
+        np.log(z, out=z)
+        z *= power + q
+        z += r
+        return z
 
     out = np.zeros((xis.size, len(powers)))
     inside = xis >= lo_p
@@ -331,7 +337,9 @@ def _gamma_density_sums(spec, t, xis, powers):
             res = _jacobi_tilted(log_g, xg, np.maximum(hi_p - xg, span), a, powers)
         else:
             res = _plain_tilted(log_g, xg, lo_p - xg, hi_p - xg, a, powers)
-        out[group] = res * np.exp(xg + log_c)[:, None]
+        # a far state overflows here; _check_finite reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[group] = res * np.exp(xg + log_c)[:, None]
     return out
 
 
@@ -362,10 +370,7 @@ def _gamma_spans(log_g, xg, a, q, width):
     lw = max(a - 1.0, 0.0) * np.log(w)
 
     def tile(sl):
-        z = xg[sl, None] + w
-        lg = log_g(z)
-        if q:
-            lg += q * np.log(np.maximum(z, 1e-300))
+        lg = log_g(xg[sl, None] + w, q)
         lg += lw
         peak = np.max(lg, axis=1)
         return np.column_stack([peak, np.argmax((lg >= peak[:, None] - 60.0)[:, ::-1], axis=1)])

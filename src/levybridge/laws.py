@@ -8,9 +8,9 @@ carry their mass, the ``weight`` they were built with, in closed form, and
 posterior laws built by `core` take their masses from the sums that define
 them (`TerminalLaw._from_sums`). Each built-in density carries its
 normalised quantile function, which the samplers feed uniforms to, and its
-log-density in closed form, which the tilted-sum engine reads. Density
-callables are built from module-level functions via functools.partial, so
-laws pickle cleanly.
+log-density in closed form, which the tilted-sum engine reads (gamma and
+uniform also as a power at the lower edge plus a smooth rest). Density callables
+are built from module-level functions via functools.partial, so laws pickle cleanly.
 """
 
 from __future__ import annotations
@@ -32,9 +32,12 @@ MASS_TOL = 1e-10
 
 
 def _normal_logpdf(mu, sigma, weight, z):
-    z = np.asarray(z, dtype=float)
-    out = math.log(weight / (sigma * math.sqrt(2 * math.pi))) - 0.5 * ((z - mu) / sigma) ** 2
-    return out if out.ndim else float(out)
+    # in place on one temporary (a numpy scalar for a scalar z)
+    out = np.asarray(z, dtype=float) - mu
+    out *= out
+    out *= -0.5 / (sigma * sigma)
+    out += math.log(weight / (sigma * math.sqrt(2 * math.pi)))
+    return out if np.ndim(out) else float(out)
 
 
 def _normal_cdf(mu, sigma, z):
@@ -45,14 +48,19 @@ def _normal_quantile(mu, sigma, u):
     return mu + sigma * _sp.ndtri(u)
 
 
-def _gamma_logpdf(shape, scale, weight, z):
+def _gamma_rest(scale, c, z):
+    out = np.multiply(z, -1.0 / scale)
+    out -= c
+    return out
+
+
+def _gamma_logpdf(k, rest, z):
+    """k log z + rest(z) for z > 0, else -inf; rest is `_gamma_rest`, -z / scale - c."""
     z = np.asarray(z, dtype=float)
-    c = _sp.gammaln(shape) + shape * math.log(scale) - math.log(weight)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(z, out=np.empty(z.shape))
-        out *= shape - 1.0
-        out -= z / scale
-    out -= c
+        out *= k
+        out += rest(z)
     # one log for every point, then the points off the support (a nan stays nan)
     np.copyto(out, -np.inf, where=z <= 0.0)
     return out if out.ndim else float(out)
@@ -186,9 +194,11 @@ class TerminalLaw:
 
     @classmethod
     def gamma(cls, shape: float, scale: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
-        if shape <= 0 or scale <= 0:
-            raise DomainError("shape and scale must be positive")
-        logpdf = partial(_gamma_logpdf, shape, scale, weight)
+        if not (shape > 0 and scale > 0 and weight > 0):
+            raise DomainError("shape, scale and weight must be positive")
+        c = _sp.gammaln(shape) + shape * math.log(scale) - math.log(weight)
+        rest = partial(_gamma_rest, scale, c)
+        logpdf = partial(_gamma_logpdf, shape - 1.0, rest)
         comp = DensityComponent(
             pdf=partial(numerics._exp_of, logpdf),
             lower=0.0,
@@ -196,6 +206,8 @@ class TerminalLaw:
             quantile=partial(_gamma_quantile, shape, scale),
             cdf=partial(_gamma_cdf, shape, scale),
             logpdf=logpdf,
+            edge_power=shape - 1.0,
+            edge_rest=rest,
         )
         return cls._closed_form(atoms, comp, weight)
 
@@ -211,6 +223,8 @@ class TerminalLaw:
             quantile=partial(_uniform_quantile, a, b),
             cdf=partial(_uniform_cdf, a, b),
             logpdf=logpdf,
+            edge_power=0.0,
+            edge_rest=logpdf,
         )
         return cls._closed_form(atoms, comp, weight)
 

@@ -69,6 +69,9 @@ class DensityComponent:
     logpdf:
         Log of ``pdf`` (-inf where it vanishes), which the tilted-sum engine
         reads so that far tails do not underflow. Left out, it is log(pdf).
+    edge_power, edge_rest:
+        Optional, together: logpdf(z) = edge_power * log(z - lower) + edge_rest(z)
+        on the support, edge_rest smooth; a gamma-kernel row then takes one log.
 
     `mass_interval` keeps the intervals it finds for a component, by eps.
     """
@@ -80,6 +83,8 @@ class DensityComponent:
     quantile: Callable | None = None
     cdf: Callable | None = None
     logpdf: Callable | None = field(default=None, compare=False)
+    edge_power: float | None = field(default=None, compare=False)
+    edge_rest: Callable | None = field(default=None, compare=False)
     _intervals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,6 +92,9 @@ class DensityComponent:
             raise DomainError(f"density support [{self.lower}, {self.upper}] is empty")
         pts = tuple(sorted(p for p in self.breakpoints if self.lower < p < self.upper))
         object.__setattr__(self, "breakpoints", pts)
+        declared = self.edge_power is not None
+        if declared != (self.edge_rest is not None) or declared and math.isinf(self.lower):
+            raise DomainError("an edge declaration needs edge_power, edge_rest and a finite lower")
         if self.logpdf is None:
             object.__setattr__(self, "logpdf", partial(_log_of, self.pdf))
 
@@ -558,18 +566,30 @@ def inverse_cdf(
 
 @lru_cache(maxsize=None)
 def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight (1 + x)^beta on [-1, 1], by Golub-Welsch.
-
-    (scipy's roots_jacobi loses about 1e-10 relative at beta near -1, n >= 128.)
-    The tridiagonal Jacobi matrix is small (n <= 512) and its rule is cached,
-    so a dense numpy eigensolver serves and scipy.linalg is never loaded.
+    """n-point Gauss rule for (1 + x)^beta on [-1, 1]: `eigvalsh` nodes (no threaded
+    eigh), three Newton steps on the orthonormal recurrence, weights 1 / sum_{k<n}
+    p_k(x)^2, all in numpy's long double. With the x87 type that is within 4e-14 of
+    a 40-digit rule at n <= 512 (scripts/jacobi_rules.py; eigh gave 1e-11). Cached.
     """
-    k = np.arange(1.0, n)
+    k = np.arange(1, n, dtype=np.longdouble)
     s = 2.0 * k + beta
-    diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
+    diag = np.concatenate(([np.longdouble(beta) / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    jm = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jm.astype(float)).astype(np.longdouble)
+    b = np.concatenate(([0.0], off, [1.0]))  # the last step leaves p_n unscaled
+    for step in range(4):
+        # p_0 .. p_n at x with the derivative of p_n, and sum_{k<n} p_k^2
+        p0, d0, d1, total = (np.zeros_like(x) for _ in range(4))
+        p1 = np.full_like(x, np.sqrt((beta + 1.0) / np.longdouble(2.0) ** (beta + 1.0)))
+        for j in range(n):
+            total += p1 * p1
+            u = x - diag[j]
+            p1, p0 = (u * p1 - b[j] * p0) / b[j + 1], p1
+            d1, d0 = (p0 + u * d1 - b[j] * d0) / b[j + 1], d1
+        if step < 3:
+            x -= p1 / d1
+    return x.astype(float), (1.0 / total).astype(float)
 
 
 # The 33-point Gauss-Kronrod extension (K33) of the 16-point Gauss-Legendre

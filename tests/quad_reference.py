@@ -13,12 +13,16 @@ The tolerance is relative only, so far-tail values keep their digits.
 `sample_path_inverse_cdf` is the generic counterpart of the kernels' exact
 bridge steps (`bridge.sample_step`): each draw inverts the integral of the
 bridge transition density, or the cumulative lattice masses.
+
+`jacobi_rule_mp` is a 40-digit Gauss-Jacobi rule for checking the engine's
+double rules (`numerics._jacobi_rule`).
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -114,3 +118,33 @@ def sample_path_inverse_cdf(pin, times, rng) -> SamplePath:
             values[k] = _bridge_step_inverse_cdf(step, t, rng)
         cur_t, cur_x = t, values[k]
     return SamplePath(times=times, values=values)
+
+
+def jacobi_rule_mp(n: int, beta: float, start) -> tuple[list, list, mpmath.mpf]:
+    """The n-point Gauss rule for (1 + x)^beta on [-1, 1] in 40 digits.
+
+    Each node is the root of the degree-n orthonormal Jacobi polynomial that
+    two Newton steps reach from its ``start`` value; each weight is the
+    Christoffel number 1 / sum_{k<n} p_k(x)^2 there. Returns the nodes, the
+    weights and the weight's mass 2^(beta+1) / (beta+1), which the weights
+    of n distinct roots sum to.
+    """
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        diag = [b / (b + 2)] + [b**2 / ((2 * k + b) * (2 * k + b + 2)) for k in range(1, n)]
+        off = [0] + [2 * k * (k + b) / ((2 * k + b) * mpmath.sqrt((2 * k + b + 1) * (2 * k + b - 1)))
+                     for k in range(1, n)] + [1]
+        nodes, weights = [], []
+        for x in map(mpmath.mpf, start):
+            for step in range(3):
+                p0, p1, d0, d1, total = 0, mpmath.sqrt((b + 1) / 2 ** (b + 1)), 0, 0, 0
+                for j in range(n):
+                    total += p1 * p1
+                    u = x - diag[j]
+                    p0, p1, d0, d1 = (p1, (u * p1 - off[j] * p0) / off[j + 1],
+                                      d1, (p1 + u * d1 - off[j] * d0) / off[j + 1])
+                if step < 2:
+                    x -= p1 / d1
+            nodes.append(x)
+            weights.append(1 / total)
+        return nodes, weights, 2 ** (b + 1) / (b + 1)

@@ -1,14 +1,16 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate as sci_integrate
+from scipy import special
 
 import quad_reference
-from levybridge import core
+from levybridge import core, numerics, sampler
 from levybridge.core import LRBSpec
 from levybridge.errors import (
     DomainError,
@@ -204,6 +206,77 @@ def test_psi_gamma_far_states_match_closed_form():
         ):
             assert np.all(np.abs(got - want) <= 1e-10 * want)
     assert np.isfinite(core.psi_total(spec, 0.1, 100.0))
+
+
+def _undeclared_gamma(shape, scale):
+    """A Gamma(shape, scale) density built by hand, with no edge declaration."""
+    def logpdf(z):
+        z = np.asarray(z, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (shape - 1.0) * np.log(z) - z / scale - special.gammaln(shape) - shape * math.log(scale)
+        return np.where(z > 0.0, out, -np.inf)
+
+    return DensityComponent(
+        pdf=lambda z: np.exp(logpdf(z)),
+        lower=0.0,
+        upper=math.inf,
+        quantile=lambda u: scale * special.gammaincinv(shape, u),
+        logpdf=logpdf,
+    )
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_undeclared_gamma_prior_takes_the_same_values(t):
+    # the route through logpdf gives what the declared k log z + r(z) gives
+    declared = gamma_scaled_spec()
+    plain = LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw(density=_undeclared_gamma(2.0, 1.5)))
+    assert plain.terminal.density.edge_power is None
+    xis = np.concatenate([[0.0, 1e-12], np.geomspace(1e-3, 200.0, 15)])
+    for fn in (core.psi_total_many, core.posterior_mean_many):
+        want, got = fn(declared, t, xis), fn(plain, t, xis)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_declared_gamma_prior_is_read_without_its_logpdf():
+    # one log per node: the gamma branch reads k and r(z), never logpdf
+    base = gamma_scaled_spec().terminal.density
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return base.logpdf(z)
+
+    d = dataclasses.replace(base, logpdf=counted)
+    spec = LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw._from_sums((), d, 1.0))
+    xis = np.geomspace(1e-3, 50.0, 9)
+    want = core.posterior_mean_many(gamma_scaled_spec(), 0.5, xis)
+    assert np.array_equal(core.posterior_mean_many(spec, 0.5, xis), want)
+    assert calls == []
+
+
+def test_gamma_overflow_is_a_numeric_error_without_warnings():
+    # e^xi overflows at xi = 1000; only the NumericError reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite"):
+            core.psi_total_many(gamma_scaled_spec(), 0.5, [1000.0])
+
+
+def test_gamma_engine_builds_its_rules_without_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    numerics._jacobi_rule.cache_clear()
+    try:
+        spec = gamma_scaled_spec()
+        xis = np.geomspace(1e-3, 50.0, 9)
+        psi = core.psi_total_many(spec, 0.3, xis)
+        assert np.all(np.abs(psi - 1.5 ** (-0.6) * np.exp(xis / 3.0)) <= 1e-10 * psi)
+        out = sampler.simulate_paths(spec, [0.25, 0.5, 0.75, 1.0], 8, 7, method="markov")
+        assert np.all(np.isfinite(out))
+    finally:
+        numerics._jacobi_rule.cache_clear()
 
 
 def test_psi_cauchy_prior_matches_reference():

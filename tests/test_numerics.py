@@ -10,6 +10,7 @@ from scipy import integrate as sci_integrate
 from scipy import optimize as sci_optimize
 from scipy import special
 
+import quad_reference
 from levybridge import numerics
 from levybridge.bridge import BridgeSpec, transition_density
 from levybridge.errors import DomainError, NoRootError, NonMonotoneError, NumericError
@@ -90,6 +91,15 @@ def test_density_component_validation():
         DensityComponent(pdf=lambda z: 1.0, lower=1.0, upper=0.0)
 
 
+def test_density_component_edge_declaration_is_checked():
+    rest = lambda z: np.zeros_like(z)
+    for kwargs in ({"edge_power": 1.0}, {"edge_rest": rest}):
+        with pytest.raises(DomainError):
+            DensityComponent(pdf=lambda z: 1.0, lower=0.0, upper=1.0, **kwargs)
+    with pytest.raises(DomainError):
+        DensityComponent(pdf=lambda z: 1.0, lower=-math.inf, upper=1.0, edge_power=0.0, edge_rest=rest)
+
+
 def test_density_component_breakpoints_filtered_and_sorted():
     d = DensityComponent(
         pdf=lambda z: 1.0, lower=0.0, upper=1.0, breakpoints=(0.9, -3.0, 0.2, 2.0)
@@ -161,6 +171,35 @@ def test_built_in_logpdf_matches_log_pdf(name):
     if name != "uniform":
         assert np.any(inside & ~pos)
     assert d.logpdf(float(z[200])) == pytest.approx(float(logpdf[200]), rel=1e-14)
+
+
+@pytest.mark.parametrize("law", [
+    TerminalLaw.gamma(2.0, 1.5),
+    TerminalLaw.gamma(0.7, 1.0),
+    TerminalLaw.gamma(1.0, 0.25, weight=0.6, atoms=((3.0, 0.4),)),
+    TerminalLaw.gamma(20.0, 0.1),
+    TerminalLaw.uniform(0.0, 3.0),
+    TerminalLaw.uniform(-1.0, 2.0, weight=0.4, atoms=((5.0, 0.6),)),
+], ids=["gamma", "gamma_0.7", "gamma_atom", "sharp_gamma", "uniform_0", "uniform"])
+def test_declared_edge_form_is_the_logpdf(law):
+    # k log(z - lower) + r(z) is the built-in logpdf on the support, from
+    # 1e-300 past the edge (or the next double past a nonzero edge) to the
+    # 1 - 1e-16 quantile
+    d = law.density
+    hi = d.effective_interval(1e-16)[1] - d.lower
+    z = np.unique(d.lower + np.geomspace(1e-300, hi, 400))
+    z = z[z > d.lower]
+    w = z - d.lower
+    declared, logpdf = d.edge_power * np.log(z - d.lower) + d.edge_rest(z), d.logpdf(z)
+    assert np.all(np.abs(declared - logpdf) <= 1e-15 * np.maximum(1.0, np.abs(logpdf)))
+    if d.upper == math.inf:
+        # and the constants are the gamma law's
+        shape = d.edge_power + 1.0
+        scale = float((d.quantile(0.5) - d.lower) / special.gammaincinv(shape, 0.5))
+        wt = law.density_mass
+        ref = ((shape - 1.0) * np.log(w) - w / scale - special.gammaln(shape)
+               - shape * math.log(scale) + math.log(wt))
+        assert np.all(np.abs(logpdf - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_logpdf_defaults_to_log_of_pdf():
@@ -420,6 +459,25 @@ def test_inverse_cdf_unnormalized_density():
     # density 2z on [0, 1]: quantile is sqrt(u)
     got = numerics.inverse_cdf(lambda z: 2.0 * z, 0.0, 1.0, 0.25)
     assert abs(got - 0.5) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi rules
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("beta", [-0.99, -0.8, 0.0, 0.8])
+def test_jacobi_rule_matches_a_40_digit_rule(n, beta):
+    # nodes from eigvalsh, then Newton and Christoffel weights; the rule the
+    # eigenvectors of numpy.linalg.eigh gave was up to 2.6e-13 off here
+    x, w = numerics._jacobi_rule(n, beta)
+    xm, wm, mass = quad_reference.jacobi_rule_mp(n, beta, x)
+    with mpmath.workdps(40):
+        assert abs(mpmath.fsum(wm) - mass) < mpmath.mpf(10) ** -30 * mass
+    assert np.all(np.diff(x) > 0.0)
+    xm, wm = np.array([float(v) for v in xm]), np.array([float(v) for v in wm])
+    assert np.all(np.abs(x - xm) <= 1e-13 * np.abs(xm))
+    assert np.all(np.abs(w - wm) <= 1e-13 * wm)
 
 
 # ---------------------------------------------------------------------------
