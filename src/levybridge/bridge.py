@@ -20,6 +20,7 @@ from scipy import special as _sp
 
 from .errors import DomainError, InvalidPinError, KernelClassError
 from .kernels import BrownianKernel, GammaKernel, Kernel, PoissonKernel, _lattice_inverse
+from .numerics import _beta_inverse
 from .paths import SamplePath
 
 __all__ = ["BridgeSpec", "transition_density", "transition_mass", "transition_cdf",
@@ -104,11 +105,6 @@ def transition_mass(spec: BridgeSpec, t: float, j) -> np.ndarray | float:
     return out if np.ndim(out) else float(out)
 
 
-def _pinned_step_params(spec: BridgeSpec, t: float) -> tuple[float, float]:
-    """(elapsed, remaining) time around the intermediate point t."""
-    return t - spec.start_time, spec.end_time - t
-
-
 def transition_cdf(spec: BridgeSpec, t: float, y):
     """P[bridge state at t <= y], from the kernel family's exact law.
 
@@ -117,7 +113,7 @@ def transition_cdf(spec: BridgeSpec, t: float, y):
     `transition_density`.
     """
     t = spec._check_interior(t)
-    dt, rem = _pinned_step_params(spec, t)
+    dt, rem = t - spec.start_time, spec.end_time - t
     x, z = spec.start_value, spec.end_value
     k = spec.kernel
     y = np.asarray(y, dtype=float)
@@ -141,6 +137,8 @@ def _inverse_step(kernel: Kernel, dt: float, remaining: float, x, z, u):
     Vectorized over (x, z, u) with u in (0, 1): this inverts the exact law
     that `transition_cdf` evaluates (normal, scaled beta or binomial), and
     both bridge paths and the terminal-first process sampler are built on it.
+    The gamma step reads its beta quantile off `numerics._beta_inverse`'s
+    certified table (1e-13 relative where well conditioned), not betaincinv.
     """
     frac = dt / (dt + remaining)
     x = np.asarray(x, dtype=float)
@@ -148,8 +146,8 @@ def _inverse_step(kernel: Kernel, dt: float, remaining: float, x, z, u):
         sd = math.sqrt(dt * remaining / (dt + remaining))
         return x + frac * (np.asarray(z, dtype=float) - x) + sd * _sp.ndtri(u)
     if isinstance(kernel, GammaKernel):
-        beta = _sp.betaincinv(kernel.m * dt, kernel.m * remaining, u)
-        return x + beta * (np.asarray(z, dtype=float) - x)
+        z = np.asarray(z, dtype=float)  # beta = 1 must not step past the pin by a rounding
+        return np.minimum(x + _beta_inverse(kernel.m * dt, kernel.m * remaining, u) * (z - x), z)
     if isinstance(kernel, PoissonKernel):
         u, n = np.broadcast_arrays(np.asarray(u, dtype=float),
                                    np.asarray(np.asarray(z) - x, dtype=np.int64))

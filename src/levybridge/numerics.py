@@ -8,8 +8,9 @@ continuous part.
 
 The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
-per-row composite Gauss-Kronrod rule), `_jacobi_rule` (Gauss-Jacobi) and
-`solve_brackets` (vectorised bracketing root finder). QUADPACK and `brentq`
+per-row composite Gauss-Kronrod rule), `_jacobi_rule` (Gauss-Jacobi),
+`_beta_inverse` (certified inverse-beta tables) and `solve_brackets`
+(vectorised bracketing root finder). QUADPACK and `brentq`
 remain in `integrate`, `inverse_cdf` and the fallbacks for components
 without a quantile, which import them on first use.
 """
@@ -631,6 +632,128 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.concatenate([-g[::-1, 0], g[:, 0], -k[:0:-1, 0], k[:, 0]])
     wk = np.concatenate([g[::-1, 2], g[:, 2], k[:0:-1, 1], k[:, 1]])
     return x, wk, np.concatenate([g[::-1, 1], g[:, 1]])
+
+
+# ---------------------------------------------------------------------------
+# inverse of the regularised incomplete beta function
+
+_BETA_TOL, _BETA_NOISE = 2e-14, 2.0  # certified error in log x: TOL + NOISE ulps of I via ds/dv
+_BETA_GRADE, _BETA_START, _BETA_MAX = 6.0, 256, 4096  # first nodes even in x^(1/6); per half
+_BETA_FLOOR = 1e-100  # I and 1 - I at a half's ends, where betainc keeps its digits
+
+
+def _beta_nodes(p: float, q: float, s: np.ndarray) -> np.ndarray:
+    """Rows x = e^s, I_{p,q}(x), 1 - I, ds/dv, d2s/dv2 (v = logit I): with D = x I'(x), dv/ds =
+    D / (I (1 - I)) and d log(dv/ds) / ds = p - (q - 1) x / (1 - x) - D / I + D / (1 - I)."""
+    from scipy import special
+
+    x = np.exp(s)
+    lo = special.betainc(p, q, x)
+    hi = 1.0 - lo
+    hi[lo > 0.5] = special.betaincc(p, q, x[lo > 0.5])
+    dens = np.exp(p * s + (q - 1.0) * np.log1p(-x) - special.betaln(p, q))
+    d1 = lo * hi / dens
+    d2 = (dens / lo - dens / hi - p + (q - 1.0) * x / (1.0 - x)) * d1 * d1
+    return np.array([x, lo, hi, d1, d2])
+
+
+def _beta_quintic(nodes: np.ndarray, j: np.ndarray):
+    """Widths in v of the intervals j and the Hermite coefficients c1..c5 of log(x / x_j) in t."""
+    x, lo, hi, d1, d2 = nodes
+    w = np.log(lo[j + 1] / hi[j + 1] * (hi[j] / lo[j]))
+    f, a0, a1 = np.log(x[j + 1] / x[j]), d1[j] * w, d1[j + 1] * w
+    b0, b1 = d2[j] * w**2, d2[j + 1] * w**2
+    return w, np.array([a0, b0 / 2, 10 * f - 6 * a0 - 4 * a1 - 1.5 * b0 + b1 / 2,
+                        8 * a0 + 7 * a1 + 1.5 * b0 - b1 - 15 * f,
+                        6 * f - 3 * (a0 + a1) - (b0 - b1) / 2])
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _beta_half(p: float, q: float, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Node values of u / (1 - u) and rows of `_beta_inverse` for the lower half of I_{p,q}: x
+    from where I = _BETA_FLOOR (or the smallest normal double) to 1/2 (or where 1 - I =
+    _BETA_FLOOR), graded toward 1/2. An interval whose midpoint s_m comes back off by more than
+    _BETA_TOL plus the forward call's resolution gains s_m as a node, up to _BETA_MAX nodes."""
+    from scipy import special
+
+    def edge(inside, outside, row):  # bisect for where the row crosses _BETA_FLOOR
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            ok = _beta_nodes(p, q, np.array([mid]))[row, 0] >= _BETA_FLOOR
+            inside, outside = (mid, outside) if ok else (inside, mid)
+        return inside
+
+    sign, s_hi = (-1.0 if upper else 1.0), math.log(0.5)
+    half = _beta_nodes(p, q, np.array([s_hi]))[:, 0]
+    if not half[1] >= _BETA_FLOOR:  # no double u reaches it: u = 0 gives 0, u = 1 gives 1
+        return np.empty(0), np.array([[1.0, 1.0, 0, 0, 0, 0, 0, 0, upper, sign]]).T
+    # the power law I ~ x^p / (p B) places the first node, unless a large q overshoots it
+    s_lo = (math.log(_BETA_FLOOR * p) + special.betaln(p, q)) / p
+    s_lo = min(max(s_lo, math.log(np.finfo(float).tiny)), s_hi - 0.5)
+    if not _beta_nodes(p, q, np.array([s_lo]))[1, 0] >= _BETA_FLOOR / 1024:
+        s_lo = edge(s_hi, s_lo, 1)
+    s_hi = edge(s_lo, s_hi, 2) if half[2] < _BETA_FLOOR else s_hi
+    g = _BETA_GRADE
+    s = g * np.log(np.linspace(math.exp(s_lo / g), math.exp(s_hi / g), _BETA_START + 1))
+    s[0], s[-1] = s_lo, s_hi
+    s = np.union1d(s, np.linspace(s_lo, s_hi, 33))  # the far tail, sparse in x^(1/6), too
+    nodes, done = _beta_nodes(p, q, s), np.zeros(s.size, bool)  # done: its interval to the right
+    while True:
+        j = np.flatnonzero(~done[:-1])
+        (w, c), mid = _beta_quintic(nodes, j), _beta_nodes(p, q, 0.5 * (s[j] + s[j + 1]))
+        t = np.log(mid[1] / mid[2] * (nodes[2, j] / nodes[1, j])) / w
+        err = np.abs(t * (c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * c[4]))))
+                     - np.log(mid[0] / nodes[0, j]))
+        tol = _BETA_TOL + _BETA_NOISE * np.finfo(float).eps * mid[3]
+        fail = ~(err <= tol)
+        done[j[~fail]] = True
+        if not fail.any():
+            break
+        if s.size + np.sum(fail) > _BETA_MAX:
+            i = np.nanargmax(np.where(fail, err / tol, 0.0))
+            raise NumericError("inverse beta table not certified", a=p, b=q, nodes=s.size,
+                               error=float(err[i]), tolerance=float(tol[i]), x=float(mid[0, i]))
+        s = np.concatenate([s, 0.5 * (s[j[fail]] + s[j[fail] + 1])])  # failed midpoints join
+        order = np.argsort(s)
+        s, nodes = s[order], np.concatenate([nodes, mid[:, fail]], axis=1)[:, order]
+        done = np.concatenate([done, np.zeros(np.sum(fail), bool)])[order]
+    (x, lo, hi, d1, _), (w, c) = nodes, _beta_quintic(nodes, np.arange(s.size - 1))
+    rho = lo / hi if upper else hi / lo
+    tail = np.array([[rho[0], sign, d1[0], 0, 0, 0, 0, x[0], upper, sign]]).T  # power law past x[0]
+    body = np.vstack([rho[:-1], sign / w, c, x[:-1], np.full((2, w.size), [[upper], [sign]])])
+    return 1.0 / rho, np.hstack([tail, body])
+
+
+@lru_cache(maxsize=128)
+def _beta_table(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints in u / (1 - u) and the rows of `_beta_inverse` for I_{a,b}. Cached."""
+    (q_lo, lower), (q_up, upper) = _beta_half(a, b, False), _beta_half(b, a, True)
+    q_up = q_up[::-1][1 if q_lo.size and q_up.size else 0:]  # both halves hold x = 1/2
+    return np.concatenate([q_lo, q_up]), np.ascontiguousarray(np.hstack([lower, upper[:, ::-1]]))
+
+
+def _beta_inverse(a: float, b: float, u):
+    """x with I_{a,b}(x) = u, elementwise over u in [0, 1], from a table per (a, b).
+
+    Split at x = 1/2, the lower half tabulates log x against logit I(x), the
+    upper half is the lower half of I_{b,a} in log(1 - x). A draw is one
+    searchsorted and one quintic Hermite evaluation in its offset from a
+    node, log(u / (1 - u) * (1 - I) / I), which keeps its digits in both tails
+    as the nodes keep I and 1 - I from their own forward calls. min(x, 1 - x)
+    is within 1e-13 relative of the root where its condition number
+    |d log x / d log u| is below 100, and within 4 ulps times that number
+    beyond; roots below the smallest normal double come out in [0, 2.3e-308].
+    Past the end nodes (u or 1 - u below _BETA_FLOOR) x follows their power law.
+    """
+    breaks, rows = _beta_table(float(a), float(b))
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = u / (1.0 - u)
+        rho, iw, c1, c2, c3, c4, c5, x0, off, sign = np.take(
+            rows, np.searchsorted(breaks, q, side="right"), axis=1)
+        t = np.clip(np.log(q * rho) * iw, -1e30, 1e30)  # u = 0 and u = 1 reach the tails finitely
+        step = t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))))
+        return off + sign * np.minimum(x0 * np.exp(step), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ posterior, which is what makes the cross-validation tests between the two
 meaningful.
 
 Both routes draw all paths of a call as one batch, turning counter-based
-uniforms into draws with exact inverse-CDF transforms. Uniform number d of
-path i is output i of numpy's Philox4x64-10 keyed by (seed, d), the
-counter-based generator of Salmon et al., SC'11, "Parallel random numbers:
-as easy as 1, 2, 3". Every path takes the same draw numbers whatever it
-draws: 0 picks a terminal atom (at the horizon step of the Markov route),
-1 draws from the terminal density, and 2 + j drives grid step j.
+uniforms into draws with exact inverse-CDF transforms (the gamma bridge step
+reads `numerics._beta_inverse`'s certified table, 1e-13 relative where well
+conditioned). Uniform number d of path i is output i of numpy's Philox4x64-10
+keyed by (seed, d), the counter-based generator of Salmon et al., SC'11,
+"Parallel random numbers: as easy as 1, 2, 3". Every path takes the same
+draw numbers whatever it draws: 0 picks a terminal atom (at the horizon step
+of the Markov route), 1 draws from the terminal density, and 2 + j drives
+grid step j.
 
 Reproducibility contract: path i of `simulate_paths` depends only on
 (spec, times, seed, method, i). The batch it is drawn in does not change

@@ -15,7 +15,8 @@ bridge steps (`bridge.sample_step`): each draw inverts the integral of the
 bridge transition density, or the cumulative lattice masses.
 
 `jacobi_rule_mp` is a 40-digit Gauss-Jacobi rule for checking the engine's
-double rules (`numerics._jacobi_rule`).
+double rules (`numerics._jacobi_rule`), and `beta_inverse_mp` a 40-digit
+root of the regularised incomplete beta for `numerics._beta_inverse`.
 """
 
 from __future__ import annotations
@@ -148,3 +149,47 @@ def jacobi_rule_mp(n: int, beta: float, start) -> tuple[list, list, mpmath.mpf]:
             nodes.append(x)
             weights.append(1 / total)
         return nodes, weights, 2 ** (b + 1) / (b + 1)
+
+
+def beta_inverse_mp(a: float, b: float, u: float, near: float, upper: bool) -> mpmath.mpf:
+    """min(x, 1 - x) in 40 digits for I_{a,b}(x) = u, x on the side ``upper`` of 1/2.
+
+    Illinois steps on log I(e^s) - log u in s = log x, or in s = log(1 - x)
+    with (b, a) and 1 - u when ``upper``, from a bracket around ``near`` (the
+    double answer being checked) that doubles until it brackets the root
+    below s = log(1/2). mpmath's findroot from a float start fails in the
+    far tails, e.g. at u = 1e-15 with a = 0.2.
+    """
+    with mpmath.workdps(40):
+        a, b, u, near = (mpmath.mpf(v) for v in (a, b, u, near))
+        if upper:
+            a, b, u, near = b, a, 1 - u, 1 - near
+        target, top = mpmath.log(u), -mpmath.log(2)
+        f = lambda s: mpmath.log(mpmath.betainc(a, b, 0, mpmath.exp(s), regularized=True)) - target
+        s = mpmath.log(max(near, mpmath.mpf("1e-300")))
+        width = mpmath.mpf("1e-11") * (1 + abs(s))
+        lo, hi = min(s, top) - width, min(s + width, top)
+        flo, fhi = f(lo), f(hi)
+        while flo > 0:
+            lo, hi, fhi = lo - 2 * (hi - lo), lo, flo
+            flo = f(lo)
+        while fhi < 0:
+            if hi == top:
+                raise ValueError(f"the root lies past 1/2 for u = {u}")
+            lo, hi, flo = hi, min(hi + 2 * (hi - lo), top), fhi
+            fhi = f(hi)
+        side, prev = 0, None
+        for _ in range(200):
+            if fhi == 0:
+                return mpmath.exp(hi)
+            s = hi - fhi * (hi - lo) / (fhi - flo)
+            if prev is not None and abs(s - prev) <= mpmath.mpf("1e-30") * (1 + abs(s)):
+                return mpmath.exp(s)
+            prev, fs = s, f(s)
+            if fs < 0:
+                lo, flo, fhi = s, fs, fhi / 2 if side == -1 else fhi
+                side = -1
+            else:
+                hi, fhi, flo = s, fs, flo / 2 if side == 1 else flo
+                side = 1
+        raise ValueError(f"no 40-digit root for u = {u}")

@@ -7,7 +7,7 @@ from scipy import integrate as sci_integrate
 from scipy import stats
 
 import quad_reference
-from levybridge import bridge
+from levybridge import bridge, numerics
 from levybridge.checks import _quadrature_bridge_cdf
 from levybridge.bridge import BridgeSpec, sample_path, sample_step, transition_cdf
 from levybridge.errors import DomainError, InvalidPinError, KernelClassError
@@ -259,6 +259,33 @@ def test_gamma_step_vector_draws_match_beta_law():
     draws = sample_step(GammaKernel(2.0), 0.25, 0.75, np.zeros(n), np.ones(n), rng)
     d = stats.kstest(draws, stats.beta(0.5, 1.5).cdf)
     assert d.pvalue > 0.01
+
+
+def test_gamma_step_draws_do_not_depend_on_the_batch():
+    # the inverse-beta table depends on (m dt, m (T - t)) alone, so a draw
+    # equals its single-element value bit for bit in any batch, in any
+    # order, and from a freshly built table as from a cached one
+    kernel, dt, rem = GammaKernel(2.0), 0.1, 0.6
+    rng = RandomStream(508, 0).generator()
+    u = np.concatenate([[2.0**-53, 1.0 - 2.0**-53], rng.uniform(size=15)])
+    x = rng.uniform(0.0, 2.0, 17)
+    z = x + rng.gamma(1.4, 1.5, 17)
+    single = np.array([bridge._inverse_step(kernel, dt, rem, x[i], z[i], u[i]) for i in range(17)])
+    for n in range(1, 18):
+        assert np.array_equal(bridge._inverse_step(kernel, dt, rem, x[:n], z[:n], u[:n]), single[:n])
+    perm = rng.permutation(17)
+    assert np.array_equal(bridge._inverse_step(kernel, dt, rem, x[perm], z[perm], u[perm]), single[perm])
+    numerics._beta_table.cache_clear()
+    assert np.array_equal(bridge._inverse_step(kernel, dt, rem, x, z, u), single)
+
+
+def test_gamma_step_with_a_tiny_shape_stays_inside_its_pin():
+    # m dt = 1e-3: most draws sit far below the next state, some underflow
+    rng = RandomStream(509, 0).generator()
+    x = rng.uniform(0.0, 1.0, 2000)
+    z = x + rng.gamma(2.0, 1.5, 2000)
+    draws = sample_step(GammaKernel(2.0), 5e-4, 0.5, x, z, rng)
+    assert np.all(np.isfinite(draws)) and np.all((x <= draws) & (draws <= z))
 
 
 @pytest.mark.parametrize(

@@ -481,6 +481,54 @@ def test_jacobi_rule_matches_a_40_digit_rule(n, beta):
 
 
 # ---------------------------------------------------------------------------
+# inverse of the regularised incomplete beta function
+
+BETA_GRID = (1e-3, 0.05, 0.2, 1.0, 2.0, 50.0)
+# the terminal-first bench's gamma steps: m dt = 0.2, m (T - t) = 2 (1 - t)
+BETA_PAIRS = list(itertools.product(BETA_GRID, BETA_GRID)) + [
+    (0.2, 2.0 * (1.0 - t)) for t in np.linspace(0.1, 0.9, 9)
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", BETA_PAIRS)
+def test_beta_inverse_matches_a_40_digit_root(a, b):
+    # min(x, 1 - x) within 1e-13 relative of a 40-digit root, and past x = 1/2
+    # within half an ulp of 1 more. A root's condition number kappa, the size
+    # of d log min(x, 1 - x) / d log u (of 1 - u past 1/2), turns one rounding
+    # of u, I or 1 - I into kappa ulps of the root: no double inverse is
+    # exact where kappa is large (1000 at a = 1e-3, where scipy's betaincinv
+    # is 2.6e-13 off), so there the bound is 4 kappa ulps
+    with mpmath.workdps(40):
+        split = mpmath.betainc(a, b, 0, 0.5, regularized=True)
+        underflow = mpmath.betainc(a, b, 0, mpmath.mpf("2.3e-308"), regularized=True)
+    bits = np.random.Philox(key=20261019).random_raw(200)
+    us = float(split)
+    u = np.concatenate([[2.0**-53, 1.0 - 2.0**-53, np.nextafter(us, 0.0), us, np.nextafter(us, 2.0)],
+                        ((bits >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52])
+    u = np.sort(u[u <= 1.0])
+    x = numerics._beta_inverse(a, b, u)
+    assert np.all((x >= 0.0) & (x <= 1.0)) and np.all(np.diff(x) >= 0.0)
+    eps = np.finfo(float).eps
+    for ui, xi in zip(u, x):
+        if ui == 1.0:
+            assert xi == 1.0
+            continue
+        upper = mpmath.mpf(ui) > split
+        if not upper and underflow >= ui:
+            assert 0.0 <= xi <= 2.3e-308
+            continue
+        root = quad_reference.beta_inverse_mp(a, b, ui, xi, upper)
+        with mpmath.workdps(40):
+            got = 1 - mpmath.mpf(xi) if upper else mpmath.mpf(xi)
+            x_root = 1 - root if upper else root
+            dens = x_root ** (a - 1) * (1 - x_root) ** (b - 1) / mpmath.beta(a, b)
+            kappa = float((1 - mpmath.mpf(ui) if upper else mpmath.mpf(ui)) / (root * dens))
+            err = float(abs(got - root)) - (2.0**-53 if upper else 0.0)
+        assert err <= max(1e-13, 4.0 * kappa * eps) * float(root), (ui, xi, kappa)
+
+
+# ---------------------------------------------------------------------------
 # batch quadrature
 
 

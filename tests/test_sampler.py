@@ -395,6 +395,20 @@ def test_paths_do_not_depend_on_the_batch(law, method, n):
         assert np.array_equal(full[:k], sampler.simulate_paths(spec, times, k, 31, method=method))
 
 
+@pytest.mark.parametrize("grid", [[1e-9, 1.0], [1e-6, 0.5, 1.0], [0.5, 1.0 - 1e-9]])
+def test_gamma_paths_on_edge_grids(grid):
+    # gamma steps with m dt or m (T - t) down to 2e-9: every path is finite,
+    # nondecreasing, >= 0 and <= its terminal value; a grid that stops short
+    # of the horizon gets its terminal values from the same call with the
+    # horizon appended, whose shared columns must be the same draws
+    spec = checks.gamma_scaled()
+    paths = sampler.simulate_paths(spec, grid, 2000, 5)
+    full = paths if grid[-1] == 1.0 else sampler.simulate_paths(spec, grid + [1.0], 2000, 5)
+    assert np.array_equal(full[:, : len(grid)], paths)
+    assert np.all(np.isfinite(full)) and np.all(full[:, 0] >= 0.0)
+    assert np.all(np.diff(full, axis=1) >= 0.0)
+
+
 def test_markov_route_makes_one_engine_call_per_step(monkeypatch):
     # a step before the horizon makes one engine call for psi_s and one for
     # the density part of psi_t on the grids of all paths (its lattice), so
