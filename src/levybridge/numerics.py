@@ -688,7 +688,7 @@ def _beta_half(p: float, q: float, upper: bool) -> tuple[np.ndarray, np.ndarray]
     if not half[1] >= _BETA_FLOOR:  # no double u reaches it: u = 0 gives 0, u = 1 gives 1
         return np.empty(0), np.array([[1.0, 1.0, 0, 0, 0, 0, 0, 0, upper, sign]]).T
     # the power law I ~ x^p / (p B) places the first node, unless a large q overshoots it
-    s_lo = (math.log(_BETA_FLOOR * p) + special.betaln(p, q)) / p
+    s_lo = (math.log(_BETA_FLOOR) + math.log(p) + special.betaln(p, q)) / p
     s_lo = min(max(s_lo, math.log(np.finfo(float).tiny)), s_hi - 0.5)
     if not _beta_nodes(p, q, np.array([s_lo]))[1, 0] >= _BETA_FLOOR / 1024:
         s_lo = edge(s_hi, s_lo, 1)
@@ -727,6 +727,8 @@ def _beta_half(p: float, q: float, upper: bool) -> tuple[np.ndarray, np.ndarray]
 @lru_cache(maxsize=128)
 def _beta_table(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints in u / (1 - u) and the rows of `_beta_inverse` for I_{a,b}. Cached."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"beta shapes must be positive and finite, got ({a}, {b})")
     (q_lo, lower), (q_up, upper) = _beta_half(a, b, False), _beta_half(b, a, True)
     q_up = q_up[::-1][1 if q_lo.size and q_up.size else 0:]  # both halves hold x = 1/2
     return np.concatenate([q_lo, q_up]), np.ascontiguousarray(np.hstack([lower, upper[:, ::-1]]))

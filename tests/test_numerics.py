@@ -528,6 +528,15 @@ def test_beta_inverse_matches_a_40_digit_root(a, b):
         assert err <= max(1e-13, 4.0 * kappa * eps) * float(root), (ui, xi, kappa)
 
 
+def test_beta_inverse_rejects_shapes_it_cannot_certify():
+    # a NaN shape would read both halves as out of reach, a table of zeros;
+    # a shape of 1e-300 puts every root below the smallest normal double
+    for a, b in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(DomainError):
+            numerics._beta_inverse(a, b, 0.5)
+    assert np.all(numerics._beta_inverse(1e-300, 1.0, [0.1, 0.5, 0.9]) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # batch quadrature
 
