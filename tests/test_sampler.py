@@ -409,6 +409,18 @@ def test_gamma_paths_on_edge_grids(grid):
     assert np.all(np.diff(full, axis=1) >= 0.0)
 
 
+def test_long_gamma_grid_reuses_its_tables():
+    # a 200-point grid asks for 199 inverse-beta tables, one per step and in
+    # the same order on every call: a second call must build none of them
+    from levybridge import numerics
+
+    spec, grid = checks.gamma_scaled(), np.linspace(0.005, 1.0, 200)
+    sampler.simulate_paths(spec, grid, 4, 1)
+    misses = numerics._beta_table.cache_info().misses
+    sampler.simulate_paths(spec, grid, 4, 2)
+    assert numerics._beta_table.cache_info().misses == misses
+
+
 def test_markov_route_makes_one_engine_call_per_step(monkeypatch):
     # a step before the horizon makes one engine call for psi_s and one for
     # the density part of psi_t on the grids of all paths (its lattice), so
