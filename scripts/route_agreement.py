@@ -16,9 +16,8 @@ from levybridge import (
     BrownianKernel,
     GammaKernel,
     LRBSpec,
-    RandomStream,
     TerminalLaw,
-    sample_marginals,
+    simulate_paths,
 )
 
 
@@ -39,16 +38,8 @@ def main():
     times = [0.25, 0.5, 0.75]
     worst = 1.0
     for label, spec in scenarios():
-        a = sample_marginals(
-            spec, times, args.paths, RandomStream(args.seed, 0).generator()
-        )
-        b = sample_marginals(
-            spec,
-            times,
-            args.paths,
-            RandomStream(args.seed, 1).generator(),
-            method="markov",
-        )
+        a = simulate_paths(spec, times, args.paths, args.seed)
+        b = simulate_paths(spec, times, args.paths, args.seed + 1, method="markov")
         print(f"\n{label}  ({args.paths} paths per route)")
         print(f"  {'time':>5}  {'ks stat':>8}  {'p-value':>8}  {'mean tf':>9}  {'mean mk':>9}")
         for j, t in enumerate(times):

@@ -10,14 +10,13 @@ from levybridge import (
     BrownianKernel,
     CallSpec,
     LRBSpec,
-    RandomStream,
     RateCurve,
     TerminalLaw,
     call_price,
     checks,
     critical_information,
     price_many,
-    sample_marginals,
+    simulate_paths,
 )
 
 HORIZON = 1.0
@@ -33,7 +32,7 @@ def main():
     spec = LRBSpec(BrownianKernel(), HORIZON, TerminalLaw.binary(LOW, HIGH, LOW_PROB))
     curve = RateCurve.flat(RATE)
 
-    xi = sample_marginals(spec, [MATURITY], N_MC, RandomStream(SEED, 0).generator())[:, 0]
+    xi = simulate_paths(spec, [MATURITY], N_MC, SEED)[:, 0]
     bond = price_many(spec, curve, MATURITY, xi)
     df0 = curve.discount(0.0, MATURITY)
 

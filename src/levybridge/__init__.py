@@ -54,9 +54,6 @@ from .sampler import (
     RandomStream,
     draw_terminal,
     sample_levy_paths,
-    sample_lrb_markov,
-    sample_lrb_terminal_first,
-    sample_marginals,
     simulate_paths,
 )
 
@@ -127,9 +124,6 @@ __all__ = [
     "RandomStream",
     "draw_terminal",
     "sample_levy_paths",
-    "sample_lrb_terminal_first",
-    "sample_lrb_markov",
-    "sample_marginals",
     "simulate_paths",
     "__version__",
 ]

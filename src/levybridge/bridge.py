@@ -21,7 +21,7 @@ from scipy import special as _sp
 from .errors import DomainError, InvalidPinError, KernelClassError
 from .kernels import BrownianKernel, GammaKernel, Kernel, PoissonKernel, _lattice_inverse
 from .numerics import _beta_inverse
-from .paths import SamplePath
+from .paths import SamplePath, check_grid
 
 __all__ = ["BridgeSpec", "transition_density", "transition_mass", "transition_cdf",
            "sample_step", "sample_path"]
@@ -171,15 +171,7 @@ def sample_path(spec: BridgeSpec, times, rng) -> SamplePath:
     it, so draws at successive grid points have the correct joint law. A
     grid point equal to the horizon is set to the pinned value exactly.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise DomainError("need a non-empty 1-d grid")
-    if np.any(np.diff(times) <= 0):
-        raise DomainError("grid must be strictly increasing")
-    if times[0] <= spec.start_time or times[-1] > spec.end_time:
-        raise DomainError(
-            f"grid must lie inside ({spec.start_time}, {spec.end_time}]"
-        )
+    times = check_grid(times, spec.start_time, spec.end_time)
     values = np.empty_like(times)
     cur_t, cur_x = spec.start_time, spec.start_value
     for k, t in enumerate(times):

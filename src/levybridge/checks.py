@@ -112,6 +112,11 @@ def _rng(seed: int, sub: int) -> np.random.Generator:
     return _sampler.RandomStream(seed, sub).generator()
 
 
+def _seed(seed: int, sub: int) -> int:
+    """The `simulate_paths` seed of substream ``sub``: one draw from its Generator."""
+    return int(_rng(seed, sub).integers(2**64, dtype=np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # reference routes: the bridge CDF and the call price by quadrature of the
 # bridge density, independent of the kernels' exact CDFs
@@ -271,14 +276,14 @@ def check_levy_recovery(seed: int = 202) -> CheckResult:
     theta = 0.5
 
     spec_b = brownian_drift(theta)
-    vals = _sampler.sample_marginals(spec_b, [0.5], n, _rng(seed, 0))[:, 0]
+    vals = _sampler.simulate_paths(spec_b, [0.5], n, _seed(seed, 0))[:, 0]
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     margins["brownian mean@0.5"] = abs(float(np.mean(vals)) - theta * 0.5) / (3.0 * se)
     margins["brownian var@0.5"] = abs(float(np.var(vals, ddof=1)) - 0.5) / (0.05 * 0.5)
 
     m, kappa = 2.0, 1.5
     spec_g = gamma_scaled(m, kappa)
-    vals = _sampler.sample_marginals(spec_g, [0.5], n, _rng(seed, 1))[:, 0]
+    vals = _sampler.simulate_paths(spec_g, [0.5], n, _seed(seed, 1))[:, 0]
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     margins["gamma mean@0.5"] = abs(float(np.mean(vals)) - kappa * m * 0.5) / (3.0 * se)
 
@@ -308,8 +313,8 @@ def check_stationary_increments(seed: int = 303) -> CheckResult:
     crit = ks_critical_value(n, n)
     for tag, make, sub in (("brownian binary", brownian_binary, 0), ("gamma atoms", gamma_atomic, 2)):
         spec = make()
-        early = _sampler.sample_marginals(spec, [0.1, 0.3], n, _rng(seed, sub))
-        late = _sampler.sample_marginals(spec, [0.4, 0.6], n, _rng(seed, sub + 1))
+        early = _sampler.simulate_paths(spec, [0.1, 0.3], n, _seed(seed, sub))
+        late = _sampler.simulate_paths(spec, [0.4, 0.6], n, _seed(seed, sub + 1))
         d_early = early[:, 1] - early[:, 0]
         d_late = late[:, 1] - late[:, 0]
         stat = float(_sci_stats.ks_2samp(d_early, d_late, method="asymp").statistic)
@@ -330,7 +335,7 @@ def check_expectation_interpolation(seed: int = 404) -> CheckResult:
     n = 20_000
     spec = brownian_binary()
     times = (0.25, 0.5, 0.75)
-    vals = _sampler.sample_marginals(spec, times, n, _rng(seed, 0))
+    vals = _sampler.simulate_paths(spec, times, n, _seed(seed, 0))
     for j, t in enumerate(times):
         se = float(np.std(vals[:, j], ddof=1)) / math.sqrt(n)
         margins[f"t={t}"] = abs(float(np.mean(vals[:, j])) - t * 0.5) / (3.0 * se)
@@ -384,7 +389,7 @@ def check_pricing_martingale(seed: int = 606) -> CheckResult:
     for tag, make, sub in (("binary", brownian_binary, 0), ("mixed", brownian_mixed, 1)):
         spec = make()
         x0 = spec.terminal.mean()
-        vals = _sampler.sample_marginals(spec, times, n, _rng(seed, sub))
+        vals = _sampler.simulate_paths(spec, times, n, _seed(seed, sub))
         for j, t in enumerate(times):
             x_t = _core.posterior_mean_many(spec, t, vals[:, j])
             se = float(np.std(x_t, ddof=1)) / math.sqrt(n)
@@ -414,7 +419,7 @@ def check_binary_option(seed: int = 707) -> CheckResult:
     margins["quadrature vs closed"] = abs(quad - closed) / 1e-7
 
     n = 1_000_000
-    xi = _sampler.sample_marginals(spec, [call.maturity], n, _rng(seed, 0))[:, 0]
+    xi = _sampler.simulate_paths(spec, [call.maturity], n, _seed(seed, 0))[:, 0]
     _, rho1 = _pricing.binary_bond_posterior(spec, call.maturity, xi)
     payoff = np.maximum(rho1 - call.strike, 0.0)
     se = float(np.std(payoff, ddof=1)) / math.sqrt(n)
@@ -450,7 +455,7 @@ def check_gamma_option(seed: int = 808) -> CheckResult:
     margins["marginal closed form vs closed"] = abs(marginal - closed) / 1e-10
 
     n = 100_000
-    xi = _sampler.sample_marginals(spec, [call.maturity], n, _rng(seed, 0))[:, 0]
+    xi = _sampler.simulate_paths(spec, [call.maturity], n, _seed(seed, 0))[:, 0]
     x_t = _core.posterior_mean_many(spec, call.maturity, xi)
     payoff = np.maximum(x_t - call.strike, 0.0)
     se = float(np.std(payoff, ddof=1)) / math.sqrt(n)
@@ -472,7 +477,7 @@ def check_sde_quadratic_variation(seed: int = 909) -> CheckResult:
     n_paths, n_steps = 1000, 500
     dt = 1.0 / n_steps
     times = np.arange(1, n_steps) * dt
-    vals = _sampler.sample_marginals(spec, times, n_paths, _rng(seed, 0))
+    vals = _sampler.simulate_paths(spec, times, n_paths, _seed(seed, 0))
     states = np.hstack([np.zeros((n_paths, 1)), vals])
     grid = np.concatenate([[0.0], times])
     prices = np.empty_like(states)

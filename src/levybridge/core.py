@@ -37,7 +37,7 @@ from .errors import (
 )
 from .kernels import BrownianKernel, GammaKernel, Kernel
 from .laws import TerminalLaw
-from .numerics import DensityComponent
+from .numerics import DensityComponent, TabulatedQuantile
 
 __all__ = [
     "LRBSpec",
@@ -246,12 +246,24 @@ def _log_integrand_probe(T, t, xis, plo, phi, d):
     return lo, hi, kept, peak
 
 
-def _brownian_density_sums(spec, t, xis, powers):
-    d = spec.terminal.density
-    T = spec.horizon
-    # posterior components built by terminal_posterior carry no cdf, so the
-    # localisation must work from the pdf alone
+def _windows(spec, t, xis, q=0):
+    """Where the engine integrates the density part of each state's sums, for z^q. Brownian
+    kernel: [lo, hi] in z, the prior's 1e-16 mass interval and 12 bridge widths about the state's
+    centre narrowed by the probe, and each row's probe peak. Gamma kernel: [w0, w1] in z - xi and
+    None; w0 = 0 from a state inside the prior's mass interval (to the support's top or past
+    `_gamma_spans`), w0 > 0 below it, w1 <= 0 above the support."""
+    d, T = spec.terminal.density, spec.horizon
     lo_p, hi_p = numerics.mass_interval(d, 1e-16)
+    if not isinstance(spec.kernel, BrownianKernel):
+        inside = xis >= lo_p
+        w0 = np.where(inside, 0.0, lo_p - xis)
+        w1 = np.where(inside, d.upper - xis, hi_p - xis)
+        grow = np.flatnonzero(np.isinf(w1))  # from the state, on a prior unbounded above
+        if grow.size:
+            a, xg = spec.kernel.m * (T - t), xis[grow]
+            span = _gamma_spans(partial(_gamma_log_g, spec), xg, a, q, hi_p - lo_p)
+            w1[grow] = np.maximum(hi_p - xg, span)
+        return w0, w1, None
     sd = np.sqrt(T * (T - t) / t)
     centers = xis * (T / t)
     lo = np.maximum(d.lower, np.minimum(lo_p, centers - 12.0 * sd))
@@ -267,6 +279,12 @@ def _brownian_density_sums(spec, t, xis, powers):
             T, _rows(t, todo), xis[todo], plo, phi, d
         )
         todo = todo[(kept < 8) & (hi[todo] - lo[todo] < 0.5 * (phi - plo))]
+    return lo, hi, row_max
+
+
+def _brownian_density_sums(spec, t, xis, powers):
+    d, T = spec.terminal.density, spec.horizon
+    lo, hi, row_max = _windows(spec, t, xis)
 
     def values(z, r):
         # one exponent per (state, node), shifted by the row's probe peak so
@@ -298,49 +316,40 @@ def _gamma_density_sums(spec, t, xis, powers):
 
     Written as e^xi * C * integral_0^W w^(a-1) g(xi + w) (xi + w)^q dw with
     g(z) = z^(1-mT) p(z) smooth; the w^(a-1) endpoint factor is absorbed by a
-    Gauss-Jacobi rule whose order each state raises until it converges.
-    log g is (1 - mT + k) log z + r(z) for a prior declaring logpdf =
-    k log z + r(z) (one log per node), else (1 - mT) log z + logpdf(z).
+    Gauss-Jacobi rule whose order each state raises until it converges, on the windows of `_windows`.
     """
-    d = spec.terminal.density
-    k: GammaKernel = spec.kernel
-    T = spec.horizon
-    a = k.m * (T - t)
-    mT = k.m * T
-    lo_p, hi_p = numerics.mass_interval(d, 1e-16)
-    log_c = _sp.gammaln(mT) - _sp.gammaln(a)
-
-    declared = d.edge_power is not None and d.lower == 0.0
-    power, rest = (1.0 - mT + d.edge_power, d.edge_rest) if declared else (1.0 - mT, d.logpdf)
-
-    def log_g(z, q=0):
-        # log of z^(1-mT+q) p(z), with the kernel-support guard
-        z = np.maximum(z, 1e-300)
-        r = rest(z)
-        np.log(z, out=z)
-        z *= power + q
-        z += r
-        return z
-
+    a = spec.kernel.m * (spec.horizon - t)
+    log_c = _sp.gammaln(spec.kernel.m * spec.horizon) - _sp.gammaln(a)
+    log_g = partial(_gamma_log_g, spec)
+    w0, w1, _ = _windows(spec, t, xis, max(powers))
     out = np.zeros((xis.size, len(powers)))
-    inside = xis >= lo_p
-    # states at or past the top of the support carry no density mass
-    below = xis < d.upper
-    for group, from_zero in ((np.nonzero(inside & below)[0], True), (np.nonzero(~inside)[0], False)):
+    from_state = np.flatnonzero((w0 == 0.0) & (w1 > 0.0))
+    for group, from_zero in ((from_state, True), (np.flatnonzero(w0 > 0.0), False)):
         if group.size == 0:
             continue
         xg = xis[group]
-        if from_zero and math.isfinite(d.upper):
-            res = _jacobi_tilted(log_g, xg, d.upper - xg, a, powers)
-        elif from_zero:
-            span = _gamma_spans(log_g, xg, a, max(powers), hi_p - lo_p)
-            res = _jacobi_tilted(log_g, xg, np.maximum(hi_p - xg, span), a, powers)
+        if from_zero:
+            res = _jacobi_tilted(log_g, xg, w1[group], a, powers)
         else:
-            res = _plain_tilted(log_g, xg, lo_p - xg, hi_p - xg, a, powers)
+            res = _plain_tilted(log_g, xg, w0[group], w1[group], a, powers)
         # a far state overflows here; _check_finite reports it
         with np.errstate(over="ignore", invalid="ignore"):
             out[group] = res * np.exp(xg + log_c)[:, None]
     return out
+
+
+def _gamma_log_g(spec, z, q=0):
+    """log of z^(1-mT+q) p(z), with the kernel-support guard: (1 - mT + k) log z + r(z) for a
+    prior declaring logpdf = k log z + r(z) at 0 (one log per node), else (1 - mT) log z + logpdf(z)."""
+    d, mT = spec.terminal.density, spec.kernel.m * spec.horizon
+    declared = d.edge_power is not None and d.lower == 0.0
+    power, rest = (1.0 - mT + d.edge_power, d.edge_rest) if declared else (1.0 - mT, d.logpdf)
+    z = np.maximum(z, 1e-300)
+    r = rest(z)
+    np.log(z, out=z)
+    z *= power + q
+    z += r
+    return z
 
 
 def _power_values(g, z, powers) -> np.ndarray:
@@ -591,10 +600,19 @@ def _posterior(spec: LRBSpec, s: float, xi: float, psi: float, origin: float = 0
                 lower=lo - origin,
                 upper=d.upper - origin,
                 breakpoints=tuple(p - origin for p in d.breakpoints),
+                quantile=TabulatedQuantile(logpdf, partial(_posterior_edges, spec, s, xi, origin)),
                 logpdf=logpdf,
             )
     density_mass = (psi - atom_sum) / psi if comp is not None else 0.0
     return TerminalLaw._from_sums(tuple(atoms), comp, density_mass)
+
+
+def _posterior_edges(spec: LRBSpec, s: float, xi: float, origin: float) -> tuple[float, ...]:
+    """The engine's window of psi_s(xi) (`_windows`) less origin, with the prior's breakpoints in it."""
+    lo, hi, peak = _windows(spec, s, np.array([xi]))
+    shift = -origin if peak is not None else xi - origin  # gamma windows are increments
+    lo, hi = float(lo[0]) + shift, float(hi[0]) + shift
+    return (lo, *(p - origin for p in spec.terminal.density.breakpoints if lo < p - origin < hi), hi)
 
 
 def _posterior_logpdf(kernel, T, s, xi, base_logpdf, log_norm, origin, w):
@@ -703,13 +721,10 @@ def restart(spec: LRBSpec, s: float, xi: float) -> LRBSpec:
     The result lives on its own clock: horizon (T - s), terminal law equal to
     the posterior translated by -xi. restart(spec, 0, 0) is spec itself.
     """
-    s = spec._check_time(s)
-    post = terminal_posterior(spec, s, xi)
-    return LRBSpec(
-        kernel=spec.kernel,
-        horizon=spec.horizon - s,
-        terminal=post.translate(-float(xi)),
-    )
+    s, xi = spec._check_time(s), float(xi)
+    # built in the increment z - xi, so that a gamma posterior keeps its digits next to 0
+    law = _posterior(spec, s, xi, psi_total(spec, s, xi), xi) if s else spec.terminal.translate(-xi)
+    return LRBSpec(kernel=spec.kernel, horizon=spec.horizon - s, terminal=law)
 
 
 # ---------------------------------------------------------------------------

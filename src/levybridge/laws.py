@@ -40,10 +40,6 @@ def _normal_logpdf(mu, sigma, weight, z):
     return out if np.ndim(out) else float(out)
 
 
-def _normal_cdf(mu, sigma, z):
-    return _sp.ndtr((np.asarray(z, dtype=float) - mu) / sigma)
-
-
 def _normal_quantile(mu, sigma, u):
     return mu + sigma * _sp.ndtri(u)
 
@@ -66,10 +62,6 @@ def _gamma_logpdf(k, rest, z):
     return out if out.ndim else float(out)
 
 
-def _gamma_cdf(shape, scale, z):
-    return _sp.gammainc(shape, np.maximum(np.asarray(z, dtype=float), 0.0) / scale)
-
-
 def _gamma_quantile(shape, scale, u):
     return scale * _sp.gammaincinv(shape, u)
 
@@ -80,16 +72,12 @@ def _uniform_logpdf(a, b, weight, z):
     return out if out.ndim else float(out)
 
 
-def _uniform_cdf(a, b, z):
-    return np.clip((np.asarray(z, dtype=float) - a) / (b - a), 0.0, 1.0)
-
-
 def _uniform_quantile(a, b, u):
     return a + (b - a) * np.asarray(u, dtype=float)
 
 
 def _shifted(base, dx, z):
-    """A pdf, log-pdf or cdf of Z + dx from that of Z."""
+    """A pdf or log-pdf of Z + dx from that of Z."""
     return base(np.asarray(z, dtype=float) - dx)
 
 
@@ -187,7 +175,6 @@ class TerminalLaw:
             lower=-math.inf,
             upper=math.inf,
             quantile=partial(_normal_quantile, mu, sigma),
-            cdf=partial(_normal_cdf, mu, sigma),
             logpdf=logpdf,
         )
         return cls._closed_form(atoms, comp, weight)
@@ -204,7 +191,6 @@ class TerminalLaw:
             lower=0.0,
             upper=math.inf,
             quantile=partial(_gamma_quantile, shape, scale),
-            cdf=partial(_gamma_cdf, shape, scale),
             logpdf=logpdf,
             edge_power=shape - 1.0,
             edge_rest=rest,
@@ -221,7 +207,6 @@ class TerminalLaw:
             lower=float(a),
             upper=float(b),
             quantile=partial(_uniform_quantile, a, b),
-            cdf=partial(_uniform_cdf, a, b),
             logpdf=logpdf,
             edge_power=0.0,
             edge_rest=logpdf,
@@ -275,8 +260,7 @@ class TerminalLaw:
                 lower=d.lower + dx,
                 upper=d.upper + dx,
                 breakpoints=tuple(p + dx for p in d.breakpoints),
-                quantile=partial(_shifted_quantile, d.quantile, dx) if d.quantile else None,
-                cdf=partial(_shifted, d.cdf, dx) if d.cdf else None,
+                quantile=partial(_shifted_quantile, d.quantile, dx),
                 logpdf=partial(_shifted, d.logpdf, dx),
             )
         return TerminalLaw._from_sums(atoms, comp, self.density_mass)

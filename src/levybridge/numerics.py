@@ -9,10 +9,11 @@ continuous part.
 The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
 per-row composite Gauss-Kronrod rule), `_jacobi_rule` (Gauss-Jacobi),
-`_beta_inverse` (certified inverse-beta tables) and `solve_brackets`
-(vectorised bracketing root finder). QUADPACK and `brentq`
-remain in `integrate`, `inverse_cdf` and the fallbacks for components
-without a quantile, which import them on first use.
+`_beta_inverse` (certified inverse-beta tables), `TabulatedQuantile` (the
+numerical quantile of a density on a finite window) and `solve_brackets`
+(vectorised bracketing root finder). A density component's `quantile` is the
+only way it is drawn from or has its infinite tails cut. QUADPACK and brentq
+load only in `integrate` and `inverse_cdf`, the references of the checks and tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from .errors import DomainError, NoRootError, NonMonotoneError, NumericError
@@ -28,6 +29,7 @@ from .errors import DomainError, NoRootError, NonMonotoneError, NumericError
 __all__ = [
     "DensityComponent",
     "MixedMeasure",
+    "TabulatedQuantile",
     "integrate",
     "bulk_interval",
     "density_sums",
@@ -62,19 +64,15 @@ class DensityComponent:
     breakpoints:
         Interior points where the pdf is non-smooth; quadrature splits there.
     quantile:
-        Optional inverse of the normalized CDF, ``quantile(u) -> ndarray``
-        for u in (0, 1); samplers turn uniforms into exact draws with it.
-    cdf:
-        Optional normalized CDF of the component (values in [0, 1]); used for
-        tail localisation.
+        Inverse of the normalized CDF, ``quantile(u) -> ndarray`` for u in [0, 1]: samplers
+        draw with it and infinite tails are cut at it. An infinite end needs one (DomainError
+        otherwise); on a finite support it defaults to a `TabulatedQuantile`.
     logpdf:
         Log of ``pdf`` (-inf where it vanishes), which the tilted-sum engine
         reads so that far tails do not underflow. Left out, it is log(pdf).
     edge_power, edge_rest:
         Optional, together: logpdf(z) = edge_power * log(z - lower) + edge_rest(z)
         on the support, edge_rest smooth; a gamma-kernel row then takes one log.
-
-    `mass_interval` keeps the intervals it finds for a component, by eps.
     """
 
     pdf: Callable
@@ -82,7 +80,6 @@ class DensityComponent:
     upper: float
     breakpoints: tuple[float, ...] = ()
     quantile: Callable | None = None
-    cdf: Callable | None = None
     logpdf: Callable | None = field(default=None, compare=False)
     edge_power: float | None = field(default=None, compare=False)
     edge_rest: Callable | None = field(default=None, compare=False)
@@ -98,96 +95,20 @@ class DensityComponent:
             raise DomainError("an edge declaration needs edge_power, edge_rest and a finite lower")
         if self.logpdf is None:
             object.__setattr__(self, "logpdf", partial(_log_of, self.pdf))
-
-    def effective_interval(self, eps: float = 1e-16) -> tuple[float, float]:
-        """Finite interval carrying all but ~eps of the component's mass.
-
-        Finite supports are returned as-is. Infinite tails are cut at the
-        ``quantile`` of eps and 1 - eps; without one, quantiles of the `cdf`
-        are bracketed by doubling and bisection.
-        """
-        lo, hi = self.lower, self.upper
-        find = self._cdf_quantile if self.quantile is None else self.quantile
-        if math.isinf(lo):
-            lo = float(find(eps))
-        if math.isinf(hi):
-            hi = float(find(1.0 - eps))
-        return lo, hi
-
-    def _cdf_quantile(self, q: float) -> float:
-        if self.cdf is None:
-            raise NumericError(
-                "density component has an infinite tail and no cdf; "
-                "cannot localise its mass"
-            )
-        anchor = 0.0
-        if not math.isinf(self.lower):
-            anchor = self.lower
-        elif not math.isinf(self.upper):
-            anchor = self.upper
-        step = 1.0
-        lo, hi = anchor - step, anchor + step
-        for _ in range(200):
-            if float(self.cdf(lo)) <= q:
-                break
-            lo -= step
-            step *= 2.0
-        step = 1.0
-        for _ in range(200):
-            if float(self.cdf(hi)) >= q:
-                break
-            hi += step
-            step *= 2.0
-        f = lambda x: float(self.cdf(x)) - q
-        if f(lo) > 0 or f(hi) < 0:
-            raise NumericError("cdf quantile bracketing failed", q=q, lo=lo, hi=hi)
-        from scipy.optimize import brentq
-
-        return float(brentq(f, lo, hi, xtol=1e-9, rtol=1e-12))
+        if self.quantile is None:
+            if math.isinf(self.lower) or math.isinf(self.upper):
+                raise DomainError("a density with an infinite tail needs a quantile")
+            edges = (self.lower, *pts, self.upper)
+            object.__setattr__(self, "quantile", TabulatedQuantile(self.logpdf, edges))
 
 
-def mass_interval(component: DensityComponent, eps: float = 1e-14) -> tuple[float, float]:
-    """Finite interval carrying all but ~eps of the component's mass.
-
-    With a quantile or a cdf this is `effective_interval`. Without either,
-    infinite tails are cut by integrating the pdf outward and doubling the
-    cut point until the remaining tail mass drops below eps of the total.
-    Each component computes its interval once per eps.
-    """
-    cache = component._intervals
-    if eps not in cache:
-        cache[eps] = _mass_interval(component, eps)
-    return cache[eps]
-
-
-def _mass_interval(d: DensityComponent, eps: float) -> tuple[float, float]:
-    bounded = math.isfinite(d.lower) and math.isfinite(d.upper)
-    if bounded or d.quantile is not None or d.cdf is not None:
-        return d.effective_interval(eps)
-    total, _ = _quad_segment(lambda z: float(d.pdf(z)), d.lower, d.upper, 1e-12, 1e-10)
-    lo, hi = d.lower, d.upper
-    anchor = 0.0
-    for b in (d.lower, d.upper, *d.breakpoints):
-        if math.isfinite(b):
-            anchor = b
-            break
-    if math.isinf(hi):
-        r = abs(anchor) + 1.0
-        for _ in range(200):
-            rem, _ = _quad_segment(lambda z: float(d.pdf(z)), r, math.inf, 1e-14, 1e-10)
-            if rem <= eps * total:
-                break
-            r *= 2.0
-        hi = r
-    if math.isinf(lo):
-        r = -abs(anchor) - 1.0
-        for _ in range(200):
-            rem, _ = _quad_segment(lambda z: float(d.pdf(z)), -math.inf, r, 1e-14, 1e-10)
-            if rem <= eps * total:
-                break
-            r *= 2.0
-        lo = r
-    return lo, hi
+def mass_interval(d: DensityComponent, eps: float = 1e-14) -> tuple[float, float]:
+    """Finite interval carrying all but ~eps of the component's mass: its finite ends, and its
+    `quantile` of eps and 1 - eps at infinite ones, found once per component and eps."""
+    if eps not in d._intervals:
+        lo = d.lower if math.isfinite(d.lower) else float(d.quantile(eps))
+        d._intervals[eps] = lo, d.upper if math.isfinite(d.upper) else float(d.quantile(1.0 - eps))
+    return d._intervals[eps]
 
 
 def _log_of(pdf, z):
@@ -376,6 +297,91 @@ def density_sums(
     raise NumericError("double-exponential sums did not converge", pieces=pieces)
 
 
+# ---------------------------------------------------------------------------
+# tabulated quantiles
+
+_Q_PANELS = (64, 128, 256, 512)  # tanh-sinh panels per piece, doubled until all are certified
+_Q_TOL = 1e-14  # |K33 - G16| of every panel, relative to the mass of the window
+
+
+class TabulatedQuantile:
+    """Normalised quantile of a density on a finite window, tabulated on first call.
+
+    ``edges`` (the window's ends and kinks, or a function returning them) cut it into pieces, each
+    cut into panels of s in [-6, 6] under the tanh-sinh map of `density_sums`, which absorbs an end
+    singularity such as (z - a)^(k - 1); a panel's mass is a K33 sum within _Q_TOL of the window's.
+    A level finds its panel in the masses summed from the nearer end, so both tails keep their
+    digits, and bracketed Newton steps in s solve for it, a mass from the panel's end being one K33 sum.
+    """
+
+    def __init__(self, logpdf: Callable, edges):
+        self._logpdf, self._edges = logpdf, edges
+
+    @cached_property
+    def _table(self) -> tuple:
+        edges = np.asarray(self._edges() if callable(self._edges) else self._edges, dtype=float)
+        x, wk, wg = _kronrod_rule()
+        for panels in _Q_PANELS:
+            grid = np.linspace(-_DE_RANGE, _DE_RANGE, panels + 1)
+            lo, hi = np.tile(grid[:-1], edges.size - 1), np.tile(grid[1:], edges.size - 1)
+            a, b = np.repeat(edges[:-1], panels)[:, None], np.repeat(edges[1:], panels)[:, None]
+            half = 0.5 * (hi - lo)
+            g = _ts_density(self._logpdf, a, b, 0.5 * (hi + lo)[:, None] + half[:, None] * x)[1]
+            mass, gauss = half * (g @ wk), half * (g[:, : wg.size] @ wg)
+            if not (math.isfinite(mass.sum()) and mass.sum() > 0.0):
+                raise NumericError("no finite positive mass on the window", edges=tuple(edges))
+            if np.all(np.abs(mass - gauss) <= _Q_TOL * mass.sum()):
+                # the mass of the first i panels, and of the last i
+                left, right = (np.concatenate([[0.0], np.cumsum(m)]) for m in (mass, mass[::-1]))
+                return a[:, 0], b[:, 0], lo, hi, mass, left, right
+        raise NumericError("quantile table not certified", edges=tuple(edges), panels=panels)
+
+    def __call__(self, u):
+        shape, u = np.shape(u), np.ravel(np.asarray(u, dtype=float))
+        if not np.all((u >= 0.0) & (u <= 1.0)):
+            raise DomainError("quantile levels must lie in [0, 1]")
+        a, b, lo, hi, mass, left, right = self._table
+        (x, wk, _), ulps, n, up = _kronrod_rule(), 4.0 * np.finfo(float).eps, mass.size, u > 0.5
+        target = np.where(up, (1.0 - u) * right[-1], u * left[-1])
+        # each level's panel i, and the mass r it takes from the panel's left end (right end if up)
+        j_lo, j_up = (np.searchsorted(c, target, side="right").clip(1, n) - 1 for c in (left, right))
+        i = np.where(up, n - 1 - j_up, j_lo)
+        r = np.minimum(target - np.where(up, right[j_up], left[j_lo]), mass[i])
+        a, b, s_lo, s_hi, sign = a[i], b[i], lo[i], hi[i], np.where(up, -1.0, 1.0)
+        end = np.where(up, s_hi, s_lo)
+        # k(s) = (signed mass from end to s) - sign r rises from <= 0 at s_lo to >= 0 at s_hi
+        s = end + sign * np.divide(r, mass[i], out=np.zeros(u.size), where=mass[i] > 0.0) * (s_hi - s_lo)
+        todo = np.flatnonzero(r > 0.0)
+        for _ in range(60):
+            t, e, lo_t, hi_t = s[todo], end[todo], s_lo[todo], s_hi[todo]
+            half = 0.5 * (t - e)
+            nodes = np.column_stack([e[:, None] + half[:, None] * (1.0 + x), t])
+            g = _ts_density(self._logpdf, a[todo, None], b[todo, None], nodes)[1]
+            k = half * (g[:, :-1] @ wk) - sign[todo] * r[todo]
+            lo_t, hi_t = np.where(k < 0.0, t, lo_t), np.where(k > 0.0, t, hi_t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = t - k / g[:, -1]
+            s[todo] = new = np.where((new >= lo_t) & (new <= hi_t), new, 0.5 * (lo_t + hi_t))
+            s_lo[todo], s_hi[todo] = lo_t, hi_t
+            # settled: k is down to the rounding of r, or the step to that of s
+            todo = todo[(np.abs(k) > ulps * r[todo]) & (np.abs(new - t) > 1e-14 + ulps * np.abs(t))]
+            if todo.size == 0:
+                return _ts_density(self._logpdf, a, b, s)[0].reshape(shape)
+        raise NumericError("tabulated quantile did not settle", levels=int(todo.size))
+
+
+def _ts_density(logpdf, a, b, s):
+    """z and pdf(z) dz/ds under the tanh-sinh map of [a, b] at s; a point on an end weighs 0."""
+    e = np.exp(-math.pi * np.abs(np.sinh(s)))
+    dist = (b - a) * (e / (1.0 + e))
+    z, g = np.where(s < 0.0, a + dist, b - dist), np.zeros(np.shape(s))
+    live = (z > a) & (z < b)
+    with np.errstate(over="ignore", under="ignore"):
+        dz = (b - a) * (math.pi * np.cosh(s) * e / (1.0 + e) ** 2)
+        g[live] = dz[live] * np.exp(logpdf(z[live]))
+    return z, g
+
+
 def _quad_segment(g, a, b, abs_tol, rel_tol):
     from scipy.integrate import quad
 
@@ -425,14 +431,9 @@ def find_root_monotone(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    fn_many = partial(_map_scalar, fn)
+    fn_many = lambda points: np.array([float(fn(x)) for x in points])
     xs = np.linspace(lo, hi, samples)
     return sampled_root(fn_many, xs, fn_many(xs), tol=tol)[0]
-
-
-def _map_scalar(fn, xs) -> np.ndarray:
-    """A scalar ``fn`` applied point by point."""
-    return np.array([float(fn(x)) for x in xs])
 
 
 def sampled_root(fn, xs: np.ndarray, vals: np.ndarray, *, tol: float) -> tuple[float, float]:
@@ -547,12 +548,7 @@ def inverse_cdf(
     target = u * total
 
     def cumulative(y: float) -> float:
-        j = 0
-        for k in range(len(edges) - 1):
-            if edges[k + 1] < y:
-                j = k + 1
-            else:
-                break
+        j = max(int(np.searchsorted(edges, y)) - 1, 0)  # the piece that holds y
         val, _ = _quad_segment(pdf, edges[j], y, tol * 1e-2, 1e-12)
         return cum[j] + val - target
 

@@ -26,13 +26,14 @@ keyed by (seed, d), the counter-based generator of Salmon et al., SC'11,
 "Parallel random numbers: as easy as 1, 2, 3". Every path takes the same
 draw numbers whatever it draws: 0 picks a terminal atom (at the horizon step
 of the Markov route), 1 draws from the terminal density, and 2 + j drives
-grid step j.
+grid step j. The terminal density is drawn by its `DensityComponent.quantile`
+alone: a closed form for the built-in laws, else a `numerics.TabulatedQuantile`.
 
 Reproducibility contract: path i of `simulate_paths` depends only on
 (spec, times, seed, method, i). The batch it is drawn in does not change
-it, so simulate_paths(n)[:k] equals simulate_paths(k) bit for bit. The
-entry points that take a Generator draw one seed from it and run the same
-route.
+it, so simulate_paths(n)[:k] equals simulate_paths(k) bit for bit.
+`draw_terminal` takes a Generator, draws one seed from it and runs the
+terminal draw of the same route.
 """
 
 from __future__ import annotations
@@ -45,20 +46,14 @@ from scipy import special as _sp
 
 from . import bridge as _bridge
 from . import core as _core
-from . import numerics
 from .errors import DomainError, NumericError
 from .kernels import Kernel
-from .numerics import DensityComponent
-from .paths import SamplePath
+from .paths import check_grid
 
 __all__ = [
     "RandomStream",
-    "SamplePath",
     "draw_terminal",
     "sample_levy_paths",
-    "sample_lrb_terminal_first",
-    "sample_lrb_markov",
-    "sample_marginals",
     "simulate_paths",
 ]
 
@@ -112,33 +107,8 @@ def _uniforms(key: int, paths: np.ndarray, draw: int) -> np.ndarray:
     return ((x >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
 
 
-def _seed_from(rng: np.random.Generator) -> int:
-    return int(rng.integers(2**64, dtype=np.uint64))
-
-
-def _check_grid(spec: _core.LRBSpec, times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise DomainError("need a non-empty 1-d time grid")
-    if np.any(np.diff(times) <= 0):
-        raise DomainError("time grid must be strictly increasing")
-    if times[0] <= 0.0 or times[-1] > spec.horizon:
-        raise DomainError(f"grid must lie inside (0, {spec.horizon}]")
-    return times
-
-
 # ---------------------------------------------------------------------------
 # terminal draws
-
-
-def _density_quantile(d: DensityComponent, u: np.ndarray) -> np.ndarray:
-    if d.quantile is not None:
-        return np.asarray(d.quantile(u), dtype=float)
-    lo, hi = numerics.mass_interval(d, 1e-14)
-    pdf = lambda z: float(d.pdf(z))
-    return np.array(
-        [numerics.inverse_cdf(pdf, lo, hi, float(v), breakpoints=d.breakpoints) for v in u]
-    )
 
 
 def _terminal_values(spec: _core.LRBSpec, key, paths: np.ndarray) -> np.ndarray:
@@ -155,14 +125,14 @@ def _terminal_values(spec: _core.LRBSpec, key, paths: np.ndarray) -> np.ndarray:
         dens = idx == locs.size
         out[~dens] = locs[idx[~dens]]
     if np.any(dens):
-        out[dens] = _density_quantile(law.density, _uniforms(key, paths[dens], _DENSITY))
+        out[dens] = law.density.quantile(_uniforms(key, paths[dens], _DENSITY))
     return out
 
 
 def draw_terminal(spec: _core.LRBSpec, rng, size=None):
     """Draw terminal values from the spec's terminal law."""
     n = 1 if size is None else int(size)
-    out = _terminal_values(spec, _key(_seed_from(rng)), np.arange(n))
+    out = _terminal_values(spec, _key(int(rng.integers(2**64, dtype=np.uint64))), np.arange(n))
     return float(out[0]) if size is None else out
 
 
@@ -172,9 +142,7 @@ def draw_terminal(spec: _core.LRBSpec, rng, size=None):
 
 def sample_levy_paths(kernel: Kernel, times, n_paths: int, rng) -> np.ndarray:
     """Plain stationary-independent-increment paths, shape (n_paths, len(times))."""
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0) or times[0] <= 0:
-        raise DomainError("time grid must be strictly increasing and positive")
+    times = check_grid(times, 0.0)
     out = np.empty((int(n_paths), times.size))
     prev_t = 0.0
     level = np.zeros(int(n_paths))
@@ -201,12 +169,6 @@ def _terminal_first_values(spec, times, key, paths) -> np.ndarray:
             values[:, j] = _bridge._inverse_step(spec.kernel, t - cur_t, rem, cur_x, z, u)
         cur_t, cur_x = t, values[:, j]
     return values
-
-
-def sample_lrb_terminal_first(spec: _core.LRBSpec, times, rng) -> SamplePath:
-    """One conditioned path: draw the terminal value, then bridge to it."""
-    values = _simulate(spec, times, 1, _seed_from(rng), "terminal_first")[0]
-    return SamplePath(times=times, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -498,26 +460,10 @@ def _markov_values(spec, times, key, paths) -> np.ndarray:
     return values
 
 
-def sample_lrb_markov(spec: _core.LRBSpec, times, rng) -> SamplePath:
-    """One conditioned path drawn by grid inversion of the Markov transition law."""
-    values = _simulate(spec, times, 1, _seed_from(rng), "markov")[0]
-    return SamplePath(times=times, values=values)
-
-
 # ---------------------------------------------------------------------------
 # bulk simulation
 
 _ROUTES = {"terminal_first": _terminal_first_values, "markov": _markov_values}
-
-
-def _simulate(spec, times, n_paths, seed, method) -> np.ndarray:
-    times = _check_grid(spec, times)
-    if method not in _ROUTES:
-        raise DomainError(f"unknown method {method!r}")
-    n_paths = int(n_paths)
-    if n_paths <= 0:
-        raise DomainError(f"n_paths must be positive, got {n_paths}")
-    return _ROUTES[method](spec, times, _key(seed), np.arange(n_paths))
 
 
 def simulate_paths(
@@ -536,11 +482,10 @@ def simulate_paths(
     [0, 2**64). ``workers`` is accepted and ignored: the paths of a call are
     drawn as one vectorised batch.
     """
-    return _simulate(spec, times, n_paths, seed, method)
-
-
-def sample_marginals(
-    spec: _core.LRBSpec, times, n_paths: int, rng, *, method: str = "terminal_first"
-) -> np.ndarray:
-    """`simulate_paths` on one seed drawn from ``rng``; shape (n_paths, len(times))."""
-    return _simulate(spec, times, n_paths, _seed_from(rng), method)
+    times = check_grid(times, 0.0, spec.horizon)
+    if method not in _ROUTES:
+        raise DomainError(f"unknown method {method!r}")
+    n_paths = int(n_paths)
+    if n_paths <= 0:
+        raise DomainError(f"n_paths must be positive, got {n_paths}")
+    return _ROUTES[method](spec, times, _key(seed), np.arange(n_paths))

@@ -56,12 +56,18 @@ def gamma_scaled_spec(kappa=1.5):
     )
 
 
+def cauchy_quantile(u):
+    # tan(pi (u - 1/2)), written from the nearer end so that both tails keep their digits
+    u = np.asarray(u, dtype=float)
+    return np.where(u < 0.5, -1.0 / np.tan(math.pi * u), 1.0 / np.tan(math.pi * (1.0 - u)))
+
+
 def cauchy_spec():
     heavy = DensityComponent(
         pdf=lambda z: 1.0 / (math.pi * (1.0 + np.asarray(z) ** 2)),
         lower=-math.inf,
         upper=math.inf,
-        cdf=lambda z: 0.5 + math.atan(z) / math.pi,
+        quantile=cauchy_quantile,
     )
     return LRBSpec(kernel=BrownianKernel(), horizon=1.0, terminal=TerminalLaw(density=heavy))
 
@@ -622,6 +628,62 @@ def test_restart_gamma_posterior_translated():
     sub = core.restart(spec, 0.4, 0.8)
     assert sub.horizon == 0.6
     assert sub.terminal.density.lower == 0.0
+
+
+QUANTILE_LEVELS = np.array([1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+
+
+def test_posterior_quantile_brownian_matches_closed_form():
+    # X_T - xi given xi at s is N(theta (T - s), T - s) on the drift law
+    s, xi = 0.5, 0.3
+    d = core.terminal_posterior(drift_spec(), s, xi).density
+    want = xi + THETA * (1.0 - s) + math.sqrt(1.0 - s) * special.ndtri(QUANTILE_LEVELS)
+    assert np.all(np.abs(d.quantile(QUANTILE_LEVELS) - want) <= 1e-10)
+
+
+def test_posterior_quantile_gamma_matches_closed_form():
+    # X_T - xi given xi at s is Gamma(m (T - s), kappa); the restart spec's
+    # law is built in the increment, so small increments keep their digits
+    s, xi, kappa = 0.5, 1.0, 1.5
+    d = core.restart(gamma_scaled_spec(kappa), s, xi).terminal.density
+    want = kappa * special.gammaincinv(2.0 * (1.0 - s), QUANTILE_LEVELS)
+    assert np.all(np.abs(d.quantile(QUANTILE_LEVELS) / want - 1.0) <= 1e-10)
+
+
+def test_posterior_quantile_mixed_matches_mpmath():
+    # the density part of the mixed law's posterior at 30 digits: one Newton
+    # step of its mpmath cdf from each quantile leaves an error of the order
+    # of the square of the quantile's own, so it is the root to 1e-20
+    s, xi = 0.5, 0.3
+    d = core.terminal_posterior(mixed_spec(), s, xi).density
+    got = d.quantile(QUANTILE_LEVELS)
+    with mp.workdps(30):
+        pdf = lambda z: (mp.npdf(z, mp.mpf("0.5"), mp.mpf("0.8"))
+                         * mp.npdf(z, xi, mp.sqrt(1 - mp.mpf(s))) / mp.npdf(z, 0, 1))
+        total = mp.quad(pdf, [-mp.inf, 0.5, mp.inf])
+        for u, z in zip(QUANTILE_LEVELS, got):
+            u, z_mp = mp.mpf(float(u)), mp.mpf(float(z))
+            if u <= 0.5:
+                miss = mp.quad(pdf, [-mp.inf, z_mp]) / total - u
+            else:
+                miss = (1 - u) - mp.quad(pdf, [z_mp, mp.inf]) / total
+            want = z_mp - miss / (pdf(z_mp) / total)
+            assert abs(float(want) - z) <= 1e-10
+
+
+def test_restart_psi_matches_the_closed_forms_on_its_clock():
+    # a restart of a self-conjugate law is the plain process again (check 4),
+    # with psi_u(y) exp(theta y - theta^2 u / 2) (Brownian) and
+    # kappa^(-m u) e^((1 - 1/kappa) y) (gamma) on the restart clock u
+    brownian = core.restart(drift_spec(), 0.5, 0.3)
+    gamma = core.restart(gamma_scaled_spec(1.5), 0.5, 1.0)
+    for u in (0.05, 0.25, 0.45):
+        for y in (-1.5, 0.0, 0.4, 1.5):
+            want = math.exp(THETA * y - 0.5 * THETA**2 * u)
+            assert abs(core.psi_total(brownian, u, y) / want - 1.0) <= 1e-9
+        for y in (0.05, 0.5, 2.0):
+            want = 1.5 ** (-2.0 * u) * math.exp((1.0 - 1.0 / 1.5) * y)
+            assert abs(core.psi_total(gamma, u, y) / want - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

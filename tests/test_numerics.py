@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -107,26 +106,25 @@ def test_density_component_breakpoints_filtered_and_sorted():
     assert d.breakpoints == (0.2, 0.9)
 
 
-def test_effective_interval_finite_support_passthrough():
-    assert _unit_uniform().effective_interval() == (0.0, 1.0)
+def test_mass_interval_finite_support_passthrough():
+    assert numerics.mass_interval(_unit_uniform()) == (0.0, 1.0)
 
 
-def test_effective_interval_requires_cdf_for_infinite_tails():
-    d = DensityComponent(
-        pdf=lambda z: np.exp(-np.abs(z)) / 2.0, lower=-math.inf, upper=math.inf
-    )
-    with pytest.raises(NumericError):
-        d.effective_interval()
+def test_infinite_tail_without_quantile_raises_at_construction():
+    with pytest.raises(DomainError):
+        DensityComponent(pdf=lambda z: np.exp(-np.abs(z)) / 2.0, lower=-math.inf, upper=math.inf)
+    with pytest.raises(DomainError):
+        DensityComponent(pdf=lambda z: np.exp(-np.asarray(z)), lower=0.0, upper=math.inf)
 
 
-def test_effective_interval_gaussian_tail():
+def test_mass_interval_gaussian_tail():
     d = DensityComponent(
         pdf=lambda z: np.exp(-0.5 * np.asarray(z) ** 2) / math.sqrt(2 * math.pi),
         lower=-math.inf,
         upper=math.inf,
-        cdf=special.ndtr,
+        quantile=special.ndtri,
     )
-    lo, hi = d.effective_interval(1e-16)
+    lo, hi = numerics.mass_interval(d, 1e-16)
     # the 1e-16 normal quantile sits near 8.2 standard deviations
     assert 7.5 < hi < 9.5
     assert -9.5 < lo < -7.5
@@ -144,14 +142,26 @@ def _built_in_densities():
     }
 
 
+_BUILT_IN_CDFS = {
+    "normal": lambda z: special.ndtr((z - 0.5) / 0.8),
+    "gamma": lambda z: special.gammainc(2.0, max(z, 0.0) / 1.5),
+    "shifted_normal": lambda z: special.ndtr((z - 3.0) / 0.8),
+    "shifted_gamma": lambda z: special.gammainc(2.0, max(z + 1.0, 0.0) / 1.5),
+}
+
+
 @pytest.mark.parametrize("name", ["normal", "gamma", "shifted_normal", "shifted_gamma"])
 def test_effective_interval_quantile_matches_cdf_bracketing(name):
-    d = _built_in_densities()[name]
-    by_cdf = dataclasses.replace(d, quantile=None)
-    # near 1 a cdf resolves only to an ulp, which moves its bracketed root by
-    # ulp / pdf; at these levels that is far below the tolerance
+    # mass_interval cuts an infinite tail at the quantile; the reference is
+    # the root of the closed-form cdf, bracketed by brentq. Near 1 a cdf
+    # resolves only to an ulp, which moves the root by ulp / pdf; at these
+    # levels that is far below the tolerance
+    d, cdf = _built_in_densities()[name], _BUILT_IN_CDFS[name]
     for eps in (1e-3, 1e-6):
-        got, want = d.effective_interval(eps), by_cdf.effective_interval(eps)
+        got = numerics.mass_interval(d, eps)
+        want = [end if math.isfinite(end) else sci_optimize.brentq(
+            lambda z: cdf(z) - level, -50.0, 50.0, xtol=1e-13, rtol=1e-15)
+            for end, level in ((d.lower, eps), (d.upper, 1.0 - eps))]
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
 
@@ -159,7 +169,7 @@ def test_effective_interval_quantile_matches_cdf_bracketing(name):
 @pytest.mark.parametrize("name", ["normal", "gamma", "uniform", "shifted_normal", "shifted_gamma"])
 def test_built_in_logpdf_matches_log_pdf(name):
     d = _built_in_densities()[name]
-    lo, hi = d.effective_interval(1e-12)
+    lo, hi = numerics.mass_interval(d, 1e-12)
     z = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 401), [lo - 1e4, hi + 1e4]])
     pdf, logpdf = np.asarray(d.pdf(z)), np.asarray(d.logpdf(z))
     pos = pdf > 0.0
@@ -186,7 +196,7 @@ def test_declared_edge_form_is_the_logpdf(law):
     # 1e-300 past the edge (or the next double past a nonzero edge) to the
     # 1 - 1e-16 quantile
     d = law.density
-    hi = d.effective_interval(1e-16)[1] - d.lower
+    hi = numerics.mass_interval(d, 1e-16)[1] - d.lower
     z = np.unique(d.lower + np.geomspace(1e-300, hi, 400))
     z = z[z > d.lower]
     w = z - d.lower
@@ -202,8 +212,14 @@ def test_declared_edge_form_is_the_logpdf(law):
         assert np.all(np.abs(logpdf - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
+def _laplace_quantile(u):
+    u = np.asarray(u, dtype=float)
+    return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
+
+
 def test_logpdf_defaults_to_log_of_pdf():
-    d = DensityComponent(pdf=lambda z: np.exp(-np.abs(z)) / 2.0, lower=-math.inf, upper=math.inf)
+    d = DensityComponent(pdf=lambda z: np.exp(-np.abs(z)) / 2.0, lower=-math.inf, upper=math.inf,
+                         quantile=_laplace_quantile)
     z = np.array([-3.0, 0.0, 2.0])
     assert np.array_equal(d.logpdf(z), np.log(d.pdf(z)))
     assert _unit_uniform().logpdf(2.0) == -np.inf
@@ -316,6 +332,40 @@ def test_posterior_logpdf_is_log_base_weight_over_psi():
     assert np.all(np.abs(d.pdf(z) - np.exp(want)) <= 1e-12 * np.exp(want))
     far = np.array([-60.0, 60.0])
     assert np.all(d.pdf(far) == 0.0) and np.all(np.isfinite(d.logpdf(far)))
+
+
+def _tent_logpdf(z):
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log(np.clip(np.minimum(z, 2.0 - z), 0.0, None))
+
+
+@pytest.mark.parametrize("case", ["normal", "gamma_edge", "tent_kink"])
+def test_tabulated_quantile_matches_closed_forms(case):
+    u = np.array([1e-12, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
+    if case == "normal":
+        q = numerics.TabulatedQuantile(lambda z: -0.5 * np.asarray(z) ** 2, (-12.0, 12.0))
+        assert np.all(np.abs(q(u) - special.ndtri(u)) <= 1e-12)
+    elif case == "gamma_edge":
+        # a z^(-0.7) edge at 0, absorbed by the tanh-sinh map; relative error
+        q = numerics.TabulatedQuantile(lambda z: -0.7 * np.log(z) - z, (0.0, 80.0))
+        want = special.gammaincinv(0.3, u[:-1])
+        assert np.all(np.abs(q(u[:-1]) / want - 1.0) <= 1e-10)
+    else:
+        # a kink at 1 that the window's edges declare; an unnormalised density
+        q = numerics.TabulatedQuantile(_tent_logpdf, lambda: (0.0, 1.0, 2.0))
+        want = np.where(u <= 0.5, np.sqrt(2.0 * u), 2.0 - np.sqrt(2.0 * (1.0 - u)))
+        assert np.all(np.abs(q(u) - want) <= 1e-12)
+    assert q(0.5).shape == () and q(u.reshape(3, 3)).shape == (3, 3)
+
+
+def test_tabulated_quantile_validates_levels():
+    q = numerics.TabulatedQuantile(lambda z: np.zeros_like(z), (0.0, 1.0))
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            q(bad)
+    # the ends of the window, up to the outermost point of the map
+    assert 0.0 <= q(0.0) < 1e-15 and 1.0 - 1e-15 < q(1.0) <= 1.0
 
 
 def test_mixed_measure_atom_validation():

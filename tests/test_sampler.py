@@ -8,7 +8,7 @@ import pytest
 from scipy import special, stats
 
 import levybridge
-from levybridge import checks, core, sampler
+from levybridge import bridge, checks, core, sampler
 from levybridge.checks import ks_critical_value
 from levybridge.core import LRBSpec
 from levybridge.errors import DomainError, NumericError
@@ -44,6 +44,11 @@ def poisson_spec():
         horizon=1.0,
         terminal=TerminalLaw.from_atoms([(0.0, 0.3), (2.0, 0.4), (5.0, 0.3)]),
     )
+
+
+def seed_of(seed, sub=0):
+    """A `simulate_paths` seed drawn from a substream's Generator, as the checks draw theirs."""
+    return int(RandomStream(seed, sub).generator().integers(2**64, dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,7 @@ def test_draw_terminal_density_moments():
 
 
 def test_density_without_quantile_is_inverted_numerically():
-    # a density with no quantile falls back to one numerical inversion per draw
+    # a finite density built without a quantile draws from a tabulated one
     tri = DensityComponent(pdf=lambda z: np.where((z >= 0) & (z <= 1), 2.0 * z, 0.0),
                            lower=0.0, upper=1.0)
     spec = LRBSpec(kernel=BrownianKernel(), horizon=1.0, terminal=TerminalLaw(density=tri))
@@ -137,30 +142,40 @@ def test_sample_levy_paths_grid_validated():
 
 def test_terminal_first_path_ends_on_terminal_support():
     spec = gamma_atom_spec()
-    rng = RandomStream(30, 0).generator()
-    p = sampler.sample_lrb_terminal_first(spec, [0.25, 0.5, 1.0], rng)
-    assert p.values[-1] in (1.0, 2.5)
-    assert np.all(np.diff(np.concatenate([[0.0], p.values])) >= 0)
+    values = sampler.simulate_paths(spec, [0.25, 0.5, 1.0], 1, seed_of(30))[0]
+    assert values[-1] in (1.0, 2.5)
+    assert np.all(np.diff(np.concatenate([[0.0], values])) >= 0)
 
 
 def test_grid_validation():
     spec = drift_spec()
-    rng = RandomStream(31, 0).generator()
     for bad in ([], [0.0, 0.5], [0.5, 0.4], [0.5, 1.5]):
         with pytest.raises(DomainError):
-            sampler.sample_lrb_terminal_first(spec, bad, rng)
+            sampler.simulate_paths(spec, bad, 1, seed_of(31))
     with pytest.raises(DomainError):
-        sampler.sample_marginals(spec, [0.5], 10, rng, method="nope")
+        sampler.simulate_paths(spec, [0.5], 10, seed_of(31), method="nope")
     with pytest.raises(DomainError):
-        sampler.sample_marginals(spec, [0.5], 0, rng)
+        sampler.simulate_paths(spec, [0.5], 0, seed_of(31))
+
+
+@pytest.mark.parametrize("times", [[math.nan, 0.5, 1.0], [0.5, math.nan, 1.0], [0.5, 0.75, math.nan]],
+                         ids=["first", "middle", "last"])
+@pytest.mark.parametrize("route", ["terminal_first", "markov", "sample_path"])
+def test_nan_times_are_refused(route, times):
+    # a NaN compares false both ways, so it slipped past "diff <= 0" checks
+    with pytest.raises(DomainError):
+        if route == "sample_path":
+            pin = bridge.BridgeSpec(BrownianKernel(), end_time=1.0, end_value=0.3)
+            bridge.sample_path(pin, times, RandomStream(32, 0).generator())
+        else:
+            sampler.simulate_paths(checks.brownian_mixed(), times, 3, 1, method=route)
 
 
 def test_marginal_means_track_conditioning():
     # the conditioned gamma process with a scaled terminal drifts away from
     # the plain m*t mean; 20000 paths pin the first two moments loosely
     spec = gamma_scaled_spec()
-    rng = RandomStream(7, 0).generator()
-    vals = sampler.sample_marginals(spec, [0.5, 1.0], 20000, rng)
+    vals = sampler.simulate_paths(spec, [0.5, 1.0], 20000, seed_of(7))
     want_mid = 1.5  # E[Z]/2 by the linear interpolation property of the mean
     se_mid = vals[:, 0].std() / math.sqrt(vals.shape[0])
     assert abs(vals[:, 0].mean() - want_mid) < 4.0 * se_mid
@@ -175,7 +190,7 @@ def test_markov_one_step_law():
     spec = drift_spec()
     vals = np.array(
         [
-            sampler.sample_lrb_markov(spec, [0.5], RandomStream(41, i).generator()).values[0]
+            sampler.simulate_paths(spec, [0.5], 1, seed_of(41, i), method="markov")[0, 0]
             for i in range(400)
         ]
     )
@@ -190,13 +205,13 @@ def test_two_routes_agree_in_law():
     t = [0.5]
     a = np.array(
         [
-            sampler.sample_lrb_terminal_first(spec, t, RandomStream(42, i).generator()).values[0]
+            sampler.simulate_paths(spec, t, 1, seed_of(42, i))[0, 0]
             for i in range(400)
         ]
     )
     b = np.array(
         [
-            sampler.sample_lrb_markov(spec, t, RandomStream(43, i).generator()).values[0]
+            sampler.simulate_paths(spec, t, 1, seed_of(43, i), method="markov")[0, 0]
             for i in range(400)
         ]
     )
@@ -208,8 +223,7 @@ def test_point_mass_terminal_is_a_pure_bridge():
     spec = LRBSpec(
         kernel=BrownianKernel(), horizon=1.0, terminal=TerminalLaw.point(0.7)
     )
-    rng = RandomStream(44, 0).generator()
-    vals = sampler.sample_marginals(spec, [0.5, 1.0], 64, rng)
+    vals = sampler.simulate_paths(spec, [0.5, 1.0], 64, seed_of(44))
     assert np.all(vals[:, 1] == 0.7)
     assert vals[:, 0].std() > 0.1
 
@@ -218,7 +232,7 @@ def test_markov_lattice_route():
     spec = poisson_spec()
     vals = np.array(
         [
-            sampler.sample_lrb_markov(spec, [0.4, 1.0], RandomStream(45, i).generator()).values
+            sampler.simulate_paths(spec, [0.4, 1.0], 1, seed_of(45, i), method="markov")[0]
             for i in range(200)
         ]
     )
@@ -236,7 +250,7 @@ def gamma_routes():
     """Markov and terminal-first samples at (0.5, horizon), 400 paths each."""
     spec = gamma_scaled_spec()
     return tuple(
-        sampler.sample_marginals(spec, [0.5, 1.0], 400, RandomStream(seed, 0).generator(), method=m)
+        sampler.simulate_paths(spec, [0.5, 1.0], 400, seed_of(seed), method=m)
         for seed, m in ((61, "markov"), (62, "terminal_first"))
     )
 
@@ -259,7 +273,7 @@ def test_gamma_markov_agrees_with_terminal_first(gamma_routes):
 def test_mixed_markov_horizon_picks_atoms_at_their_weight():
     # the horizon step alone, from terminal-first states at t = 0.5
     spec = checks.brownian_mixed()
-    x = sampler.sample_marginals(spec, [0.5], 2000, RandomStream(64, 0).generator())[:, 0]
+    x = sampler.simulate_paths(spec, [0.5], 2000, seed_of(64))[:, 0]
     pick, u = RandomStream(65, 0).generator().uniform(size=(2, x.size))
     z = sampler._markov_step_continuous(spec, 0.5, 1.0, x, u, pick)
     hits = float(np.mean(z == -0.75))
@@ -546,19 +560,11 @@ def test_lattice_values_depend_on_the_row_alone(monkeypatch):
         assert np.array_equal(real(spec, t, nodes), psi)
 
 
-@pytest.mark.parametrize("method", ["terminal_first", "markov"])
-def test_generator_entry_points_run_the_seeded_route(method):
+def test_draw_terminal_runs_the_seeded_route():
     spec, times = checks.brownian_mixed(), [0.5, 1.0]
-    seed = int(RandomStream(77, 0).generator().integers(2**64, dtype=np.uint64))
-    want = sampler.simulate_paths(spec, times, 8, seed, method=method)
-    got = sampler.sample_marginals(spec, times, 8, RandomStream(77, 0).generator(), method=method)
-    assert np.array_equal(got, want)
-    one = {"terminal_first": sampler.sample_lrb_terminal_first, "markov": sampler.sample_lrb_markov}
-    path = one[method](spec, times, RandomStream(77, 0).generator())
-    assert np.array_equal(path.values, want[0])
-    if method == "terminal_first":
-        z = sampler.draw_terminal(spec, RandomStream(77, 0).generator(), size=8)
-        assert np.array_equal(z, want[:, -1])
+    want = sampler.simulate_paths(spec, times, 8, seed_of(77))
+    z = sampler.draw_terminal(spec, RandomStream(77, 0).generator(), size=8)
+    assert np.array_equal(z, want[:, -1])
 
 
 def test_simulate_paths_needs_no_process_pool():

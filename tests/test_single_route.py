@@ -5,17 +5,23 @@ are made to raise before anything is built. The built-in laws validate
 their mass with `numerics.density_sums`, posterior functionals past t = 0
 run on the tilted-sum engine, exercise boundaries on `numerics.solve_brackets`
 and call prices on node sums: a second evaluation route would trip the
-guards. QUADPACK and brentq remain for user densities without a quantile
-(`numerics.mass_interval` and `DensityComponent.effective_interval`) and
-for the references in `checks` and the tests.
+guards. A terminal density is drawn from, and has its infinite tails cut,
+by its `quantile` alone: a closed form for the built-in laws and a
+`numerics.TabulatedQuantile` for posterior laws (restart specs) and a user's
+finite density, so `numerics.inverse_cdf` is forbidden too. QUADPACK and
+brentq remain only for the references in `checks` and the tests.
 """
 
+import os
+import subprocess
+import sys
 import json
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import levybridge
 from levybridge import checks, cli, core, numerics, pricing, sampler
 from levybridge.config import ScenarioConfig
 from levybridge.errors import UnsupportedKernelError
@@ -31,6 +37,60 @@ def forbid_quadpack_and_brentq(monkeypatch):
     for owner, name in ((numerics, "integrate"), (numerics, "_quad_segment"),
                         (scipy.optimize, "brentq")):
         monkeypatch.setattr(owner, name, forbidden)
+
+
+# restart specs and a user's finite density, built without `checks` (which
+# loads scipy.integrate); the fresh interpreter below runs the same source
+QUANTILE_ROUTE_CALLS = """
+import numpy as np
+from levybridge import core, pricing, sampler
+from levybridge.kernels import BrownianKernel, GammaKernel
+from levybridge.laws import TerminalLaw
+from levybridge.numerics import DensityComponent
+
+mixed = core.LRBSpec(BrownianKernel(), 1.0,
+                     TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),)))
+gamma = core.LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw.gamma(2.0, 1.5))
+curve = pricing.RateCurve.flat(0.02)
+for spec, xi, strike in ((mixed, 0.3, 0.3), (gamma, 1.0, 3.5)):
+    sub = core.restart(spec, 0.5, xi)
+    for method in ("terminal_first", "markov"):
+        assert np.all(np.isfinite(sampler.simulate_paths(sub, [0.25, 0.5], 16, 3, method=method)))
+    assert core.psi_total(sub, 0.25, 0.1) > 0.0
+    assert np.all(np.isfinite(core.posterior_mean_many(sub, 0.25, np.array([0.1, 0.4]))))
+    call = pricing.CallSpec(strike=strike, maturity=0.75, valuation_time=0.5, xi=xi)
+    assert pricing.call_price(spec, curve, call) > 0.0
+tri = DensityComponent(pdf=lambda z: np.where((z >= 0.0) & (z <= 1.0), 2.0 * z, 0.0),
+                       lower=0.0, upper=1.0, breakpoints=(0.5,))
+user = core.LRBSpec(BrownianKernel(), 1.0, TerminalLaw(density=tri))
+draws = sampler.simulate_paths(user, [0.5, 1.0], 16, 4)[:, -1]
+assert np.all((draws > 0.0) & (draws < 1.0))
+"""
+
+
+def test_quantile_route_needs_no_quadpack_brentq_or_inverse_cdf(monkeypatch):
+    forbid_quadpack_and_brentq(monkeypatch)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-draw numerical inversion called")
+
+    monkeypatch.setattr(numerics, "inverse_cdf", forbidden)
+    exec(QUANTILE_ROUTE_CALLS, {})
+
+
+def test_quantile_route_loads_neither_scipy_integrate_nor_optimize():
+    heavy = ("levybridge.checks", "scipy.integrate", "scipy.optimize")
+    code = (
+        "import sys\n"
+        + QUANTILE_ROUTE_CALLS
+        + f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(levybridge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_scalar_functionals_use_only_the_engine(tmp_path, capsys, monkeypatch):
@@ -130,7 +190,7 @@ def test_other_continuous_kernels_are_refused():
 
 def test_markov_route_needs_no_terminal_posterior(monkeypatch):
     # every Markov step, the horizon included, inverts one grid per path; the
-    # per-path posterior and its QUADPACK inversion are not a second route
+    # per-path posterior and a numerical inversion are not a second route
     def forbidden(*args, **kwargs):
         raise AssertionError("second sampling route called")
 
