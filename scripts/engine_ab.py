@@ -1,18 +1,20 @@
-"""Interleaved in-process A/B of the surface workload between two source trees.
+"""Interleaved in-process A/B of the surface or paths workload between two source trees.
 
-    python3 scripts/engine_ab.py OLD_SRC NEW_SRC [--seed 201] [--rounds 6]
+    python3 scripts/engine_ab.py OLD_SRC NEW_SRC [--workload surface|paths]
+        [--seed 201] [--rounds 6]
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `levybridge`
 package. Each tree is imported under its own package name (`lb_old`,
 `lb_new`), so both live in one interpreter and share its warm caches. The
-surface round of `bench/workloads.py` (this checkout's) is built once per
-tree from the same seeded inputs. Before any timing, every op of one round
-must agree between the trees to 1e-12 relative; as in the benchmark's own
-checks, the scale of a posterior mean or a price is floored at 1, since a
-mean that crosses 0 keeps only absolute digits. A larger gap exits 1.
+round of `bench/workloads.py` (this checkout's) is built once per tree from
+the same seeded inputs. Before any timing, every op of one round must agree
+between the trees. A surface op agrees to 1e-12 relative; as in the
+benchmark's own checks, the scale of a posterior mean or a price is floored
+at 1, since a mean that crosses 0 keeps only absolute digits. A paths op
+must return the same array bit for bit. A larger gap exits 1.
 Whole rounds then alternate, old first on odd rounds and new first on even
 ones, so that a machine whose speed drifts between runs charges both sides
-alike. Printed: per op, the median seconds of each side and their ratio;
+alike. Printed: per op, the median milliseconds of each side and their ratio;
 per round pair, the ratio of whole-round times; and the median pair ratio
 (old over new, above 1 means the new tree is faster).
 """
@@ -45,11 +47,11 @@ def load_tree(src: Path, name: str):
     return module
 
 
-def surface_ops(lb, seed: int, workdir: Path):
-    """The surface round of ``bench/workloads.py`` on the package ``lb``."""
+def round_ops(lb, workload: str, seed: int, workdir: Path):
+    """The round of ``workload`` in ``bench/workloads.py`` on the package ``lb``."""
     import workloads
 
-    path = workloads.make_inputs("surface", seed, workdir)
+    path = workloads.make_inputs(workload, seed, workdir)
     meta, arrays = workloads.load_inputs(path)
     return workloads.make_ops(lb, meta, arrays)
 
@@ -67,6 +69,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", type=Path)
     ap.add_argument("new_src", type=Path)
+    ap.add_argument("--workload", choices=("surface", "paths"), default="surface")
     ap.add_argument("--seed", type=int, default=201)
     ap.add_argument("--rounds", type=int, default=6, help="round pairs to time")
     args = ap.parse_args(argv)
@@ -74,18 +77,25 @@ def main(argv=None) -> int:
 
     trees = {"old": load_tree(args.old_src, "lb_old"), "new": load_tree(args.new_src, "lb_new")}
     with tempfile.TemporaryDirectory() as tmp:
-        ops = {side: surface_ops(lb, args.seed, Path(tmp)) for side, lb in trees.items()}
+        ops = {side: round_ops(lb, args.workload, args.seed, Path(tmp))
+               for side, lb in trees.items()}
 
     worst = 0.0
     for a, b in zip(ops["old"], ops["new"]):
         x, y = np.asarray(a.run()), np.asarray(b.run())
+        if args.workload == "paths":
+            if x.shape != y.shape or x.tobytes() != y.tobytes():
+                print(f"{a.name}: trees differ (paths must agree bit for bit)")
+                return 1
+            continue
         floor = 1e-300 if a.info["fn"] == "psi_total_many" else 1.0
         gap = float(np.max(np.abs(x - y) / np.maximum(np.abs(x), floor)))
         worst = max(worst, gap)
         if gap > TOL:
             print(f"{a.name}: trees differ by {gap:.3e} relative (tolerance {TOL:g})")
             return 1
-    print(f"all {len(ops['old'])} surface ops agree; worst relative gap {worst:.3e}")
+    print(f"all {len(ops['old'])} {args.workload} ops agree; "
+          + ("bit for bit" if args.workload == "paths" else f"worst relative gap {worst:.3e}"))
 
     per_op = {side: [] for side in ops}
     pairs = []
@@ -100,11 +110,11 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}: old {whole['old']:.3f} s, new {whole['new']:.3f} s, "
               f"ratio {pairs[-1]:.3f}")
 
-    print(f"\n{'op':<40} {'old s':>9} {'new s':>9} {'ratio':>7}")
+    print(f"\n{'op':<40} {'old ms':>9} {'new ms':>9} {'ratio':>7}")
     for k, op in enumerate(ops["old"]):
         old = statistics.median(r[k] for r in per_op["old"])
         new = statistics.median(r[k] for r in per_op["new"])
-        print(f"{op.name:<40} {old:9.4f} {new:9.4f} {old / new:7.3f}")
+        print(f"{op.name:<40} {old * 1e3:9.3f} {new * 1e3:9.3f} {old / new:7.3f}")
     print(f"\npair ratios: min {min(pairs):.3f}, median {statistics.median(pairs):.3f}, "
           f"max {max(pairs):.3f}")
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 from scipy import special as _sp
@@ -111,19 +111,24 @@ class LRBSpec:
 
 
 def _atom_log_terms(spec: LRBSpec, t: float, xi) -> np.ndarray:
-    """log of w_i * f(T-t, z_i - xi) / f(T, z_i), shape (n_xi, n_atoms)."""
+    """log of w_i * f(T-t, z_i - xi) / f(T, z_i), shape (n_atoms, n_xi): one row per atom.
+
+    Callers sum over the atoms row after row, ``reduce(np.add, terms)``:
+    ``np.sum(axis=0)`` would add a single state's terms pairwise from 8
+    atoms on, so a value would depend on the batch.
+    """
     locs = np.array([z for z, _ in spec.terminal.atoms])
     logw = np.log([w for _, w in spec.terminal.atoms])
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if spec.kernel.discrete:
         base = spec.kernel.log_mass(spec.horizon, locs.astype(int))
         steps = spec.kernel.log_mass(
-            spec.horizon - t, (locs[None, :] - xi[:, None]).astype(int)
+            spec.horizon - t, (locs[:, None] - xi[None, :]).astype(int)
         )
     else:
         base = spec.kernel.log_density(spec.horizon, locs)
-        steps = spec.kernel.log_density(spec.horizon - t, locs[None, :] - xi[:, None])
-    return steps + (logw - base)[None, :]
+        steps = spec.kernel.log_density(spec.horizon - t, locs[:, None] - xi[None, :])
+    return steps + (logw - base)[:, None]
 
 
 def psi_total(spec: LRBSpec, t: float, xi: float) -> float:
@@ -452,11 +457,12 @@ def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np
         t = float(t[0])  # one shared time takes the scalar route, which gives the same bits
     out = np.zeros((flat.size, len(powers)))
     if spec.terminal.atoms:
-        locs = np.array([z for z, _ in spec.terminal.atoms])
+        locs = np.array([z for z, _ in spec.terminal.atoms])[:, None]
         for u, rows in _by_time(t):
             with np.errstate(over="ignore"):
                 g = np.exp(_atom_log_terms(spec, u, flat[rows]))
-            out[rows] += _power_values(g, locs, powers).sum(axis=-1)
+            for i, q in enumerate(powers):
+                out[rows, i] += reduce(np.add, g if q == 0 else g * locs**q)
     if spec.terminal.density is not None:
         out += _density_sums(spec, t, flat, powers)
     _check_finite(out, t, flat)
@@ -585,7 +591,7 @@ def _posterior(spec: LRBSpec, s: float, xi: float, psi: float, origin: float = 0
     atoms, atom_sum = [], 0.0
     if spec.terminal.atoms:
         with np.errstate(over="ignore"):
-            terms = np.exp(_atom_log_terms(spec, s, xi)[0])
+            terms = np.exp(_atom_log_terms(spec, s, xi)[:, 0])
         atom_sum = float(np.sum(terms))
         atoms = [(z - origin, float(w)) for (z, _), w in zip(spec.terminal.atoms, terms / psi) if w > 0.0]
     comp, d = None, spec.terminal.density

@@ -482,8 +482,8 @@ def binary_bond_posterior(spec: _core.LRBSpec, t: float, xi):
     else:
         logs = _core._atom_log_terms(spec, t, xi_arr)
         with np.errstate(over="ignore"):
-            rho1 = 1.0 / (1.0 + np.exp(logs[:, 0] - logs[:, 1]))
-        rho1 = np.where(np.isneginf(logs[:, 0]) & np.isneginf(logs[:, 1]), np.nan, rho1)
+            rho1 = 1.0 / (1.0 + np.exp(logs[0] - logs[1]))
+        rho1 = np.where(np.isneginf(logs[0]) & np.isneginf(logs[1]), np.nan, rho1)
         if np.any(np.isnan(rho1)):
             raise NumericError("binary posterior undefined: both atoms have zero weight")
     rho0 = 1.0 - rho1

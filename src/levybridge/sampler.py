@@ -5,14 +5,18 @@ Two independent routes produce the same law:
 * terminal-first (the default): draw the terminal value from its law, then
   walk the pinned bridge with the kernel's exact conditional steps;
 * markov-chain: walk the unpinned state forward; every step, the horizon
-  included, inverts the Markov transition law on a grid per path. Before
-  the horizon, psi on the grids of all paths is the exact atom terms plus
-  the density part interpolated in log from a lattice k h_t (lattice
-  kernels sum the transition masses). The engine never gets more than
-  three states per grid node. When h_t is comparable to the grid spacing
-  (dt / (T - t) small) and the paths' grids overlap, as on the Brownian
-  laws a few steps from the horizon, its states barely grow with the
-  number of paths; elsewhere the lattice gains less or is not used.
+  included, inverts the Markov transition law on a grid. The grid, psi on
+  it and its cdf are built once per distinct start state, and each path
+  inverts its own uniform in its state's row; every path starts at 0, so a
+  first step builds one row. Before the horizon, psi on the grids of all
+  rows is the exact atom terms (`core._atom_log_terms`, one row per atom,
+  added in atom order) plus the density part interpolated in log from a
+  lattice k h_t (lattice kernels sum the transition masses). The engine
+  never gets more than three states per grid node. When h_t is comparable
+  to the grid spacing (dt / (T - t) small) and the rows' grids overlap, as
+  on the Brownian laws a few steps from the horizon, its states barely grow
+  with the number of paths; elsewhere the lattice gains less or is not
+  used.
 
 The second route never touches the bridge conditionals or the terminal
 posterior, which is what makes the cross-validation tests between the two
@@ -23,7 +27,9 @@ uniforms into draws with exact inverse-CDF transforms (the gamma bridge step
 reads `numerics._beta_inverse`'s certified table, 1e-13 relative where well
 conditioned). Uniform number d of path i is output i of numpy's Philox4x64-10
 keyed by (seed, d), the counter-based generator of Salmon et al., SC'11,
-"Parallel random numbers: as easy as 1, 2, 3". Every path takes the same
+"Parallel random numbers: as easy as 1, 2, 3". A call builds one Philox of
+its own and re-keys it for each draw through its ``state`` setter, so calls
+on different threads share no generator state. Every path takes the same
 draw numbers whatever it draws: 0 picks a terminal atom (at the horizon step
 of the Markov route), 1 draws from the terminal density, and 2 + j drives
 grid step j. The terminal density is drawn by its `DensityComponent.quantile`
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 from scipy import special as _sp
@@ -89,50 +96,69 @@ def _key(seed) -> int:
     return int(seed)
 
 
-def _uniforms(key: int, paths: np.ndarray, draw: int) -> np.ndarray:
+def _count(name: str, n, least: int = 1) -> int:
+    """A validated path count: an integer (not a bool) of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _uniforms(bits: np.random.Philox, key: int, paths: np.ndarray, draw: int) -> np.ndarray:
     """Uniform number ``draw`` of each path index in ``paths``, inside (0, 1).
 
     Path i takes output i of numpy's Philox4x64-10 keyed by the 128-bit
-    (seed, draw). The top 52 bits map to ((x >> 12) + 0.5) 2^-52, which is
-    exact in double precision and never 0 or 1.
+    (seed, draw). ``bits`` is re-keyed through its ``state`` setter, its
+    counter set to the block of the first path asked for, so one Philox
+    serves every draw of a call. The top 52 bits map to
+    ((x >> 12) + 0.5) 2^-52, which is exact in double precision and never
+    0 or 1.
     """
     paths = np.asarray(paths, dtype=np.int64)
     if paths.size == 0:
         return np.empty(paths.shape)
     lo, hi = int(paths.min()), int(paths.max())
-    bits = np.random.Philox(key=key | (int(draw) << 64))
-    bits.advance(lo // 4)  # one counter step yields four outputs
+    bits.state = {  # one counter step yields four outputs; an empty buffer starts a new step
+        "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": np.array([lo // 4, 0, 0, 0], np.uint64),
+                  "key": np.array([key, draw], np.uint64)},
+    }
     start = lo - lo % 4
     x = bits.random_raw(hi - start + 1)[paths - start]
     return ((x >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
+def _stream(seed):
+    """``draws(paths, draw)``: the uniforms of one call, from a Philox of the call's own."""
+    return partial(_uniforms, np.random.Philox(), _key(seed))
 
 
 # ---------------------------------------------------------------------------
 # terminal draws
 
 
-def _terminal_values(spec: _core.LRBSpec, key, paths: np.ndarray) -> np.ndarray:
+def _terminal_values(spec: _core.LRBSpec, draws, paths: np.ndarray) -> np.ndarray:
     law = spec.terminal
     out = np.empty(paths.size)
     dens = np.ones(paths.size, dtype=bool)
     if law.atoms:
         locs = np.array([z for z, _ in law.atoms])
         cum = np.cumsum([w for _, w in law.atoms])
-        idx = np.searchsorted(cum, _uniforms(key, paths, _ATOM), side="right")
+        idx = np.searchsorted(cum, draws(paths, _ATOM), side="right")
         if law.density is None:
             # rounding can leave u past the last cumulative atom weight
             idx = np.minimum(idx, locs.size - 1)
         dens = idx == locs.size
         out[~dens] = locs[idx[~dens]]
     if np.any(dens):
-        out[dens] = law.density.quantile(_uniforms(key, paths[dens], _DENSITY))
+        out[dens] = law.density.quantile(draws(paths[dens], _DENSITY))
     return out
 
 
 def draw_terminal(spec: _core.LRBSpec, rng, size=None):
-    """Draw terminal values from the spec's terminal law."""
-    n = 1 if size is None else int(size)
-    out = _terminal_values(spec, _key(int(rng.integers(2**64, dtype=np.uint64))), np.arange(n))
+    """Draw terminal values from the spec's terminal law; ``size`` is None or an integer >= 0."""
+    n = 1 if size is None else _count("size", size, 0)
+    out = _terminal_values(spec, _stream(int(rng.integers(2**64, dtype=np.uint64))), np.arange(n))
     return float(out[0]) if size is None else out
 
 
@@ -143,9 +169,10 @@ def draw_terminal(spec: _core.LRBSpec, rng, size=None):
 def sample_levy_paths(kernel: Kernel, times, n_paths: int, rng) -> np.ndarray:
     """Plain stationary-independent-increment paths, shape (n_paths, len(times))."""
     times = check_grid(times, 0.0)
-    out = np.empty((int(n_paths), times.size))
+    n_paths = _count("n_paths", n_paths)
+    out = np.empty((n_paths, times.size))
     prev_t = 0.0
-    level = np.zeros(int(n_paths))
+    level = np.zeros(n_paths)
     for j, t in enumerate(times):
         level = level + kernel.sample(rng, t - prev_t, size=level.shape)
         out[:, j] = level
@@ -157,15 +184,15 @@ def sample_levy_paths(kernel: Kernel, times, n_paths: int, rng) -> np.ndarray:
 # terminal-first sampling
 
 
-def _terminal_first_values(spec, times, key, paths) -> np.ndarray:
-    z = _terminal_values(spec, key, paths)
+def _terminal_first_values(spec, times, draws, paths) -> np.ndarray:
+    z = _terminal_values(spec, draws, paths)
     values = np.empty((paths.size, times.size))
     cur_t, cur_x = 0.0, np.zeros(paths.size)
     for j, t in enumerate(times):
         if t == spec.horizon:
             values[:, j] = z
         else:
-            u, rem = _uniforms(key, paths, _STEP + j), spec.horizon - t
+            u, rem = draws(paths, _STEP + j), spec.horizon - t
             values[:, j] = _bridge._inverse_step(spec.kernel, t - cur_t, rem, cur_x, z, u)
         cur_t, cur_x = t, values[:, j]
     return values
@@ -331,7 +358,7 @@ def _stencil_sum(theta: np.ndarray, f: list[np.ndarray]) -> np.ndarray:
 
 
 def _psi_on_nodes(spec, t: float, nodes: np.ndarray) -> np.ndarray:
-    """psi_t (t < horizon) at the grid states of all paths, one engine call.
+    """psi_t (t < horizon) at the grid states of all rows, one engine call.
 
     The density part comes from `_lattice_density_psi`; the atom terms are
     summed exactly at each node, so their kinks never enter a stencil.
@@ -345,7 +372,7 @@ def _psi_on_nodes(spec, t: float, nodes: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             for lo in range(0, flat.size, _NODE_TILE):
                 sl = slice(lo, lo + _NODE_TILE)
-                out[sl] += np.sum(np.exp(_core._atom_log_terms(spec, t, flat[sl])), axis=-1)
+                out[sl] += reduce(np.add, np.exp(_core._atom_log_terms(spec, t, flat[sl])))
     _core._check_finite(out, t, flat)
     return out.reshape(nodes.shape)
 
@@ -353,6 +380,9 @@ def _psi_on_nodes(spec, t: float, nodes: np.ndarray) -> np.ndarray:
 def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     """Advance all paths from states x at time s to time t (t <= horizon).
 
+    The transition row (cells, psi at their midpoints, grid cdf, mass check)
+    is built once per distinct state of ``x_arr``, and paths that share it
+    invert their own uniforms in it.
     ``u`` holds one uniform per path, and so does ``pick``, which is read
     only at the horizon, and only on laws with atoms. With
     w = F^-1_{t-s}(u), the next state x + w has density psi_t(x + w) /
@@ -368,24 +398,26 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
     grid mass misses its share of a directly evaluated psi_s by more than
     _MASS_RTOL of psi_s raises.
     """
-    T, n, dt = spec.horizon, x_arr.size, t - s
-    psi_s = _core.psi_total_many(spec, s, x_arr)
-    out, target = np.full(n, np.nan), psi_s
+    T, dt = spec.horizon, t - s
+    states, which = np.unique(x_arr, return_inverse=True)
+    psi_s = _core.psi_total_many(spec, s, states)
+    out, target = np.full(x_arr.size, np.nan), psi_s
     if t == T and spec.terminal.atoms:
         with np.errstate(over="ignore"):
-            cum = np.cumsum(np.exp(_core._atom_log_terms(spec, s, x_arr)), axis=1)
-        idx = (cum < (pick * psi_s)[:, None]).sum(axis=1)
+            cum = np.cumsum(np.exp(_core._atom_log_terms(spec, s, states)), axis=0)
+        idx = (cum[:, which] < pick * psi_s[which]).sum(axis=0)
         if spec.terminal.density is None:
             # rounding can leave pick past the last atom term
-            idx = np.minimum(idx, cum.shape[1] - 1)
-        hit = idx < cum.shape[1]
+            idx = np.minimum(idx, cum.shape[0] - 1)
+        hit = idx < cum.shape[0]
         out[hit] = np.array([z for z, _ in spec.terminal.atoms])[idx[hit]]
-        target = psi_s - cum[:, -1]
+        target = psi_s - cum[-1]
     rows = np.nonzero(np.isnan(out))[0]
     if rows.size == 0:
         return out
-    v = u[rows]
-    x, d = x_arr[rows], spec.terminal.density
+    # one transition row per distinct start state; row k[i] serves path rows[i]
+    need, k = np.unique(which[rows], return_inverse=True)
+    x, d = states[need], spec.terminal.density
     if t < T:
         jumps = [z for z, _ in spec.terminal.atoms] if spec.kernel.nondecreasing else []
     else:
@@ -401,20 +433,20 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
             lb_ok = np.isfinite(lb)
             h = np.where(lb_ok, np.exp(d.logpdf(nodes) - np.where(lb_ok, lb, 0.0)), 0.0)
     cdf = np.hstack([np.zeros((x.size, 1)), np.cumsum(h * width, axis=1)])
-    miss = np.abs(cdf[:, -1] - target[rows]) / psi_s[rows]
+    miss = np.abs(cdf[:, -1] - target[need]) / psi_s[need]
     if not np.all(miss <= _MASS_RTOL):
         i = int(np.argmax(np.nan_to_num(miss, nan=np.inf)))
         raise NumericError(
             "markov step: grid mass misses psi", t=t, states=(x.min(), x.max()),
-            miss=float(miss[i]), state=float(x[i]), psi=float(psi_s[rows][i]),
+            miss=float(miss[i]), state=float(x[i]), psi=float(psi_s[need][i]),
         )
-    # invert the piecewise-linear cdf in the cell that holds v * mass
-    c = v * cdf[:, -1]
-    r = np.arange(x.size)
-    idx = np.clip((cdf < c[:, None]).sum(axis=1), 1, width.shape[1])
-    c_lo, c_hi = cdf[r, idx - 1], cdf[r, idx]
+    # invert the piecewise-linear cdf of each path's row in the cell that holds u * mass
+    c = u[rows] * cdf[k, -1]
+    idx = np.clip((cdf[k] < c[:, None]).sum(axis=1), 1, width.shape[1])
+    c_lo, c_hi = cdf[k, idx - 1], cdf[k, idx]
     frac = np.where(c_hi > c_lo, (c - c_lo) / (c_hi - c_lo), 0.5)
-    out[rows] = x + spec.kernel.quantile(dt, edges[r, idx - 1] + frac * width[r, idx - 1])
+    w = spec.kernel.quantile(dt, edges[k, idx - 1] + frac * width[k, idx - 1])
+    out[rows] = x_arr[rows] + w
     return out
 
 
@@ -446,15 +478,15 @@ def _markov_step_lattice(spec, s, t, x_arr, u) -> np.ndarray:
     return out
 
 
-def _markov_values(spec, times, key, paths) -> np.ndarray:
+def _markov_values(spec, times, draws, paths) -> np.ndarray:
     values = np.empty((paths.size, times.size))
     cur_t, cur_x = 0.0, np.zeros(paths.size)
     for j, t in enumerate(times):
-        u = _uniforms(key, paths, _STEP + j)
+        u = draws(paths, _STEP + j)
         if spec.kernel.discrete:
             cur_x = _markov_step_lattice(spec, cur_t, t, cur_x, u)
         else:
-            pick = _uniforms(key, paths, _ATOM) if t == spec.horizon else None
+            pick = draws(paths, _ATOM) if t == spec.horizon else None
             cur_x = _markov_step_continuous(spec, cur_t, t, cur_x, u, pick)
         values[:, j], cur_t = cur_x, t
     return values
@@ -485,7 +517,5 @@ def simulate_paths(
     times = check_grid(times, 0.0, spec.horizon)
     if method not in _ROUTES:
         raise DomainError(f"unknown method {method!r}")
-    n_paths = int(n_paths)
-    if n_paths <= 0:
-        raise DomainError(f"n_paths must be positive, got {n_paths}")
-    return _ROUTES[method](spec, times, _key(seed), np.arange(n_paths))
+    n_paths = _count("n_paths", n_paths)
+    return _ROUTES[method](spec, times, _stream(seed), np.arange(n_paths))

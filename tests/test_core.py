@@ -381,6 +381,45 @@ def test_mixed_time_engine_error_reports_the_time_range():
     assert info.value.diagnostics["t"] == (0.1, 0.9)
 
 
+NINE_ATOMS = tuple((-2.0 + 0.5 * i, (i + 1) / 45.0) for i in range(9))
+
+
+def nine_atom_spec():
+    return LRBSpec(BrownianKernel(), 1.0, TerminalLaw.from_atoms(NINE_ATOMS))
+
+
+def _nine_atom_closed_form(t, xi):
+    """(psi, posterior mean) of nine_atom_spec in mpmath."""
+    with mp.workdps(30):
+        t, xi = mp.mpf(t), mp.mpf(xi)
+        terms = [
+            mp.mpf(w) * mp.exp(-((z - xi) ** 2) / (2 * (1 - t)) + z**2 / 2) / mp.sqrt(1 - t)
+            for z, w in NINE_ATOMS
+        ]
+        psi = mp.fsum(terms)
+        return float(psi), float(mp.fsum(z * v for (z, _), v in zip(NINE_ATOMS, terms)) / psi)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_nine_atoms_match_mpmath_and_do_not_depend_on_the_batch(t):
+    # past 8 terms numpy sums an axis pairwise, so a state alone and a
+    # state in a batch would add its atom terms in different orders; the
+    # atom-major sum adds them in atom order for both
+    spec, xis = nine_atom_spec(), np.linspace(-3.0, 3.0, 13)
+    psi, mean = np.array([_nine_atom_closed_form(t, x) for x in xis]).T
+    got_psi, got_mean = core.psi_total_many(spec, t, xis), core.posterior_mean_many(spec, t, xis)
+    assert np.all(np.abs(got_psi - psi) <= 1e-13 * psi)
+    assert np.all(np.abs(got_mean - mean) <= 1e-13 * np.maximum(np.abs(mean), 1.0))
+    on_nodes = sampler._psi_on_nodes(spec, t, np.vstack([xis, xis[::-1]]))
+    for i in range(xis.size):
+        one = xis[i : i + 1]
+        assert core.psi_total_many(spec, t, one)[0] == got_psi[i]
+        assert core.posterior_mean_many(spec, t, one)[0] == got_mean[i]
+        assert core.psi_total(spec, t, xis[i]) == got_psi[i]
+        assert sampler._psi_on_nodes(spec, t, one[None, :])[0, 0] == on_nodes[0, i]
+    assert np.array_equal(on_nodes[1], on_nodes[0][::-1])
+
+
 def _mixed_closed_form(t, xi):
     """(psi, posterior mean) of mixed_spec by Gaussian algebra in mpmath."""
     with mp.workdps(30):

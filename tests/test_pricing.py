@@ -466,6 +466,23 @@ def test_binary_posterior_vectorized():
     assert np.all(np.diff(rho1) > 0)
 
 
+@pytest.mark.parametrize("make_spec", [checks.brownian_binary, checks.gamma_atomic])
+def test_binary_posterior_is_the_two_atom_logistic_bit_for_bit(make_spec):
+    # rho1 = 1 / (1 + e^(l0 - l1)) with l_i = log f(T-t, z_i - xi) + log w_i
+    # - log f(T, z_i), each term formed as before the atom terms went
+    # atom-major: the posterior is unchanged bit for bit
+    spec = make_spec()
+    (z0, w0), (z1, w1) = spec.terminal.atoms
+    k, T, t = spec.kernel, spec.horizon, 0.6
+    xis = np.geomspace(1e-3, 0.99 * z1, 41) if k.nondecreasing else np.linspace(-2.0, 3.0, 41)
+    logs = k.log_density(T - t, np.array([z0, z1])[None, :] - xis[:, None])
+    logs = logs + (np.log([w0, w1]) - k.log_density(T, np.array([z0, z1])))[None, :]
+    with np.errstate(over="ignore"):
+        rho1 = 1.0 / (1.0 + np.exp(logs[:, 0] - logs[:, 1]))
+    got0, got1 = binary_bond_posterior(spec, t, xis)
+    assert np.array_equal(got1, rho1) and np.array_equal(got0, 1.0 - rho1)
+
+
 def test_binary_posterior_guards():
     with pytest.raises(DomainError):
         binary_bond_posterior(gamma_pricing_spec(), 0.5, 0.2)

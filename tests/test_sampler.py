@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -297,6 +298,38 @@ def test_gamma_markov_paths_reach_the_horizon():
         assert np.all(np.diff(np.hstack([np.zeros((out.shape[0], 1)), out]), axis=1) >= 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 16, 2000])
+def test_markov_first_step_builds_one_row(monkeypatch, n):
+    # every path starts at 0, so the first step builds one transition row
+    # whatever the number of paths; later steps build one per distinct state
+    seen = _record_psi_on_nodes(monkeypatch)
+    out = sampler.simulate_paths(checks.brownian_mixed(), [0.25, 0.5, 0.75, 1.0], n, 8,
+                                 method="markov")
+    assert seen[0][2].shape[0] == 1
+    for j, (_, _, nodes, _) in enumerate(seen[1:]):
+        assert nodes.shape[0] == np.unique(out[:, j]).size
+
+
+def test_markov_step_shares_rows_between_equal_states():
+    # paths that share a start state share its row, and each draws what it
+    # draws stepped alone, bit for bit, before the horizon and at it
+    spec, x = checks.brownian_mixed(), np.array([0.3, 0.3, -0.2, 0.3])
+    u, pick = RandomStream(67, 0).generator().uniform(size=(2, x.size))
+    pick[1] = 0.01  # one pick of the atom at the horizon
+    for s, t in ((0.25, 0.5), (0.5, 1.0)):
+        batch = sampler._markov_step_continuous(spec, s, t, x, u, pick)
+        alone = [sampler._markov_step_continuous(spec, s, t, x[i : i + 1], u[i : i + 1],
+                                                 pick[i : i + 1]) for i in range(x.size)]
+        assert np.array_equal(batch, np.concatenate(alone))
+
+
+def test_markov_step_still_reports_a_narrow_atom_term():
+    # a step of 0.5 that ends at 1 - 1e-6, where the atom term is about 1e-3
+    # wide against a grid spacing near 0.01, misses psi and says so
+    with pytest.raises(NumericError, match="markov step: grid mass misses psi"):
+        sampler.simulate_paths(checks.brownian_mixed(), [0.5, 1 - 1e-6], 16, 3, method="markov")
+
+
 def test_markov_grid_miss_is_reported(monkeypatch):
     # a grid of 8 cells cannot carry psi_s to 1e-3
     monkeypatch.setattr(sampler, "_U_GRID", special.ndtr(np.linspace(-7.0, 7.0, 9)))
@@ -349,37 +382,98 @@ def test_simulate_paths_methods_and_validation():
     assert out.shape == (4, 2)
 
 
+@pytest.mark.parametrize("count", [2.7, 2.0, True, False, "3", None, 0, -1])
+def test_path_counts_are_validated(count):
+    # a path count is an integer >= 1: no float is truncated, no bool or
+    # string converted
+    spec, times = drift_spec(), [0.5, 1.0]
+    with pytest.raises(DomainError, match="n_paths"):
+        sampler.simulate_paths(spec, times, count, seed=0)
+    with pytest.raises(DomainError, match="n_paths"):
+        sampler.sample_levy_paths(BrownianKernel(), times, count, RandomStream(1).generator())
+
+
+@pytest.mark.parametrize("size", [2.7, True, "3", -1])
+def test_draw_terminal_size_is_validated(size):
+    with pytest.raises(DomainError, match="size"):
+        sampler.draw_terminal(drift_spec(), RandomStream(1).generator(), size=size)
+
+
+def test_path_counts_take_numpy_integers_and_size_zero():
+    spec, rng = drift_spec(), RandomStream(1).generator()
+    assert sampler.simulate_paths(spec, [0.5, 1.0], np.int64(3), seed=0).shape == (3, 2)
+    assert sampler.sample_levy_paths(BrownianKernel(), [0.5], np.uint8(2), rng).shape == (2, 1)
+    assert sampler.draw_terminal(spec, rng, size=0).shape == (0,)
+    assert sampler.draw_terminal(spec, rng, size=np.int32(2)).shape == (2,)
+
+
 # ---------------------------------------------------------------------------
 # counter-based uniforms and batch invariance
 
 
 def test_counter_uniforms_are_open_repeatable_and_keyed():
-    key, paths = sampler._key(2024), np.arange(100_000)
-    u = sampler._uniforms(key, paths, 3)
+    draws, paths = sampler._stream(2024), np.arange(100_000)
+    u = draws(paths, 3)
     assert np.all((u > 0.0) & (u < 1.0))
-    assert np.array_equal(u, sampler._uniforms(sampler._key(2024), paths, 3))
-    along_draws = np.concatenate([sampler._uniforms(key, paths[:1], d) for d in paths])
+    assert np.array_equal(u, sampler._stream(2024)(paths, 3))
+    along_draws = np.concatenate([draws(paths[:1], d) for d in paths])
     for v in (u, along_draws):
         assert stats.kstest(v, "uniform").pvalue > 1e-6
     neighbours = {
-        "seed": sampler._uniforms(sampler._key(2025), paths, 3),
-        "path": sampler._uniforms(key, paths + 1, 3),
-        "draw": sampler._uniforms(key, paths, 4),
+        "seed": sampler._stream(2025)(paths, 3),
+        "path": draws(paths + 1, 3),
+        "draw": draws(paths, 4),
     }
     for name, v in neighbours.items():
         assert not np.any(v == u), name
         assert abs(np.corrcoef(u, v)[0, 1]) < 0.02, name
 
 
+def _philox_uniforms(seed, draw, n):
+    """The first n uniforms of a fresh Philox keyed by (seed, draw)."""
+    raw = np.random.Philox(key=seed | (draw << 64)).random_raw(n)
+    return ((raw >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
 def test_counter_uniforms_are_philox_outputs_at_any_offset():
     # path i takes output i of the Philox stream keyed by (seed, draw),
-    # whatever subset of paths a call asks for
-    seed, draw = 2**64 - 3, 7
-    raw = np.random.Philox(key=seed | (draw << 64)).random_raw(64)
-    expected = ((raw >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-    key = sampler._key(seed)
-    for paths in (np.arange(64), np.arange(5, 64), np.array([63, 9, 10, 2, 41])):
-        assert np.array_equal(sampler._uniforms(key, paths, draw), expected[paths])
+    # whatever subset of paths a call asks for and whatever the one
+    # re-keyed generator of the call drew before
+    subsets = [np.arange(64), np.array([63, 9, 10, 2, 41])]
+    subsets += [np.arange(lo, 64) for lo in (4, 5, 6, 7)]  # every start offset lo % 4
+    subsets += [np.array([lo]) for lo in (40, 41, 42, 43)]
+    for seed in (0, 2**63, 2**64 - 1):
+        draws = sampler._stream(seed)
+        for draw in (0, 1, 13):
+            expected = _philox_uniforms(seed, draw, 64)
+            for paths in subsets:
+                assert np.array_equal(draws(paths, draw), expected[paths]), (seed, draw, paths)
+
+
+def test_interleaved_calls_keep_their_own_streams():
+    # two calls drawing in turn, and one generator re-keyed between two
+    # keys, give each key its own Philox outputs
+    a, b = sampler._stream(2**64 - 3), sampler._stream(5)
+    bits = np.random.Philox()
+    paths = np.arange(3, 40)
+    for draw in (7, 0, 2):
+        for seed, draws in ((2**64 - 3, a), (5, b)):
+            want = _philox_uniforms(seed, draw, 40)[paths]
+            assert np.array_equal(draws(paths, draw), want)
+            assert np.array_equal(sampler._uniforms(bits, seed, paths, draw), want)
+    # calls on three threads at once, switching often, draw what they draw alone
+    spec, times, seeds = checks.brownian_binary(), np.linspace(0.1, 1.0, 10), (1, 2, 3)
+    alone = {s: sampler.simulate_paths(spec, times, 50, s) for s in seeds}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            runs = {s: pool.submit(lambda s=s: [sampler.simulate_paths(spec, times, 50, s)
+                                                for _ in range(20)]) for s in seeds}
+            for s, run in runs.items():
+                assert all(np.array_equal(out, alone[s]) for out in run.result(timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_seed_range_is_validated():
