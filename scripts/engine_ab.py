@@ -1,6 +1,6 @@
-"""Interleaved in-process A/B of the surface or paths workload between two source trees.
+"""Interleaved in-process A/B of the surface, quotes or paths workload between two source trees.
 
-    python3 scripts/engine_ab.py OLD_SRC NEW_SRC [--workload surface|paths]
+    python3 scripts/engine_ab.py OLD_SRC NEW_SRC [--workload surface|quotes|paths]
         [--seed 201] [--rounds 6]
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `levybridge`
@@ -11,18 +11,28 @@ the same seeded inputs. Before any timing, every op of one round must agree
 between the trees. A surface op agrees to 1e-12 relative; as in the
 benchmark's own checks, the scale of a posterior mean or a price is floored
 at 1, since a mean that crosses 0 keeps only absolute digits. A paths op
-must return the same array bit for bit. A larger gap exits 1.
+must return the same array bit for bit. A quotes op is one CLI request,
+sent to each tree's own `cli.main` as the benchmark sends it (the
+benchmark's own op imports `levybridge.cli` by name, so it cannot serve
+two trees); each tree writes its replies in its own directory, and every
+request must exit with the same code on both trees and leave reply files
+that are byte-identical. A larger gap exits 1.
 Whole rounds then alternate, old first on odd rounds and new first on even
 ones, so that a machine whose speed drifts between runs charges both sides
 alike. Printed: per op, the median milliseconds of each side and their ratio;
-per round pair, the ratio of whole-round times; and the median pair ratio
-(old over new, above 1 means the new tree is faster).
+per round pair, the ratio of whole-round times; the median pair ratio
+(old over new, above 1 means the new tree is faster); and each side's p50,
+the median over every op call of every round, as the benchmark's
+call_p50_ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import importlib.util
+import io
 import statistics
 import sys
 import tempfile
@@ -53,7 +63,27 @@ def round_ops(lb, workload: str, seed: int, workdir: Path):
 
     path = workloads.make_inputs(workload, seed, workdir)
     meta, arrays = workloads.load_inputs(path)
-    return workloads.make_ops(lb, meta, arrays)
+    if workload != "quotes":
+        return workloads.make_ops(lb, meta, arrays)
+    cli = importlib.import_module(f"{lb.__name__}.cli")
+    return [
+        workloads.Op(f"{i:02d} {req['law']}.{req['kind']}" + (" far-tail" if req.get("far_tail") else ""), 1,
+                     lambda req=req: run_request(cli, req), req)
+        for i, req in enumerate(meta["requests"])
+    ]
+
+
+def run_request(cli, req: dict) -> int:
+    """One quote request through ``cli.main``, stderr captured; returns the exit code."""
+    argv = [req["kind"], "--config", req["config"], "--out", req["out"]]
+    with contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def reply(req: dict) -> bytes | None:
+    """The bytes of a request's reply file; None where the request wrote none."""
+    path = Path(req["out"])
+    return path.read_bytes() if path.exists() else None
 
 
 def timed_round(ops) -> list[float]:
@@ -69,7 +99,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", type=Path)
     ap.add_argument("new_src", type=Path)
-    ap.add_argument("--workload", choices=("surface", "paths"), default="surface")
+    ap.add_argument("--workload", choices=("surface", "quotes", "paths"), default="surface")
     ap.add_argument("--seed", type=int, default=201)
     ap.add_argument("--rounds", type=int, default=6, help="round pairs to time")
     args = ap.parse_args(argv)
@@ -77,12 +107,23 @@ def main(argv=None) -> int:
 
     trees = {"old": load_tree(args.old_src, "lb_old"), "new": load_tree(args.new_src, "lb_new")}
     with tempfile.TemporaryDirectory() as tmp:
-        ops = {side: round_ops(lb, args.workload, args.seed, Path(tmp))
-               for side, lb in trees.items()}
+        return compare(trees, args, Path(tmp))
+
+
+def compare(trees, args, tmp: Path) -> int:
+    ops = {}
+    for side, lb in trees.items():
+        (tmp / side).mkdir()
+        ops[side] = round_ops(lb, args.workload, args.seed, tmp / side)
 
     worst = 0.0
     for a, b in zip(ops["old"], ops["new"]):
         x, y = np.asarray(a.run()), np.asarray(b.run())
+        if args.workload == "quotes":
+            if x != y or reply(a.info) != reply(b.info):
+                print(f"{a.name}: trees differ (exit {x} against {y}, or the reply files)")
+                return 1
+            continue
         if args.workload == "paths":
             if x.shape != y.shape or x.tobytes() != y.tobytes():
                 print(f"{a.name}: trees differ (paths must agree bit for bit)")
@@ -95,7 +136,7 @@ def main(argv=None) -> int:
             print(f"{a.name}: trees differ by {gap:.3e} relative (tolerance {TOL:g})")
             return 1
     print(f"all {len(ops['old'])} {args.workload} ops agree; "
-          + ("bit for bit" if args.workload == "paths" else f"worst relative gap {worst:.3e}"))
+          + (f"worst relative gap {worst:.3e}" if args.workload == "surface" else "bit for bit"))
 
     per_op = {side: [] for side in ops}
     pairs = []
@@ -117,6 +158,8 @@ def main(argv=None) -> int:
         print(f"{op.name:<40} {old * 1e3:9.3f} {new * 1e3:9.3f} {old / new:7.3f}")
     print(f"\npair ratios: min {min(pairs):.3f}, median {statistics.median(pairs):.3f}, "
           f"max {max(pairs):.3f}")
+    p50 = {side: statistics.median(t for r in per_op[side] for t in r) * 1e3 for side in per_op}
+    print(f"p50 per op call: old {p50['old']:.3f} ms, new {p50['new']:.3f} ms")
     return 0
 
 

@@ -8,6 +8,7 @@ loudly at the offending entry instead of downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .core import LRBSpec
@@ -303,12 +304,10 @@ def _parse_price(data, path: str) -> PriceConfig | None:
     for i, pair in enumerate(points):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{path}.points[{i}]", f"expected [t, xi], got {pair!r}")
-        parsed.append(
-            (
-                _expect_number(pair[0], f"{path}.points[{i}][0]"),
-                _expect_number(pair[1], f"{path}.points[{i}][1]"),
-            )
-        )
+        for j, v in enumerate(pair):
+            if not math.isfinite(_expect_number(v, f"{path}.points[{i}][{j}]")):
+                raise ConfigError(f"{path}.points[{i}][{j}]", f"expected a finite number, got {v}")
+        parsed.append((float(pair[0]), float(pair[1])))
     _reject_unknown(data, (), path)
     return PriceConfig(points=tuple(parsed))
 

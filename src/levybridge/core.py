@@ -35,7 +35,7 @@ from .errors import (
     UnreachableStateError,
     UnsupportedKernelError,
 )
-from .kernels import BrownianKernel, GammaKernel, Kernel
+from .kernels import BrownianKernel, GammaKernel, Kernel, _per_time
 from .laws import TerminalLaw
 from .numerics import DensityComponent, TabulatedQuantile
 
@@ -110,9 +110,10 @@ class LRBSpec:
 # the psi aggregate
 
 
-def _atom_log_terms(spec: LRBSpec, t: float, xi) -> np.ndarray:
+def _atom_log_terms(spec: LRBSpec, t, xi) -> np.ndarray:
     """log of w_i * f(T-t, z_i - xi) / f(T, z_i), shape (n_atoms, n_xi): one row per atom.
 
+    ``t`` is one time or an array of one per state, shaped like ``xi``.
     Callers sum over the atoms row after row, ``reduce(np.add, terms)``:
     ``np.sum(axis=0)`` would add a single state's terms pairwise from 8
     atoms on, so a value would depend on the batch.
@@ -173,7 +174,9 @@ def _by_time(t):
 
 
 def _rows(t, r):
-    """The times of rows ``r``."""
+    """The times of rows ``r``, or the values of rows ``r`` of each per-row value in a tuple."""
+    if isinstance(t, tuple):
+        return tuple(_rows(c, r) for c in t)
     return t[r] if isinstance(t, np.ndarray) else t
 
 
@@ -188,51 +191,47 @@ def _t_diag(t):
     return lo if lo == hi else (lo, hi)
 
 
-def _half_log_ratio(T, t):
-    """log(T / (T-t)) / 2 by math.log once per distinct time.
-
-    np.log can differ from math.log by an ulp; one function for both keeps a
-    row at a per-state time bit-identical to the same row at a scalar time.
-    """
-    if not isinstance(t, np.ndarray):
-        return 0.5 * math.log(T / (T - t))
-    times, which = np.unique(t, return_inverse=True)
-    return np.array([0.5 * math.log(T / (T - u)) for u in times.tolist()])[which]
+def _brownian_rows(T, t):
+    """-1 / (2 (T-t)) and log(T / (T-t)) / 2 for `_brownian_log_weight`, one value or one per
+    state. The log is math.log once per distinct time: np.log can differ from it by an ulp."""
+    return -0.5 / (T - t), _per_time(lambda u: 0.5 * math.log(T / (T - u)), t)
 
 
-def _brownian_log_weight(T, t, xis, z, extra=0.0):
+def _brownian_log_weight(T, rows, xis, z, extra=0.0):
     """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shape (n_xi, n_z).
 
     The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2,
-    built in place on one array. ``t`` is one time or one per state; ``z``
-    holds nodes shared by every state, shape (n_z,), or one row of nodes per
-    state; ``extra`` is a per-node term.
+    built in place on one array. ``rows`` holds the `_brownian_rows` of the
+    states' times; ``z`` holds nodes shared by every state, shape (n_z,), or
+    one row of nodes per state; ``extra`` is a per-node term.
     """
+    scale, shift = rows
     e = np.subtract(z, xis[:, None])
     np.square(e, out=e)
-    e *= _per_row(-0.5 / (T - t))
+    e *= _per_row(scale)
     zz = np.square(z)
     zz *= 0.5 / T
     e += zz
     e += extra
-    e += _per_row(_half_log_ratio(T, t))
+    e += _per_row(shift)
     return e
 
 
-def _log_integrand_probe(T, t, xis, plo, phi, d):
+def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
     """Locate where each state's weight-times-density integrand actually lives.
 
     The weight can amplify the density's far tail (its log is convex minus
     the pinning term), so the density's own effective interval is not a safe
     window. A coarse log-space scan of each row's window [plo, phi] keeps
     the probe points within e^-60 of that row's peak. Returns per row the
-    window around them, the number kept and the peak log integrand.
+    window around them, the number kept and the peak log integrand. ``rows``
+    holds the `_brownian_rows` of the times ``t``.
     """
     span = phi - plo
 
     def tile(r):
         z = plo[r, None] + span[r, None] * _PROBE
-        total = _brownian_log_weight(T, _rows(t, r), xis[r], z, d.logpdf(z))
+        total = _brownian_log_weight(T, _rows(rows, r), xis[r], z, d.logpdf(z))
         peak = np.max(total, axis=1)
         keep = total >= peak[:, None] - 60.0
         first, last = np.argmax(keep, axis=1), _PROBE.size - 1 - np.argmax(keep[:, ::-1], axis=1)
@@ -251,12 +250,13 @@ def _log_integrand_probe(T, t, xis, plo, phi, d):
     return lo, hi, kept, peak
 
 
-def _windows(spec, t, xis, q=0):
+def _windows(spec, t, xis, q=0, rows=None):
     """Where the engine integrates the density part of each state's sums, for z^q. Brownian
     kernel: [lo, hi] in z, the prior's 1e-16 mass interval and 12 bridge widths about the state's
-    centre narrowed by the probe, and each row's probe peak. Gamma kernel: [w0, w1] in z - xi and
-    None; w0 = 0 from a state inside the prior's mass interval (to the support's top or past
-    `_gamma_spans`), w0 > 0 below it, w1 <= 0 above the support."""
+    centre narrowed by the probe, and each row's probe peak; ``rows``, the `_brownian_rows` of
+    ``t``, are computed here when not given. Gamma kernel: [w0, w1] in z - xi and None; w0 = 0
+    from a state inside the prior's mass interval (to the support's top or past `_gamma_spans`),
+    w0 > 0 below it, w1 <= 0 above the support."""
     d, T = spec.terminal.density, spec.horizon
     lo_p, hi_p = numerics.mass_interval(d, 1e-16)
     if not isinstance(spec.kernel, BrownianKernel):
@@ -269,6 +269,7 @@ def _windows(spec, t, xis, q=0):
             span = _gamma_spans(partial(_gamma_log_g, spec), xg, a, q, hi_p - lo_p)
             w1[grow] = np.maximum(hi_p - xg, span)
         return w0, w1, None
+    rows = _brownian_rows(T, t) if rows is None else rows
     sd = np.sqrt(T * (T - t) / t)
     centers = xis * (T / t)
     lo = np.maximum(d.lower, np.minimum(lo_p, centers - 12.0 * sd))
@@ -281,7 +282,7 @@ def _windows(spec, t, xis, q=0):
         # was found in, for as long as that window keeps shrinking
         plo, phi = lo[todo], hi[todo]
         lo[todo], hi[todo], kept, row_max[todo] = _log_integrand_probe(
-            T, _rows(t, todo), xis[todo], plo, phi, d
+            T, _rows(t, todo), _rows(rows, todo), xis[todo], plo, phi, d
         )
         todo = todo[(kept < 8) & (hi[todo] - lo[todo] < 0.5 * (phi - plo))]
     return lo, hi, row_max
@@ -289,14 +290,15 @@ def _windows(spec, t, xis, q=0):
 
 def _brownian_density_sums(spec, t, xis, powers):
     d, T = spec.terminal.density, spec.horizon
-    lo, hi, row_max = _windows(spec, t, xis)
+    rows = _brownian_rows(T, t)
+    lo, hi, row_max = _windows(spec, t, xis, rows=rows)
 
     def values(z, r):
         # one exponent per (state, node), shifted by the row's probe peak so
         # that far states keep their digits
         lp = d.logpdf(z)
         lp -= row_max[r, None]
-        e = _brownian_log_weight(T, _rows(t, r), xis[r], z, lp)
+        e = _brownian_log_weight(T, _rows(rows, r), xis[r], z, lp)
         return _power_values(np.exp(e, out=e), z, powers)
 
     res = numerics.composite_quad_batch(
@@ -445,10 +447,10 @@ def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np
     answered on its own: its own probe window and stopping level (Brownian)
     or Jacobi order (gamma), and sums taken row by row, so a state's values
     depend on its own (t, xi) alone, not on the other states of the call,
-    bit for bit. The Brownian density branch takes the time per row; atom
-    terms and the gamma branch, whose Jacobi rule depends on m (T-t), run
-    once per distinct time. Densities are integrated by the Brownian or the
-    gamma branch; no other continuous kernel has a rule.
+    bit for bit. The atom terms and the Brownian density branch take the
+    time per row; the gamma branch, whose Jacobi rule depends on m (T-t),
+    runs once per distinct time. Densities are integrated by the Brownian
+    or the gamma branch; no other continuous kernel has a rule.
     """
     xis = np.asarray(xis, dtype=float)
     flat = xis.ravel()
@@ -458,11 +460,10 @@ def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np
     out = np.zeros((flat.size, len(powers)))
     if spec.terminal.atoms:
         locs = np.array([z for z, _ in spec.terminal.atoms])[:, None]
-        for u, rows in _by_time(t):
-            with np.errstate(over="ignore"):
-                g = np.exp(_atom_log_terms(spec, u, flat[rows]))
-            for i, q in enumerate(powers):
-                out[rows, i] += reduce(np.add, g if q == 0 else g * locs**q)
+        with np.errstate(over="ignore"):
+            g = np.exp(_atom_log_terms(spec, t, flat))
+        for i, q in enumerate(powers):
+            out[:, i] += reduce(np.add, g if q == 0 else g * locs**q)
     if spec.terminal.density is not None:
         out += _density_sums(spec, t, flat, powers)
     _check_finite(out, t, flat)
@@ -508,9 +509,16 @@ def _density_psi_many(spec: LRBSpec, t: float, xis: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
+def _finite_states(xis) -> np.ndarray:
+    xis = np.asarray(xis, dtype=float)
+    if not np.all(np.isfinite(xis)):
+        raise DomainError(f"states must be finite, got {xis[~np.isfinite(xis)].flat[0]}")
+    return xis
+
+
 def psi_total_many(spec: LRBSpec, t: float, xis) -> np.ndarray:
     """Vectorized `psi_total` on an array of states (t = 0 gives all ones)."""
-    xis = np.asarray(xis, dtype=float)
+    xis = _finite_states(xis)
     t = spec._check_time(t)
     if t == 0.0:
         return np.ones_like(xis)
@@ -519,7 +527,7 @@ def psi_total_many(spec: LRBSpec, t: float, xis) -> np.ndarray:
 
 def posterior_mean_many(spec: LRBSpec, t: float, xis) -> np.ndarray:
     """Vectorized conditional mean of the terminal value given the state."""
-    xis = np.asarray(xis, dtype=float)
+    xis = _finite_states(xis)
     t = spec._check_time(t)
     if t == 0.0:
         return np.full_like(xis, spec.terminal.mean())
@@ -666,7 +674,7 @@ def _posterior_moments(spec: LRBSpec, s, xi, orders) -> tuple[np.ndarray, np.nda
     s = 0 the posterior is the prior times exp(-s z^2 / (2 T (T - s)) +
     linear), so every moment is finite and no scan runs.
     """
-    s, xi = (a.ravel() for a in np.broadcast_arrays(np.asarray(s, float), np.asarray(xi, float)))
+    s, xi = (a.ravel() for a in np.broadcast_arrays(np.asarray(s, float), _finite_states(xi)))
     bad = ~((s >= 0.0) & (s < spec.horizon))
     if np.any(bad):
         raise DomainError(f"time {s[bad][0]} outside [0, {spec.horizon})")

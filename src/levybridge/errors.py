@@ -46,7 +46,14 @@ class NumericError(LevyBridgeError, RuntimeError):
 
     def __init__(self, message: str, **diagnostics):
         super().__init__(message)
-        self.diagnostics = diagnostics
+        self.diagnostics = {k: _plain(v) for k, v in diagnostics.items()}
+
+
+def _plain(value):
+    """A numpy scalar as the Python number it holds, also inside tuples; else ``value``."""
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    return value.item() if getattr(value, "shape", None) == () else value
 
 
 class ConfigError(LevyBridgeError, ValueError):

@@ -30,6 +30,24 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _check_times(t):
+    """`_check_time` for one time, or for each entry of an array of times."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        _per_time(_check_time, t)
+        return t
+    return _check_time(t)
+
+
+def _per_time(f, t):
+    """f(t) for one time; for an array, f(u) once per distinct time u, spread back, so an
+    entry at an array time keeps the bits of that time passed as a float."""
+    if not isinstance(t, np.ndarray):
+        return f(t)
+    memo = {}
+    out = [memo[u] if u in memo else memo.setdefault(u, f(u)) for u in t.ravel().tolist()]
+    return np.array(out).reshape(t.shape)
+
+
 def _lattice_inverse(cdf, q, hi) -> np.ndarray:
     """Smallest integer k in [0, hi] with cdf(k) >= q, elementwise (cdf(hi) >= q).
 
@@ -51,7 +69,9 @@ class Kernel(abc.ABC):
     ``discrete`` kernels live on the integer lattice and implement
     ``mass``/``log_mass``; continuous kernels implement ``density``/
     ``log_density``. Asking the wrong one raises KernelClassError so class
-    mixups fail loudly rather than silently returning zeros.
+    mixups fail loudly rather than silently returning zeros. ``log_density``
+    and ``log_mass`` take ``t`` as one time or as an array of times
+    broadcast against ``x``.
     """
 
     discrete: ClassVar[bool]
@@ -100,9 +120,9 @@ class BrownianKernel(Kernel):
     nondecreasing: ClassVar[bool] = False
 
     def log_density(self, t, x):
-        t = _check_time(t)
+        t = _check_times(t)
         x = np.asarray(x, dtype=float)
-        out = -0.5 * x * x / t - 0.5 * math.log(2.0 * math.pi * t)
+        out = -0.5 * x * x / t - _per_time(lambda u: 0.5 * math.log(2.0 * math.pi * u), t)
         return out if out.ndim else float(out)
 
     def density(self, t, x):
@@ -155,13 +175,12 @@ class GammaKernel(Kernel):
             raise DomainError(f"gamma kernel rate m must be positive, got {self.m}")
 
     def log_density(self, t, x):
-        t = _check_time(t)
-        a = self.m * t
+        a = self.m * _check_times(t)
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
                 x > 0.0,
-                (a - 1.0) * np.log(np.where(x > 0.0, x, 1.0)) - x - _sp.gammaln(a),
+                (a - 1.0) * np.log(np.where(x > 0.0, x, 1.0)) - x - _per_time(_sp.gammaln, a),
                 -np.inf,
             )
         return out if out.ndim else float(out)
@@ -221,13 +240,12 @@ class PoissonKernel(Kernel):
         return i.astype(np.int64)
 
     def log_mass(self, t, i):
-        t = _check_time(t)
+        lam = self.intensity * _check_times(t)
         i = self._lattice(i)
-        lam = self.intensity * t
         with np.errstate(divide="ignore"):
             out = np.where(
                 i >= 0,
-                i * math.log(lam) - lam - _sp.gammaln(np.maximum(i, 0) + 1.0),
+                i * _per_time(math.log, lam) - lam - _sp.gammaln(np.maximum(i, 0) + 1.0),
                 -np.inf,
             )
         return out if out.ndim else float(out)

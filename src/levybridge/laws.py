@@ -166,8 +166,8 @@ class TerminalLaw:
 
     @classmethod
     def normal(cls, mu: float, sigma2: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
-        if sigma2 <= 0:
-            raise DomainError(f"sigma2 must be positive, got {sigma2}")
+        if not (sigma2 > 0 and math.isfinite(mu + sigma2)):
+            raise DomainError(f"need a finite mu and a positive finite sigma2, got {mu}, {sigma2}")
         sigma = math.sqrt(sigma2)
         logpdf = partial(_normal_logpdf, mu, sigma, weight)
         comp = DensityComponent(
@@ -181,8 +181,8 @@ class TerminalLaw:
 
     @classmethod
     def gamma(cls, shape: float, scale: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
-        if not (shape > 0 and scale > 0 and weight > 0):
-            raise DomainError("shape, scale and weight must be positive")
+        if not (shape > 0 and scale > 0 and weight > 0 and math.isfinite(shape + scale)):
+            raise DomainError("shape, scale and weight must be positive, shape and scale finite")
         c = _sp.gammaln(shape) + shape * math.log(scale) - math.log(weight)
         rest = partial(_gamma_rest, scale, c)
         logpdf = partial(_gamma_logpdf, shape - 1.0, rest)
@@ -199,8 +199,8 @@ class TerminalLaw:
 
     @classmethod
     def uniform(cls, a: float, b: float, *, weight: float = 1.0, atoms=()) -> "TerminalLaw":
-        if not a < b:
-            raise DomainError("need a < b")
+        if not (a < b and math.isfinite(b - a)):
+            raise DomainError(f"need finite a < b, got {a}, {b}")
         logpdf = partial(_uniform_logpdf, a, b, weight)
         comp = DensityComponent(
             pdf=partial(numerics._exp_of, logpdf),

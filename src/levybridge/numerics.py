@@ -768,6 +768,8 @@ _TILE = 1 << 14  # (row, node) entries per tile: the fused passes stay in cache
 def _tiled(fn, n_rows: int, n_cols: int) -> np.ndarray:
     """fn(rows) over slices of about _TILE / n_cols rows, stacked along axis 0."""
     step = max(1, _TILE // n_cols)
+    if n_rows <= step:
+        return fn(slice(0, n_rows))
     return np.concatenate([fn(slice(i, i + step)) for i in range(0, n_rows, step)])
 
 
@@ -830,11 +832,11 @@ def composite_quad_batch(
             r = todo[sl]
             vals = fn(a[r, None] + width[r, None] * nodes, r)
             # einsum contracts each row on its own, in a fixed order
-            both = np.stack(
-                [np.einsum("rpk,k->rp", vals, wk), np.einsum("rpk,k->rp", vals[..., : wg.size], wg)],
-                axis=1,
-            )
-            return both * width[r, None, None]
+            both = np.empty((r.size, 2, vals.shape[1]))
+            both[:, 0] = np.einsum("rpk,k->rp", vals, wk)
+            both[:, 1] = np.einsum("rpk,k->rp", vals[..., : wg.size], wg)
+            both *= width[r, None, None]
+            return both
 
         sums = _tiled(tile, todo.size, nodes.size)
         kron, gauss = sums[:, 0], sums[:, 1]

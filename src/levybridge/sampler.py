@@ -208,9 +208,11 @@ _MASS_RTOL = 1e-3
 
 # Before the horizon the density part of psi_t is read off the lattice k h_t,
 # h_t = _LATTICE_STEP standard deviations of the kernel's increment over
-# T - t: log psi_t is interpolated at a state y by the 6-point Lagrange
-# stencil k0 - 2, ..., k0 + 3 around k0 = floor(y / h_t), whose barycentric
-# weights 1 / prod_{m != j} (j - m) are _BARY.
+# T - t, or of its mean where smaller (a subordinator's: next to the prior's
+# lower edge log psi_t varies on that scale, as log(y + m (T - t)) on a
+# Gamma(3, 1) prior). log psi_t is interpolated at a state y by the 6-point
+# Lagrange stencil k0 - 2, ..., k0 + 3 around k0 = floor(y / h_t), whose
+# barycentric weights 1 / prod_{m != j} (j - m) are _BARY.
 _LATTICE_STEP = 0.02
 _STENCIL = np.arange(-2, 4)
 _BARY = np.array([-1.0 / 120, 1.0 / 24, -1.0 / 12, 1.0 / 12, -1.0 / 24, 1.0 / 120])
@@ -279,18 +281,21 @@ def _lattice_density_psi(spec, t: float, nodes: np.ndarray) -> np.ndarray:
     _DENSE_SPAN times the number of nodes, listed in a sorted array. The
     per-node work runs in tiles of _NODE_TILE nodes.
     """
-    h = _LATTICE_STEP * math.sqrt(spec.kernel.variance(spec.horizon - t))
+    scale = math.sqrt(spec.kernel.variance(spec.horizon - t))
+    if spec.kernel.nondecreasing:
+        scale = min(scale, spec.kernel.mean(spec.horizon - t))
+    h = _LATTICE_STEP * scale
     kinks = _kinks(spec)
     top = spec.terminal.density.upper if spec.kernel.nondecreasing else math.inf
     rows, cols = nodes.shape
     y = nodes.ravel()
     tiles = [slice(i, i + _NODE_TILE) for i in range(0, y.size, _NODE_TILE)]
-    k0 = np.empty(y.size)  # floor(y / h): the stencil of a node is k0 - 2, ..., k0 + 3
+    k0 = np.empty(y.size)  # floor(y / h): the stencil of a node is k0 + _STENCIL
     direct = np.zeros(y.size, dtype=bool)
     interp = np.zeros(y.size, dtype=bool)
     for sl in tiles:
         k = np.floor(y[sl] / h)
-        lo, hi = (k - 2.0) * h, (k + 3.0) * h
+        lo, hi = (k + _STENCIL[0]) * h, (k + _STENCIL[-1]) * h
         for b in kinks:
             direct[sl] |= (lo <= b) & (b <= hi)
         interp[sl] = ~direct[sl] & (lo <= top)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -215,6 +216,36 @@ def test_numeric_error_reports_diagnostics(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, binary_scenario(price={"points": [[0.5, 0.25]]}))
     assert cli.main(["price", "--config", cfg]) == 2
     assert "window=" in capsys.readouterr().err
+
+
+def test_numeric_error_diagnostics_are_plain_numbers(tmp_path, capsys):
+    # the states are numpy scalars inside the engine; stderr shows numbers
+    law = {"density": {"family": "uniform", "a": -1.0, "b": 2.0}}
+    cfg = write(tmp_path, mixed_scenario(terminal_law=law, price={"points": [[0.999, -3.0]]}))
+    assert cli.main(["price", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "numeric error: tilted integrand underflows t=0.999 states=(-3.0, -3.0)\n"
+
+
+@pytest.mark.parametrize("sigma2", [math.inf, math.nan])
+def test_non_finite_law_parameter_is_a_config_error(tmp_path, capsys, sigma2):
+    # JSON text Infinity and NaN, which Python's json reads as floats
+    law = {"density": {"family": "normal", "mu": 0.5, "sigma2": sigma2}}
+    cfg = write(tmp_path, mixed_scenario(terminal_law=law, price={"points": [[0.5, 0.0]]}))
+    assert cli.main(["price", "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("j", [0, 1])
+def test_non_finite_price_point_is_a_config_error(tmp_path, capsys, bad, j):
+    points = [[0.5, 0.0], [0.25, 0.1]]
+    points[1][j] = bad
+    cfg = write(tmp_path, mixed_scenario(price={"points": points}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["price", "--config", cfg]) == 1
+    assert f"config error: scenario.price.points[1][{j}]" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

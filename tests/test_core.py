@@ -106,6 +106,39 @@ def test_terminal_must_be_reachable():
         )
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("normal", (0.5, math.inf)),
+        ("normal", (math.nan, 1.0)),
+        ("normal", (math.inf, 1.0)),
+        ("normal", (0.5, math.nan)),
+        ("gamma", (2.0, math.inf)),
+        ("gamma", (math.inf, 1.0)),
+        ("uniform", (0.0, math.inf)),
+    ],
+    ids=str,
+)
+def test_law_parameters_must_be_finite(family, params):
+    with pytest.raises(DomainError):
+        getattr(TerminalLaw, family)(*params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_states_are_domain_errors(bad):
+    spec, xis = mixed_spec(), np.array([0.3, bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: core.psi_total_many(spec, 0.5, xis),
+            lambda: core.psi_total_many(spec, 0.0, xis),
+            lambda: core.posterior_mean_many(spec, 0.5, xis),
+            lambda: core._posterior_moments(spec, (0.5, 0.2), xis, (1,)),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+
 def test_lattice_terminal_rules():
     with pytest.raises(DomainError):
         LRBSpec(
@@ -327,8 +360,8 @@ def test_engine_rows_do_not_depend_on_the_batch(law, t):
 
 
 TIME_LAWS = {
-    # Brownian rows take their time natively (the Cauchy rows re-probe);
-    # the gamma branch and the atom terms run once per distinct time
+    # atom terms and Brownian rows take their time natively (the Cauchy rows
+    # re-probe); the gamma branch runs once per distinct time
     "mixed": (mixed_spec, np.linspace(-6.0, 6.0, 9)),
     "cauchy": (cauchy_spec, np.linspace(-6.0, 6.0, 9)),
     "uniform": (ROW_LAWS["uniform"][0], np.linspace(-3.0, 4.0, 9)),
@@ -352,6 +385,17 @@ def test_engine_rows_take_their_own_time(law):
     for i in range(xis.size):
         one = core._tilted_sums(spec, float(ts[i]), xis[i : i + 1], powers)
         assert all(many[q][i] == one[q][0] for q in powers), (ts[i], xis[i])
+
+
+def test_atom_terms_of_distinct_times_take_one_kernel_call(monkeypatch):
+    # the atom rows of every state come from one step log-density call (and
+    # one at the horizon), however many distinct times the states carry
+    spec = LRBSpec(BrownianKernel(), 1.0, TerminalLaw.from_atoms([(0.0, 0.5), (1.0, 0.5)]))
+    calls, real = [], BrownianKernel.log_density
+    monkeypatch.setattr(BrownianKernel, "log_density",
+                        lambda self, t, x: calls.append(t) or real(self, t, x))
+    core._tilted_sums(spec, np.array([0.2, 0.4, 0.6, 0.8]), np.array([0.1, -0.3, 0.5, 0.9]))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
@@ -475,7 +519,7 @@ def test_brownian_log_weight_closed_form(t):
     k, T = BrownianKernel(), 1.0
     z = np.linspace(-250.0, 250.0, 1001)
     xis = np.linspace(-200.0, 200.0, 161)
-    got = core._brownian_log_weight(T, t, xis, z)
+    got = core._brownian_log_weight(T, core._brownian_rows(T, t), xis, z)
     want = k.log_density(T - t, z[None, :] - xis[:, None]) - k.log_density(T, z)[None, :]
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 

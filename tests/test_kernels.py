@@ -31,6 +31,21 @@ def test_time_must_be_positive():
             k.mean(-1.0)
 
 
+@pytest.mark.parametrize("kernel", [BrownianKernel(), GammaKernel(2.0), GammaKernel(0.7), PoissonKernel(1.5)])
+def test_log_density_takes_a_time_per_entry(kernel):
+    # an entry at an array time has the bits of that time passed as a float;
+    # times repeat, and broadcast against the points
+    ts = np.array([0.3, 1.7, 0.3, 2.5, 1.7])
+    xs = np.array([[0.0, 1.0, 2.0, 5.0, 3.0], [4.0, 2.0, 7.0, 1.0, 0.0]])
+    log = kernel.log_mass if kernel.discrete else kernel.log_density
+    got = log(ts, xs)
+    for (i, j), v in np.ndenumerate(got):
+        assert v == log(float(ts[j]), xs[i, j])
+    for bad in ([0.5, 0.0], [0.5, -1.0], [0.5, math.nan], [math.inf, 0.5]):
+        with pytest.raises(DomainError):
+            log(np.array(bad), np.array([1.0, 2.0]))
+
+
 def test_class_flags():
     assert not BrownianKernel().discrete
     assert not BrownianKernel().nondecreasing

@@ -597,7 +597,20 @@ def test_lattice_psi_matches_the_engine_on_the_bench_markov_calls(monkeypatch):
     _assert_lattice_matches_engine(seen)
 
 
-@pytest.mark.parametrize("make_spec", [drift_spec, gamma_scaled_spec, checks.brownian_mixed])
+def brownian_uniform():
+    # log psi_t is neither linear nor quadratic in the state on these two laws,
+    # so the 6-point stencil is not exact there
+    return LRBSpec(BrownianKernel(), 1.0, TerminalLaw.uniform(-1.0, 2.0))
+
+
+def gamma_shape_3():
+    return LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw.gamma(3.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [drift_spec, gamma_scaled_spec, checks.brownian_mixed, brownian_uniform, gamma_shape_3],
+)
 def test_lattice_psi_matches_the_engine_on_the_markov_test_specs(monkeypatch, make_spec):
     seen = _record_psi_on_nodes(monkeypatch)
     for times, seed in (([0.25, 0.5, 0.75, 1.0], 61), ([0.5, 0.9, 0.99, 1.0], 62)):
