@@ -37,6 +37,7 @@ import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +67,11 @@ def round_ops(lb, workload: str, seed: int, workdir: Path):
     if workload != "quotes":
         return workloads.make_ops(lb, meta, arrays)
     cli = importlib.import_module(f"{lb.__name__}.cli")
-    return [
-        workloads.Op(f"{i:02d} {req['law']}.{req['kind']}" + (" far-tail" if req.get("far_tail") else ""), 1,
-                     lambda req=req: run_request(cli, req), req)
-        for i, req in enumerate(meta["requests"])
-    ]
+    ops = []
+    for i, req in enumerate(meta["requests"]):
+        name = f"{i:02d} {req['law']}.{req['kind']}" + (" far-tail" if req.get("far_tail") else "")
+        ops.append(workloads.Op(name, 1, partial(run_request, cli, req), req))
+    return ops
 
 
 def run_request(cli, req: dict) -> int:
@@ -111,6 +112,8 @@ def main(argv=None) -> int:
 
 
 def compare(trees, args, tmp: Path) -> int:
+    """Check that the trees agree on one round, then time alternating rounds (quotes
+    requests read their scenario files from ``tmp``)."""
     ops = {}
     for side, lb in trees.items():
         (tmp / side).mkdir()

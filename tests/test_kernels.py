@@ -31,7 +31,7 @@ def test_time_must_be_positive():
             k.mean(-1.0)
 
 
-@pytest.mark.parametrize("kernel", [BrownianKernel(), GammaKernel(2.0), GammaKernel(0.7), PoissonKernel(1.5)])
+@pytest.mark.parametrize("kernel", [*ALL_CONTINUOUS, PoissonKernel(1.5)])
 def test_log_density_takes_a_time_per_entry(kernel):
     # an entry at an array time has the bits of that time passed as a float;
     # times repeat, and broadcast against the points
