@@ -301,9 +301,7 @@ def _brownian_density_sums(spec, t, xis, powers):
         e = _brownian_log_weight(T, _rows(rows, r), xis[r], z, lp)
         return _power_values(np.exp(e, out=e), z, powers)
 
-    res = numerics.composite_quad_batch(
-        values, lo, hi, abs_tol=0.0, rel_tol=1e-11, init_panels=4, max_doublings=8
-    )
+    res = numerics.composite_quad_batch(values, lo, hi)
     res *= np.exp(row_max)[:, None]
     # a Brownian psi is never 0: a zero row means the sums underflowed
     if 0 in powers and not np.all(res[:, powers.index(0)] > 0.0):
@@ -319,29 +317,29 @@ def _log_weight(kernel, T, t, z, step):
 
 
 def _gamma_density_sums(spec, t, xis, powers):
-    """Tilted integrals for the gamma kernel.
+    """Tilted integrals for the gamma kernel at one time t.
 
-    Written as e^xi * C * integral_0^W w^(a-1) g(xi + w) (xi + w)^q dw with
-    g(z) = z^(1-mT) p(z) smooth; the w^(a-1) endpoint factor is absorbed by a
-    Gauss-Jacobi rule whose order each state raises until it converges, on the windows of `_windows`.
+    Written as e^xi * C * integral_w0^W w^(a-1) g(xi + w) (xi + w)^q dw with
+    g(z) = z^(1-mT) p(z), on the windows of `_windows`. A row from its state
+    (w0 = 0) keeps its Gauss-Jacobi 64 sums, which absorb w^(a-1), where they
+    agree with Gauss-Jacobi 32. The rows where they do not (g singular or flat
+    next to the state) and the rows from above their state take `_edge_tilted`.
     """
     a = spec.kernel.m * (spec.horizon - t)
     log_c = _sp.gammaln(spec.kernel.m * spec.horizon) - _sp.gammaln(a)
     log_g = partial(_gamma_log_g, spec)
     w0, w1, _ = _windows(spec, t, xis, max(powers))
     out = np.zeros((xis.size, len(powers)))
-    from_state = np.flatnonzero((w0 == 0.0) & (w1 > 0.0))
-    for group, from_zero in ((from_state, True), (np.flatnonzero(w0 > 0.0), False)):
-        if group.size == 0:
-            continue
-        xg = xis[group]
-        if from_zero:
-            res = _jacobi_tilted(log_g, xg, w1[group], a, powers)
-        else:
-            res = _plain_tilted(log_g, xg, w0[group], w1[group], a, powers)
-        # a far state overflows here; _check_finite reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[group] = res * np.exp(xg + log_c)[:, None]
+    live = np.flatnonzero(w1 > w0)  # w0 >= 0; above a bounded prior w1 <= 0
+    jac, edge = live[w0[live] == 0.0], live[w0[live] > 0.0]
+    res, agree = _jacobi_tilted(log_g, xis[jac], w1[jac], a, powers)
+    edge = np.concatenate([jac[~agree], edge])
+    # a far state overflows here; _check_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(xis + log_c)[:, None]
+        out[jac] = res * scale[jac]  # rows that take the edge rule are written again
+        if edge.size:
+            out[edge] = _edge_tilted(log_g, xis[edge], w0[edge], w1[edge], a, powers, t) * scale[edge]
     return out
 
 
@@ -403,40 +401,52 @@ def _gamma_spans(log_g, xg, a, q, width):
 
 
 def _jacobi_tilted(log_g, xg, W, a, powers):
-    """Gauss-Jacobi sums of orders 32, 64, ...; each row keeps the first order
-    that agrees with the previous one to 1e-11 relative."""
-    out, prev, todo = np.empty((xg.size, len(powers))), None, np.arange(xg.size)
-    for n in (32, 64, 128, 256, 512):
+    """Gauss-Jacobi sums of order 64 from each state over [0, W], and whether each row's
+    order-32 sums agree with them to 1e-11 relative."""
+    sums = []
+    for n in (32, 64):
         x, wts = numerics._jacobi_rule(n, a - 1.0)
         half = (1.0 + x) / 2.0
 
-        def tile(sl):
-            r = todo[sl]
+        def tile(r):
             z = W[r, None] * half
             z += xg[r, None]
             e = log_g(z)
             return np.einsum("rpk,k->rp", _power_values(np.exp(e, out=e), z, powers), wts)
 
-        cur = (W[todo] / 2.0)[:, None] ** a * numerics._tiled(tile, todo.size, n)
-        if prev is not None:
-            done = np.all(np.abs(cur - prev) <= 1e-11 * np.abs(cur), axis=1)
-            out[todo[done]] = cur[done]
-            todo, cur = todo[~done], cur[~done]
-            if todo.size == 0:
-                return out
-        prev = cur
-    raise NumericError(
-        "Gauss-Jacobi tilted sums did not converge",
-        order=n, states=(xg[todo].min(), xg[todo].max()),
-    )
+        sums.append((W / 2.0)[:, None] ** a * numerics._tiled(tile, xg.size, n))
+    return sums[1], np.all(np.abs(sums[1] - sums[0]) <= 1e-11 * np.abs(sums[1]), axis=1)
 
 
-def _plain_tilted(log_g, xg, w0, W, a, powers):
-    def values(w, r):
-        z = xg[r, None] + w
-        return _power_values(w ** (a - 1.0) * np.exp(log_g(z)), z, powers)
+def _edge_tilted(log_g, xg, w0, W, a, powers, t):
+    """Sums over [w0, W] by `numerics.composite_quad_batch` over s in [-6, 6], the tanh-sinh map
+    of each row's window in u = w^c, c = min(a, 1), whose du takes in w^(a-1) when a < 1 (in w
+    the cut at s = -6 would drop a mass near e^(-634 a)). u is the map's own distance from an
+    end, and log g + (a/c - 1) log u + log du/ds - log c one exponent. A row whose integrand at
+    s = +-6 is above 1e-15 of its sums does not decay (psi = inf at (t, 0) if k <= m t): raises."""
+    c = min(a, 1.0)
+    u0, U = w0**c, W**c
 
-    return numerics.composite_quad_batch(values, w0, W, init_panels=32, max_doublings=6)
+    def values(s, r):
+        # every row's window maps onto the same nodes s, so the map takes one row of them
+        dist, log_du = numerics._ts_map(u0[r, None], U[r, None], s[:1])
+        log_u = np.log(np.where(s < 0.0, u0[r, None] + dist, U[r, None] - dist))
+        z = xg[r, None] + np.exp(log_u / c)
+        e = log_g(z) + (a / c - 1.0) * log_u + (log_du - math.log(c))
+        return _power_values(np.exp(e, out=e), z, powers)
+
+    span = np.full(xg.size, numerics._DE_RANGE)
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent row fails below
+        try:
+            res = numerics.composite_quad_batch(values, -span, span)
+        except NumericError as err:
+            raise NumericError(f"edge rule: {err}", t=t, states=(xg.min(), xg.max()), a=a) from None
+        ends = np.abs(values(np.column_stack([-span, span]), np.arange(xg.size)))
+    bad = ~np.all(ends <= 1e-15 * np.abs(res)[:, :, None], axis=(1, 2))
+    if np.any(bad):
+        raise NumericError("tilted integrand does not decay at the ends of the edge rule",
+                           t=t, states=(xg[bad].min(), xg[bad].max()), a=a)
+    return res
 
 
 def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np.ndarray]:
@@ -445,7 +455,7 @@ def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np
     ``t`` is one time for every state or an array broadcastable to ``xis``,
     a time per state; every t must lie in (0, horizon). Every state is
     answered on its own: its own probe window and stopping level (Brownian)
-    or Jacobi order (gamma), and sums taken row by row, so a state's values
+    or rule (gamma), and sums taken row by row, so a state's values
     depend on its own (t, xi) alone, not on the other states of the call,
     bit for bit. The atom terms and the Brownian density branch take the
     time per row; the gamma branch, whose Jacobi rule depends on m (T-t),
@@ -668,11 +678,11 @@ def _posterior_moments(spec: LRBSpec, s, xi, orders) -> tuple[np.ndarray, np.nda
     psi, shape (n,), and the moments, shape (n, len(orders)). Points at
     s = 0 take the prior's moments, from `TerminalLaw.expect`, computed once;
     all later points come from one engine call with a time per row. The
-    highest order's tail is certified where it can diverge: on the prior
-    density at s = 0, and on each posterior density under the gamma kernel,
-    whose tails go like p(z) z^(q - m s). Under the Brownian kernel past
-    s = 0 the posterior is the prior times exp(-s z^2 / (2 T (T - s)) +
-    linear), so every moment is finite and no scan runs.
+    highest order's tail is certified where it can diverge: on the prior at
+    s = 0, and under the gamma kernel, whose posteriors at s have tails
+    p(z) z^(q - m s) up to a factor tending to 1, on the prior times z^(-m s)
+    once per distinct s. A Brownian posterior past s = 0 is the prior times
+    exp(-s z^2 / (2 T (T - s)) + linear): every moment is finite, no scan.
     """
     s, xi = (a.ravel() for a in np.broadcast_arrays(np.asarray(s, float), _finite_states(xi)))
     bad = ~((s >= 0.0) & (s < spec.horizon))
@@ -696,31 +706,27 @@ def _posterior_moments(spec: LRBSpec, s, xi, orders) -> tuple[np.ndarray, np.nda
     for j, k in enumerate(orders):
         moments[later, j] = sums[k] / sums[0]
     if spec.terminal.density is not None and not isinstance(spec.kernel, BrownianKernel):
-        for i in later:
-            post = _posterior(spec, float(s[i]), float(xi[i]), float(psi[i]))
-            if post.density is not None:
-                _certify_moment_tail(post.density, q)
+        for u in np.unique(s[later]):
+            _certify_moment_tail(spec.terminal.density, q - spec.kernel.m * u)
     return psi, moments
 
 
-def _certify_moment_tail(d: DensityComponent, q: int) -> None:
+def _certify_moment_tail(d: DensityComponent, q: float) -> None:
+    """Scan z^(q+1) pdf(z) out along each infinite tail of ``d`` until it is negligible."""
+    ref = [abs(b) for b in (d.lower, d.upper, *d.breakpoints) if math.isfinite(b)]
     for sign, edge in ((1.0, d.upper), (-1.0, d.lower)):
         if math.isfinite(edge):
             continue
-        ref = [abs(b) for b in (d.lower, d.upper, *d.breakpoints) if math.isfinite(b)]
-        z = max(1.0, *(ref or [1.0])) * 2.0
-        scale = 0.0
-        ok = False
+        z, scale = 2.0 * max([1.0, *ref]), 0.0
         for _ in range(50):
             v = abs(z) ** (q + 1) * float(d.pdf(sign * z))
             scale = max(scale, v)
             if v <= 1e-13 * max(1.0, scale):
-                ok = True
                 break
             z *= 2.0
-        if not ok:
+        else:
             raise InfiniteMomentError(
-                f"cannot certify the order-{q} tail at {sign * math.inf}; "
+                f"cannot certify the z^{q:g} moment tail at {sign * math.inf}; "
                 f"last scan value {v} at |z|={z}"
             )
 

@@ -8,12 +8,14 @@ continuous part.
 
 The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
-per-row composite Gauss-Kronrod rule), `_jacobi_rule` (Gauss-Jacobi),
-`_beta_inverse` (certified inverse-beta tables), `TabulatedQuantile` (the
-numerical quantile of a density on a finite window) and `solve_brackets`
-(vectorised bracketing root finder). A density component's `quantile` is the
-only way it is drawn from or has its infinite tails cut. QUADPACK and brentq
-load only in `integrate` and `inverse_cdf`, the references of the checks and tests.
+per-row composite Gauss-Kronrod rule, with one fixed stop), `_jacobi_rule`
+(Gauss-Jacobi; the engine builds orders 32 and 64), `_ts_map` (the tanh-sinh
+map shared by `TabulatedQuantile`, the numerical quantile of a density on a
+finite window, and the engine's gamma edge rows), `_beta_inverse` (certified
+inverse-beta tables) and `solve_brackets` (vectorised bracketing root
+finder). A density component's `quantile` is the only way it is drawn from
+or has its infinite tails cut. QUADPACK and brentq load only in `integrate`
+and `inverse_cdf`, the references of the checks and tests.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ __all__ = [
     "inverse_cdf",
     "composite_quad_batch",
 ]
-
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_REL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ def integrate(measure: MixedMeasure, fn: Callable) -> float:
         edges = [d.lower, *d.breakpoints, d.upper]
         g = lambda z: float(fn(z)) * float(d.pdf(z))
         for a, b in zip(edges[:-1], edges[1:]):
-            total += _quad_segment(g, a, b, DEFAULT_ABS_TOL, DEFAULT_REL_TOL)[0]
+            total += _quad_segment(g, a, b, 1e-10, 1e-9)[0]
     return total
 
 
@@ -370,15 +369,23 @@ class TabulatedQuantile:
         raise NumericError("tabulated quantile did not settle", levels=int(todo.size))
 
 
+def _ts_map(a, b, s):
+    """The tanh-sinh map of [a, b] at s: the distance of z from its nearer end (a where s < 0,
+    b elsewhere) and log dz/ds, formed without exp, so that an integrand's log can take it before
+    its one exp. Functions of s are taken at the shape of s: windows can share one row of s."""
+    u = math.pi * np.abs(np.sinh(s))
+    e = np.exp(-u)
+    log_ds = np.log(math.pi * np.cosh(s)) - u - 2.0 * np.log1p(e)
+    return (b - a) * (e / (1.0 + e)), np.log(b - a) + log_ds
+
+
 def _ts_density(logpdf, a, b, s):
     """z and pdf(z) dz/ds under the tanh-sinh map of [a, b] at s; a point on an end weighs 0."""
-    e = np.exp(-math.pi * np.abs(np.sinh(s)))
-    dist = (b - a) * (e / (1.0 + e))
+    dist, log_dz = _ts_map(a, b, s)
     z, g = np.where(s < 0.0, a + dist, b - dist), np.zeros(np.shape(s))
     live = (z > a) & (z < b)
     with np.errstate(over="ignore", under="ignore"):
-        dz = (b - a) * (math.pi * np.cosh(s) * e / (1.0 + e) ** 2)
-        g[live] = dz[live] * np.exp(logpdf(z[live]))
+        g[live] = np.exp(log_dz[live] + logpdf(z[live]))
     return z, g
 
 
@@ -763,6 +770,7 @@ def _beta_inverse(a: float, b: float, u):
 # per-row composite quadrature (for MC-scale batch evaluation)
 
 _TILE = 1 << 14  # (row, node) entries per tile: the fused passes stay in cache
+_QUAD_REL_TOL, _QUAD_PANELS = 1e-11, tuple(4 << k for k in range(9))  # composite_quad_batch
 
 
 def _tiled(fn, n_rows: int, n_cols: int) -> np.ndarray:
@@ -791,16 +799,7 @@ def _composite_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, wts, (half * wg).ravel()
 
 
-def composite_quad_batch(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a,
-    b,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    init_panels: int = 8,
-    max_doublings: int = 8,
-) -> np.ndarray:
+def composite_quad_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b) -> np.ndarray:
     """Integrate a batch of smooth integrands, row i over [a[i], b[i]].
 
     Each level is one reference rule on [0, 1], mapped onto every row's
@@ -811,9 +810,9 @@ def composite_quad_batch(
     integrands there, shape (len(rows), p, k), unweighted. The first 16 P
     columns are the G16 nodes of every panel, so the check sums only those:
     a row is accepted once its G16 x P sums agree with its K33 x P sums to
-    max(abs_tol, rel_tol * its largest |K33 sum|), and it returns the K33
-    sums and leaves the batch. Rows that fail double their panels, up to
-    ``max_doublings`` times. Sums are taken row by row, and rows reach
+    _QUAD_REL_TOL of its largest |K33 sum|, and it returns the K33 sums and
+    leaves the batch. Rows that fail go on to the next of _QUAD_PANELS.
+    Sums are taken row by row, and rows reach
     ``fn`` in tiles of about _TILE (row, node) entries, so a row's result
     depends on its own integrand alone, bit for bit, as long as ``fn``
     treats rows apart. Returns shape (len(a), p).
@@ -824,8 +823,7 @@ def composite_quad_batch(
         raise DomainError("need finite intervals a[i] < b[i], given as non-empty 1-d arrays")
     width = b - a
     out, todo = None, np.arange(a.size)
-    panels = init_panels
-    for _ in range(max_doublings + 1):
+    for panels in _QUAD_PANELS:
         nodes, wk, wg = _composite_rule(panels)
 
         def tile(sl):
@@ -843,15 +841,10 @@ def composite_quad_batch(
         if out is None:
             out = np.empty((a.size, kron.shape[1]))
         diff = np.max(np.abs(kron - gauss), axis=1)
-        done = diff <= np.maximum(abs_tol, rel_tol * np.max(np.abs(kron), axis=1))
+        done = diff <= _QUAD_REL_TOL * np.max(np.abs(kron), axis=1)
         out[todo[done]] = kron[done]
         todo = todo[~done]
         if todo.size == 0:
             return out
-        panels *= 2
-    raise NumericError(
-        "composite quadrature did not stabilize",
-        rows=int(todo.size),
-        interval=(float(a[todo[0]]), float(b[todo[0]])),
-        panels=panels // 2,
-    )
+    raise NumericError("composite quadrature did not stabilize", rows=int(todo.size),
+                       interval=(float(a[todo[0]]), float(b[todo[0]])), panels=panels)

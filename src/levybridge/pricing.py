@@ -223,29 +223,24 @@ def _widen(g_many, bound: float, x: float, gx: float, up: bool) -> tuple[float, 
 def _scan_range(spec: _core.LRBSpec, t: float, strike: float, df: float) -> tuple[float, float]:
     """Finite state interval outside which the price sign cannot change.
 
-    Past these bounds the posterior is pinned to an edge of the terminal
-    support, so the price sits within any strike that passed the entry
-    support checks. Subordinator states fill (0, sup support); since the
-    terminal value is at least the state there, the price is at least
-    df * xi and the scan stops at 2 * strike / df. For the Brownian kernel
-    the bounds scale the support by t/T plus a bridge deviation allowance.
+    Subordinator states fill (0, sup support); since the terminal value is
+    at least the state there, the price is at least df * xi and the scan
+    stops at 2 * strike / df. For the Brownian kernel the bounds scale the
+    support's ends by t/T plus a bridge deviation allowance: past them the
+    posterior is pinned to an edge of the terminal support, unless that
+    side is unbounded, where the caller widens the range.
     """
     if spec.kernel.nondecreasing:
         b_lo, b_hi = _reachable_interval(spec)
         b_hi = min(b_hi, 2.0 * strike / df)
         inset = 1e-9 * (b_hi - b_lo)
         return b_lo + inset, b_hi - inset
-    los, his = [], []
-    for z, _ in spec.terminal.atoms:
-        los.append(z)
-        his.append(z)
+    ends = [z for z, _ in spec.terminal.atoms]
     if spec.terminal.density is not None:
-        e_lo, e_hi = numerics.mass_interval(spec.terminal.density, 1e-16)
-        los.append(e_lo)
-        his.append(e_hi)
+        ends += numerics.mass_interval(spec.terminal.density, 1e-16)
     frac = t / spec.horizon
     sd = math.sqrt(t * (spec.horizon - t) / spec.horizon)
-    return frac * min(los) - 14.0 * sd, frac * max(his) + 14.0 * sd
+    return frac * min(ends) - 14.0 * sd, frac * max(ends) + 14.0 * sd
 
 
 _SAMPLES = 33  # monotonicity samples across the bracket of a threshold
@@ -328,10 +323,16 @@ def critical_information(
     # set mode has no monotonicity to lean on: the price can exceed the
     # strike at both edges yet dip below in between, so the whole range in
     # which the sign is not yet settled is scanned, and edge pieces extend
-    # to the reachable bounds
+    # to the reachable bounds. Toward an unbounded side of the terminal law the
+    # price tends to +-inf: that end is widened to its limiting sign first
     lo, hi = _scan_range(spec, t, strike, df)
     xs = np.linspace(lo, hi, _SCAN)
     vals = g_many(xs)
+    lo = _widen(g_many, b_lo, lo, vals[0], up=False)[0] if math.isinf(z_lo) else lo
+    hi = _widen(g_many, b_hi, hi, vals[-1], up=True)[0] if math.isinf(z_hi) else hi
+    if (lo, hi) != (xs[0], xs[-1]):
+        xs = np.linspace(lo, hi, _SCAN)
+        vals = g_many(xs)
     a, b, fa, fb = xs[:-1], xs[1:], vals[:-1], vals[1:]
     cross = (fa != 0.0) & ((fa < 0.0) != (fb < 0.0))
     roots = np.empty(0)

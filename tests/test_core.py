@@ -318,6 +318,80 @@ def test_gamma_engine_builds_its_rules_without_eigh(monkeypatch):
         numerics._jacobi_rule.cache_clear()
 
 
+# Gamma(k, 1) priors under GammaKernel(2) whose g(z) = z^(1-mT) p(z) is
+# singular (k = 0.7) or flat (k = 3.5) at z = 0, at states next to it
+EDGE_STATES = [(k, t, xi) for k in (0.7, 3.5) for t in (0.25, 0.5) for xi in (0.0, 1e-6, 0.01)]
+
+
+def edge_gamma_spec(shape):
+    return LRBSpec(kernel=GammaKernel(2.0), horizon=1.0, terminal=TerminalLaw.gamma(shape, 1.0))
+
+
+def _edge_gamma_reference(k, t, xi):
+    """psi and the posterior mean at (t, xi) on `edge_gamma_spec(k)`. At xi = 0 the closed forms
+    Gamma(mT) Gamma(k - mt) / (Gamma(m(T-t)) Gamma(k)) and k - mt; elsewhere mpmath at 30 digits
+    in u = w^a (w = z - xi, a = m(T-t)), which takes the kernel's w^(a-1) into du / a."""
+    mp.mp.dps = 30
+    m, k, t, xi = mp.mpf(2), mp.mpf(k), mp.mpf(t), mp.mpf(xi)
+    a = m * (1 - t)
+    if xi == 0:
+        return (float(mp.gamma(m) * mp.gamma(k - m * t) / (mp.gamma(a) * mp.gamma(k))),
+                float(k - m * t))
+
+    def sums(q):
+        def f(u):
+            z = xi + u ** (1 / a)
+            return z ** (q + 1 - m + k - 1) * mp.exp(xi - z)
+        cuts = [0, *(mp.mpf(10) ** j * xi**a for j in range(-4, 5)), 1, 10, 100, mp.inf]
+        return mp.gamma(m) / (mp.gamma(a) * mp.gamma(k) * a) * mp.quad(f, sorted(set(cuts)))
+
+    psi = sums(0)
+    return float(psi), float(sums(1) / psi)
+
+
+# next to the horizon, a = m (T - t) <= 0.02: in w, the rule's cut at s = -6
+# would drop a mass near e^(-634 a), so it runs in u = w^a
+NEAR_HORIZON = [(0.7, 0.99, 1.0), (3.5, 0.99, 0.1), (3.5, 0.999, 1e-6), (6.0, 0.999, 0.01)]
+
+
+@pytest.mark.parametrize("k,t,xi", [s for s in EDGE_STATES if s != (0.7, 0.5, 0.0)] + NEAR_HORIZON)
+def test_gamma_edge_states_match_references(k, t, xi):
+    psi, mean = _edge_gamma_reference(k, t, xi)
+    spec = edge_gamma_spec(k)
+    got_psi = core.psi_total_many(spec, t, [xi])[0]
+    got_mean = core.posterior_mean_many(spec, t, [xi])[0]
+    assert abs(got_psi - psi) <= 1e-12 * psi
+    assert abs(got_mean - mean) <= 1e-12 * mean
+
+
+def test_gamma_edge_state_with_infinite_psi_raises():
+    # at (t, xi) = (0.5, 0) on Gamma(0.7) the integrand goes as w^(0.7 - 1 - 1) = w^-1.3 at 0
+    with pytest.raises(NumericError, match="does not decay") as err:
+        core.psi_total_many(edge_gamma_spec(0.7), 0.5, [0.0])
+    assert err.value.diagnostics == {"t": 0.5, "states": (0.0, 0.0), "a": 1.0}
+
+
+def test_gamma_engine_builds_no_jacobi_rule_above_order_64(monkeypatch):
+    orders, real = [], numerics._jacobi_rule
+    monkeypatch.setattr(numerics, "_jacobi_rule", lambda n, beta: orders.append(n) or real(n, beta))
+    for k in (0.7, 3.5):
+        for t in (0.25, 0.5, 0.9):
+            psi = core.psi_total_many(edge_gamma_spec(k), t, [1e-6, 0.01, 1.0, 30.0])
+            assert np.all(np.isfinite(psi) & (psi > 0.0))
+    assert set(orders) == {32, 64}
+
+
+def test_gamma_edge_rule_serves_states_below_the_prior():
+    # a prior on [1, inf): from a state below 1 the window starts above the
+    # state, where w^(a-1) is smooth, and the row takes the edge rule
+    base = TerminalLaw.gamma(2.0, 1.5)
+    law = base.translate(1.0)
+    spec = LRBSpec(kernel=GammaKernel(2.0), horizon=1.0, terminal=law)
+    for t, xi in ((0.5, 0.3), (0.9, 0.99)):
+        want = quad_reference.tilted_sum(spec, t, xi)
+        assert abs(core.psi_total_many(spec, t, [xi])[0] - want) <= 1e-10 * want
+
+
 def test_psi_cauchy_prior_matches_reference():
     # a prior window of +-3e15 once hid a unit-wide integrand from the probe
     spec = cauchy_spec()
@@ -677,6 +751,24 @@ def test_brownian_posterior_moments_on_a_heavy_prior(t, monkeypatch):
             want = quad_reference.tilted_sum(spec, t, xi, q) / psi
             got = core.conditional_moment(spec, t, xi, q)
             assert np.isfinite(got) and abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_gamma_moment_tail_is_scanned_on_the_prior_once_per_time(monkeypatch):
+    # a gamma posterior's tail at s is p(z) z^(-m s) up to a factor tending
+    # to 1, so the prior is scanned with exponent q - m s; no posterior is built
+    def refuse(*args):
+        raise AssertionError("_posterior called")
+
+    scans, real = [], core._certify_moment_tail
+    monkeypatch.setattr(core, "_posterior", refuse)
+    monkeypatch.setattr(core, "_certify_moment_tail", lambda d, q: scans.append(q) or real(d, q))
+    spec = gamma_scaled_spec()
+    want = quad_reference.tilted_sum(spec, 0.5, 1.0, 2) / quad_reference.tilted_sum(spec, 0.5, 1.0)
+    assert abs(core.conditional_moment(spec, 0.5, 1.0, 2) - want) <= 1e-10 * want
+    assert scans == [1.0]
+    scans.clear()
+    core._posterior_moments(spec, [0.5, 0.25, 0.5], [1.0, 2.0, 3.0], (1,))
+    assert scans == [0.5, 0.0]
 
 
 def test_infinite_moment_is_reported():

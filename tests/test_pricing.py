@@ -527,3 +527,16 @@ def test_sde_coefficients_binary_identity():
 def test_sde_needs_brownian_kernel():
     with pytest.raises(UnsupportedKernelError):
         sde_coefficients(gamma_pricing_spec(), RateCurve.flat(0.0), 0.4, 0.2)
+
+
+@pytest.mark.parametrize("strike", [-20.0, -5.0, 5.0, 20.0])
+def test_set_mode_widens_to_the_limiting_sign_of_an_unbounded_law(strike):
+    # the mixed law is unbounded on both sides: the price tends to -inf below
+    # and +inf above, and the crossings of strikes +-20 lie past the old range
+    spec, curve = checks.brownian_mixed(), RateCurve.flat(0.0)
+    mono = critical_information(spec, curve, 0.5, strike)
+    found = critical_information(spec, curve, 0.5, strike, mode="set")
+    assert mono.kind == "threshold" and found.kind == "intervals"
+    ((lo, hi),) = found.intervals
+    assert hi == math.inf
+    assert abs(lo - mono.threshold) <= 1e-10 * max(1.0, abs(mono.threshold))

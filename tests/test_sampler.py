@@ -284,6 +284,17 @@ def test_mixed_markov_horizon_picks_atoms_at_their_weight():
     assert stat < ks_critical_value(2000, 2000, 0.01)
 
 
+@pytest.mark.parametrize("shape", [0.7, 3.5])
+def test_gamma_markov_next_to_a_singular_or_flat_prior_edge(shape):
+    # Gamma(0.7) and Gamma(3.5) under GammaKernel(2): states next to 0 need
+    # the engine's edge rule; the horizon column is drawn from the prior
+    spec = LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw.gamma(shape, 1.0))
+    out = sampler.simulate_paths(spec, [0.25, 0.5, 0.75, 1.0], 200, 2101, method="markov")
+    assert np.all(np.isfinite(out))
+    assert np.all(np.diff(np.hstack([np.zeros((out.shape[0], 1)), out]), axis=1) >= 0.0)
+    assert stats.kstest(out[:, -1], stats.gamma(shape).cdf).pvalue > 1e-6
+
+
 def test_gamma_markov_paths_reach_the_horizon():
     # these seeds once failed in QUADPACK at the horizon draw
     spec = gamma_scaled_spec()
