@@ -1,6 +1,6 @@
 """Gauss-Jacobi rules against a 40-digit reference.
 
-    PYTHONPATH=src python3 scripts/jacobi_rules.py [--orders 32,64]
+    PYTHONPATH=src python3 scripts/jacobi_rules.py [--orders 32,48]
 
 For each order n and exponent beta in {-0.99, -0.8, 0, 0.8} of the weight
 (1 + x)^beta on [-1, 1], two double rules are compared with a 40-digit one:
@@ -13,9 +13,9 @@ library node to 40 digits by Newton's method on the orthonormal recurrence
 and its weight as 1 / sum_{k<n} p_k(x)^2 there.
 Printed per (n, beta): the largest relative error of each rule's nodes and
 weights, and the seconds the reference took. The default orders, 32 and
-64, are the only ones the engine builds; the whole run takes about 3 s on
-2 vCPUs, of which the reference takes 0.1-0.3 s per (n, beta). Higher
-orders can be given (n = 512 takes about 20 s per beta).
+48, are the only ones the engine builds; the reference takes 0.1-0.4 s per
+(n, beta) on 2 vCPUs. Higher orders can be given (n = 512 takes about 20 s
+per beta).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def worst(got, want) -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--orders", default="32,64")
+    ap.add_argument("--orders", default="32,48")
     args = ap.parse_args(argv)
     print(f"{'n':>4} {'beta':>6} {'nodes lib':>10} {'nodes eigh':>10} "
           f"{'wts lib':>10} {'wts eigh':>10} {'ref s':>6}")

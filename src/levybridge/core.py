@@ -161,7 +161,7 @@ def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
 # the helpers below tell them apart by isinstance, which costs far less than
 # np.ndim on a float in a loop over tiles.
 
-_PROBE = np.linspace(0.0, 1.0, 65)
+_PROBE = np.linspace(0.0, 1.0, 33)
 _CHUNK = 4096  # states per branch call: bounds the per-state arrays of a call
 
 
@@ -181,7 +181,10 @@ def _rows(t, r):
 
 
 def _per_row(v):
-    """A per-state value as a column against the nodes; a scalar stays a scalar."""
+    """A per-state value (or each in a tuple) as a column against nodes laid out (states, nodes);
+    a scalar stays a scalar."""
+    if isinstance(v, tuple):
+        return tuple(_per_row(c) for c in v)
     return v[:, None] if isinstance(v, np.ndarray) else v
 
 
@@ -198,22 +201,23 @@ def _brownian_rows(T, t):
 
 
 def _brownian_log_weight(T, rows, xis, z, extra=0.0):
-    """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shape (n_xi, n_z).
+    """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shaped like ``z``.
 
     The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2,
-    built in place on one array. ``rows`` holds the `_brownian_rows` of the
-    states' times; ``z`` holds nodes shared by every state, shape (n_z,), or
-    one row of nodes per state; ``extra`` is a per-node term.
+    built in place on one array. ``xis`` holds the states and ``rows`` the
+    `_brownian_rows` of their times, each already shaped to broadcast against
+    the nodes ``z``: a column, `_per_row`, against nodes laid out (states,
+    nodes); a flat array against (points, states). ``extra`` is a per-node term.
     """
     scale, shift = rows
-    e = np.subtract(z, xis[:, None])
+    e = np.subtract(z, xis)
     np.square(e, out=e)
-    e *= _per_row(scale)
+    e *= scale
     zz = np.square(z)
     zz *= 0.5 / T
     e += zz
     e += extra
-    e += _per_row(shift)
+    e += shift
     return e
 
 
@@ -225,17 +229,19 @@ def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
     window. A coarse log-space scan of each row's window [plo, phi] keeps
     the probe points within e^-60 of that row's peak. Returns per row the
     window around them, the number kept and the peak log integrand. ``rows``
-    holds the `_brownian_rows` of the times ``t``.
+    holds the `_brownian_rows` of the times ``t``. A tile is laid out (points,
+    states), so its reductions run along the long state axis.
     """
     span = phi - plo
 
     def tile(r):
-        z = plo[r, None] + span[r, None] * _PROBE
+        z = np.multiply.outer(_PROBE, span[r])
+        z += plo[r]
         total = _brownian_log_weight(T, _rows(rows, r), xis[r], z, d.logpdf(z))
-        peak = np.max(total, axis=1)
-        keep = total >= peak[:, None] - 60.0
-        first, last = np.argmax(keep, axis=1), _PROBE.size - 1 - np.argmax(keep[:, ::-1], axis=1)
-        return np.column_stack([peak, first, last, np.sum(keep, axis=1)])
+        peak = np.max(total, axis=0)
+        keep = total >= peak - 60.0
+        first, last = np.argmax(keep, axis=0), _PROBE.size - 1 - np.argmax(keep[::-1], axis=0)
+        return np.column_stack([peak, first, last, np.sum(keep, axis=0)])
 
     peak, first, last, kept = numerics._tiled(tile, xis.size, _PROBE.size).T
     if not np.all(np.isfinite(peak)):
@@ -277,14 +283,15 @@ def _windows(spec, t, xis, q=0, rows=None):
     row_max = np.empty_like(xis)
     todo = np.arange(xis.size)
     while todo.size:
-        # a row whose integrand spans fewer than 8 probe points (a wide prior
-        # window around a sharp weight) is probed again inside the window it
-        # was found in, for as long as that window keeps shrinking
+        # a row whose integrand spans fewer than 4 probe points, 1/8 of the
+        # window (a wide prior window around a sharp weight), is probed again
+        # inside the window it was found in, for as long as that window keeps
+        # shrinking
         plo, phi = lo[todo], hi[todo]
         lo[todo], hi[todo], kept, row_max[todo] = _log_integrand_probe(
             T, _rows(t, todo), _rows(rows, todo), xis[todo], plo, phi, d
         )
-        todo = todo[(kept < 8) & (hi[todo] - lo[todo] < 0.5 * (phi - plo))]
+        todo = todo[(kept < 4) & (hi[todo] - lo[todo] < 0.5 * (phi - plo))]
     return lo, hi, row_max
 
 
@@ -298,8 +305,8 @@ def _brownian_density_sums(spec, t, xis, powers):
         # that far states keep their digits
         lp = d.logpdf(z)
         lp -= row_max[r, None]
-        e = _brownian_log_weight(T, _rows(rows, r), xis[r], z, lp)
-        return _power_values(np.exp(e, out=e), z, powers)
+        e = _brownian_log_weight(T, _per_row(_rows(rows, r)), xis[r, None], z, lp)
+        return _power_values(e, z, powers)
 
     res = numerics.composite_quad_batch(values, lo, hi)
     res *= np.exp(row_max)[:, None]
@@ -321,7 +328,7 @@ def _gamma_density_sums(spec, t, xis, powers):
 
     Written as e^xi * C * integral_w0^W w^(a-1) g(xi + w) (xi + w)^q dw with
     g(z) = z^(1-mT) p(z), on the windows of `_windows`. A row from its state
-    (w0 = 0) keeps its Gauss-Jacobi 64 sums, which absorb w^(a-1), where they
+    (w0 = 0) keeps its Gauss-Jacobi 48 sums, which absorb w^(a-1), where they
     agree with Gauss-Jacobi 32. The rows where they do not (g singular or flat
     next to the state) and the rows from above their state take `_edge_tilted`.
     """
@@ -345,32 +352,41 @@ def _gamma_density_sums(spec, t, xis, powers):
 
 def _gamma_log_g(spec, z, q=0):
     """log of z^(1-mT+q) p(z), with the kernel-support guard: (1 - mT + k) log z + r(z) for a
-    prior declaring logpdf = k log z + r(z) at 0 (one log per node), else (1 - mT) log z + logpdf(z)."""
+    prior declaring logpdf = k log z + r(z) at 0 (one log per node), else (1 - mT) log z + logpdf(z).
+    Where the power of z is 0, as for q = 0 on a Gamma(mT, scale) prior, it takes no log."""
     d, mT = spec.terminal.density, spec.kernel.m * spec.horizon
     declared = d.edge_power is not None and d.lower == 0.0
     power, rest = (1.0 - mT + d.edge_power, d.edge_rest) if declared else (1.0 - mT, d.logpdf)
     z = np.maximum(z, 1e-300)
     r = rest(z)
+    if power + q == 0:
+        return r
     np.log(z, out=z)
     z *= power + q
     z += r
     return z
 
 
-def _power_values(g, z, powers) -> np.ndarray:
-    """g * z^q for each q in ``powers``, shape (rows, len(powers), nodes).
+def _power_values(e, z, powers) -> np.ndarray:
+    """g * z^q for each q in ``powers`` with g = exp(e), shape (rows, len(powers), nodes).
 
-    ``g`` has one row per state; ``z`` is one row of points shared by every
-    state, or one row per state. These are the integrand values a
-    `numerics.composite_quad_batch` callback returns; callers that sum them
-    contract each row on its own (einsum or a sum over the last axis), so a
-    row's value does not depend on how many rows share the array.
+    ``e`` has one row per state and is overwritten by g; ``z`` is one row of
+    points shared by every state, or one row per state. These are the
+    integrand values a `numerics.composite_quad_batch` callback returns;
+    callers that sum them contract each row on its own (einsum or a sum over
+    the last axis), so a row's value does not depend on how many rows share
+    the array. g goes to the q = 0 slot by `np.copyto`: an exp straight into
+    that strided slot made the Brownian (0, 1) sums about 15% slower.
     """
+    g = np.exp(e, out=e)
     if powers == (0,):
         return g[:, None, :]
     out = np.empty((g.shape[0], len(powers), g.shape[1]))
     for i, q in enumerate(powers):
-        np.multiply(g, 1.0 if q == 0 else z if q == 1 else z**q, out=out[:, i])
+        if q == 0:
+            np.copyto(out[:, i], g)
+        else:
+            np.multiply(g, z if q == 1 else z**q, out=out[:, i])
     return out
 
 
@@ -381,13 +397,14 @@ def _gamma_spans(log_g, xg, a, q, width):
     (the caller never cuts below hi_p - xi). A decaying w^(a-1) is left out.
     """
     w = width * 2.0 ** np.arange(-4.0, 13.0)
-    lw = max(a - 1.0, 0.0) * np.log(w)
+    lw = (max(a - 1.0, 0.0) * np.log(w))[:, None]
 
     def tile(sl):
-        lg = log_g(xg[sl, None] + w, q)
+        # laid out (spans, states): the reductions run along the long state axis
+        lg = log_g(np.add.outer(w, xg[sl]), q)
         lg += lw
-        peak = np.max(lg, axis=1)
-        return np.column_stack([peak, np.argmax((lg >= peak[:, None] - 60.0)[:, ::-1], axis=1)])
+        peak = np.max(lg, axis=0)
+        return np.column_stack([peak, np.argmax((lg >= peak - 60.0)[::-1], axis=0)])
 
     with np.errstate(divide="ignore"):
         peak, from_top = numerics._tiled(tile, xg.size, w.size).T
@@ -401,18 +418,18 @@ def _gamma_spans(log_g, xg, a, q, width):
 
 
 def _jacobi_tilted(log_g, xg, W, a, powers):
-    """Gauss-Jacobi sums of order 64 from each state over [0, W], and whether each row's
-    order-32 sums agree with them to 1e-11 relative."""
+    """Gauss-Jacobi sums of order 48 from each state over [0, W], and whether each row's
+    order-32 sums agree with them to 1e-11 relative. Order 48 is far enough above 32 for the
+    gap to bound the order-32 error, and its own error is smaller still."""
     sums = []
-    for n in (32, 64):
+    for n in (32, 48):
         x, wts = numerics._jacobi_rule(n, a - 1.0)
         half = (1.0 + x) / 2.0
 
         def tile(r):
             z = W[r, None] * half
             z += xg[r, None]
-            e = log_g(z)
-            return np.einsum("rpk,k->rp", _power_values(np.exp(e, out=e), z, powers), wts)
+            return np.einsum("rpk,k->rp", _power_values(log_g(z), z, powers), wts)
 
         sums.append((W / 2.0)[:, None] ** a * numerics._tiled(tile, xg.size, n))
     return sums[1], np.all(np.abs(sums[1] - sums[0]) <= 1e-11 * np.abs(sums[1]), axis=1)
@@ -433,7 +450,7 @@ def _edge_tilted(log_g, xg, w0, W, a, powers, t):
         log_u = np.log(np.where(s < 0.0, u0[r, None] + dist, U[r, None] - dist))
         z = xg[r, None] + np.exp(log_u / c)
         e = log_g(z) + (a / c - 1.0) * log_u + (log_du - math.log(c))
-        return _power_values(np.exp(e, out=e), z, powers)
+        return _power_values(e, z, powers)
 
     span = np.full(xg.size, numerics._DE_RANGE)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent row fails below

@@ -9,7 +9,7 @@ continuous part.
 The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
 per-row composite Gauss-Kronrod rule, with one fixed stop), `_jacobi_rule`
-(Gauss-Jacobi; the engine builds orders 32 and 64), `_ts_map` (the tanh-sinh
+(Gauss-Jacobi; the engine builds orders 32 and 48), `_ts_map` (the tanh-sinh
 map shared by `TabulatedQuantile`, the numerical quantile of a density on a
 finite window, and the engine's gamma edge rows), `_beta_inverse` (certified
 inverse-beta tables) and `solve_brackets` (vectorised bracketing root

@@ -447,11 +447,32 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
         )
     # invert the piecewise-linear cdf of each path's row in the cell that holds u * mass
     c = u[rows] * cdf[k, -1]
-    idx = np.clip((cdf[k] < c[:, None]).sum(axis=1), 1, width.shape[1])
+    idx = np.clip(_count_below(cdf, k, c), 1, width.shape[1])
     c_lo, c_hi = cdf[k, idx - 1], cdf[k, idx]
     frac = np.where(c_hi > c_lo, (c - c_lo) / (c_hi - c_lo), 0.5)
     w = spec.kernel.quantile(dt, edges[k, idx - 1] + frac * width[k, idx - 1])
     out[rows] = x_arr[rows] + w
+    return out
+
+
+def _count_below(cdf, k, c) -> np.ndarray:
+    """For each path i, the number of entries of its row cdf[k[i]] below c[i].
+
+    Rows are nondecreasing, so that count is a left `searchsorted`. Where
+    every row serves one path the comparison runs in row space; otherwise
+    each row is searched once for all of its paths. Neither copies a row
+    per path.
+    """
+    if k.size == cdf.shape[0]:
+        at = np.empty_like(c)
+        at[k] = c
+        return np.count_nonzero(cdf < at[:, None], axis=1)[k]
+    out = np.empty(k.size, dtype=np.intp)
+    order = np.argsort(k, kind="stable")
+    bounds = np.searchsorted(k[order], np.arange(cdf.shape[0] + 1))
+    for j in range(cdf.shape[0]):
+        paths = order[bounds[j] : bounds[j + 1]]
+        out[paths] = np.searchsorted(cdf[j], c[paths], side="left")
     return out
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -378,7 +379,7 @@ def test_gamma_engine_builds_no_jacobi_rule_above_order_64(monkeypatch):
         for t in (0.25, 0.5, 0.9):
             psi = core.psi_total_many(edge_gamma_spec(k), t, [1e-6, 0.01, 1.0, 30.0])
             assert np.all(np.isfinite(psi) & (psi > 0.0))
-    assert set(orders) == {32, 64}
+    assert set(orders) == {32, 48}
 
 
 def test_gamma_edge_rule_serves_states_below_the_prior():
@@ -473,10 +474,11 @@ def test_atom_terms_of_distinct_times_take_one_kernel_call(monkeypatch):
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
-def test_mixed_surface_row_evaluates_65_plus_132_entries(t):
-    # the prior's log-density is read once on each row's 65-point probe and
-    # once on its first quadrature level, 4 panels of the 33-point Kronrod
-    # rule: there the 16-point Gauss sums agree with the Kronrod sums
+def test_mixed_surface_row_evaluates_33_plus_132_entries(t):
+    # the prior's log-density is read once on each row's 33-point probe, laid
+    # out (points, states), and once on its first quadrature level, 4 panels
+    # of the 33-point Kronrod rule: there the 16-point Gauss sums agree with
+    # the Kronrod sums
     base = mixed_spec().terminal
     sizes = []
 
@@ -489,7 +491,88 @@ def test_mixed_surface_row_evaluates_65_plus_132_entries(t):
     for xi in np.linspace(-3.0, 3.0, 7) * math.sqrt(t):
         sizes.clear()
         core.posterior_mean_many(spec, t, np.array([xi]))
-        assert sizes == [(1, 65), (1, 132)], xi
+        assert sizes == [(33, 1), (1, 132)], xi
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_gamma_surface_row_evaluates_17_plus_32_plus_48_entries(t, monkeypatch):
+    # a gamma row from its state reads g once on its 17 spans (the prior is
+    # unbounded above), laid out (spans, states), then on Gauss-Jacobi 32 and 48
+    sizes, real = [], core._gamma_log_g
+    monkeypatch.setattr(core, "_gamma_log_g",
+                        lambda spec, z, q=0: sizes.append(np.shape(z)) or real(spec, z, q))
+    for xi in (0.05, 1.0, 6.0):
+        sizes.clear()
+        core.posterior_mean_many(gamma_scaled_spec(), t, np.array([xi]))
+        assert sizes == [(17, 1), (1, 32), (1, 48)], xi
+
+
+def test_gamma_log_g_takes_no_log_where_the_power_is_zero(monkeypatch):
+    # on a Gamma(mT, scale) prior z^(1-mT) p(z) has no power of z left at q = 0:
+    # the sums take no log and equal the log-times-0 formula bit for bit
+    z = np.concatenate([[0.0, 1e-320, 1e-300, 1e-10], np.geomspace(1e-3, 800.0, 200)])
+    for m, T, scale in ((2.0, 1.0, 1.5), (1.5, 1.0, 0.7), (0.5, 4.0, 2.0), (3.0, 0.5, 0.2)):
+        spec = LRBSpec(GammaKernel(m), T, TerminalLaw.gamma(m * T, scale))
+        d = spec.terminal.density
+        zz = np.maximum(z, 1e-300)
+        want = np.log(zz) * (1.0 - m * T + d.edge_power) + d.edge_rest(zz)
+        assert np.array_equal(core._gamma_log_g(spec, z.copy()), want)
+    spec = gamma_scaled_spec()
+    numerics._jacobi_rule(32, 0.0), numerics._jacobi_rule(48, 0.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.log called in a Jacobi tile")
+
+    monkeypatch.setattr(np, "log", refuse)
+    xg = np.geomspace(0.01, 20.0, 50)
+    _, agree = core._jacobi_tilted(partial(core._gamma_log_g, spec), xg, xg + 40.0, 1.0, (0, 1))
+    assert np.all(agree)
+
+
+def test_span_and_probe_rows_do_not_depend_on_the_batch():
+    # each state's span and probe result alone equals its row in a batch of
+    # 5,000, which crosses several tiles
+    rng = np.random.default_rng(23)
+    n, pick = 5000, np.r_[0:5000:37, 4999]
+    spec = gamma_scaled_spec()
+    log_g = partial(core._gamma_log_g, spec)
+    xg = rng.gamma(1.0, 1.5, n)
+    for a, q in ((1.0, 1), (1.8, 0)):
+        many = core._gamma_spans(log_g, xg, a, q, 55.0)
+        one = [core._gamma_spans(log_g, xg[i : i + 1], a, q, 55.0)[0] for i in pick]
+        assert np.array_equal(many[pick], one)
+    spec, T = mixed_spec(), 1.0
+    d = spec.terminal.density
+    xis = rng.normal(0.0, 1.5, n)
+    ts = rng.choice([0.1, 0.5, 0.9], n)
+    rows = core._brownian_rows(T, ts)
+    plo, phi = np.full(n, -12.0) + 0.5 * xis, np.full(n, 14.0) + xis
+    many = np.stack(core._log_integrand_probe(T, ts, rows, xis, plo, phi, d))
+    for i in pick:
+        r = slice(i, i + 1)
+        one = core._log_integrand_probe(T, ts[r], core._rows(rows, r), xis[r], plo[r], phi[r], d)
+        assert np.array_equal(many[:, i], np.concatenate(one)), i
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_gamma_surface_grid_rows_certify_at_orders_32_and_48(t):
+    # the 241 grid states of a surface time (the 1e-12 to 1 - 1e-6 quantiles of
+    # xi_t ~ Gamma(m t, 1.5)): every row from its state certifies with order
+    # 32 against 48, and its order-48 sums match order 64 to 1e-13
+    spec, a = gamma_scaled_spec(), 2.0 * (1.0 - t)
+    xis = np.geomspace(*(1.5 * special.gammaincinv(2.0 * t, q) for q in (1e-12, 1.0 - 1e-6)), 241)
+    w0, w1, _ = core._windows(spec, t, xis, 1)
+    jac = w0 == 0.0
+    assert np.count_nonzero(jac) > 200
+    xg, W = xis[jac], w1[jac]
+    log_g = partial(core._gamma_log_g, spec)
+    sums, agree = core._jacobi_tilted(log_g, xg, W, a, (0, 1))
+    assert np.all(agree)
+    x, wts = numerics._jacobi_rule(64, a - 1.0)
+    z = xg[:, None] + W[:, None] * ((1.0 + x) / 2.0)
+    g = np.exp(log_g(z))
+    ref = (W / 2.0)[:, None] ** a * np.column_stack([g @ wts, (g * z) @ wts])
+    assert np.all(np.abs(sums - ref) <= 1e-13 * np.abs(ref))
 
 
 def test_mixed_time_engine_error_reports_the_time_range():
@@ -593,7 +676,7 @@ def test_brownian_log_weight_closed_form(t):
     k, T = BrownianKernel(), 1.0
     z = np.linspace(-250.0, 250.0, 1001)
     xis = np.linspace(-200.0, 200.0, 161)
-    got = core._brownian_log_weight(T, core._brownian_rows(T, t), xis, z)
+    got = core._brownian_log_weight(T, core._brownian_rows(T, t), xis[:, None], z)
     want = k.log_density(T - t, z[None, :] - xis[:, None]) - k.log_density(T, z)[None, :]
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 

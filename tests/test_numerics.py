@@ -515,7 +515,7 @@ def test_inverse_cdf_unnormalized_density():
 # Gauss-Jacobi rules
 
 
-@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("n", [32, 48, 64])
 @pytest.mark.parametrize("beta", [-0.99, -0.8, 0.0, 0.8])
 def test_jacobi_rule_matches_a_40_digit_rule(n, beta):
     # nodes from eigvalsh, then Newton and Christoffel weights; the rule the

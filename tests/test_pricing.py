@@ -128,6 +128,34 @@ def test_price_many_matches_scalar():
         assert abs(price(spec, curve, 0.4, float(x)) - want) < 1e-10
 
 
+# the benchmark's laws: a normal prior with an atom, two atoms, and
+# Gamma(m T, 1.5) under a gamma kernel
+ROUTE_LAWS = {
+    "mixed": (
+        LRBSpec(BrownianKernel(), 1.0, TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),))),
+        [(0.1, -0.5), (0.5, 0.3), (0.9, 1.2)],
+    ),
+    "binary": (
+        LRBSpec(BrownianKernel(), 1.0, TerminalLaw.from_atoms([(0.0, 0.5), (1.0, 0.5)])),
+        [(0.2, 0.1), (0.5, 0.5), (0.8, 1.0)],
+    ),
+    "gamma": (
+        LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw.gamma(2.0, 1.5)),
+        [(0.1, 0.05), (0.5, 1.0), (0.9, 3.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(ROUTE_LAWS))
+def test_price_and_price_many_agree_bit_for_bit(law):
+    # price takes conditional_moment (with the gamma tail scan) and price_many
+    # posterior_mean_many; both divide the same engine sums
+    spec, points = ROUTE_LAWS[law]
+    curve = RateCurve.flat(0.02)
+    for t, xi in points:
+        assert price(spec, curve, t, xi) == price_many(spec, curve, t, np.array([xi]))[0], (t, xi)
+
+
 # ---------------------------------------------------------------------------
 # exercise boundary
 

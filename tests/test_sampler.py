@@ -715,3 +715,21 @@ def test_library_calls_write_nothing_to_stdout():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("rows,paths", [(1, 2000), (7, 7), (5, 40), (300, 2000)])
+def test_markov_row_inversion_counts_like_the_per_path_gather(rows, paths):
+    # sampler._count_below searches each row once (or compares in row space
+    # when rows and paths are one to one); it must count what comparing a
+    # copy of each path's row counts, ties and flat stretches included
+    rng = np.random.default_rng(rows + paths)
+    cdf = np.cumsum(rng.integers(0, 3, size=(rows, 50)).astype(float), axis=1)
+    if rows == paths:
+        k = rng.permutation(rows)
+    else:
+        k = np.concatenate([np.arange(rows), rng.integers(0, rows, paths - rows)])
+    c = cdf[k, -1] * rng.uniform(size=paths)
+    c[::3] = cdf[k[::3], 10]
+    c[1::7] = 0.0
+    want = (cdf[k] < c[:, None]).sum(axis=1)
+    assert np.array_equal(sampler._count_below(cdf, k, c), want)
