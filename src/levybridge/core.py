@@ -155,11 +155,10 @@ def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
 # the tilted-sum engine: every posterior functional is evaluated here, state
 # by state (a scalar call is a batch of one). Each row has its own time,
 # window, nodes and stopping level; each quadrature level forms one log
-# integrand per (state, node) from the prior's logpdf, exponentiates it once
-# and sums it against the node weights times z^q, tile by tile of states.
-# A time ``t`` is one float for every state or an array of one per state;
-# the helpers below tell them apart by isinstance, which costs far less than
-# np.ndim on a float in a loop over tiles.
+# integrand per (state, node), exponentiates it once and sums it against the
+# node weights times z^q, tile by tile of states. A time ``t`` is one float
+# or an array of one per state, told apart by isinstance (far cheaper than
+# np.ndim on a float in a loop over tiles).
 
 _PROBE = np.linspace(0.0, 1.0, 33)
 _CHUNK = 4096  # states per branch call: bounds the per-state arrays of a call
@@ -180,14 +179,6 @@ def _rows(t, r):
     return t[r] if isinstance(t, np.ndarray) else t
 
 
-def _per_row(v):
-    """A per-state value (or each in a tuple) as a column against nodes laid out (states, nodes);
-    a scalar stays a scalar."""
-    if isinstance(v, tuple):
-        return tuple(_per_row(c) for c in v)
-    return v[:, None] if isinstance(v, np.ndarray) else v
-
-
 def _t_diag(t):
     """The time of a diagnostic: the time, or the (min, max) range of per-state times."""
     lo, hi = float(np.min(t)), float(np.max(t))
@@ -203,12 +194,10 @@ def _brownian_rows(T, t):
 def _brownian_log_weight(T, rows, xis, z, extra=0.0):
     """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shaped like ``z``.
 
-    The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2,
-    built in place on one array. ``xis`` holds the states and ``rows`` the
-    `_brownian_rows` of their times, each already shaped to broadcast against
-    the nodes ``z``: a column, `_per_row`, against nodes laid out (states,
-    nodes); a flat array against (points, states). ``extra`` is a per-node term.
-    """
+    The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2, built in
+    place on one array. ``xis`` and ``rows`` (their times' `_brownian_rows`) come shaped for
+    ``z``: columns against (states, nodes) tiles, flat against (points, states) tiles. ``extra``
+    is a per-node term."""
     scale, shift = rows
     e = np.subtract(z, xis)
     np.square(e, out=e)
@@ -229,9 +218,8 @@ def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
     window. A coarse log-space scan of each row's window [plo, phi] keeps
     the probe points within e^-60 of that row's peak. Returns per row the
     window around them, the number kept and the peak log integrand. ``rows``
-    holds the `_brownian_rows` of the times ``t``. A tile is laid out (points,
-    states), so its reductions run along the long state axis.
-    """
+    holds the `_brownian_rows` of the times ``t``. Tiles are laid out (points,
+    states): the reductions run along the long state axis."""
     span = phi - plo
 
     def tile(r):
@@ -246,10 +234,8 @@ def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
     peak, first, last, kept = numerics._tiled(tile, xis.size, _PROBE.size).T
     if not np.all(np.isfinite(peak)):
         bad = xis[~np.isfinite(peak)]
-        raise NumericError(
-            "tilted integrand underflows on the whole probe window",
-            t=_t_diag(t), states=(bad.min(), bad.max()),
-        )
+        raise NumericError("tilted integrand underflows on the whole probe window",
+                           t=_t_diag(t), states=(bad.min(), bad.max()))
     step = span / (_PROBE.size - 1)
     lo = np.maximum(plo, plo + (first - 1.0) * step)
     hi = np.minimum(phi, plo + (last + 1.0) * step)
@@ -283,10 +269,8 @@ def _windows(spec, t, xis, q=0, rows=None):
     row_max = np.empty_like(xis)
     todo = np.arange(xis.size)
     while todo.size:
-        # a row whose integrand spans fewer than 4 probe points, 1/8 of the
-        # window (a wide prior window around a sharp weight), is probed again
-        # inside the window it was found in, for as long as that window keeps
-        # shrinking
+        # a row whose integrand spans fewer than 4 probe points, 1/8 of the window (a wide
+        # prior window around a sharp weight), is probed again inside it while it shrinks
         plo, phi = lo[todo], hi[todo]
         lo[todo], hi[todo], kept, row_max[todo] = _log_integrand_probe(
             T, _rows(t, todo), _rows(rows, todo), xis[todo], plo, phi, d
@@ -299,14 +283,15 @@ def _brownian_density_sums(spec, t, xis, powers):
     d, T = spec.terminal.density, spec.horizon
     rows = _brownian_rows(T, t)
     lo, hi, row_max = _windows(spec, t, xis, rows=rows)
+    cols = tuple(v[:, None] if isinstance(v, np.ndarray) else v for v in rows)  # (states, nodes)
 
     def values(z, r):
         # one exponent per (state, node), shifted by the row's probe peak so
         # that far states keep their digits
         lp = d.logpdf(z)
         lp -= row_max[r, None]
-        e = _brownian_log_weight(T, _per_row(_rows(rows, r)), xis[r, None], z, lp)
-        return _power_values(e, z, powers)
+        e = _brownian_log_weight(T, _rows(cols, r), xis[r, None], z, lp)
+        return _power_values(np.exp(e, out=e), z, powers)
 
     res = numerics.composite_quad_batch(values, lo, hi)
     res *= np.exp(row_max)[:, None]
@@ -324,14 +309,11 @@ def _log_weight(kernel, T, t, z, step):
 
 
 def _gamma_density_sums(spec, t, xis, powers):
-    """Tilted integrals for the gamma kernel at one time t.
-
-    Written as e^xi * C * integral_w0^W w^(a-1) g(xi + w) (xi + w)^q dw with
-    g(z) = z^(1-mT) p(z), on the windows of `_windows`. A row from its state
-    (w0 = 0) keeps its Gauss-Jacobi 48 sums, which absorb w^(a-1), where they
-    agree with Gauss-Jacobi 32. The rows where they do not (g singular or flat
-    next to the state) and the rows from above their state take `_edge_tilted`.
-    """
+    """Tilted integrals for the gamma kernel at one time t, written as e^xi * C *
+    integral_w0^W w^(a-1) g(xi + w) (xi + w)^q dw with g(z) = z^(1-mT) p(z), on the windows
+    of `_windows`. A row from its state (w0 = 0) keeps its Gauss-Jacobi 48 sums, which absorb
+    w^(a-1), where they agree with Gauss-Jacobi 32. The rows where they do not (g singular or
+    flat next to the state) and the rows from above their state take `_edge_tilted`."""
     a = spec.kernel.m * (spec.horizon - t)
     log_c = _sp.gammaln(spec.kernel.m * spec.horizon) - _sp.gammaln(a)
     log_g = partial(_gamma_log_g, spec)
@@ -352,8 +334,8 @@ def _gamma_density_sums(spec, t, xis, powers):
 
 def _gamma_log_g(spec, z, q=0):
     """log of z^(1-mT+q) p(z), with the kernel-support guard: (1 - mT + k) log z + r(z) for a
-    prior declaring logpdf = k log z + r(z) at 0 (one log per node), else (1 - mT) log z + logpdf(z).
-    Where the power of z is 0, as for q = 0 on a Gamma(mT, scale) prior, it takes no log."""
+    prior declaring logpdf = k log z + r(z) at 0 (one log per node, none where that power is 0,
+    as at q = 0 on a Gamma(mT, scale) prior), else (1 - mT) log z + logpdf(z)."""
     d, mT = spec.terminal.density, spec.kernel.m * spec.horizon
     declared = d.edge_power is not None and d.lower == 0.0
     power, rest = (1.0 - mT + d.edge_power, d.edge_rest) if declared else (1.0 - mT, d.logpdf)
@@ -367,26 +349,20 @@ def _gamma_log_g(spec, z, q=0):
     return z
 
 
-def _power_values(e, z, powers) -> np.ndarray:
-    """g * z^q for each q in ``powers`` with g = exp(e), shape (rows, len(powers), nodes).
+def _power_values(g, z, powers) -> np.ndarray:
+    """g * z^q for each q in ``powers``, shape (rows, len(powers), nodes).
 
-    ``e`` has one row per state and is overwritten by g; ``z`` is one row of
-    points shared by every state, or one row per state. These are the
-    integrand values a `numerics.composite_quad_batch` callback returns;
-    callers that sum them contract each row on its own (einsum or a sum over
-    the last axis), so a row's value does not depend on how many rows share
-    the array. g goes to the q = 0 slot by `np.copyto`: an exp straight into
-    that strided slot made the Brownian (0, 1) sums about 15% slower.
+    ``g`` has one row per state; ``z`` is one row of points shared by every
+    state, or one row per state. These are the integrand values a
+    `numerics.composite_quad_batch` callback returns; callers that sum them
+    contract each row on its own (einsum or a sum over the last axis), so a
+    row's value does not depend on how many rows share the array.
     """
-    g = np.exp(e, out=e)
     if powers == (0,):
         return g[:, None, :]
     out = np.empty((g.shape[0], len(powers), g.shape[1]))
     for i, q in enumerate(powers):
-        if q == 0:
-            np.copyto(out[:, i], g)
-        else:
-            np.multiply(g, z if q == 1 else z**q, out=out[:, i])
+        np.multiply(g, 1.0 if q == 0 else z if q == 1 else z**q, out=out[:, i])
     return out
 
 
@@ -400,8 +376,7 @@ def _gamma_spans(log_g, xg, a, q, width):
     lw = (max(a - 1.0, 0.0) * np.log(w))[:, None]
 
     def tile(sl):
-        # laid out (spans, states): the reductions run along the long state axis
-        lg = log_g(np.add.outer(w, xg[sl]), q)
+        lg = log_g(np.add.outer(w, xg[sl]), q)  # (spans, states): reduced along the states
         lg += lw
         peak = np.max(lg, axis=0)
         return np.column_stack([peak, np.argmax((lg >= peak - 60.0)[::-1], axis=0)])
@@ -419,8 +394,7 @@ def _gamma_spans(log_g, xg, a, q, width):
 
 def _jacobi_tilted(log_g, xg, W, a, powers):
     """Gauss-Jacobi sums of order 48 from each state over [0, W], and whether each row's
-    order-32 sums agree with them to 1e-11 relative. Order 48 is far enough above 32 for the
-    gap to bound the order-32 error, and its own error is smaller still."""
+    order-32 sums agree with them to 1e-11 relative (48 is far enough above 32 to bound its error)."""
     sums = []
     for n in (32, 48):
         x, wts = numerics._jacobi_rule(n, a - 1.0)
@@ -429,7 +403,8 @@ def _jacobi_tilted(log_g, xg, W, a, powers):
         def tile(r):
             z = W[r, None] * half
             z += xg[r, None]
-            return np.einsum("rpk,k->rp", _power_values(log_g(z), z, powers), wts)
+            e = log_g(z)
+            return np.einsum("rpk,k->rp", _power_values(np.exp(e, out=e), z, powers), wts)
 
         sums.append((W / 2.0)[:, None] ** a * numerics._tiled(tile, xg.size, n))
     return sums[1], np.all(np.abs(sums[1] - sums[0]) <= 1e-11 * np.abs(sums[1]), axis=1)
@@ -450,7 +425,7 @@ def _edge_tilted(log_g, xg, w0, W, a, powers, t):
         log_u = np.log(np.where(s < 0.0, u0[r, None] + dist, U[r, None] - dist))
         z = xg[r, None] + np.exp(log_u / c)
         e = log_g(z) + (a / c - 1.0) * log_u + (log_du - math.log(c))
-        return _power_values(e, z, powers)
+        return _power_values(np.exp(e, out=e), z, powers)
 
     span = np.full(xg.size, numerics._DE_RANGE)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent row fails below
@@ -470,14 +445,11 @@ def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np
     """sum/integral of z^q f(T-t, z-xi)/f(T, z) nu(dz) for each q, batched over (t, xi).
 
     ``t`` is one time for every state or an array broadcastable to ``xis``,
-    a time per state; every t must lie in (0, horizon). Every state is
-    answered on its own: its own probe window and stopping level (Brownian)
-    or rule (gamma), and sums taken row by row, so a state's values
-    depend on its own (t, xi) alone, not on the other states of the call,
-    bit for bit. The atom terms and the Brownian density branch take the
-    time per row; the gamma branch, whose Jacobi rule depends on m (T-t),
-    runs once per distinct time. Densities are integrated by the Brownian
-    or the gamma branch; no other continuous kernel has a rule.
+    a time per state, each in (0, horizon). A state's values depend on its
+    own (t, xi) alone, bit for bit (see the engine notes above). The atom
+    terms and the Brownian branch take the time per row; the gamma branch,
+    whose Jacobi rule depends on m (T-t), runs once per distinct time. No
+    other continuous kernel has a rule.
     """
     xis = np.asarray(xis, dtype=float)
     flat = xis.ravel()

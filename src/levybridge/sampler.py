@@ -456,22 +456,12 @@ def _markov_step_continuous(spec, s, t, x_arr, u, pick=None) -> np.ndarray:
 
 
 def _count_below(cdf, k, c) -> np.ndarray:
-    """For each path i, the number of entries of its row cdf[k[i]] below c[i].
-
-    Rows are nondecreasing, so that count is a left `searchsorted`. Where
-    every row serves one path the comparison runs in row space; otherwise
-    each row is searched once for all of its paths. Neither copies a row
-    per path.
-    """
+    """Per path i, the entries of its row cdf[k[i]] below c[i], copying no row per path: in row
+    space where rows and paths are one to one, else a left searchsorted per row (rows ascend)."""
     if k.size == cdf.shape[0]:
-        at = np.empty_like(c)
-        at[k] = c
-        return np.count_nonzero(cdf < at[:, None], axis=1)[k]
-    out = np.empty(k.size, dtype=np.intp)
-    order = np.argsort(k, kind="stable")
-    bounds = np.searchsorted(k[order], np.arange(cdf.shape[0] + 1))
-    for j in range(cdf.shape[0]):
-        paths = order[bounds[j] : bounds[j + 1]]
+        return np.count_nonzero(cdf < c[np.argsort(k)][:, None], axis=1)[k]
+    out, order = np.empty(k.size, dtype=np.intp), np.argsort(k, kind="stable")
+    for j, paths in enumerate(np.split(order, np.searchsorted(k[order], np.arange(1, cdf.shape[0])))):
         out[paths] = np.searchsorted(cdf[j], c[paths], side="left")
     return out
 
