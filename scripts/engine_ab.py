@@ -1,7 +1,7 @@
 """Interleaved in-process A/B of the surface, quotes or paths workload between two source trees.
 
     python3 scripts/engine_ab.py OLD_SRC NEW_SRC [--workload surface|quotes|paths]
-        [--seed 201] [--rounds 6]
+        [--seed 201] [--rounds 6] [--rtol X]
 
 OLD_SRC and NEW_SRC are `src` directories, each holding a `levybridge`
 package. Each tree is imported under its own package name (`lb_old`,
@@ -16,7 +16,11 @@ sent to each tree's own `cli.main` as the benchmark sends it (the
 benchmark's own op imports `levybridge.cli` by name, so it cannot serve
 two trees); each tree writes its replies in its own directory, and every
 request must exit with the same code on both trees and leave reply files
-that are byte-identical. A larger gap exits 1.
+that are byte-identical. With ``--rtol X``, a change that moves last digits
+can be timed: quotes replies (parsed JSON, same structure and strings) and
+paths arrays (same shape) then agree where every number is within X
+relative, its scale floored at 1 as on surface, and the largest gap is
+printed. A larger gap exits 1.
 Whole rounds then alternate, old first on odd rounds and new first on even
 ones, so that a machine whose speed drifts between runs charges both sides
 alike. Printed: per op, the median milliseconds of each side and their ratio;
@@ -33,6 +37,8 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
+import math
 import statistics
 import sys
 import tempfile
@@ -87,6 +93,19 @@ def reply(req: dict) -> bytes | None:
     return path.read_bytes() if path.exists() else None
 
 
+def json_gap(x, y) -> float:
+    """Largest relative gap between the numbers of two parsed JSON values (scale floored at
+    1); inf where their structure, keys or other values differ."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        return max((json_gap(x[k], y[k]) for k in x), default=0.0) if x.keys() == y.keys() else math.inf
+    if isinstance(x, list) and isinstance(y, list):
+        return max(map(json_gap, x, y), default=0.0) if len(x) == len(y) else math.inf
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+    if numbers:
+        return 0.0 if x == y else abs(x - y) / max(abs(x), 1.0)
+    return 0.0 if x == y else math.inf
+
+
 def timed_round(ops) -> list[float]:
     out = []
     for op in ops:
@@ -103,6 +122,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=("surface", "quotes", "paths"), default="surface")
     ap.add_argument("--seed", type=int, default=201)
     ap.add_argument("--rounds", type=int, default=6, help="round pairs to time")
+    ap.add_argument("--rtol", type=float, default=None,
+                    help="compare quotes and paths numerically at this relative tolerance")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "bench"))
 
@@ -119,27 +140,32 @@ def compare(trees, args, tmp: Path) -> int:
         (tmp / side).mkdir()
         ops[side] = round_ops(lb, args.workload, args.seed, tmp / side)
 
-    worst = 0.0
+    worst, tol = 0.0, TOL if args.workload == "surface" else args.rtol
     for a, b in zip(ops["old"], ops["new"]):
         x, y = np.asarray(a.run()), np.asarray(b.run())
         if args.workload == "quotes":
-            if x != y or reply(a.info) != reply(b.info):
+            rx, ry = reply(a.info), reply(b.info)
+            if tol is not None and x == y and (rx is None) == (ry is None):
+                gap = json_gap(json.loads(rx), json.loads(ry)) if rx is not None else 0.0
+            elif x != y or rx != ry:
                 print(f"{a.name}: trees differ (exit {x} against {y}, or the reply files)")
                 return 1
-            continue
-        if args.workload == "paths":
+            else:
+                continue
+        elif args.workload == "paths" and tol is None:
             if x.shape != y.shape or x.tobytes() != y.tobytes():
                 print(f"{a.name}: trees differ (paths must agree bit for bit)")
                 return 1
             continue
-        floor = 1e-300 if a.info["fn"] == "psi_total_many" else 1.0
-        gap = float(np.max(np.abs(x - y) / np.maximum(np.abs(x), floor)))
+        else:
+            floor = 1e-300 if a.info.get("fn") == "psi_total_many" else 1.0
+            gap = float(np.max(np.abs(x - y) / np.maximum(np.abs(x), floor))) if x.shape == y.shape else math.inf
         worst = max(worst, gap)
-        if gap > TOL:
-            print(f"{a.name}: trees differ by {gap:.3e} relative (tolerance {TOL:g})")
+        if not gap <= tol:
+            print(f"{a.name}: trees differ by {gap:.3e} relative (tolerance {tol:g})")
             return 1
     print(f"all {len(ops['old'])} {args.workload} ops agree; "
-          + (f"worst relative gap {worst:.3e}" if args.workload == "surface" else "bit for bit"))
+          + ("bit for bit" if tol is None else f"worst relative gap {worst:.3e}"))
 
     per_op = {side: [] for side in ops}
     pairs = []

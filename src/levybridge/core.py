@@ -191,22 +191,45 @@ def _brownian_rows(T, t):
     return -0.5 / (T - t), _per_time(lambda u: 0.5 * math.log(T / (T - u)), t)
 
 
-def _brownian_log_weight(T, rows, xis, z, extra=0.0):
-    """log f(T-t, z - xi) - log f(T, z) + extra, Brownian kernel, shaped like ``z``.
-
-    The closed form -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2, built in
-    place on one array. ``xis`` and ``rows`` (their times' `_brownian_rows`) come shaped for
-    ``z``: columns against (states, nodes) tiles, flat against (points, states) tiles. ``extra``
-    is a per-node term."""
+def _brownian_log_weight(T, rows, xis, z):
+    """log f(T-t, z - xi) - log f(T, z), Brownian kernel, shaped like ``z``: the closed form
+    -(z - xi)^2 / (2 (T-t)) + z^2 / (2 T) + log(T / (T-t)) / 2. ``xis`` and ``rows`` (their
+    times' `_brownian_rows`) come shaped for ``z``."""
     scale, shift = rows
-    e = np.subtract(z, xis)
-    np.square(e, out=e)
-    e *= scale
-    zz = np.square(z)
-    zz *= 0.5 / T
-    e += zz
-    e += extra
-    e += shift
+    return scale * (z - xis) ** 2 + np.square(z) * (0.5 / T) + shift
+
+
+def _expansion(T, t, rows, xis, d, base, step, clip=True):
+    """A Brownian row's exponent E in its rule's node coordinate x, z = base + step x: the log weight
+    (``rows`` its `_brownian_rows`) plus a declared `log_quadratic`, with peak x* and z^2 coefficient
+    a2 = -t / (2 T (T-t)) + c2 < 0. Per row: x_p = x* clipped to [0, 1] (x* without ``clip``), the
+    `_exponent` terms b1 = 2 b2 (x_p - x*), b2 = a2 step^2, and E(z_p) in direct form: the log weight
+    plus logpdf(z_p) if declared (None if declared without ``clip``: the probe reads E - E(z*))."""
+    c2, c1, _ = d.log_quadratic or (0.0, 0.0, 0.0)
+    scale = rows[0]
+    a2 = scale * (t / T) + c2
+    x = (xis * (scale / a2) - 0.5 * c1 / a2 - base) / step
+    b2 = a2 * step * step
+    xp = np.minimum(np.maximum(x, 0.0), 1.0) if clip else x
+    ep = None
+    if clip or d.log_quadratic is None:
+        zp = base + step * xp
+        ep = _brownian_log_weight(T, rows, xis, zp) + (d.logpdf(zp) if d.log_quadratic else 0.0)
+    return xp, 2.0 * b2 * (xp - x) if clip else 0.0, b2, ep
+
+
+def _exponent(x, terms, d, base, step):
+    """A row's exponent at its nodes x less E(z_p): (x - x_p) (b1 + b2 (x - x_p)) by Horner, from
+    the ``terms`` (x_p, b1, b2, k) of `_expansion` shaped for ``x``, plus, for a prior that
+    declares no `log_quadratic`, its logpdf at z = base + step x and the constant k."""
+    xp, b1, b2, k = terms
+    v = np.subtract(x, xp)
+    e = np.multiply(v, b2)
+    e += b1
+    e *= v
+    if d.log_quadratic is None:
+        e += d.logpdf(base + step * x)
+        e += k
     return e
 
 
@@ -219,13 +242,14 @@ def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
     the probe points within e^-60 of that row's peak. Returns per row the
     window around them, the number kept and the peak log integrand. ``rows``
     holds the `_brownian_rows` of the times ``t``. Tiles are laid out (points,
-    states): the reductions run along the long state axis."""
+    states): the reductions run along the long state axis. The log integrand is `_exponent`
+    about each row's peak x*, less E(z*) on a declared prior (whose peak is then relative)."""
     span = phi - plo
+    xs, _, b2, ep = _expansion(T, t, rows, xis, d, plo, span, clip=False)
 
     def tile(r):
-        z = np.multiply.outer(_PROBE, span[r])
-        z += plo[r]
-        total = _brownian_log_weight(T, _rows(rows, r), xis[r], z, d.logpdf(z))
+        terms = xs[r], 0.0, b2[r], None if ep is None else ep[r]
+        total = _exponent(_PROBE[:, None], terms, d, plo[r], span[r])
         peak = np.max(total, axis=0)
         keep = total >= peak - 60.0
         first, last = np.argmax(keep, axis=0), _PROBE.size - 1 - np.argmax(keep[::-1], axis=0)
@@ -245,10 +269,11 @@ def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
 def _windows(spec, t, xis, q=0, rows=None):
     """Where the engine integrates the density part of each state's sums, for z^q. Brownian
     kernel: [lo, hi] in z, the prior's 1e-16 mass interval and 12 bridge widths about the state's
-    centre narrowed by the probe, and each row's probe peak; ``rows``, the `_brownian_rows` of
-    ``t``, are computed here when not given. Gamma kernel: [w0, w1] in z - xi and None; w0 = 0
-    from a state inside the prior's mass interval (to the support's top or past `_gamma_spans`),
-    w0 > 0 below it, w1 <= 0 above the support."""
+    centre narrowed by the probe, and each row's probe peak (less E(z*) where the prior declares
+    `log_quadratic`); ``rows``, the `_brownian_rows` of ``t``, are computed here when not given.
+    Gamma kernel: [w0, w1] in z - xi and None; w0 = 0 from a state inside the prior's mass
+    interval (to the support's top or past `_gamma_spans`), w0 > 0 below it, w1 <= 0 above the
+    support."""
     d, T = spec.terminal.density, spec.horizon
     lo_p, hi_p = numerics.mass_interval(d, 1e-16)
     if not isinstance(spec.kernel, BrownianKernel):
@@ -264,13 +289,13 @@ def _windows(spec, t, xis, q=0, rows=None):
     rows = _brownian_rows(T, t) if rows is None else rows
     sd = np.sqrt(T * (T - t) / t)
     centers = xis * (T / t)
-    lo = np.maximum(d.lower, np.minimum(lo_p, centers - 12.0 * sd))
-    hi = np.minimum(d.upper, np.maximum(hi_p, centers + 12.0 * sd))
-    row_max = np.empty_like(xis)
-    todo = np.arange(xis.size)
+    plo = np.maximum(d.lower, np.minimum(lo_p, centers - 12.0 * sd))
+    phi = np.minimum(d.upper, np.maximum(hi_p, centers + 12.0 * sd))
+    lo, hi, kept, row_max = _log_integrand_probe(T, t, rows, xis, plo, phi, d)
+    # a row whose integrand spans fewer than 4 probe points, 1/8 of the window (a wide prior
+    # window around a sharp weight), is probed again inside it while it shrinks
+    todo = np.flatnonzero((kept < 4) & (hi - lo < 0.5 * (phi - plo)))
     while todo.size:
-        # a row whose integrand spans fewer than 4 probe points, 1/8 of the window (a wide
-        # prior window around a sharp weight), is probed again inside it while it shrinks
         plo, phi = lo[todo], hi[todo]
         lo[todo], hi[todo], kept, row_max[todo] = _log_integrand_probe(
             T, _rows(t, todo), _rows(rows, todo), xis[todo], plo, phi, d
@@ -282,19 +307,19 @@ def _windows(spec, t, xis, q=0, rows=None):
 def _brownian_density_sums(spec, t, xis, powers):
     d, T = spec.terminal.density, spec.horizon
     rows = _brownian_rows(T, t)
-    lo, hi, row_max = _windows(spec, t, xis, rows=rows)
-    cols = tuple(v[:, None] if isinstance(v, np.ndarray) else v for v in rows)  # (states, nodes)
+    lo, hi, peak = _windows(spec, t, xis, rows=rows)
+    width = hi - lo
+    # each row is shifted by E(z_p), its peak, on a declared prior, else by its probe peak
+    terms = _expansion(T, t, rows, xis, d, lo, width)
+    shift = peak if d.log_quadratic is None else terms[3]
+    terms = (*terms[:3], terms[3] - shift)
 
-    def values(z, r):
-        # one exponent per (state, node), shifted by the row's probe peak so
-        # that far states keep their digits
-        lp = d.logpdf(z)
-        lp -= row_max[r, None]
-        e = _brownian_log_weight(T, _rows(cols, r), xis[r, None], z, lp)
-        return _power_values(np.exp(e, out=e), z, powers)
+    def values(x, r):
+        e = _exponent(x, tuple(v[r, None] for v in terms), d, lo[r, None], width[r, None])
+        return np.exp(e, out=e)
 
-    res = numerics.composite_quad_batch(values, lo, hi)
-    res *= np.exp(row_max)[:, None]
+    res = numerics.composite_quad_batch(values, lo, hi, powers)
+    res *= np.exp(shift)[:, None]
     # a Brownian psi is never 0: a zero row means the sums underflowed
     if 0 in powers and not np.all(res[:, powers.index(0)] > 0.0):
         raise NumericError("tilted integrand underflows", t=_t_diag(t), states=(xis.min(), xis.max()))
@@ -349,23 +374,6 @@ def _gamma_log_g(spec, z, q=0):
     return z
 
 
-def _power_values(g, z, powers) -> np.ndarray:
-    """g * z^q for each q in ``powers``, shape (rows, len(powers), nodes).
-
-    ``g`` has one row per state; ``z`` is one row of points shared by every
-    state, or one row per state. These are the integrand values a
-    `numerics.composite_quad_batch` callback returns; callers that sum them
-    contract each row on its own (einsum or a sum over the last axis), so a
-    row's value does not depend on how many rows share the array.
-    """
-    if powers == (0,):
-        return g[:, None, :]
-    out = np.empty((g.shape[0], len(powers), g.shape[1]))
-    for i, q in enumerate(powers):
-        np.multiply(g, 1.0 if q == 0 else z if q == 1 else z**q, out=out[:, i])
-    return out
-
-
 def _gamma_spans(log_g, xg, a, q, width):
     """Per-state span W past which w^(a-1) g(xi + w) (xi + w)^q is below e^-60 of its peak.
 
@@ -394,19 +402,24 @@ def _gamma_spans(log_g, xg, a, q, width):
 
 def _jacobi_tilted(log_g, xg, W, a, powers):
     """Gauss-Jacobi sums of order 48 from each state over [0, W], and whether each row's
-    order-32 sums agree with them to 1e-11 relative (48 is far enough above 32 to bound its error)."""
-    sums = []
+    order-32 sums agree with them to 1e-11 relative (48 is far enough above 32 to bound its error).
+    g's moments in x = (1 + node) / 2 (`numerics._moment_rows`) recombine per power of z = xi + W x."""
+    sums, degree = [], max(powers)
     for n in (32, 48):
         x, wts = numerics._jacobi_rule(n, a - 1.0)
-        half = (1.0 + x) / 2.0
+        half, moments = (1.0 + x) / 2.0, degree and numerics._moment_rows(n, degree, a - 1.0)
 
         def tile(r):
             z = W[r, None] * half
             z += xg[r, None]
             e = log_g(z)
-            return np.einsum("rpk,k->rp", _power_values(np.exp(e, out=e), z, powers), wts)
+            g = np.exp(e, out=e)
+            if degree == 0:
+                return np.einsum("rpk,k->rp", g[:, None, :], wts)
+            return np.einsum("rk,jk->rj", g, moments)
 
-        sums.append((W / 2.0)[:, None] ** a * numerics._tiled(tile, xg.size, n))
+        m = numerics._tiled(tile, xg.size, n)
+        sums.append((W / 2.0)[:, None] ** a * (numerics._power_sums(m, xg, W, powers) if degree else m))
     return sums[1], np.all(np.abs(sums[1] - sums[0]) <= 1e-11 * np.abs(sums[1]), axis=1)
 
 
@@ -419,13 +432,15 @@ def _edge_tilted(log_g, xg, w0, W, a, powers, t):
     c = min(a, 1.0)
     u0, U = w0**c, W**c
 
-    def values(s, r):
+    def values(x, r):
         # every row's window maps onto the same nodes s, so the map takes one row of them
-        dist, log_du = numerics._ts_map(u0[r, None], U[r, None], s[:1])
+        s = -numerics._DE_RANGE + 2.0 * numerics._DE_RANGE * x[:1]
+        dist, log_du = numerics._ts_map(u0[r, None], U[r, None], s)
         log_u = np.log(np.where(s < 0.0, u0[r, None] + dist, U[r, None] - dist))
         z = xg[r, None] + np.exp(log_u / c)
         e = log_g(z) + (a / c - 1.0) * log_u + (log_du - math.log(c))
-        return _power_values(np.exp(e, out=e), z, powers)
+        g = np.exp(e, out=e)
+        return np.stack([g * z**q if q else g for q in powers], axis=1)
 
     span = np.full(xg.size, numerics._DE_RANGE)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent row fails below
@@ -433,7 +448,7 @@ def _edge_tilted(log_g, xg, w0, W, a, powers, t):
             res = numerics.composite_quad_batch(values, -span, span)
         except NumericError as err:
             raise NumericError(f"edge rule: {err}", t=t, states=(xg.min(), xg.max()), a=a) from None
-        ends = np.abs(values(np.column_stack([-span, span]), np.arange(xg.size)))
+        ends = np.abs(values(np.array([[0.0, 1.0]]), np.arange(xg.size)))
     bad = ~np.all(ends <= 1e-15 * np.abs(res)[:, :, None], axis=(1, 2))
     if np.any(bad):
         raise NumericError("tilted integrand does not decay at the ends of the edge rule",

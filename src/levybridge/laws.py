@@ -8,8 +8,9 @@ carry their mass, the ``weight`` they were built with, in closed form, and
 posterior laws built by `core` take their masses from the sums that define
 them (`TerminalLaw._from_sums`). Each built-in density carries its
 normalised quantile function, which the samplers feed uniforms to, and its
-log-density in closed form, which the tilted-sum engine reads (gamma and
-uniform also as a power at the lower edge plus a smooth rest). Density callables
+log-density in closed form, which the tilted-sum engine reads (gamma and uniform also
+as a power at the lower edge plus a smooth rest, normal and uniform as a quadratic in z,
+`log_quadratic`, which Brownian rows read instead of it at their nodes). Density callables
 are built from module-level functions via functools.partial, so laws pickle cleanly.
 """
 
@@ -176,6 +177,7 @@ class TerminalLaw:
             upper=math.inf,
             quantile=partial(_normal_quantile, mu, sigma),
             logpdf=logpdf,
+            log_quadratic=(-0.5 / sigma2, mu / sigma2, -0.5 * mu * mu / sigma2 + logpdf(mu)),
         )
         return cls._closed_form(atoms, comp, weight)
 
@@ -210,6 +212,7 @@ class TerminalLaw:
             logpdf=logpdf,
             edge_power=0.0,
             edge_rest=logpdf,
+            log_quadratic=(0.0, 0.0, math.log(weight / (b - a))),
         )
         return cls._closed_form(atoms, comp, weight)
 

@@ -72,6 +72,9 @@ class DensityComponent:
     edge_power, edge_rest:
         Optional, together: logpdf(z) = edge_power * log(z - lower) + edge_rest(z)
         on the support, edge_rest smooth; a gamma-kernel row then takes one log.
+    log_quadratic:
+        Optional (c2, c1, c0), finite, c2 <= 0: logpdf(z) = c2 z^2 + c1 z + c0 on the support; a
+        Brownian-kernel row then reads no logpdf per node (`core._exponent`).
     """
 
     pdf: Callable
@@ -82,6 +85,7 @@ class DensityComponent:
     logpdf: Callable | None = field(default=None, compare=False)
     edge_power: float | None = field(default=None, compare=False)
     edge_rest: Callable | None = field(default=None, compare=False)
+    log_quadratic: tuple[float, float, float] | None = field(default=None, compare=False)
     _intervals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,6 +96,10 @@ class DensityComponent:
         declared = self.edge_power is not None
         if declared != (self.edge_rest is not None) or declared and math.isinf(self.lower):
             raise DomainError("an edge declaration needs edge_power, edge_rest and a finite lower")
+        c = None if self.log_quadratic is None else tuple(map(float, self.log_quadratic))
+        if c is not None and not (len(c) == 3 and all(map(math.isfinite, c)) and c[0] <= 0.0):
+            raise DomainError(f"log_quadratic needs finite (c2, c1, c0) with c2 <= 0, got {c}")
+        object.__setattr__(self, "log_quadratic", c)
         if self.logpdf is None:
             object.__setattr__(self, "logpdf", partial(_log_of, self.pdf))
         if self.quantile is None:
@@ -799,40 +807,78 @@ def _composite_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, wts, (half * wg).ravel()
 
 
-def composite_quad_batch(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _moment_rows(n: int, degree: int, beta: float | None = None) -> np.ndarray:
+    """Rows x^j w, j <= degree, of a cached rule in its coordinate x in [0, 1]: the composite rule on
+    n panels (x^j w_K33, then x^j w_G16 padded with 0), or `_jacobi_rule(n, beta)`, x = (1 + node) / 2."""
+    if beta is None:
+        x, wk, wg = _composite_rule(n)
+        w = np.stack([wk, np.pad(wg, (0, x.size - wg.size))])
+    else:
+        x, w = _jacobi_rule(n, beta)
+        x, w = (1.0 + x) / 2.0, w[None, :]
+    return (w[:, None, :] * x ** np.arange(degree + 1.0)[:, None]).reshape(-1, x.size)
+
+
+def _power_sums(m: np.ndarray, base, step, powers) -> np.ndarray:
+    """Sums of g z^q w for each q in ``powers``, z = base + step x, from the moments m[..., j] =
+    sum of g x^j w: the Horner sum in base of C(q, j) step^j m_j over j. ``base`` and ``step`` are
+    shaped for m[..., 0]; each pass runs over every row."""
+    out = np.empty(m.shape[:-1] + (len(powers),))
+    for i, q in enumerate(powers):
+        acc = m[..., 0]
+        for j in range(1, q + 1):
+            acc = acc * base + math.comb(q, j) * step**j * m[..., j]
+        out[..., i] = acc
+    return out
+
+
+def composite_quad_batch(fn: Callable, a, b, powers=None) -> np.ndarray:
     """Integrate a batch of smooth integrands, row i over [a[i], b[i]].
 
     Each level is one reference rule on [0, 1], mapped onto every row's
     interval: P equal panels, each with the 33-point Gauss-Kronrod extension
     (K33) of the 16-point Gauss-Legendre rule (G16), read from the tables
-    of `_kronrod_rule`. ``fn(nodes, rows)`` takes the nodes of the rows in the
-    index array ``rows``, shape (len(rows), k), and returns the values of p
-    integrands there, shape (len(rows), p, k), unweighted. The first 16 P
-    columns are the G16 nodes of every panel, so the check sums only those:
+    of `_kronrod_rule`. ``fn(x, rows)`` takes the reference nodes x in [0, 1]
+    of the rows in the index array ``rows``, one shared row broadcast to shape
+    (len(rows), k); row i's points are z = a[i] + (b[i] - a[i]) x, and the
+    rule applies the width. With ``powers`` None, fn returns p integrands,
+    shape (len(rows), p, k), and the result is their integrals, shape
+    (len(a), p). With ``powers``, fn returns one integrand g, shape
+    (len(rows), k), and the result is the integrals of g z^q, shape (len(a),
+    len(powers)): g alone at degree max(powers) = 0, else its moments from
+    one einsum with the cached rows x^j w (`_moment_rows`), recombined by
+    `_power_sums`. The first 16 P columns are the G16 nodes of every panel:
     a row is accepted once its G16 x P sums agree with its K33 x P sums to
-    _QUAD_REL_TOL of its largest |K33 sum|, and it returns the K33 sums and
-    leaves the batch. Rows that fail go on to the next of _QUAD_PANELS.
-    Sums are taken row by row, and rows reach
-    ``fn`` in tiles of about _TILE (row, node) entries, so a row's result
-    depends on its own integrand alone, bit for bit, as long as ``fn``
-    treats rows apart. Returns shape (len(a), p).
+    _QUAD_REL_TOL of its largest |K33 sum|, returns the K33 sums and leaves
+    the batch; the others go on to the next of _QUAD_PANELS. Rows are summed
+    one by one (einsum, never a BLAS product) and reach ``fn`` in tiles of
+    about _TILE (row, node) entries, so a row's result depends on its own
+    integrand alone, bit for bit, as long as ``fn`` treats rows apart.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     ok = a.ndim == 1 and a.size > 0 and a.shape == b.shape
     if not (ok and np.all(np.isfinite(a) & np.isfinite(b) & (a < b))):
         raise DomainError("need finite intervals a[i] < b[i], given as non-empty 1-d arrays")
     width = b - a
+    degree = 0 if powers is None else max(powers)
     out, todo = None, np.arange(a.size)
     for panels in _QUAD_PANELS:
         nodes, wk, wg = _composite_rule(panels)
+        moments = _moment_rows(panels, degree) if degree else None
 
         def tile(sl):
             r = todo[sl]
-            vals = fn(a[r, None] + width[r, None] * nodes, r)
-            # einsum contracts each row on its own, in a fixed order
-            both = np.empty((r.size, 2, vals.shape[1]))
-            both[:, 0] = np.einsum("rpk,k->rp", vals, wk)
-            both[:, 1] = np.einsum("rpk,k->rp", vals[..., : wg.size], wg)
+            vals = fn(np.broadcast_to(nodes, (r.size, nodes.size)), r)
+            if moments is not None:
+                m = np.einsum("rk,jk->rj", vals, moments).reshape(r.size, 2, degree + 1)
+                both = _power_sums(m, a[r, None], width[r, None], powers)
+            else:
+                vals = vals if powers is None else vals[:, None, :]
+                # einsum contracts each row on its own, in a fixed order
+                both = np.empty((r.size, 2, vals.shape[1]))
+                both[:, 0] = np.einsum("rpk,k->rp", vals, wk)
+                both[:, 1] = np.einsum("rpk,k->rp", vals[..., : wg.size], wg)
             both *= width[r, None, None]
             return both
 

@@ -474,24 +474,30 @@ def test_atom_terms_of_distinct_times_take_one_kernel_call(monkeypatch):
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
-def test_mixed_surface_row_evaluates_33_plus_132_entries(t):
-    # the prior's log-density is read once on each row's 33-point probe, laid
-    # out (points, states), and once on its first quadrature level, 4 panels
-    # of the 33-point Kronrod rule: there the 16-point Gauss sums agree with
-    # the Kronrod sums
+def test_mixed_surface_row_evaluates_33_plus_132_entries(t, monkeypatch):
+    # each row's exponent is built once on its 33-point probe, laid out
+    # (points, states), and once on its first quadrature level, 4 panels of
+    # the 33-point Kronrod rule: there the 16-point Gauss sums agree with the
+    # Kronrod sums. The declared normal prior reads its log-density once per
+    # row (at its quadrature level's expansion point) and at no node; an
+    # undeclared copy reads it at the 33 + 132 entries
     base = mixed_spec().terminal
-    sizes = []
+    sizes, built, real = [], [], core._exponent
 
     def counted(z):
         sizes.append(np.shape(z))
         return base.density.logpdf(z)
 
-    density = dataclasses.replace(base.density, logpdf=counted)
-    spec = LRBSpec(BrownianKernel(), 1.0, TerminalLaw(atoms=base.atoms, density=density))
-    for xi in np.linspace(-3.0, 3.0, 7) * math.sqrt(t):
-        sizes.clear()
-        core.posterior_mean_many(spec, t, np.array([xi]))
-        assert sizes == [(33, 1), (1, 132)], xi
+    monkeypatch.setattr(core, "_exponent",
+                        lambda x, terms, *a: built.append(np.shape(x - terms[0])) or real(x, terms, *a))
+    for quad in (base.density.log_quadratic, None):
+        density = dataclasses.replace(base.density, logpdf=counted, log_quadratic=quad)
+        spec = LRBSpec(BrownianKernel(), 1.0, TerminalLaw(atoms=base.atoms, density=density))
+        for xi in np.linspace(-3.0, 3.0, 7) * math.sqrt(t):
+            sizes.clear(), built.clear()
+            core.posterior_mean_many(spec, t, np.array([xi]))
+            assert built == [(33, 1), (1, 132)], xi
+            assert sizes == ([(1,)] if quad else [(33, 1), (1, 132)]), xi
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
@@ -669,6 +675,70 @@ def test_mixed_law_far_states_match_mpmath(t):
         (np.array([core.conditional_moment(spec, t, x, 1) for x in xis]), mean),
     ):
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+def _mixed_density_closed_form(t, xi):
+    """psi, mean and second moment of the density part of mixed_spec alone, and the whole
+    law's second moment, by Gaussian algebra in mpmath at 40 digits."""
+    with mp.workdps(40):
+        t, xi, mu, s2 = mp.mpf(t), mp.mpf(xi), mp.mpf("0.5"), mp.mpf("0.64")
+        npdf = lambda x, m, v: mp.exp(-((x - m) ** 2) / (2 * v)) / mp.sqrt(2 * mp.pi * v)
+        v_dens = t * (1 - t) + t**2 * s2
+        base = npdf(xi, 0, t)
+        dens = mp.mpf("0.7") * npdf(xi, mu * t, v_dens)
+        atom = mp.mpf("0.3") * npdf(xi, -mp.mpf("0.75") * t, t * (1 - t))
+        mean = mu + s2 * t / v_dens * (xi - mu * t)
+        second = mean**2 + s2 * t * (1 - t) / v_dens
+        whole = (mp.mpf("0.75") ** 2 * atom + second * dens) / (atom + dens)
+        return float(dens / base), float(mean), float(second), float(whole)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_mixed_density_part_matches_40_digit_closed_form(t):
+    # the normal prior's declared quadratic joins the Brownian exponent; its
+    # power sums come from node moments (q = 2 covers the binomial terms)
+    spec = mixed_spec()
+    xis = np.array([-40.0, -20.0, -3.0, 0.3, 5.0, 25.0, 40.0])
+    psi, mean, second, whole = np.array([_mixed_density_closed_form(t, x) for x in xis]).T
+    sums = core._density_sums(spec, t, xis, (0, 1, 2))
+    close = lambda got, want: np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+    assert np.all(np.abs(sums[:, 0] - psi) <= 1e-12 * psi)
+    assert close(sums[:, 1] / sums[:, 0], mean) and close(sums[:, 2] / sums[:, 0], second)
+    assert close(np.array([core.conditional_moment(spec, t, x, 2) for x in xis]), whole)
+
+
+def _undeclared(law):
+    """The law with the same pdf, logpdf and quantile and no declaration."""
+    d = law.density
+    plain = DensityComponent(pdf=d.pdf, lower=d.lower, upper=d.upper, quantile=d.quantile,
+                             logpdf=d.logpdf)
+    return TerminalLaw._from_sums(law.atoms, plain, law.density_mass)
+
+
+@pytest.mark.parametrize("law", [mixed_spec().terminal, TerminalLaw.uniform(-1.0, 2.0)])
+def test_declared_and_undeclared_priors_agree(law):
+    # a row's exponent with the prior's declared quadratic, or with its
+    # logpdf read at every node, on the benchmark's surface grid and times
+    declared, plain = (LRBSpec(BrownianKernel(), 1.0, w) for w in (law, _undeclared(law)))
+    assert declared.terminal.density.log_quadratic and not plain.terminal.density.log_quadratic
+    xis = np.linspace(-12.0, 12.0, 241)
+    for t in (0.1, 0.5, 0.9):
+        for fn, floor in ((core.psi_total_many, 0.0), (core.posterior_mean_many, 1.0)):
+            got, want = fn(declared, t, xis), fn(plain, t, xis)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), floor)), (t, fn)
+
+
+@pytest.mark.parametrize("powers", [(0,), (0, 1), (0, 2)])
+def test_declared_rows_do_not_depend_on_the_batch(powers):
+    # a row alone equals its row in a batch of 5,000 states (many tiles and
+    # per-state times), bit for bit
+    rng = np.random.default_rng(31)
+    spec, n = mixed_spec(), 5000
+    xis, ts = rng.normal(0.0, 3.0, n), rng.choice([0.1, 0.5, 0.9], n)
+    many = core._density_sums(spec, ts, xis, powers)
+    for i in np.r_[0:n:211, n - 1]:
+        one = core._density_sums(spec, float(ts[i]), xis[i : i + 1], powers)
+        assert np.array_equal(many[i], one[0]), i
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.5, 0.999])

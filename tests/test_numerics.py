@@ -99,6 +99,31 @@ def test_density_component_edge_declaration_is_checked():
         DensityComponent(pdf=lambda z: 1.0, lower=-math.inf, upper=1.0, edge_power=0.0, edge_rest=rest)
 
 
+@pytest.mark.parametrize("law", [
+    TerminalLaw.normal(0.5, 0.64, weight=0.7, atoms=((-0.75, 0.3),)),
+    TerminalLaw.normal(-30.0, 1e-4),
+    TerminalLaw.uniform(-1.0, 2.0),
+    TerminalLaw.uniform(5.0, 5.5, weight=0.25, atoms=((0.0, 0.75),)),
+])
+def test_declared_log_quadratic_is_the_logpdf(law):
+    # c2 z^2 + c1 z + c0 is the built-in logpdf at points of the support, to
+    # the rounding of its terms (a sharp far normal's terms are ~1e7)
+    d = law.density
+    lo, hi = numerics.mass_interval(d, 1e-16)
+    z = np.linspace(lo, hi, 401)
+    c2, c1, c0 = d.log_quadratic
+    want, terms = d.logpdf(z), np.abs(c2 * z * z) + np.abs(c1 * z) + abs(c0)
+    assert c2 <= 0.0 and np.all(np.isfinite(want))
+    assert np.all(np.abs((c2 * z + c1) * z + c0 - want) <= 1e-15 * np.maximum(1.0, terms))
+
+
+@pytest.mark.parametrize("quad", [(1e-3, 0.0, 0.0), (-1.0, math.nan, 0.0), (-1.0, 0.0, math.inf),
+                                  (-1.0, 0.0)])
+def test_density_component_log_quadratic_is_checked(quad):
+    with pytest.raises(DomainError):
+        DensityComponent(pdf=lambda z: 1.0, lower=0.0, upper=1.0, log_quadratic=quad)
+
+
 def test_density_component_breakpoints_filtered_and_sorted():
     d = DensityComponent(
         pdf=lambda z: 1.0, lower=0.0, upper=1.0, breakpoints=(0.9, -3.0, 0.2, 2.0)
@@ -706,8 +731,9 @@ def test_composite_quad_batch_matches_quad():
         lambda x: np.cos(x) * np.exp(-np.abs(x) / 3.0),
     ]
 
-    def rows(nodes, r):
-        return np.stack([fns[i](z) for i, z in zip(r, nodes)])
+    def rows(x, r):
+        # the rule hands out its reference nodes in [0, 1]
+        return np.stack([fns[i](-8.0 + 16.0 * z) for i, z in zip(r, x)])
 
     got = numerics.composite_quad_batch(
         lambda x, r: rows(x, r)[:, None, :],
@@ -723,18 +749,34 @@ def test_composite_quad_batch_row_grouping_consistency():
     f = lambda x: np.exp(-(x**2))
     g = lambda x: 1.0 / (1.0 + x**2)
     tol = 1e-11  # the rule's relative stop
-    pick = lambda r, x: np.stack([(f, g)[i](z) for i, z in zip(r, x)])
+    z = lambda x: -6.0 + 12.0 * x  # the rule hands out its reference nodes in [0, 1]
+    pick = lambda r, x: np.stack([(f, g)[i](z(v)) for i, v in zip(r, x)])
     both = numerics.composite_quad_batch(
         lambda x, r: pick(r, x)[:, None, :], np.full(2, -6.0), np.full(2, 6.0)
     )
     alone_f = numerics.composite_quad_batch(
-        lambda x, r: f(x)[:, None, :], np.array([-6.0]), np.array([6.0])
+        lambda x, r: f(z(x))[:, None, :], np.array([-6.0]), np.array([6.0])
     )
     alone_g = numerics.composite_quad_batch(
-        lambda x, r: g(x)[:, None, :], np.array([-6.0]), np.array([6.0])
+        lambda x, r: g(z(x))[:, None, :], np.array([-6.0]), np.array([6.0])
     )
     assert abs(both[0, 0] - alone_f[0, 0]) < 50 * tol
     assert abs(both[1, 0] - alone_g[0, 0]) < 50 * tol
+
+
+def test_composite_quad_batch_powers_come_from_node_moments():
+    # with powers, one integrand g per row and its z^q sums recombined from
+    # its moments in the node coordinate match the per-power integrands
+    a, b = np.array([-9.0, 0.5, 30.0]), np.array([-5.0, 4.0, 31.0])
+    z = lambda x, r: a[r, None] + (b - a)[r, None] * x
+    g = lambda x, r: np.exp(-0.5 * (z(x, r) - 0.5 * (a + b)[r, None]) ** 2) * (2.0 + np.cos(z(x, r)))
+    powers = (0, 1, 3)
+    got = numerics.composite_quad_batch(g, a, b, powers)
+    want = numerics.composite_quad_batch(
+        lambda x, r: np.stack([g(x, r) * z(x, r) ** q for q in powers], axis=1), a, b
+    )
+    assert got.shape == (3, 3)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_composite_quad_batch_interval_validation():
