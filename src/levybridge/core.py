@@ -156,9 +156,10 @@ def rn_derivative(spec: LRBSpec, t: float, xi: float) -> float:
 # by state (a scalar call is a batch of one). Each row has its own time,
 # window, nodes and stopping level; each quadrature level forms one log
 # integrand per (state, node), exponentiates it once and sums it against the
-# node weights times z^q, tile by tile of states. A time ``t`` is one float
-# or an array of one per state, told apart by isinstance (far cheaper than
-# np.ndim on a float in a loop over tiles).
+# node weights times powers of the rule's coordinate x, which recombine into
+# the sums of z^q, tile by tile of states. A time ``t`` is one float or an
+# array of one per state, told apart by isinstance (far cheaper than np.ndim
+# on a float in a loop over tiles).
 
 _PROBE = np.linspace(0.0, 1.0, 33)
 _CHUNK = 4096  # states per branch call: bounds the per-state arrays of a call
@@ -199,29 +200,25 @@ def _brownian_log_weight(T, rows, xis, z):
     return scale * (z - xis) ** 2 + np.square(z) * (0.5 / T) + shift
 
 
-def _expansion(T, t, rows, xis, d, base, step, clip=True):
+def _expansion(T, t, rows, xis, d, base, step):
     """A Brownian row's exponent E in its rule's node coordinate x, z = base + step x: the log weight
     (``rows`` its `_brownian_rows`) plus a declared `log_quadratic`, with peak x* and z^2 coefficient
-    a2 = -t / (2 T (T-t)) + c2 < 0. Per row: x_p = x* clipped to [0, 1] (x* without ``clip``), the
-    `_exponent` terms b1 = 2 b2 (x_p - x*), b2 = a2 step^2, and E(z_p) in direct form: the log weight
-    plus logpdf(z_p) if declared (None if declared without ``clip``: the probe reads E - E(z*))."""
-    c2, c1, _ = d.log_quadratic or (0.0, 0.0, 0.0)
-    scale = rows[0]
-    a2 = scale * (t / T) + c2
-    x = (xis * (scale / a2) - 0.5 * c1 / a2 - base) / step
+    a2 = -t / (2 T (T-t)) + c2 < 0. Returns per row the `_exponent` terms (x_p = x* clipped to
+    [0, 1], b1 = 2 b2 (x_p - x*), b2 = a2 step^2, the log weight at z_p in direct form) and z_p =
+    base + step x_p, held inside the support, past whose upper end it can round at x_p = 1."""
+    c2, c1 = d.log_quadratic or (0.0, 0.0)
+    a2 = rows[0] * (t / T) + c2
+    x = (xis * (rows[0] / a2) - 0.5 * c1 / a2 - base) / step
     b2 = a2 * step * step
-    xp = np.minimum(np.maximum(x, 0.0), 1.0) if clip else x
-    ep = None
-    if clip or d.log_quadratic is None:
-        zp = base + step * xp
-        ep = _brownian_log_weight(T, rows, xis, zp) + (d.logpdf(zp) if d.log_quadratic else 0.0)
-    return xp, 2.0 * b2 * (xp - x) if clip else 0.0, b2, ep
+    xp = np.minimum(np.maximum(x, 0.0), 1.0)
+    zp = np.minimum(base + step * xp, d.upper)
+    return (xp, 2.0 * b2 * (xp - x), b2, _brownian_log_weight(T, rows, xis, zp)), zp
 
 
 def _exponent(x, terms, d, base, step):
     """A row's exponent at its nodes x less E(z_p): (x - x_p) (b1 + b2 (x - x_p)) by Horner, from
-    the ``terms`` (x_p, b1, b2, k) of `_expansion` shaped for ``x``, plus, for a prior that
-    declares no `log_quadratic`, its logpdf at z = base + step x and the constant k."""
+    the ``terms`` (x_p, b1, b2, k) of `_expansion` shaped for ``x``, plus, for a prior that declares
+    no `log_quadratic`, its logpdf at z = base + step x and k (the log weight at z_p less a shift)."""
     xp, b1, b2, k = terms
     v = np.subtract(x, xp)
     e = np.multiply(v, b2)
@@ -240,16 +237,15 @@ def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
     the pinning term), so the density's own effective interval is not a safe
     window. A coarse log-space scan of each row's window [plo, phi] keeps
     the probe points within e^-60 of that row's peak. Returns per row the
-    window around them, the number kept and the peak log integrand. ``rows``
-    holds the `_brownian_rows` of the times ``t``. Tiles are laid out (points,
-    states): the reductions run along the long state axis. The log integrand is `_exponent`
-    about each row's peak x*, less E(z*) on a declared prior (whose peak is then relative)."""
+    window around them, the number kept and the peak log integrand, which is
+    `_exponent` of the window's `_expansion` (less E(z_p) on a declared
+    prior). ``rows`` holds the `_brownian_rows` of the times ``t``. Tiles are
+    laid out (points, states): the reductions run along the long state axis."""
     span = phi - plo
-    xs, _, b2, ep = _expansion(T, t, rows, xis, d, plo, span, clip=False)
+    terms, _ = _expansion(T, t, rows, xis, d, plo, span)
 
     def tile(r):
-        terms = xs[r], 0.0, b2[r], None if ep is None else ep[r]
-        total = _exponent(_PROBE[:, None], terms, d, plo[r], span[r])
+        total = _exponent(_PROBE[:, None], tuple(v[r] for v in terms), d, plo[r], span[r])
         peak = np.max(total, axis=0)
         keep = total >= peak - 60.0
         first, last = np.argmax(keep, axis=0), _PROBE.size - 1 - np.argmax(keep[::-1], axis=0)
@@ -269,7 +265,7 @@ def _log_integrand_probe(T, t, rows, xis, plo, phi, d):
 def _windows(spec, t, xis, q=0, rows=None):
     """Where the engine integrates the density part of each state's sums, for z^q. Brownian
     kernel: [lo, hi] in z, the prior's 1e-16 mass interval and 12 bridge widths about the state's
-    centre narrowed by the probe, and each row's probe peak (less E(z*) where the prior declares
+    centre narrowed by the probe, and each row's probe peak (less E(z_p) where the prior declares
     `log_quadratic`); ``rows``, the `_brownian_rows` of ``t``, are computed here when not given.
     Gamma kernel: [w0, w1] in z - xi and None; w0 = 0 from a state inside the prior's mass
     interval (to the support's top or past `_gamma_spans`), w0 > 0 below it, w1 <= 0 above the
@@ -310,9 +306,9 @@ def _brownian_density_sums(spec, t, xis, powers):
     lo, hi, peak = _windows(spec, t, xis, rows=rows)
     width = hi - lo
     # each row is shifted by E(z_p), its peak, on a declared prior, else by its probe peak
-    terms = _expansion(T, t, rows, xis, d, lo, width)
-    shift = peak if d.log_quadratic is None else terms[3]
-    terms = (*terms[:3], terms[3] - shift)
+    (xp, b1, b2, wp), zp = _expansion(T, t, rows, xis, d, lo, width)
+    shift = peak if d.log_quadratic is None else wp + d.logpdf(zp)
+    terms = xp, b1, b2, wp - shift
 
     def values(x, r):
         e = _exponent(x, tuple(v[r, None] for v in terms), d, lo[r, None], width[r, None])
@@ -406,17 +402,14 @@ def _jacobi_tilted(log_g, xg, W, a, powers):
     g's moments in x = (1 + node) / 2 (`numerics._moment_rows`) recombine per power of z = xi + W x."""
     sums, degree = [], max(powers)
     for n in (32, 48):
-        x, wts = numerics._jacobi_rule(n, a - 1.0)
-        half, moments = (1.0 + x) / 2.0, degree and numerics._moment_rows(n, degree, a - 1.0)
+        half = (1.0 + numerics._jacobi_rule(n, a - 1.0)[0]) / 2.0
+        moments = numerics._moment_rows(n, degree, a - 1.0)
 
         def tile(r):
             z = W[r, None] * half
             z += xg[r, None]
             e = log_g(z)
-            g = np.exp(e, out=e)
-            if degree == 0:
-                return np.einsum("rpk,k->rp", g[:, None, :], wts)
-            return np.einsum("rk,jk->rj", g, moments)
+            return np.einsum("rk,jk->rj", np.exp(e, out=e), moments)
 
         m = numerics._tiled(tile, xg.size, n)
         sums.append((W / 2.0)[:, None] ** a * (numerics._power_sums(m, xg, W, powers) if degree else m))
@@ -440,7 +433,7 @@ def _edge_tilted(log_g, xg, w0, W, a, powers, t):
         z = xg[r, None] + np.exp(log_u / c)
         e = log_g(z) + (a / c - 1.0) * log_u + (log_du - math.log(c))
         g = np.exp(e, out=e)
-        return np.stack([g * z**q if q else g for q in powers], axis=1)
+        return g[:, None, :] if powers == (0,) else np.stack([g * z**q if q else g for q in powers], 1)
 
     span = np.full(xg.size, numerics._DE_RANGE)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent row fails below

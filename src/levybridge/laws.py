@@ -9,8 +9,8 @@ posterior laws built by `core` take their masses from the sums that define
 them (`TerminalLaw._from_sums`). Each built-in density carries its
 normalised quantile function, which the samplers feed uniforms to, and its
 log-density in closed form, which the tilted-sum engine reads (gamma and uniform also
-as a power at the lower edge plus a smooth rest, normal and uniform as a quadratic in z,
-`log_quadratic`, which Brownian rows read instead of it at their nodes). Density callables
+as a power at the lower edge plus a smooth rest, normal and uniform as a quadratic in z plus a
+constant, `log_quadratic`, which Brownian rows read instead of it at their nodes). Density callables
 are built from module-level functions via functools.partial, so laws pickle cleanly.
 """
 
@@ -177,7 +177,7 @@ class TerminalLaw:
             upper=math.inf,
             quantile=partial(_normal_quantile, mu, sigma),
             logpdf=logpdf,
-            log_quadratic=(-0.5 / sigma2, mu / sigma2, -0.5 * mu * mu / sigma2 + logpdf(mu)),
+            log_quadratic=(-0.5 / sigma2, mu / sigma2),
         )
         return cls._closed_form(atoms, comp, weight)
 
@@ -212,7 +212,7 @@ class TerminalLaw:
             logpdf=logpdf,
             edge_power=0.0,
             edge_rest=logpdf,
-            log_quadratic=(0.0, 0.0, math.log(weight / (b - a))),
+            log_quadratic=(0.0, 0.0),
         )
         return cls._closed_form(atoms, comp, weight)
 

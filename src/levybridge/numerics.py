@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 from .errors import DomainError, NoRootError, NonMonotoneError, NumericError
@@ -73,8 +73,8 @@ class DensityComponent:
         Optional, together: logpdf(z) = edge_power * log(z - lower) + edge_rest(z)
         on the support, edge_rest smooth; a gamma-kernel row then takes one log.
     log_quadratic:
-        Optional (c2, c1, c0), finite, c2 <= 0: logpdf(z) = c2 z^2 + c1 z + c0 on the support; a
-        Brownian-kernel row then reads no logpdf per node (`core._exponent`).
+        Optional (c2, c1), finite, c2 <= 0: logpdf(z) - c2 z^2 - c1 z is constant on the support;
+        a Brownian-kernel row then reads no logpdf per node (`core._exponent`).
     """
 
     pdf: Callable
@@ -85,7 +85,7 @@ class DensityComponent:
     logpdf: Callable | None = field(default=None, compare=False)
     edge_power: float | None = field(default=None, compare=False)
     edge_rest: Callable | None = field(default=None, compare=False)
-    log_quadratic: tuple[float, float, float] | None = field(default=None, compare=False)
+    log_quadratic: tuple[float, float] | None = field(default=None, compare=False)
     _intervals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,10 +96,9 @@ class DensityComponent:
         declared = self.edge_power is not None
         if declared != (self.edge_rest is not None) or declared and math.isinf(self.lower):
             raise DomainError("an edge declaration needs edge_power, edge_rest and a finite lower")
-        c = None if self.log_quadratic is None else tuple(map(float, self.log_quadratic))
-        if c is not None and not (len(c) == 3 and all(map(math.isfinite, c)) and c[0] <= 0.0):
-            raise DomainError(f"log_quadratic needs finite (c2, c1, c0) with c2 <= 0, got {c}")
-        object.__setattr__(self, "log_quadratic", c)
+        c = self.log_quadratic
+        if c is not None and not (len(c) == 2 and all(map(math.isfinite, c)) and c[0] <= 0.0):
+            raise DomainError(f"log_quadratic needs finite (c2, c1) with c2 <= 0, got {c}")
         if self.logpdf is None:
             object.__setattr__(self, "logpdf", partial(_log_of, self.pdf))
         if self.quantile is None:
@@ -811,12 +810,9 @@ def _composite_rule(panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _moment_rows(n: int, degree: int, beta: float | None = None) -> np.ndarray:
     """Rows x^j w, j <= degree, of a cached rule in its coordinate x in [0, 1]: the composite rule on
     n panels (x^j w_K33, then x^j w_G16 padded with 0), or `_jacobi_rule(n, beta)`, x = (1 + node) / 2."""
-    if beta is None:
-        x, wk, wg = _composite_rule(n)
-        w = np.stack([wk, np.pad(wg, (0, x.size - wg.size))])
-    else:
-        x, w = _jacobi_rule(n, beta)
-        x, w = (1.0 + x) / 2.0, w[None, :]
+    x, *w = _composite_rule(n) if beta is None else _jacobi_rule(n, beta)
+    x = x if beta is None else (1.0 + x) / 2.0
+    w = np.stack([np.pad(v, (0, x.size - v.size)) for v in w])
     return (w[:, None, :] * x ** np.arange(degree + 1.0)[:, None]).reshape(-1, x.size)
 
 
@@ -826,10 +822,8 @@ def _power_sums(m: np.ndarray, base, step, powers) -> np.ndarray:
     shaped for m[..., 0]; each pass runs over every row."""
     out = np.empty(m.shape[:-1] + (len(powers),))
     for i, q in enumerate(powers):
-        acc = m[..., 0]
-        for j in range(1, q + 1):
-            acc = acc * base + math.comb(q, j) * step**j * m[..., j]
-        out[..., i] = acc
+        horner = lambda acc, j: acc * base + math.comb(q, j) * step**j * m[..., j]
+        out[..., i] = reduce(horner, range(1, q + 1), m[..., 0])
     return out
 
 
@@ -876,9 +870,8 @@ def composite_quad_batch(fn: Callable, a, b, powers=None) -> np.ndarray:
             else:
                 vals = vals if powers is None else vals[:, None, :]
                 # einsum contracts each row on its own, in a fixed order
-                both = np.empty((r.size, 2, vals.shape[1]))
-                both[:, 0] = np.einsum("rpk,k->rp", vals, wk)
-                both[:, 1] = np.einsum("rpk,k->rp", vals[..., : wg.size], wg)
+                both = np.stack([np.einsum("rpk,k->rp", vals, wk),
+                                 np.einsum("rpk,k->rp", vals[..., : wg.size], wg)], axis=1)
             both *= width[r, None, None]
             return both
 

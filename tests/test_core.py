@@ -715,10 +715,13 @@ def _undeclared(law):
     return TerminalLaw._from_sums(law.atoms, plain, law.density_mass)
 
 
-@pytest.mark.parametrize("law", [mixed_spec().terminal, TerminalLaw.uniform(-1.0, 2.0)])
+@pytest.mark.parametrize("law", [mixed_spec().terminal, TerminalLaw.uniform(-1.0, 2.0),
+                                 TerminalLaw.uniform(-0.1, 0.2)])
 def test_declared_and_undeclared_priors_agree(law):
     # a row's exponent with the prior's declared quadratic, or with its
-    # logpdf read at every node, on the benchmark's surface grid and times
+    # logpdf read at every node, on the benchmark's surface grid and times;
+    # on uniform(-0.1, 0.2), whose lower end plus width rounds past its upper
+    # end, the grid has states whose peak lies below and above the support
     declared, plain = (LRBSpec(BrownianKernel(), 1.0, w) for w in (law, _undeclared(law)))
     assert declared.terminal.density.log_quadratic and not plain.terminal.density.log_quadratic
     xis = np.linspace(-12.0, 12.0, 241)
