@@ -36,7 +36,7 @@ from .errors import (
 )
 from .kernels import BrownianKernel, GammaKernel, Kernel, PoissonKernel
 from .laws import TerminalLaw
-from .numerics import DensityComponent, MixedMeasure, integrate
+from .numerics import DensityComponent, integrate
 from .paths import SamplePath
 from .pricing import (
     BinaryBondSpec,
@@ -108,7 +108,6 @@ __all__ = [
     "PoissonKernel",
     "TerminalLaw",
     "DensityComponent",
-    "MixedMeasure",
     "integrate",
     "SamplePath",
     "RateCurve",

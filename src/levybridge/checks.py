@@ -178,7 +178,7 @@ def _quadrature_call_price(spec, curve, call, boundary) -> float:
         return (df_t * z - call.strike) * weight
 
     post = _core.terminal_posterior(spec, s, call.xi)
-    return curve.discount(s, t) * numerics.integrate(post.measure, discounted_exercise_payoff)
+    return curve.discount(s, t) * numerics.integrate(post, discounted_exercise_payoff)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Scenario files: JSON in, validated dataclasses out, canonical JSON back.
 
 A scenario bundles the model (kernel, horizon, terminal law, rate curve),
-the seed, and per-command blocks. Parsing is strict: unknown keys and type
-mismatches raise ConfigError with a dotted field path, so a bad file fails
-loudly at the offending entry instead of downstream.
+the seed, and per-command blocks. The format is written down once: `_BLOCKS`
+maps each key of each block to its reader, and `_KERNEL_PARAMS` and
+`_DENSITY_PARAMS` give each family's parameters, which are required. A key's
+default, and whether it is required, are those of its dataclass field.
+`parse_scenario` reads every block with the one reader `_block`, and
+`scenario_to_dict` writes each dataclass back as an object of its fields.
+Parsing is strict: unknown keys and type mismatches raise ConfigError with a
+dotted field path, so a bad file fails loudly at the offending entry instead
+of downstream. A null block reads as an absent one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .core import LRBSpec
 from .errors import ConfigError
@@ -31,6 +37,7 @@ __all__ = [
     "scenario_to_dict",
 ]
 
+_KERNEL_PARAMS = {"brownian": (), "gamma": ("m",), "poisson": ("intensity",)}
 _DENSITY_PARAMS = {
     "normal": ("mu", "sigma2"),
     "gamma": ("shape", "scale"),
@@ -48,6 +55,13 @@ def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _expect_finite(value, path: str) -> float:
+    x = _expect_number(value, path)
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {x}")
+    return x
 
 
 def _expect_int(value, path: str) -> int:
@@ -72,18 +86,21 @@ def _expect_str(value, path: str, choices=None) -> str:
     return value
 
 
-def _reject_unknown(data: dict, known, path: str) -> None:
-    extra = set(data) - set(known)
-    if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
+def _choice(*choices):
+    return lambda value, path: _expect_str(value, path, choices)
 
 
-def _get_number(data: dict, key: str, path: str, default=None):
-    if key not in data:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    return _expect_number(data[key], f"{path}.{key}")
+def _list(item, least: int = 0, most: float = math.inf):
+    """Reader of a JSON list of ``least`` to ``most`` entries, as a tuple of its entries
+    read by ``item``, each at its own path ``path[i]``."""
+    want = "a list" if not least else f"a list of {'' if least == most else 'at least '}{least}"
+
+    def read(value, path: str) -> tuple:
+        if not (isinstance(value, list) and least <= len(value) <= most):
+            raise ConfigError(path, f"expected {want}, got {value!r}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -192,240 +209,103 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the format: each block's keys and their readers; a dataclass reads as a block
+
+_BLOCKS = {
+    ScenarioConfig: {
+        "kernel": KernelConfig,
+        "horizon": _expect_number,
+        "terminal_law": TerminalConfig,
+        "rate": RateConfig,
+        "seed": _expect_seed,
+        "simulate": SimulateConfig,
+        "price": PriceConfig,
+        "option": OptionConfig,
+        "verify": VerifyConfig,
+    },
+    KernelConfig: {"family": _choice(*_KERNEL_PARAMS)},
+    TerminalConfig: {"atoms": _list(_list(_expect_number, 2, 2)), "density": DensityConfig},
+    DensityConfig: {"family": _choice(*_DENSITY_PARAMS), "weight": _expect_number},
+    RateConfig: {"times": _list(_expect_number), "rates": _list(_expect_number)},
+    SimulateConfig: {
+        "grid": _list(_expect_number, 1),
+        "n_paths": _expect_int,
+        "method": _choice("terminal_first", "markov"),
+    },
+    PriceConfig: {"points": _list(_list(_expect_finite, 2, 2), 1)},
+    OptionConfig: {
+        "strike": _expect_number,
+        "maturity": _expect_number,
+        "valuation_time": _expect_number,
+        "xi": _expect_number,
+        "method": _choice("closed"),
+    },
+    VerifyConfig: {"checks": _list(_expect_str)},
+}
+_FAMILIES = {KernelConfig: _KERNEL_PARAMS, DensityConfig: _DENSITY_PARAMS}
+_REQUIRED = {
+    cls: {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    for cls in _BLOCKS
+}
 
 
-def _parse_kernel(data, path: str) -> KernelConfig:
-    data = dict(_expect_mapping(data, path))
-    if "family" not in data:
-        raise ConfigError(f"{path}.family", "missing required key")
-    family = _expect_str(
-        data.pop("family"), f"{path}.family", choices=("brownian", "gamma", "poisson")
-    )
-    if family == "gamma":
-        cfg = KernelConfig(family=family, m=_get_number(data, "m", path))
-        data.pop("m", None)
-    elif family == "poisson":
-        cfg = KernelConfig(family=family, intensity=_get_number(data, "intensity", path))
-        data.pop("intensity", None)
-    else:
-        cfg = KernelConfig(family=family)
-    _reject_unknown(data, (), path)
-    return cfg
-
-
-def _parse_atoms(data, path: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(data, list):
-        raise ConfigError(path, f"expected a list of [value, weight] pairs, got {data!r}")
-    atoms = []
-    for i, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{path}[{i}]", f"expected [value, weight], got {pair!r}")
-        atoms.append(
-            (
-                _expect_number(pair[0], f"{path}[{i}][0]"),
-                _expect_number(pair[1], f"{path}[{i}][1]"),
-            )
-        )
-    return tuple(atoms)
-
-
-def _parse_density(data, path: str) -> DensityConfig | None:
-    if data is None:
+def _entry(data: dict, path: str, key: str, read, required):
+    """``data[key]`` read by ``read`` (a dataclass reads as a block), or None where the
+    key is absent or holds a null block; an absent required key fails."""
+    value, block = data.get(key), isinstance(read, type)
+    if value is None and (block or key not in data):
+        if key in required:
+            raise ConfigError(f"{path}.{key}", "missing required key")
         return None
-    data = dict(_expect_mapping(data, path))
-    if "family" not in data:
-        raise ConfigError(f"{path}.family", "missing required key")
-    family = _expect_str(data.pop("family"), f"{path}.family", choices=tuple(_DENSITY_PARAMS))
-    names = _DENSITY_PARAMS[family]
-    params = tuple((name, _get_number(data, name, path)) for name in names)
-    for name in names:
-        data.pop(name)
-    weight = None
-    if "weight" in data:
-        weight = _expect_number(data.pop("weight"), f"{path}.weight")
-    _reject_unknown(data, (), path)
-    return DensityConfig(family=family, params=params, weight=weight)
+    return _block(value, f"{path}.{key}", read) if block else read(value, f"{path}.{key}")
 
 
-def _parse_terminal(data, path: str) -> TerminalConfig:
-    data = dict(_expect_mapping(data, path))
-    atoms = _parse_atoms(data.pop("atoms", []), f"{path}.atoms")
-    density = _parse_density(data.pop("density", None), f"{path}.density")
-    _reject_unknown(data, (), path)
-    return TerminalConfig(atoms=atoms, density=density)
+def _block(value, path: str, cls):
+    """The ``cls`` read from a JSON object through ``_BLOCKS[cls]``.
 
-
-def _parse_rate(data, path: str) -> RateConfig:
-    if data is None:
-        return RateConfig()
-    data = dict(_expect_mapping(data, path))
-    times = data.pop("times", [0.0])
-    rates = data.pop("rates", [0.0])
-    if not isinstance(times, list) or not isinstance(rates, list):
-        raise ConfigError(path, "times and rates must be lists")
-    cfg = RateConfig(
-        times=tuple(_expect_number(v, f"{path}.times[{i}]") for i, v in enumerate(times)),
-        rates=tuple(_expect_number(v, f"{path}.rates[{i}]") for i, v in enumerate(rates)),
-    )
-    _reject_unknown(data, (), path)
-    return cfg
-
-
-def _parse_simulate(data, path: str) -> SimulateConfig | None:
-    if data is None:
-        return None
-    data = dict(_expect_mapping(data, path))
-    grid = data.pop("grid", None)
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError(f"{path}.grid", "expected a non-empty list of times")
-    n_paths = _expect_int(data.pop("n_paths", None), f"{path}.n_paths")
-    method = _expect_str(
-        data.pop("method", "terminal_first"),
-        f"{path}.method",
-        choices=("terminal_first", "markov"),
-    )
-    _reject_unknown(data, (), path)
-    return SimulateConfig(
-        grid=tuple(_expect_number(v, f"{path}.grid[{i}]") for i, v in enumerate(grid)),
-        n_paths=n_paths,
-        method=method,
-    )
-
-
-def _parse_price(data, path: str) -> PriceConfig | None:
-    if data is None:
-        return None
-    data = dict(_expect_mapping(data, path))
-    points = data.pop("points", None)
-    if not isinstance(points, list) or not points:
-        raise ConfigError(f"{path}.points", "expected a non-empty list of [t, xi] pairs")
-    parsed = []
-    for i, pair in enumerate(points):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{path}.points[{i}]", f"expected [t, xi], got {pair!r}")
-        for j, v in enumerate(pair):
-            if not math.isfinite(_expect_number(v, f"{path}.points[{i}][{j}]")):
-                raise ConfigError(f"{path}.points[{i}][{j}]", f"expected a finite number, got {v}")
-        parsed.append((float(pair[0]), float(pair[1])))
-    _reject_unknown(data, (), path)
-    return PriceConfig(points=tuple(parsed))
-
-
-def _parse_option(data, path: str) -> OptionConfig | None:
-    if data is None:
-        return None
-    data = dict(_expect_mapping(data, path))
-    cfg = OptionConfig(
-        strike=_get_number(data, "strike", path),
-        maturity=_get_number(data, "maturity", path),
-        valuation_time=_get_number(data, "valuation_time", path, default=0.0),
-        xi=_get_number(data, "xi", path, default=0.0),
-        method=_expect_str(
-            data.pop("method", "closed"), f"{path}.method", choices=("closed",)
-        ),
-    )
-    for key in ("strike", "maturity", "valuation_time", "xi"):
-        data.pop(key, None)
-    _reject_unknown(data, (), path)
-    return cfg
-
-
-def _parse_verify(data, path: str) -> VerifyConfig | None:
-    if data is None:
-        return None
-    data = dict(_expect_mapping(data, path))
-    checks = data.pop("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError(f"{path}.checks", "expected a list of check names")
-    cfg = VerifyConfig(
-        checks=tuple(_expect_str(c, f"{path}.checks[{i}]") for i, c in enumerate(checks))
-    )
-    _reject_unknown(data, (), path)
-    return cfg
-
-
-_TOP_KEYS = (
-    "kernel",
-    "horizon",
-    "terminal_law",
-    "rate",
-    "seed",
-    "simulate",
-    "price",
-    "option",
-    "verify",
-)
+    A family block reads its family first, which adds that family's
+    parameters as required numbers; then unknown keys fail, before any
+    other key is read. A family's parameters fill fields of their own
+    names, or the block's ``params``.
+    """
+    data = _expect_mapping(value, path)
+    keys, required = _BLOCKS[cls], _REQUIRED[cls]
+    if cls in _FAMILIES:
+        params = _FAMILIES[cls][_entry(data, path, "family", keys["family"], required)]
+        keys, required = {**keys, **dict.fromkeys(params, _expect_number)}, {*required, *params}
+    if not data.keys() <= keys.keys():
+        raise ConfigError(f"{path}.{min(data.keys() - keys.keys())}", "unknown key")
+    out = {}
+    for key, read in keys.items():
+        if (v := _entry(data, path, key, read, required)) is not None:
+            out[key] = v
+    if "params" in required:
+        out["params"] = tuple((name, out.pop(name)) for name in params)
+    return cls(**out)
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
     """Validate a decoded JSON object into a ScenarioConfig."""
-    data = dict(_expect_mapping(data, "scenario"))
-    _reject_unknown(data, _TOP_KEYS, "scenario")
-    for key in ("kernel", "horizon", "terminal_law"):
-        if key not in data:
-            raise ConfigError(f"scenario.{key}", "missing required key")
-    seed = data.get("seed", 0)
-    return ScenarioConfig(
-        kernel=_parse_kernel(data["kernel"], "scenario.kernel"),
-        horizon=_expect_number(data["horizon"], "scenario.horizon"),
-        terminal_law=_parse_terminal(data["terminal_law"], "scenario.terminal_law"),
-        rate=_parse_rate(data.get("rate"), "scenario.rate"),
-        seed=_expect_seed(seed, "scenario.seed"),
-        simulate=_parse_simulate(data.get("simulate"), "scenario.simulate"),
-        price=_parse_price(data.get("price"), "scenario.price"),
-        option=_parse_option(data.get("option"), "scenario.option"),
-        verify=_parse_verify(data.get("verify"), "scenario.verify"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization back to the canonical JSON shape
+    return _block(data, "scenario", ScenarioConfig)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Canonical JSON-ready dict; parse_scenario(scenario_to_dict(c)) == c."""
-    kernel: dict = {"family": cfg.kernel.family}
-    if cfg.kernel.family == "gamma":
-        kernel["m"] = cfg.kernel.m
-    elif cfg.kernel.family == "poisson":
-        kernel["intensity"] = cfg.kernel.intensity
-    out: dict = {
-        "kernel": kernel,
-        "horizon": cfg.horizon,
-        "terminal_law": {
-            "atoms": [[z, w] for z, w in cfg.terminal_law.atoms],
-            "density": None
-            if cfg.terminal_law.density is None
-            else {
-                "family": cfg.terminal_law.density.family,
-                **dict(cfg.terminal_law.density.params),
-                **(
-                    {}
-                    if cfg.terminal_law.density.weight is None
-                    else {"weight": cfg.terminal_law.density.weight}
-                ),
-            },
-        },
-        "rate": {"times": list(cfg.rate.times), "rates": list(cfg.rate.rates)},
-        "seed": cfg.seed,
-    }
-    if cfg.simulate is not None:
-        out["simulate"] = {
-            "grid": list(cfg.simulate.grid),
-            "n_paths": cfg.simulate.n_paths,
-            "method": cfg.simulate.method,
-        }
-    if cfg.price is not None:
-        out["price"] = {"points": [[t, xi] for t, xi in cfg.price.points]}
-    if cfg.option is not None:
-        out["option"] = {
-            "strike": cfg.option.strike,
-            "maturity": cfg.option.maturity,
-            "valuation_time": cfg.option.valuation_time,
-            "xi": cfg.option.xi,
-            "method": cfg.option.method,
-        }
-    if cfg.verify is not None:
-        out["verify"] = {"checks": list(cfg.verify.checks)}
+    return _to_json(cfg)
+
+
+def _to_json(value):
+    """A dataclass as an object of its fields that are not None, with a density's
+    ``params`` written beside its family; tuples as lists."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out = {}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if f.name == "params":
+            out.update(v)
+        elif v is not None:
+            out[f.name] = _to_json(v)
     return out

@@ -516,10 +516,10 @@ def _density_psi_many(spec: LRBSpec, t: float, xis: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
-def _finite_states(xis) -> np.ndarray:
+def _finite_states(xis, what: str = "states") -> np.ndarray:
     xis = np.asarray(xis, dtype=float)
     if not np.all(np.isfinite(xis)):
-        raise DomainError(f"states must be finite, got {xis[~np.isfinite(xis)].flat[0]}")
+        raise DomainError(f"{what} must be finite, got {xis[~np.isfinite(xis)].flat[0]}")
     return xis
 
 
@@ -799,7 +799,7 @@ def increment_joint_density(spec: LRBSpec, alphas, increments) -> float:
     under simultaneous permutation of durations and increments.
     """
     alphas = _check_partition(spec, alphas)
-    ys = np.asarray(increments, dtype=float)
+    ys = _finite_states(increments, "increments")
     if ys.shape != alphas.shape:
         raise DomainError("increments and partition must have equal length")
     return _kernel_joint(spec, float(np.sum(ys)), zip(alphas, ys))
@@ -831,6 +831,7 @@ def reordered_increment_conditional(spec: LRBSpec, observed, query) -> float:
     if not query:
         raise DomainError("query must contain at least one increment")
     _check_partition(spec, [a for a, _ in (*observed, *query)])
+    _finite_states([y for _, y in (*observed, *query)], "increments")
     t_obs = sum(a for a, _ in observed)
     s_obs = sum(y for _, y in observed)
     psi = psi_total(spec, t_obs, s_obs)

@@ -67,9 +67,10 @@ class Kernel(abc.ABC):
     """Common surface of the increment-law families.
 
     ``discrete`` kernels live on the integer lattice and implement
-    ``mass``/``log_mass``; continuous kernels implement ``density``/
-    ``log_density``. Asking the wrong one raises KernelClassError so class
-    mixups fail loudly rather than silently returning zeros. ``log_density``
+    ``log_mass``; continuous kernels implement ``log_density``. ``mass`` and
+    ``density`` are their exponentials. Asking the wrong one raises
+    KernelClassError so class mixups fail loudly rather than silently
+    returning zeros. ``log_density``
     and ``log_mass`` take ``t`` as one time or as an array of times
     broadcast against ``x``.
     """
@@ -78,13 +79,14 @@ class Kernel(abc.ABC):
     nondecreasing: ClassVar[bool]
 
     def density(self, t, x):
-        raise KernelClassError(f"{type(self).__name__} has no density; use mass()")
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_density(t, x))
 
     def log_density(self, t, x):
         raise KernelClassError(f"{type(self).__name__} has no density; use mass()")
 
     def mass(self, t, i):
-        raise KernelClassError(f"{type(self).__name__} has no lattice mass; use density()")
+        return np.exp(self.log_mass(t, i))
 
     def log_mass(self, t, i):
         raise KernelClassError(f"{type(self).__name__} has no lattice mass; use density()")
@@ -124,9 +126,6 @@ class BrownianKernel(Kernel):
         x = np.asarray(x, dtype=float)
         out = -0.5 * x * x / t - _per_time(lambda u: 0.5 * math.log(2.0 * math.pi * u), t)
         return out if out.ndim else float(out)
-
-    def density(self, t, x):
-        return np.exp(self.log_density(t, x))
 
     def cdf(self, t, x):
         t = _check_time(t)
@@ -184,11 +183,6 @@ class GammaKernel(Kernel):
                 -np.inf,
             )
         return out if out.ndim else float(out)
-
-    def density(self, t, x):
-        with np.errstate(over="ignore"):
-            out = np.exp(self.log_density(t, x))
-        return out
 
     def cdf(self, t, x):
         t = _check_time(t)
@@ -249,9 +243,6 @@ class PoissonKernel(Kernel):
                 -np.inf,
             )
         return out if out.ndim else float(out)
-
-    def mass(self, t, i):
-        return np.exp(self.log_mass(t, i))
 
     def cdf(self, t, x):
         t = _check_time(t)

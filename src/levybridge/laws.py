@@ -1,7 +1,9 @@
 """Terminal (horizon) laws: atoms plus an optional density component.
 
-Construction validates total mass 1, so every law handed to the
-conditional-law machinery is an honest probability measure. A density
+Construction validates the atoms (finite locations, each once, with finite
+positive weights, sorted by location) and total mass 1, so every law handed
+to the conditional-law machinery is an honest probability measure; the
+QUADPACK reference `numerics.integrate` takes a law as its measure. A density
 given by the user has its mass summed by the double-exponential rule of
 `numerics.density_sums`; the built-in normal, gamma and uniform densities
 carry their mass, the ``weight`` they were built with, in closed form, and
@@ -25,7 +27,7 @@ from scipy import special as _sp
 
 from . import numerics
 from .errors import DomainError, NumericError
-from .numerics import DensityComponent, MixedMeasure
+from .numerics import DensityComponent
 
 __all__ = ["TerminalLaw"]
 
@@ -87,11 +89,17 @@ def _shifted_quantile(base, dx, u):
 
 
 def _checked_atoms(atoms) -> tuple[tuple[float, float], ...]:
-    """Atoms as floats sorted by location, each weight strictly positive."""
-    atoms = MixedMeasure(atoms=atoms).atoms
-    if any(w <= 0 for _, w in atoms):
-        raise DomainError("atom weights must be strictly positive")
-    return atoms
+    """Atoms as floats sorted by location: finite locations, each once, and finite
+    strictly positive weights."""
+    atoms = sorted((float(z), float(w)) for z, w in atoms)
+    for z, w in atoms:
+        if not math.isfinite(z):
+            raise DomainError(f"atom location {z} is not finite")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise DomainError(f"atom weight {w} must be finite and strictly positive")
+    if len({z for z, _ in atoms}) != len(atoms):
+        raise DomainError("duplicate atom locations")
+    return tuple(atoms)
 
 
 def _check_total(atoms, density_mass: float) -> None:
@@ -217,10 +225,6 @@ class TerminalLaw:
         return cls._closed_form(atoms, comp, weight)
 
     # -- views ---------------------------------------------------------------
-
-    @property
-    def measure(self) -> MixedMeasure:
-        return MixedMeasure(atoms=self.atoms, density=self.density)
 
     def support(self) -> tuple[float, float]:
         los, his = [], []

@@ -1,10 +1,9 @@
-"""Quadrature over mixed measures and monotone root finding.
+"""Quadrature over density components and monotone root finding.
 
 Everything downstream (conditional laws, pricing, samplers) funnels its
 numerical work through this module so that tolerances live in one place.
-Measures are represented as an atom list plus an optional absolutely
-continuous component; there is deliberately no way to express a singular
-continuous part.
+A `DensityComponent` is the absolutely continuous part of a law; the atoms
+and their checks live in `laws.TerminalLaw`, which `integrate` takes.
 
 The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
@@ -30,7 +29,6 @@ from .errors import DomainError, NoRootError, NonMonotoneError, NumericError
 
 __all__ = [
     "DensityComponent",
-    "MixedMeasure",
     "TabulatedQuantile",
     "integrate",
     "bulk_interval",
@@ -44,7 +42,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# mixed measures
+# density components
 
 
 @dataclass(frozen=True)
@@ -128,49 +126,20 @@ def _exp_of(logpdf, z):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class MixedMeasure:
-    """Finite measure made of point masses plus a density component."""
-
-    atoms: tuple[tuple[float, float], ...] = ()
-    density: DensityComponent | None = None
-
-    def __post_init__(self):
-        cleaned = []
-        for loc, w in self.atoms:
-            loc, w = float(loc), float(w)
-            if not math.isfinite(loc):
-                raise DomainError(f"atom location {loc} is not finite")
-            if w < 0 or not math.isfinite(w):
-                raise DomainError(f"atom weight {w} must be finite and >= 0")
-            cleaned.append((loc, w))
-        cleaned.sort(key=lambda p: p[0])
-        locs = [p[0] for p in cleaned]
-        if len(set(locs)) != len(locs):
-            raise DomainError("duplicate atom locations")
-        object.__setattr__(self, "atoms", tuple(cleaned))
-
-    @property
-    def atom_mass(self) -> float:
-        return sum(w for _, w in self.atoms)
-
-
-def integrate(measure: MixedMeasure, fn: Callable) -> float:
-    """Integrate ``fn`` against a mixed measure.
+def integrate(law, fn: Callable) -> float:
+    """Integrate ``fn`` against a `laws.TerminalLaw`.
 
     Atom contributions are summed exactly; the density part goes through
     adaptive quadrature split at declared breakpoints. Raises NumericError
     (with solver diagnostics attached) instead of returning nan.
     """
     total = 0.0
-    for loc, w in measure.atoms:
-        if w == 0.0:
-            continue
+    for loc, w in law.atoms:
         v = float(fn(loc))
         if not math.isfinite(v):
             raise NumericError(f"integrand not finite at atom {loc}", value=v)
         total += w * v
-    d = measure.density
+    d = law.density
     if d is not None:
         edges = [d.lower, *d.breakpoints, d.upper]
         g = lambda z: float(fn(z)) * float(d.pdf(z))

@@ -50,6 +50,8 @@ class RateCurve:
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         rates = tuple(float(r) for r in self.rates)
+        if not all(map(math.isfinite, times)):
+            raise DomainError(f"segment times must be finite, got {times}")
         if not times or times[0] != 0.0:
             raise DomainError("rate segments must start at time 0")
         if any(b <= a for a, b in zip(times[:-1], times[1:])):
@@ -274,6 +276,8 @@ def critical_information(
         raise DomainError(f"option maturity {t} must lie inside (0, {spec.horizon})")
     if mode not in ("monotone", "set"):
         raise DomainError(f"unknown mode {mode!r}")
+    if not math.isfinite(strike):
+        raise DomainError(f"strike must be finite, got {strike}")
     df = curve.discount(t, spec.horizon)
     z_lo, z_hi = spec.terminal.support()
     if strike <= df * z_lo:
@@ -477,7 +481,7 @@ def binary_bond_posterior(spec: _core.LRBSpec, t: float, xi):
     if spec.terminal.density is not None or len(atoms) != 2:
         raise DomainError("binary bond posterior needs exactly two atoms and no density")
     t = spec._check_time(t)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi_arr = np.atleast_1d(_core._finite_states(xi))
     if t == 0.0:
         rho1 = np.full_like(xi_arr, atoms[1][1])
     else:

@@ -236,6 +236,14 @@ def test_non_finite_law_parameter_is_a_config_error(tmp_path, capsys, sigma2):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_finite_rate_time_is_a_config_error(tmp_path, capsys):
+    # it used to price as if the segment were absent, and exit 0
+    rate = {"times": [0.0, math.nan], "rates": [0.01, 0.01]}
+    cfg = write(tmp_path, mixed_scenario(rate=rate, price={"points": [[0.5, 0.0]]}))
+    assert cli.main(["price", "--config", cfg]) == 1
+    assert "config error: segment times must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("j", [0, 1])
 def test_non_finite_price_point_is_a_config_error(tmp_path, capsys, bad, j):

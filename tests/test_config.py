@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from levybridge import config
 from levybridge.config import (
@@ -76,6 +79,63 @@ def test_density_weight_left_implicit_survives_round_trip():
     assert parse_scenario(again) == cfg
 
 
+def test_null_blocks_read_as_absent():
+    d = minimal_dict()
+    d["terminal_law"]["density"] = None
+    d.update(rate=None, simulate=None, price=None, option=None, verify=None)
+    assert parse_scenario(d) == parse_scenario(minimal_dict())
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_pairs = st.tuples(_floats, _floats)
+_KERNEL_PARAMS = {"brownian": (), "gamma": ("m",), "poisson": ("intensity",)}
+
+
+@st.composite
+def _kernels(draw):
+    family = draw(st.sampled_from(sorted(_KERNEL_PARAMS)))
+    return KernelConfig(family, **{name: draw(_floats) for name in _KERNEL_PARAMS[family]})
+
+
+@st.composite
+def _densities(draw):
+    family = draw(st.sampled_from(sorted(config._DENSITY_PARAMS)))
+    params = tuple((name, draw(_floats)) for name in config._DENSITY_PARAMS[family])
+    return DensityConfig(family, params, draw(st.none() | _floats))
+
+
+_scenarios = st.builds(
+    ScenarioConfig,
+    kernel=_kernels(),
+    horizon=_floats,
+    terminal_law=st.builds(
+        TerminalConfig, atoms=st.lists(_pairs).map(tuple), density=st.none() | _densities()
+    ),
+    rate=st.builds(
+        RateConfig, times=st.lists(_floats).map(tuple), rates=st.lists(_floats).map(tuple)
+    ),
+    seed=st.integers(0, 2**64 - 1),
+    simulate=st.none()
+    | st.builds(
+        SimulateConfig,
+        grid=st.lists(_floats, min_size=1).map(tuple),
+        n_paths=st.integers(),
+        method=st.sampled_from(["terminal_first", "markov"]),
+    ),
+    price=st.none() | st.builds(PriceConfig, points=st.lists(_pairs, min_size=1).map(tuple)),
+    option=st.none()
+    | st.builds(
+        OptionConfig, strike=_floats, maturity=_floats, valuation_time=_floats, xi=_floats
+    ),
+    verify=st.none() | st.builds(VerifyConfig, checks=st.lists(st.text()).map(tuple)),
+)
+
+
+@given(_scenarios)
+def test_generated_scenarios_round_trip(cfg):
+    assert parse_scenario(scenario_to_dict(cfg)) == cfg
+
+
 # ---------------------------------------------------------------------------
 # build
 
@@ -137,6 +197,7 @@ def test_build_kernel_parameter_error_path():
         (lambda d: d["kernel"].update(m=1.0), "scenario.kernel.m"),
         (lambda d: d.update(rate={"times": [0.0], "rates": [0.0], "x": 1}), "scenario.rate.x"),
         (lambda d: d.update(rate={"rates": ["low"]}), "scenario.rate.rates[0]"),
+        (lambda d: d.update(rate={"times": 0.0}), "scenario.rate.times"),
         (
             lambda d: d.update(simulate={"grid": [0.5], "n_paths": 2.5}),
             "scenario.simulate.n_paths",
@@ -158,6 +219,27 @@ def test_build_kernel_parameter_error_path():
         ),
         (lambda d: d.update(verify={"checks": "normalization"}), "scenario.verify.checks"),
         (lambda d: d.update(verify={"checks": [3]}), "scenario.verify.checks[0]"),
+        pytest.param(lambda d: d.update(terminal_law=None), "scenario.terminal_law", id="null-law"),
+        pytest.param(lambda d: d.update(kernel=None), "scenario.kernel", id="null-kernel"),
+        (lambda d: d.update(kernel={"family": "poisson"}), "scenario.kernel.intensity"),
+        (
+            lambda d: d["terminal_law"].update(
+                density={"family": "normal", "mu": 0.0, "sigma2": 1.0, "weight": "x"}
+            ),
+            "scenario.terminal_law.density.weight",
+        ),
+        (lambda d: d.update(price={"points": [[0.5, math.nan]]}), "scenario.price.points[0][1]"),
+        (
+            lambda d: d.update(option={"strike": 1.0, "maturity": 0.5, "xi": "a"}),
+            "scenario.option.xi",
+        ),
+        pytest.param(
+            lambda d: d.update(verify={"checks": None}), "scenario.verify.checks", id="null-checks"
+        ),
+        (lambda d: d["terminal_law"].update(atoms=None), "scenario.terminal_law.atoms"),
+        pytest.param(
+            lambda d: d.update(extra=1, horizon="x"), "scenario.extra", id="unknown-key-first"
+        ),
     ],
 )
 def test_bad_inputs_fail_at_the_offending_field(mutate, field):
@@ -166,6 +248,22 @@ def test_bad_inputs_fail_at_the_offending_field(mutate, field):
     with pytest.raises(ConfigError) as err:
         parse_scenario(d)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "block,body,key",
+    [
+        ("simulate", {"n_paths": 4}, "grid"),
+        ("simulate", {"grid": [0.5]}, "n_paths"),
+        ("price", {}, "points"),
+    ],
+)
+def test_missing_required_key_is_named(block, body, key):
+    d = minimal_dict()
+    d[block] = body
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(d)
+    assert str(err.value) == f"scenario.{block}.{key}: missing required key"
 
 
 def test_gamma_kernel_requires_m():

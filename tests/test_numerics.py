@@ -16,7 +16,7 @@ from levybridge.errors import DomainError, NoRootError, NonMonotoneError, Numeri
 from levybridge.kernels import BrownianKernel, GammaKernel
 from levybridge.core import LRBSpec, psi_total, terminal_posterior
 from levybridge.laws import TerminalLaw
-from levybridge.numerics import DensityComponent, MixedMeasure
+from levybridge.numerics import DensityComponent
 
 
 # ---------------------------------------------------------------------------
@@ -393,43 +393,27 @@ def test_tabulated_quantile_validates_levels():
     assert 0.0 <= q(0.0) < 1e-15 and 1.0 - 1e-15 < q(1.0) <= 1.0
 
 
-def test_mixed_measure_atom_validation():
-    with pytest.raises(DomainError):
-        MixedMeasure(atoms=((0.0, -0.5),))
-    with pytest.raises(DomainError):
-        MixedMeasure(atoms=((0.0, 0.5), (0.0, 0.5)))
-    with pytest.raises(DomainError):
-        MixedMeasure(atoms=((math.inf, 0.5),))
+def test_terminal_law_atom_validation():
+    for atoms in (((0.0, -0.5), (1.0, 1.5)), ((0.0, 0.5), (0.0, 0.5)), ((math.inf, 1.0),)):
+        with pytest.raises(DomainError):
+            TerminalLaw(atoms=atoms)
 
 
-def test_mixed_measure_sorts_atoms():
-    m = MixedMeasure(atoms=((2.0, 0.25), (-1.0, 0.75)))
-    assert m.atoms == ((-1.0, 0.75), (2.0, 0.25))
-    assert m.atom_mass == 1.0
+def test_terminal_law_sorts_atoms():
+    law = TerminalLaw(atoms=((2.0, 0.25), (-1.0, 0.75)))
+    assert law.atoms == ((-1.0, 0.75), (2.0, 0.25))
 
 
 def test_integrate_atoms_plus_density():
-    m = MixedMeasure(atoms=((2.0, 0.3),), density=_unit_uniform())
-    # first moment: 0.3 * 2 + 1.0 * 0.5 (the uniform component has mass 1 here)
-    got = numerics.integrate(m, lambda z: z)
-    assert abs(got - (0.6 + 0.5)) < 1e-12
-
-
-def test_integrate_skips_zero_weight_atoms():
-    m = MixedMeasure(atoms=((5.0, 0.0), (1.0, 1.0)))
-    # the integrand is not even evaluated at the weightless atom
-    def fn(z):
-        if z == 5.0:
-            raise AssertionError("should not be called")
-        return z
-
-    assert numerics.integrate(m, fn) == 1.0
+    law = TerminalLaw.uniform(0.0, 1.0, weight=0.7, atoms=((2.0, 0.3),))
+    # first moment: 0.3 * 2 + 0.7 * 0.5
+    got = numerics.integrate(law, lambda z: z)
+    assert abs(got - (0.6 + 0.35)) < 1e-12
 
 
 def test_integrate_rejects_nonfinite_atom_values():
-    m = MixedMeasure(atoms=((0.0, 1.0),))
     with pytest.raises(NumericError):
-        numerics.integrate(m, lambda z: math.inf)
+        numerics.integrate(TerminalLaw.point(0.0), lambda z: math.inf)
 
 
 def test_integrate_kink_with_breakpoint():
@@ -439,7 +423,7 @@ def test_integrate_kink_with_breakpoint():
         upper=1.0,
         breakpoints=(0.3,),
     )
-    got = numerics.integrate(MixedMeasure(density=d), lambda z: abs(z - 0.3))
+    got = numerics.integrate(TerminalLaw(density=d), lambda z: abs(z - 0.3))
     want = 0.5 * 0.3**2 + 0.5 * 0.7**2
     assert abs(got - want) < 1e-12
 

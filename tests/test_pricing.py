@@ -568,3 +568,32 @@ def test_set_mode_widens_to_the_limiting_sign_of_an_unbounded_law(strike):
     ((lo, hi),) = found.intervals
     assert hi == math.inf
     assert abs(lo - mono.threshold) <= 1e-10 * max(1.0, abs(mono.threshold))
+
+
+_NAN = math.nan
+_FLAT = RateCurve.flat(0.0)
+_joint = core.increment_joint_density
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: RateCurve(times=(0.0, _NAN), rates=(0.01, 0.01)), "segment times"),
+        (lambda: _joint(checks.brownian_binary(), [0.5] * 2, [_NAN, 0.0]), "increments"),
+        (lambda: _joint(checks.brownian_mixed(), [0.5] * 2, [_NAN, 0.0]), "increments"),
+        (lambda: _joint(checks.poisson_atomic(), [0.5] * 2, [_NAN, 1.0]), "increments"),
+        (
+            lambda: core.reordered_increment_conditional(
+                checks.brownian_binary(), [(0.5, 0.2)], [(0.5, _NAN)]
+            ),
+            "increments",
+        ),
+        (lambda: binary_bond_posterior(binary_spec(), 0.5, _NAN), "states"),
+        (lambda: critical_information(checks.brownian_mixed(), _FLAT, 0.5, _NAN), "strike"),
+        (lambda: critical_information(binary_spec(), _FLAT, 0.5, _NAN), "strike"),
+    ],
+)
+def test_non_finite_inputs_are_domain_errors_naming_the_input(call, name):
+    # each used to return a wrong number (1.0, 0.0) or raise another error
+    with pytest.raises(DomainError, match=name):
+        call()
