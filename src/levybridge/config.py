@@ -205,7 +205,10 @@ class ScenarioConfig:
             raise ConfigError("scenario", str(exc)) from exc
 
     def build_curve(self) -> RateCurve:
-        return self.rate.build()
+        try:
+            return self.rate.build()
+        except ValueError as exc:
+            raise ConfigError("scenario.rate", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -300,10 +300,10 @@ def _windows(spec, t, xis, q=0, rows=None):
     return lo, hi, row_max
 
 
-def _brownian_density_sums(spec, t, xis, powers):
+def _brownian_density_sums(spec, t, xis, powers, windows=None):
     d, T = spec.terminal.density, spec.horizon
     rows = _brownian_rows(T, t)
-    lo, hi, peak = _windows(spec, t, xis, rows=rows)
+    lo, hi, peak = _windows(spec, t, xis, rows=rows) if windows is None else windows
     width = hi - lo
     # each row is shifted by E(z_p), its peak, on a declared prior, else by its probe peak
     (xp, b1, b2, wp), zp = _expansion(T, t, rows, xis, d, lo, width)
@@ -329,7 +329,7 @@ def _log_weight(kernel, T, t, z, step):
     return np.where(ok, kernel.log_density(T - t, step) - np.where(ok, ld_base, 0.0), -np.inf)
 
 
-def _gamma_density_sums(spec, t, xis, powers):
+def _gamma_density_sums(spec, t, xis, powers, windows=None):
     """Tilted integrals for the gamma kernel at one time t, written as e^xi * C *
     integral_w0^W w^(a-1) g(xi + w) (xi + w)^q dw with g(z) = z^(1-mT) p(z), on the windows
     of `_windows`. A row from its state (w0 = 0) keeps its Gauss-Jacobi 48 sums, which absorb
@@ -338,7 +338,7 @@ def _gamma_density_sums(spec, t, xis, powers):
     a = spec.kernel.m * (spec.horizon - t)
     log_c = _sp.gammaln(spec.kernel.m * spec.horizon) - _sp.gammaln(a)
     log_g = partial(_gamma_log_g, spec)
-    w0, w1, _ = _windows(spec, t, xis, max(powers))
+    w0, w1, _ = _windows(spec, t, xis, max(powers)) if windows is None else windows
     out = np.zeros((xis.size, len(powers)))
     live = np.flatnonzero(w1 > w0)  # w0 >= 0; above a bounded prior w1 <= 0
     jac, edge = live[w0[live] == 0.0], live[w0[live] > 0.0]
@@ -477,8 +477,9 @@ def _tilted_sums(spec: LRBSpec, t, xis: np.ndarray, powers=(0,)) -> dict[int, np
     return {q: out[:, i].reshape(xis.shape) for i, q in enumerate(powers)}
 
 
-def _density_sums(spec: LRBSpec, t, flat: np.ndarray, powers) -> np.ndarray:
-    """The density part of `_tilted_sums` on a flat array of states, shape (n, len(powers))."""
+def _density_sums(spec: LRBSpec, t, flat: np.ndarray, powers, windows=None) -> np.ndarray:
+    """The density part of `_tilted_sums` on a flat array of states, shape (n, len(powers)).
+    ``windows``, the states' `_windows` for max(powers), are computed per chunk when not given."""
     if isinstance(spec.kernel, BrownianKernel):
         branch, groups = _brownian_density_sums, [(t, slice(None))]
     elif isinstance(spec.kernel, GammaKernel):
@@ -493,7 +494,8 @@ def _density_sums(spec: LRBSpec, t, flat: np.ndarray, powers) -> np.ndarray:
         part = np.empty((xs.size, len(powers)))
         for start in range(0, xs.size, _CHUNK):
             sl = slice(start, start + _CHUNK)
-            part[sl] = branch(spec, _rows(u, sl), xs[sl], powers)
+            win = None if windows is None else _rows(_rows(windows, rows), sl)
+            part[sl] = branch(spec, _rows(u, sl), xs[sl], powers, win)
         out[rows] = part
     return out
 
@@ -505,13 +507,14 @@ def _check_finite(sums: np.ndarray, t, flat: np.ndarray) -> None:
         )
 
 
-def _density_psi_many(spec: LRBSpec, t: float, xis: np.ndarray) -> np.ndarray:
+def _density_psi_many(spec: LRBSpec, t: float, xis: np.ndarray, windows=None) -> np.ndarray:
     """The density part of psi_t (0 < t < horizon) on a flat array of states.
 
     The density branch of `_tilted_sums` on its own, with the same per-state
     rule; `psi_total_many` adds the atom terms of `_atom_log_terms` to it.
+    ``windows`` are the states' `_windows`, computed per chunk when not given.
     """
-    out = _density_sums(spec, t, xis, (0,))
+    out = _density_sums(spec, t, xis, (0,), windows)
     _check_finite(out, t, xis)
     return out[:, 0]
 
@@ -629,11 +632,31 @@ def _posterior(spec: LRBSpec, s: float, xi: float, psi: float, origin: float = 0
 
 
 def _posterior_edges(spec: LRBSpec, s: float, xi: float, origin: float) -> tuple[float, ...]:
-    """The engine's window of psi_s(xi) (`_windows`) less origin, with the prior's breakpoints in it."""
-    lo, hi, peak = _windows(spec, s, np.array([xi]))
-    shift = -origin if peak is not None else xi - origin  # gamma windows are increments
-    lo, hi = float(lo[0]) + shift, float(hi[0]) + shift
-    return (lo, *(p - origin for p in spec.terminal.density.breakpoints if lo < p - origin < hi), hi)
+    """The edges of `_increment_edges` at the state xi, in z - origin."""
+    return tuple(_increment_edges(spec, s, np.array([xi]))[0] + (xi - origin))
+
+
+def _increment_edges(spec: LRBSpec, s: float, xis: np.ndarray, windows=None) -> np.ndarray:
+    """Per state, the engine's window of psi_s (`_windows`, computed here when not given) in the
+    increment z - xi, cut at the prior's breakpoints clipped into it: shape (len(xis), breakpoints + 2)."""
+    lo, hi, peak = _windows(spec, s, xis) if windows is None else windows
+    if peak is not None:  # Brownian windows are in z, gamma windows in z - xi
+        lo, hi = lo - xis, hi - xis
+    cuts = np.array(spec.terminal.density.breakpoints)[None, :] - xis[:, None]
+    return np.column_stack([lo, np.clip(cuts, lo[:, None], hi[:, None]), hi])
+
+
+def _increment_quantiles(spec: LRBSpec, s: float, xis, log_mass, rows, u, windows):
+    """Quantile u[i] of X_T - xi, xi = xis[rows[i]], under the density part of the law of X_T given
+    the state xi at s > 0, whose mass in psi_s(xi) has log ``log_mass`` per state: one
+    `numerics.tabulated_quantiles` over the rows of `_increment_edges` on the states' ``windows``."""
+    d = spec.terminal.density
+
+    def logpdf(w, r):
+        x = xis[r]
+        return _posterior_logpdf(spec.kernel, spec.horizon, s, x, d.logpdf, log_mass[r], x, w)
+
+    return numerics.tabulated_quantiles(logpdf, _increment_edges(spec, s, xis, windows), rows, u)
 
 
 def _posterior_logpdf(kernel, T, s, xi, base_logpdf, log_norm, origin, w):

@@ -9,8 +9,8 @@ The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
 per-row composite Gauss-Kronrod rule, with one fixed stop), `_jacobi_rule`
 (Gauss-Jacobi; the engine builds orders 32 and 48), `_ts_map` (the tanh-sinh
-map shared by `TabulatedQuantile`, the numerical quantile of a density on a
-finite window, and the engine's gamma edge rows), `_beta_inverse` (certified
+map shared by `tabulated_quantiles`, the numerical quantiles of densities on
+finite windows, row by row, and the engine's gamma edge rows), `_beta_inverse` (certified
 inverse-beta tables) and `solve_brackets` (vectorised bracketing root
 finder). A density component's `quantile` is the only way it is drawn from
 or has its infinite tails cut. QUADPACK and brentq load only in `integrate`
@@ -30,6 +30,7 @@ from .errors import DomainError, NoRootError, NonMonotoneError, NumericError
 __all__ = [
     "DensityComponent",
     "TabulatedQuantile",
+    "tabulated_quantiles",
     "integrate",
     "bulk_interval",
     "density_sums",
@@ -275,93 +276,158 @@ def density_sums(
 # ---------------------------------------------------------------------------
 # tabulated quantiles
 
-_Q_PANELS = (64, 128, 256, 512)  # tanh-sinh panels per piece, doubled until all are certified
-_Q_TOL = 1e-14  # |K33 - G16| of every panel, relative to the mass of the window
+_Q_PANELS = (64, 128, 256, 512)  # tanh-sinh panels per piece, doubled on uncertified rows
+_Q_TOL = 1e-14  # |K33 - G16| of every panel, relative to the mass of its row
+
+
+def tabulated_quantiles(logpdf: Callable, edges, rows, u) -> np.ndarray:
+    """Normalised quantile u[i] of the density of row rows[i], each row's on a finite window.
+
+    Row r of ``edges``, shape (n, pieces + 1) and nondecreasing, holds its window's ends and kinks;
+    ``logpdf(z, r)`` is the log-density at z of rows r, an index array that broadcasts against z.
+    `TabulatedQuantile` is the one-row case. Each piece is cut into panels of s in [-6, 6] under the
+    tanh-sinh map of `density_sums`, which absorbs an end singularity such as (z - a)^(k - 1); a
+    piece of zero width carries no mass. The rows of a level share its panels and the map's part in
+    s, computed once, which each row scales. A row's level is the first of _Q_PANELS at which each
+    of its K33 panel masses is within _Q_TOL of the row's mass of its G16 sum; only the rows not yet
+    certified go on to the next. A level finds its panel in the masses summed from the row's nearer
+    end, so both tails keep their digits, and bracketed Newton steps in s solve for it, a mass from
+    the panel's end being one K33 sum. Rows are summed one by one, so a quantile depends on its row
+    and level alone, bit for bit.
+    """
+    edges = np.asarray(edges, dtype=float)
+    return _row_quantiles(logpdf, _row_tables(logpdf, edges), np.asarray(rows), np.asarray(u, float))
 
 
 class TabulatedQuantile:
-    """Normalised quantile of a density on a finite window, tabulated on first call.
-
-    ``edges`` (the window's ends and kinks, or a function returning them) cut it into pieces, each
-    cut into panels of s in [-6, 6] under the tanh-sinh map of `density_sums`, which absorbs an end
-    singularity such as (z - a)^(k - 1); a panel's mass is a K33 sum within _Q_TOL of the window's.
-    A level finds its panel in the masses summed from the nearer end, so both tails keep their
-    digits, and bracketed Newton steps in s solve for it, a mass from the panel's end being one K33 sum.
-    """
+    """Normalised quantile of a density on a finite window, tabulated on first call: the one-row case
+    of `tabulated_quantiles`. ``edges`` are the window's ends and kinks, or a function returning them."""
 
     def __init__(self, logpdf: Callable, edges):
         self._logpdf, self._edges = logpdf, edges
 
+    def _row_logpdf(self, z, rows):
+        return self._logpdf(z)
+
     @cached_property
-    def _table(self) -> tuple:
+    def _table(self) -> list:
         edges = np.asarray(self._edges() if callable(self._edges) else self._edges, dtype=float)
-        x, wk, wg = _kronrod_rule()
-        for panels in _Q_PANELS:
-            grid = np.linspace(-_DE_RANGE, _DE_RANGE, panels + 1)
-            lo, hi = np.tile(grid[:-1], edges.size - 1), np.tile(grid[1:], edges.size - 1)
-            a, b = np.repeat(edges[:-1], panels)[:, None], np.repeat(edges[1:], panels)[:, None]
-            half = 0.5 * (hi - lo)
-            g = _ts_density(self._logpdf, a, b, 0.5 * (hi + lo)[:, None] + half[:, None] * x)[1]
-            mass, gauss = half * (g @ wk), half * (g[:, : wg.size] @ wg)
-            if not (math.isfinite(mass.sum()) and mass.sum() > 0.0):
-                raise NumericError("no finite positive mass on the window", edges=tuple(edges))
-            if np.all(np.abs(mass - gauss) <= _Q_TOL * mass.sum()):
-                # the mass of the first i panels, and of the last i
-                left, right = (np.concatenate([[0.0], np.cumsum(m)]) for m in (mass, mass[::-1]))
-                return a[:, 0], b[:, 0], lo, hi, mass, left, right
-        raise NumericError("quantile table not certified", edges=tuple(edges), panels=panels)
+        return _row_tables(self._row_logpdf, edges[None, :])
 
     def __call__(self, u):
         shape, u = np.shape(u), np.ravel(np.asarray(u, dtype=float))
-        if not np.all((u >= 0.0) & (u <= 1.0)):
-            raise DomainError("quantile levels must lie in [0, 1]")
-        a, b, lo, hi, mass, left, right = self._table
-        (x, wk, _), ulps, n, up = _kronrod_rule(), 4.0 * np.finfo(float).eps, mass.size, u > 0.5
-        target = np.where(up, (1.0 - u) * right[-1], u * left[-1])
-        # each level's panel i, and the mass r it takes from the panel's left end (right end if up)
-        j_lo, j_up = (np.searchsorted(c, target, side="right").clip(1, n) - 1 for c in (left, right))
+        rows = np.zeros(u.size, dtype=np.intp)
+        return _row_quantiles(self._row_logpdf, self._table, rows, u).reshape(shape)
+
+
+def _row_tables(logpdf, edges: np.ndarray) -> list:
+    """Per level of _Q_PANELS that certifies rows: (rows, panels, their edges, K33 panel masses
+    in piece order, the masses of the first i panels and of the last i)."""
+    x, wk, wg = _kronrod_rule()
+    tables, todo = [], np.arange(edges.shape[0])
+    for panels in _Q_PANELS:
+        grid = np.linspace(-_DE_RANGE, _DE_RANGE, panels + 1)
+        half = 0.5 * (grid[1] - grid[0])
+        s = (0.5 * (grid[1:] + grid[:-1])[:, None] + half * x).ravel()  # every piece's nodes
+        part = _ts_part(s)
+
+        def tile(sl):
+            r = todo[sl]
+            g = _ts_values(logpdf, r[:, None, None], edges[r, :-1, None], edges[r, 1:, None], s, part)[1]
+            g = g.reshape(r.size, -1, x.size)  # (rows, pieces x panels, nodes)
+            return half * np.stack([np.einsum("rpk,k->rp", g, wk),
+                                    np.einsum("rpk,k->rp", g[..., : wg.size], wg)], axis=1)
+
+        sums = _tiled(tile, todo.size, (edges.shape[1] - 1) * s.size)
+        mass, gauss = sums[:, 0], sums[:, 1]
+        left, right = (np.pad(np.cumsum(m, axis=1), ((0, 0), (1, 0))) for m in (mass, mass[:, ::-1]))
+        total = left[:, -1]
+        if not np.all(np.isfinite(total) & (total > 0.0)):
+            i = todo[np.argmin(np.where(np.isfinite(total), total, -1.0))]
+            raise NumericError("no finite positive mass on the window", edges=tuple(edges[i]))
+        ok = np.all(np.abs(mass - gauss) <= _Q_TOL * total[:, None], axis=1)
+        if np.any(ok):
+            tables.append((todo[ok], panels, edges[todo[ok]], mass[ok], left[ok], right[ok]))
+        todo = todo[~ok]
+        if todo.size == 0:
+            return tables
+    raise NumericError("quantile table not certified", rows=int(todo.size),
+                       edges=tuple(edges[todo[0]]), panels=panels)
+
+
+def _row_quantiles(logpdf, tables: list, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Quantile u[i] of row rows[i] from the tables of `_row_tables`."""
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise DomainError("quantile levels must lie in [0, 1]")
+    (x, wk, _), ulps, out = _kronrod_rule(), 4.0 * np.finfo(float).eps, np.empty(u.size)
+    for level_rows, panels, edges, mass, left, right in tables:
+        at = np.minimum(np.searchsorted(level_rows, rows), level_rows.size - 1)
+        mine = np.flatnonzero(level_rows[at] == rows)
+        k, v, n = at[mine], u[mine], mass.shape[1]
+        up = v > 0.5
+        target = np.where(up, (1.0 - v) * right[k, -1], v * left[k, -1])
+        # each level's panel i, and the mass r it takes from the panel's left end (right end if up),
+        # found by comparing each draw's row of c with its target, a tile of draws at a time
+        j_lo, j_up = (_tiled(lambda sl: (c[k[sl]] <= target[sl, None]).sum(axis=1), k.size, n + 1)
+                      .clip(1, n) - 1 for c in (left, right))
         i = np.where(up, n - 1 - j_up, j_lo)
-        r = np.minimum(target - np.where(up, right[j_up], left[j_lo]), mass[i])
-        a, b, s_lo, s_hi, sign = a[i], b[i], lo[i], hi[i], np.where(up, -1.0, 1.0)
+        m = mass[k, i]
+        r = np.minimum(target - np.where(up, right[k, j_up], left[k, j_lo]), m)
+        piece, cell = np.divmod(i, panels)
+        a, b, owner = edges[k, piece], edges[k, piece + 1], level_rows[k]
+        grid = np.linspace(-_DE_RANGE, _DE_RANGE, panels + 1)
+        s_lo, s_hi, sign = grid[cell], grid[cell + 1], np.where(up, -1.0, 1.0)
         end = np.where(up, s_hi, s_lo)
         # k(s) = (signed mass from end to s) - sign r rises from <= 0 at s_lo to >= 0 at s_hi
-        s = end + sign * np.divide(r, mass[i], out=np.zeros(u.size), where=mass[i] > 0.0) * (s_hi - s_lo)
+        s = end + sign * np.divide(r, m, out=np.zeros(v.size), where=m > 0.0) * (s_hi - s_lo)
         todo = np.flatnonzero(r > 0.0)
         for _ in range(60):
+            if todo.size == 0:
+                break
             t, e, lo_t, hi_t = s[todo], end[todo], s_lo[todo], s_hi[todo]
             half = 0.5 * (t - e)
             nodes = np.column_stack([e[:, None] + half[:, None] * (1.0 + x), t])
-            g = _ts_density(self._logpdf, a[todo, None], b[todo, None], nodes)[1]
-            k = half * (g[:, :-1] @ wk) - sign[todo] * r[todo]
-            lo_t, hi_t = np.where(k < 0.0, t, lo_t), np.where(k > 0.0, t, hi_t)
+            g = _ts_values(logpdf, owner[todo, None], a[todo, None], b[todo, None], nodes)[1]
+            f = half * np.einsum("ik,k->i", g[:, :-1], wk) - sign[todo] * r[todo]
+            lo_t, hi_t = np.where(f < 0.0, t, lo_t), np.where(f > 0.0, t, hi_t)
             with np.errstate(divide="ignore", invalid="ignore"):
-                new = t - k / g[:, -1]
+                new = t - f / g[:, -1]
             s[todo] = new = np.where((new >= lo_t) & (new <= hi_t), new, 0.5 * (lo_t + hi_t))
             s_lo[todo], s_hi[todo] = lo_t, hi_t
-            # settled: k is down to the rounding of r, or the step to that of s
-            todo = todo[(np.abs(k) > ulps * r[todo]) & (np.abs(new - t) > 1e-14 + ulps * np.abs(t))]
-            if todo.size == 0:
-                return _ts_density(self._logpdf, a, b, s)[0].reshape(shape)
-        raise NumericError("tabulated quantile did not settle", levels=int(todo.size))
+            # settled: f is down to the rounding of r, or the step to that of s
+            todo = todo[(np.abs(f) > ulps * r[todo]) & (np.abs(new - t) > 1e-14 + ulps * np.abs(t))]
+        if todo.size:
+            raise NumericError("tabulated quantile did not settle", levels=int(todo.size))
+        out[mine] = _ts_values(logpdf, owner, a, b, s)[0]
+    return out
 
 
-def _ts_map(a, b, s):
-    """The tanh-sinh map of [a, b] at s: the distance of z from its nearer end (a where s < 0,
-    b elsewhere) and log dz/ds, formed without exp, so that an integrand's log can take it before
-    its one exp. Functions of s are taken at the shape of s: windows can share one row of s."""
+def _ts_part(s):
+    """The tanh-sinh map's part in s: the distance from the nearer end and log dz/ds, on [0, 1]."""
     u = math.pi * np.abs(np.sinh(s))
     e = np.exp(-u)
-    log_ds = np.log(math.pi * np.cosh(s)) - u - 2.0 * np.log1p(e)
-    return (b - a) * (e / (1.0 + e)), np.log(b - a) + log_ds
+    return e / (1.0 + e), np.log(math.pi * np.cosh(s)) - u - 2.0 * np.log1p(e)
 
 
-def _ts_density(logpdf, a, b, s):
-    """z and pdf(z) dz/ds under the tanh-sinh map of [a, b] at s; a point on an end weighs 0."""
-    dist, log_dz = _ts_map(a, b, s)
-    z, g = np.where(s < 0.0, a + dist, b - dist), np.zeros(np.shape(s))
-    live = (z > a) & (z < b)
-    with np.errstate(over="ignore", under="ignore"):
-        g[live] = np.exp(log_dz[live] + logpdf(z[live]))
+def _ts_map(a, b, s, part=None):
+    """The tanh-sinh map of [a, b] at s: the distance of z from its nearer end (a where s < 0,
+    b elsewhere) and log dz/ds, formed without exp, so that an integrand's log can take it before
+    its one exp. Functions of s are taken at the shape of s, or given as its `_ts_part`: windows
+    can share one row of s."""
+    frac, log_ds = _ts_part(s) if part is None else part
+    with np.errstate(divide="ignore"):  # a window of zero width has no point inside
+        return (b - a) * frac, np.log(b - a) + log_ds
+
+
+def _ts_values(logpdf, rows, a, b, s, part=None):
+    """z and pdf(z) dz/ds of rows ``rows`` under the tanh-sinh map of [a, b] at s (`_ts_map`), all
+    shaped to broadcast together, with ``logpdf(z, rows)``; a point on an end weighs 0."""
+    dist, log_dz = _ts_map(a, b, s, part)
+    z = np.where(s < 0.0, a + dist, b - dist)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        e = logpdf(z, rows) + log_dz
+        g = np.exp(e, out=e)
+    g[(z <= a) | (z >= b)] = 0.0
     return z, g
 
 

@@ -241,7 +241,20 @@ def test_non_finite_rate_time_is_a_config_error(tmp_path, capsys):
     rate = {"times": [0.0, math.nan], "rates": [0.01, 0.01]}
     cfg = write(tmp_path, mixed_scenario(rate=rate, price={"points": [[0.5, 0.0]]}))
     assert cli.main(["price", "--config", cfg]) == 1
-    assert "config error: segment times must be finite" in capsys.readouterr().err
+    assert "config error: scenario.rate: segment times must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate,message", [
+    ({"times": [0.0, 0.5, 0.5], "rates": [0.01, 0.02, 0.03]}, "strictly increasing"),
+    ({"times": [0.1], "rates": [0.01]}, "start at time 0"),
+    ({"times": [0.0, 0.5], "rates": [0.01]}, "equal length"),
+    ({"times": [0.0], "rates": [math.inf]}, "rates must be finite"),
+])
+def test_invalid_rate_curve_names_its_field(tmp_path, capsys, rate, message):
+    cfg = write(tmp_path, mixed_scenario(rate=rate, price={"points": [[0.5, 0.0]]}))
+    assert cli.main(["price", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario.rate: ") and message in err
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -617,14 +617,11 @@ def test_nine_atoms_match_mpmath_and_do_not_depend_on_the_batch(t):
     got_psi, got_mean = core.psi_total_many(spec, t, xis), core.posterior_mean_many(spec, t, xis)
     assert np.all(np.abs(got_psi - psi) <= 1e-13 * psi)
     assert np.all(np.abs(got_mean - mean) <= 1e-13 * np.maximum(np.abs(mean), 1.0))
-    on_nodes = sampler._psi_on_nodes(spec, t, np.vstack([xis, xis[::-1]]))
     for i in range(xis.size):
         one = xis[i : i + 1]
         assert core.psi_total_many(spec, t, one)[0] == got_psi[i]
         assert core.posterior_mean_many(spec, t, one)[0] == got_mean[i]
         assert core.psi_total(spec, t, xis[i]) == got_psi[i]
-        assert sampler._psi_on_nodes(spec, t, one[None, :])[0, 0] == on_nodes[0, i]
-    assert np.array_equal(on_nodes[1], on_nodes[0][::-1])
 
 
 def _mixed_closed_form(t, xi):

@@ -384,6 +384,27 @@ def test_tabulated_quantile_matches_closed_forms(case):
     assert q(0.5).shape == () and q(u.reshape(3, 3)).shape == (3, 3)
 
 
+def test_tabulated_quantiles_row_by_row():
+    # each draw of a many-row call equals the one-row call of its own row, bit for bit: normal rows
+    # of several widths and a row with a z^(-0.7) edge, which certify at different levels
+    sd = np.array([0.5, 1.0, 3.0, 1.0])
+
+    def logpdf(z, r):
+        return np.where(r == 3, -0.7 * np.log(np.abs(z) + (r != 3)) - z, -0.5 * (z / sd[r]) ** 2)
+
+    edges = np.column_stack([-12.0 * sd, np.zeros(4), 12.0 * sd])
+    edges[3] = (0.0, 40.0, 80.0)
+    rng = np.random.default_rng(5)
+    rows, u = rng.integers(0, 4, 300), rng.uniform(size=300)
+    many = numerics.tabulated_quantiles(logpdf, edges, rows, u)
+    for r in range(4):
+        mine = rows == r
+        one = numerics.tabulated_quantiles(lambda z, _, r=r: logpdf(z, r), edges[r : r + 1],
+                                           np.zeros(mine.sum(), dtype=int), u[mine])
+        assert np.array_equal(many[mine], one)
+    assert np.all(np.abs(many[rows == 1] - special.ndtri(u[rows == 1])) <= 1e-12)
+
+
 def test_tabulated_quantile_validates_levels():
     q = numerics.TabulatedQuantile(lambda z: np.zeros_like(z), (0.0, 1.0))
     for bad in (-0.1, 1.5, math.nan):

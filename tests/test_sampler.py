@@ -6,10 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 import levybridge
-from levybridge import bridge, checks, core, sampler
+from levybridge import bridge, checks, sampler
 from levybridge.checks import ks_critical_value
 from levybridge.core import LRBSpec
 from levybridge.errors import DomainError, NumericError
@@ -276,7 +276,7 @@ def test_mixed_markov_horizon_picks_atoms_at_their_weight():
     spec = checks.brownian_mixed()
     x = sampler.simulate_paths(spec, [0.5], 2000, seed_of(64))[:, 0]
     pick, u = RandomStream(65, 0).generator().uniform(size=(2, x.size))
-    z = sampler._markov_step_continuous(spec, 0.5, 1.0, x, u, pick)
+    z = sampler._markov_step(spec, 0.5, 1.0, x, pick, u, None)  # no bridge step at the horizon
     hits = float(np.mean(z == -0.75))
     assert abs(hits - 0.3) < 4.0 * math.sqrt(0.3 * 0.7 / z.size)
     ref = sampler.draw_terminal(spec, RandomStream(66, 0).generator(), size=2000)
@@ -309,47 +309,43 @@ def test_gamma_markov_paths_reach_the_horizon():
         assert np.all(np.diff(np.hstack([np.zeros((out.shape[0], 1)), out]), axis=1) >= 0.0)
 
 
-@pytest.mark.parametrize("n", [1, 16, 2000])
-def test_markov_first_step_builds_one_row(monkeypatch, n):
-    # every path starts at 0, so the first step builds one transition row
-    # whatever the number of paths; later steps build one per distinct state
-    seen = _record_psi_on_nodes(monkeypatch)
-    out = sampler.simulate_paths(checks.brownian_mixed(), [0.25, 0.5, 0.75, 1.0], n, 8,
-                                 method="markov")
-    assert seen[0][2].shape[0] == 1
-    for j, (_, _, nodes, _) in enumerate(seen[1:]):
-        assert nodes.shape[0] == np.unique(out[:, j]).size
-
-
 def test_markov_step_shares_rows_between_equal_states():
     # paths that share a start state share its row, and each draws what it
     # draws stepped alone, bit for bit, before the horizon and at it
     spec, x = checks.brownian_mixed(), np.array([0.3, 0.3, -0.2, 0.3])
-    u, pick = RandomStream(67, 0).generator().uniform(size=(2, x.size))
-    pick[1] = 0.01  # one pick of the atom at the horizon
+    u, pick, bridge_u = RandomStream(67, 0).generator().uniform(size=(3, x.size))
+    pick[1] = 0.01  # one pick of the atom
     for s, t in ((0.25, 0.5), (0.5, 1.0)):
-        batch = sampler._markov_step_continuous(spec, s, t, x, u, pick)
-        alone = [sampler._markov_step_continuous(spec, s, t, x[i : i + 1], u[i : i + 1],
-                                                 pick[i : i + 1]) for i in range(x.size)]
+        batch = sampler._markov_step(spec, s, t, x, pick, u, bridge_u)
+        alone = [sampler._markov_step(spec, s, t, x[i : i + 1], pick[i : i + 1], u[i : i + 1],
+                                      bridge_u[i : i + 1]) for i in range(x.size)]
         assert np.array_equal(batch, np.concatenate(alone))
 
 
-def test_markov_step_still_reports_a_narrow_atom_term():
-    # a step of 0.5 that ends at 1 - 1e-6, where the atom term is about 1e-3
-    # wide against a grid spacing near 0.01, misses psi and says so
-    with pytest.raises(NumericError, match="markov step: grid mass misses psi"):
-        sampler.simulate_paths(checks.brownian_mixed(), [0.5, 1 - 1e-6], 16, 3, method="markov")
+@pytest.mark.parametrize("make_spec,times,seeds", [
+    (checks.gamma_atomic, [0.5, 0.75], (68, 69)),  # atom terms with a pole once m (T - t) < 1
+    (checks.brownian_mixed, [0.5, 1 - 1e-6], (70, 71)),  # an atom term 1e-3 wide at the end
+    (checks.gamma_atomic, [0.5, 0.99, 1.0], (72, 73)),  # steps that round onto an atom on ~half
+], ids=["gamma_atomic", "brownian_mixed", "gamma_atomic_near_horizon"])
+def test_markov_step_resolves_narrow_atom_terms(make_spec, times, seeds):
+    # a step far longer than an atom term is wide, or one that rounds onto its
+    # atom: each column agrees with terminal-first in law (400 paths each)
+    spec = make_spec()
+    a = sampler.simulate_paths(spec, times, 400, seed_of(seeds[0]), method="markov")
+    b = sampler.simulate_paths(spec, times, 400, seed_of(seeds[1]))
+    for j in range(len(times)):
+        stat = stats.ks_2samp(a[:, j], b[:, j], method="asymp").statistic
+        assert stat < ks_critical_value(400, 400, 0.01)
 
 
-def test_markov_grid_miss_is_reported(monkeypatch):
-    # a grid of 8 cells cannot carry psi_s to 1e-3
-    monkeypatch.setattr(sampler, "_U_GRID", special.ndtr(np.linspace(-7.0, 7.0, 9)))
-    u = RandomStream(63, 0).generator().uniform(size=1)
-    with pytest.raises(NumericError) as err:
-        sampler._markov_step_continuous(gamma_scaled_spec(), 0.25, 0.5, np.array([0.3]), u)
-    diag = err.value.diagnostics
-    assert diag["t"] == 0.5 and diag["states"] == (0.3, 0.3)
-    assert diag["miss"] > 1e-3 and abs(diag["psi"] - 0.9023683) < 1e-6
+def test_gamma_markov_state_on_an_atom_keeps_it():
+    # on both atoms of an atoms-only law, before the horizon and at it; a state above every atom
+    # is unreachable, and its psi of 0 is reported
+    spec, u, x = checks.gamma_atomic(), np.full(2, 0.5), np.array([1.0, 2.5])
+    for t in (0.75, 1.0):
+        assert np.array_equal(sampler._markov_step(spec, 0.5, t, x, u, u, u), x)
+    with pytest.raises(NumericError, match="psi is not finite and positive"):
+        sampler._markov_step(spec, 0.5, 0.75, np.array([3.0]), u[:1], u[:1], u[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -540,144 +536,6 @@ def test_long_gamma_grid_reuses_its_tables():
     assert numerics._beta_table.cache_info().misses == misses
 
 
-def test_markov_route_makes_one_engine_call_per_step(monkeypatch):
-    # a step before the horizon makes one engine call for psi_s and one for
-    # the density part of psi_t on the grids of all paths (its lattice), so
-    # the states the engine receives barely grow with the path count; the
-    # horizon step needs psi_s alone
-    calls = []
-    for name in ("psi_total_many", "_density_psi_many"):
-        def counted(spec, t, xis, real=getattr(core, name), name=name):
-            calls.append((name, float(t), np.size(xis)))
-            return real(spec, t, xis)
-
-        monkeypatch.setattr(core, name, counted)
-    real_step = sampler._markov_step_continuous
-
-    def step(*args, **kwargs):
-        calls.append(None)
-        return real_step(*args, **kwargs)
-
-    monkeypatch.setattr(sampler, "_markov_step_continuous", step)
-    times = [0.25, 0.5, 0.75, 1.0]
-    seen, states = [], []
-    for n in (1, 5, 24, 240):
-        calls.clear()
-        sampler.simulate_paths(checks.brownian_mixed(), times, n, 9, method="markov")
-        engine = [c for c in calls if c is not None]
-        assert len(engine) <= (len(times) - 1) + len(times)
-        seen.append([c[:2] for c in engine])
-        per_step = np.cumsum([c is None for c in calls])
-        states.append([sum(c[2] for c, k in zip(calls, per_step) if c is not None and k == j)
-                       for j in range(1, len(times))])
-    assert seen[0] == seen[1] == seen[2] == seen[3]
-    assert all(big <= 2 * small for big, small in zip(states[3], states[2]))
-
-
-def _record_psi_on_nodes(monkeypatch):
-    """Every (spec, t, nodes, psi) the Markov steps read psi_t from."""
-    real, seen = sampler._psi_on_nodes, []
-
-    def recorded(spec, t, nodes):
-        psi = real(spec, t, nodes)
-        seen.append((spec, t, nodes.copy(), psi.copy()))
-        return psi
-
-    monkeypatch.setattr(sampler, "_psi_on_nodes", recorded)
-    return seen
-
-
-def _assert_lattice_matches_engine(seen, rtol=1e-9):
-    assert seen
-    for spec, t, nodes, psi in seen:
-        direct = core.psi_total_many(spec, t, nodes)
-        worst = float(np.max(np.abs(psi - direct) / direct))
-        assert worst <= rtol, (t, worst)
-
-
-def test_lattice_psi_matches_the_engine_on_the_bench_markov_calls(monkeypatch):
-    # the mixed-law Markov call of the benchmark's paths workload (16 paths on
-    # the grid 0.25, 0.5, 0.75, 1) at workload seeds 201-210: its seed is the
-    # twelfth word of SeedSequence(workload seed)
-    seen = _record_psi_on_nodes(monkeypatch)
-    spec = checks.brownian_mixed()
-    for bench_seed in range(201, 211):
-        seed = int(np.random.SeedSequence(bench_seed).generate_state(12)[11])
-        sampler.simulate_paths(spec, [0.25, 0.5, 0.75, 1.0], 16, seed, method="markov")
-    assert len(seen) == 30
-    _assert_lattice_matches_engine(seen)
-
-
-def brownian_uniform():
-    # log psi_t is neither linear nor quadratic in the state on these two laws,
-    # so the 6-point stencil is not exact there
-    return LRBSpec(BrownianKernel(), 1.0, TerminalLaw.uniform(-1.0, 2.0))
-
-
-def gamma_shape_3():
-    return LRBSpec(GammaKernel(2.0), 1.0, TerminalLaw.gamma(3.0, 1.0))
-
-
-@pytest.mark.parametrize(
-    "make_spec",
-    [drift_spec, gamma_scaled_spec, checks.brownian_mixed, brownian_uniform, gamma_shape_3],
-)
-def test_lattice_psi_matches_the_engine_on_the_markov_test_specs(monkeypatch, make_spec):
-    seen = _record_psi_on_nodes(monkeypatch)
-    for times, seed in (([0.25, 0.5, 0.75, 1.0], 61), ([0.5, 0.9, 0.99, 1.0], 62)):
-        sampler.simulate_paths(make_spec(), times, 24, seed, method="markov")
-    _assert_lattice_matches_engine(seen)
-
-
-def test_lattice_psi_next_to_the_gamma_support_edge():
-    # stencils that would cross 0 go to the engine directly; the nodes just
-    # past them interpolate from lattice points above 0
-    spec = gamma_scaled_spec()
-    nodes = np.concatenate([np.geomspace(1e-24, 0.3, 400), np.linspace(0.0, 0.3, 301)])
-    for t in (0.25, 0.5, 0.75, 0.95):
-        psi = sampler._psi_on_nodes(spec, t, nodes[None, :])
-        _assert_lattice_matches_engine([(spec, t, nodes, psi[0])])
-
-
-@pytest.mark.parametrize("times", [[0.5, 1 - 1e-6, 1.0], [0.5, 1 - 2e-6, 1 - 1e-6, 1.0]])
-def test_lattice_never_sends_the_engine_more_states_than_nodes(monkeypatch, times):
-    # near the horizon h_t is far below the grid spacing of a long step, whose
-    # stencils would not overlap: its rows go to the engine node by node; a
-    # short step there reads the lattice, spread over many h_t
-    seen, sizes, real = _record_psi_on_nodes(monkeypatch), [], core._density_psi_many
-
-    def counted(spec, t, xis):
-        sizes.append(np.size(xis))
-        return real(spec, t, xis)
-
-    monkeypatch.setattr(core, "_density_psi_many", counted)
-    n = 16
-    sampler.simulate_paths(drift_spec(), times, n, 9, method="markov")
-    assert len(sizes) == len(times) - 1
-    assert all(k <= n * 1025 for k in sizes), sizes
-    _assert_lattice_matches_engine(seen)
-
-
-def test_lattice_values_depend_on_the_row_alone(monkeypatch):
-    # a row's psi is the same bit for bit alone and in a batch, and whether
-    # the touched lattice points are indexed densely or by a sorted array
-    real = sampler._psi_on_nodes
-    seen = _record_psi_on_nodes(monkeypatch)
-    for make_spec, times in (
-        (checks.brownian_mixed, [0.25, 0.5, 0.75, 1.0]),
-        (gamma_scaled_spec, [0.5, 0.9, 0.99, 1.0]),
-        (drift_spec, [0.5, 1 - 2e-6, 1 - 1e-6, 1.0]),
-    ):
-        sampler.simulate_paths(make_spec(), times, 8, 5, method="markov")
-    assert len(seen) == 9
-    for spec, t, nodes, psi in seen:
-        for i in range(nodes.shape[0]):
-            assert np.array_equal(real(spec, t, nodes[i : i + 1]), psi[i : i + 1])
-    monkeypatch.setattr(sampler, "_DENSE_SPAN", 0)
-    for spec, t, nodes, psi in seen:
-        assert np.array_equal(real(spec, t, nodes), psi)
-
-
 def test_draw_terminal_runs_the_seeded_route():
     spec, times = checks.brownian_mixed(), [0.5, 1.0]
     want = sampler.simulate_paths(spec, times, 8, seed_of(77))
@@ -715,21 +573,3 @@ def test_library_calls_write_nothing_to_stdout():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
-
-
-@pytest.mark.parametrize("rows,paths", [(1, 2000), (7, 7), (5, 40), (300, 2000)])
-def test_markov_row_inversion_counts_like_the_per_path_gather(rows, paths):
-    # sampler._count_below searches each row once (or compares in row space
-    # when rows and paths are one to one); it must count what comparing a
-    # copy of each path's row counts, ties and flat stretches included
-    rng = np.random.default_rng(rows + paths)
-    cdf = np.cumsum(rng.integers(0, 3, size=(rows, 50)).astype(float), axis=1)
-    if rows == paths:
-        k = rng.permutation(rows)
-    else:
-        k = np.concatenate([np.arange(rows), rng.integers(0, rows, paths - rows)])
-    c = cdf[k, -1] * rng.uniform(size=paths)
-    c[::3] = cdf[k[::3], 10]
-    c[1::7] = 0.0
-    want = (cdf[k] < c[:, None]).sum(axis=1)
-    assert np.array_equal(sampler._count_below(cdf, k, c), want)

@@ -8,9 +8,14 @@ and call prices on node sums: a second evaluation route would trip the
 guards. A terminal density is drawn from, and has its infinite tails cut,
 by its `quantile` alone: a closed form for the built-in laws and a
 `numerics.TabulatedQuantile` for posterior laws (restart specs) and a user's
-finite density, so `numerics.inverse_cdf` is forbidden too. QUADPACK and
-brentq remain only for the references in `checks` and the tests.
-"""
+finite density, so `numerics.inverse_cdf` is forbidden too. The Markov
+route draws the terminal value given each state from the engine's psi, atom
+terms and windows through `numerics.tabulated_quantiles`, of which
+`TabulatedQuantile` is the one-row case, and then takes the same exact
+bridge step as terminal-first (`bridge._inverse_step`): the two routes
+share that step, and their agreement checks the engine's posterior against
+the prior plus the bridge. QUADPACK and brentq remain only for the
+references in `checks` and the tests."""
 
 import os
 import subprocess
@@ -189,8 +194,9 @@ def test_other_continuous_kernels_are_refused():
 
 
 def test_markov_route_needs_no_terminal_posterior(monkeypatch):
-    # every Markov step, the horizon included, inverts one grid per path; the
-    # per-path posterior and a numerical inversion are not a second route
+    # every Markov step draws from the engine's posterior on all distinct
+    # states at once; a per-state posterior law or numerical inversion would
+    # be a second route
     def forbidden(*args, **kwargs):
         raise AssertionError("second sampling route called")
 
