@@ -151,7 +151,7 @@ def _inverse_step(kernel: Kernel, dt: float, remaining: float, x, z, u):
     if isinstance(kernel, PoissonKernel):
         u, n = np.broadcast_arrays(np.asarray(u, dtype=float),
                                    np.asarray(np.asarray(z) - x, dtype=np.int64))
-        return x + _lattice_inverse(lambda k: _sp.bdtr(k, n, frac), u, n)
+        return x + _lattice_inverse(lambda k, i: _sp.bdtr(k, n.flat[i], frac), u, n)
     raise KernelClassError(f"no exact bridge sampler for {type(kernel).__name__}")
 
 

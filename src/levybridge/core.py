@@ -624,7 +624,8 @@ def _posterior(spec: LRBSpec, s: float, xi: float, psi: float, origin: float = 0
                 lower=lo - origin,
                 upper=d.upper - origin,
                 breakpoints=tuple(p - origin for p in d.breakpoints),
-                quantile=TabulatedQuantile(logpdf, partial(_posterior_edges, spec, s, xi, origin)),
+                quantile=TabulatedQuantile(logpdf, partial(_posterior_edges, spec, s, xi, origin),
+                                           _smooth_rows(spec)),
                 logpdf=logpdf,
             )
     density_mass = (psi - atom_sum) / psi if comp is not None else 0.0
@@ -656,7 +657,16 @@ def _increment_quantiles(spec: LRBSpec, s: float, xis, log_mass, rows, u, window
         x = xis[r]
         return _posterior_logpdf(spec.kernel, spec.horizon, s, x, d.logpdf, log_mass[r], x, w)
 
-    return numerics.tabulated_quantiles(logpdf, _increment_edges(spec, s, xis, windows), rows, u)
+    return numerics.tabulated_quantiles(logpdf, _increment_edges(spec, s, xis, windows), rows, u,
+                                        _smooth_rows(spec))
+
+
+def _smooth_rows(spec: LRBSpec) -> bool:
+    """Whether X_T given a state has a density smooth up to both ends of every piece (linear quantile
+    panels): a Brownian kernel, and a prior with a `log_quadratic` or no finite edge or breakpoint."""
+    d = spec.terminal.density
+    return isinstance(spec.kernel, BrownianKernel) and (d.log_quadratic is not None or not (
+        math.isfinite(d.lower) or math.isfinite(d.upper) or d.breakpoints))
 
 
 def _posterior_logpdf(kernel, T, s, xi, base_logpdf, log_norm, origin, w):

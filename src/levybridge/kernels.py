@@ -51,16 +51,16 @@ def _per_time(f, t):
 def _lattice_inverse(cdf, q, hi) -> np.ndarray:
     """Smallest integer k in [0, hi] with cdf(k) >= q, elementwise (cdf(hi) >= q).
 
-    Bisection on brackets (lo, hi] with cdf(lo) < q from lo = -1; ``cdf``
-    maps an int64 array shaped like ``q`` to cumulative masses.
+    Bisection on brackets (lo, hi] with cdf(lo) < q from lo = -1; ``cdf(k, i)`` maps an int64
+    array to cumulative masses at the flat indices i of ``q``'s entries whose bracket is open.
     """
     q = np.asarray(q, dtype=float)
-    lo, hi = np.full(q.shape, -1), np.array(np.broadcast_to(hi, q.shape), dtype=np.int64)
-    while np.any(wide := hi - lo > 1):
-        mid = (lo + hi) // 2
-        below = cdf(np.maximum(mid, 0)) < q
-        lo, hi = np.where(wide & below, mid, lo), np.where(wide & ~below, mid, hi)
-    return hi
+    lo, hi = np.full(q.size, -1), np.broadcast_to(hi, q.shape).astype(np.int64).ravel()
+    while (i := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[i] + hi[i]) // 2
+        below = cdf(mid, i) < q.flat[i]  # mid >= 0 on an open bracket
+        lo[i[below]], hi[i[~below]] = mid[below], mid[~below]
+    return hi.reshape(q.shape)
 
 
 class Kernel(abc.ABC):
@@ -259,7 +259,7 @@ class PoissonKernel(Kernel):
         hi = np.full(q.shape, math.ceil(mu) + 1)
         while np.any(short := _sp.pdtr(hi, mu) < qi):
             hi = np.where(short, 2 * hi, hi)
-        k = _lattice_inverse(lambda k: _sp.pdtr(k, mu), qi, hi)
+        k = _lattice_inverse(lambda k, i: _sp.pdtr(k, mu), qi, hi)
         out = np.select([inside, q <= 0.0, q >= 1.0], [k, -1.0, np.inf], np.nan)
         return out if out.ndim else float(out)
 

@@ -9,8 +9,8 @@ The runtime rules are array rules: `density_sums` (double-exponential
 quadrature of a density component), `composite_quad_batch` (the engine's
 per-row composite Gauss-Kronrod rule, with one fixed stop), `_jacobi_rule`
 (Gauss-Jacobi; the engine builds orders 32 and 48), `_ts_map` (the tanh-sinh
-map shared by `tabulated_quantiles`, the numerical quantiles of densities on
-finite windows, row by row, and the engine's gamma edge rows), `_beta_inverse` (certified
+map of the engine's gamma edge rows and, beside linear panels, of `tabulated_quantiles`:
+numerical quantiles of densities on finite windows, row by row), `_beta_inverse` (certified
 inverse-beta tables) and `solve_brackets` (vectorised bracketing root
 finder). A density component's `quantile` is the only way it is drawn from
 or has its infinite tails cut. QUADPACK and brentq load only in `integrate`
@@ -276,35 +276,41 @@ def density_sums(
 # ---------------------------------------------------------------------------
 # tabulated quantiles
 
-_Q_PANELS = (64, 128, 256, 512)  # tanh-sinh panels per piece, doubled on uncertified rows
+_Q_PANELS = (8, 16, 32, 64, 128, 256, 512)  # per piece, doubled on uncertified rows; tanh-sinh from 16
 _Q_TOL = 1e-14  # |K33 - G16| of every panel, relative to the mass of its row
 
 
-def tabulated_quantiles(logpdf: Callable, edges, rows, u) -> np.ndarray:
+def tabulated_quantiles(logpdf: Callable, edges, rows, u, linear=False) -> np.ndarray:
     """Normalised quantile u[i] of the density of row rows[i], each row's on a finite window.
 
     Row r of ``edges``, shape (n, pieces + 1) and nondecreasing, holds its window's ends and kinks;
     ``logpdf(z, r)`` is the log-density at z of rows r, an index array that broadcasts against z.
-    `TabulatedQuantile` is the one-row case. Each piece is cut into panels of s in [-6, 6] under the
-    tanh-sinh map of `density_sums`, which absorbs an end singularity such as (z - a)^(k - 1); a
-    piece of zero width carries no mass. The rows of a level share its panels and the map's part in
-    s, computed once, which each row scales. A row's level is the first of _Q_PANELS at which each
-    of its K33 panel masses is within _Q_TOL of the row's mass of its G16 sum; only the rows not yet
-    certified go on to the next. A level finds its panel in the masses summed from the row's nearer
-    end, so both tails keep their digits, and bracketed Newton steps in s solve for it, a mass from
-    the panel's end being one K33 sum. Rows are summed one by one, so a quantile depends on its row
+    `TabulatedQuantile` is the one-row case. Each piece is cut into equal panels of s in [-6, 6]:
+    z linear in s from 8 panels on rows marked ``linear`` (one flag or one per row), which their
+    caller knows smooth up to both ends of every piece, else the tanh-sinh map of `density_sums`
+    from 16, which absorbs an end singularity such as (z - a)^(k - 1). No row tries linear panels
+    first: its certificate, relative to its mass, cannot see a tail they miss beside such an end. A
+    piece of zero width carries no mass. A row's level is the first of its map's _Q_PANELS at which
+    each of its K33 panel masses is within _Q_TOL of the row's mass of its G16 sum; only the rows
+    not yet certified go on to the next, the rows of a level sharing its panels and the map's part
+    in s. A level finds its panel in the masses summed from the row's nearer end, so both tails keep
+    their digits, and bracketed Newton steps in s from `_panel_start` solve for it, a mass from the
+    panel's end being one K33 sum. Rows are summed one by one: a quantile depends on its row, map
     and level alone, bit for bit.
     """
-    edges = np.asarray(edges, dtype=float)
-    return _row_quantiles(logpdf, _row_tables(logpdf, edges), np.asarray(rows), np.asarray(u, float))
+    edges, linear = np.asarray(edges, dtype=float), np.broadcast_to(linear, len(edges))
+    tables = [t for lin in (True, False) if np.any(linear == lin)
+              for t in _row_tables(logpdf, edges, lin, np.flatnonzero(linear == lin))]
+    return _row_quantiles(logpdf, tables, np.asarray(rows), np.asarray(u, float))
 
 
 class TabulatedQuantile:
     """Normalised quantile of a density on a finite window, tabulated on first call: the one-row case
-    of `tabulated_quantiles`. ``edges`` are the window's ends and kinks, or a function returning them."""
+    of `tabulated_quantiles`. ``edges`` are the window's ends and kinks, or a function returning them;
+    ``linear`` is that function's flag, for a density smooth up to both ends of every piece."""
 
-    def __init__(self, logpdf: Callable, edges):
-        self._logpdf, self._edges = logpdf, edges
+    def __init__(self, logpdf: Callable, edges, linear: bool = False):
+        self._logpdf, self._edges, self._linear = logpdf, edges, linear
 
     def _row_logpdf(self, z, rows):
         return self._logpdf(z)
@@ -312,24 +318,23 @@ class TabulatedQuantile:
     @cached_property
     def _table(self) -> list:
         edges = np.asarray(self._edges() if callable(self._edges) else self._edges, dtype=float)
-        return _row_tables(self._row_logpdf, edges[None, :])
+        return _row_tables(self._row_logpdf, edges[None, :], self._linear, np.zeros(1, dtype=np.intp))
 
     def __call__(self, u):
         shape, u = np.shape(u), np.ravel(np.asarray(u, dtype=float))
-        rows = np.zeros(u.size, dtype=np.intp)
-        return _row_quantiles(self._row_logpdf, self._table, rows, u).reshape(shape)
+        return _row_quantiles(self._row_logpdf, self._table, np.zeros(u.size, np.intp), u).reshape(shape)
 
 
-def _row_tables(logpdf, edges: np.ndarray) -> list:
-    """Per level of _Q_PANELS that certifies rows: (rows, panels, their edges, K33 panel masses
-    in piece order, the masses of the first i panels and of the last i)."""
+def _row_tables(logpdf, edges: np.ndarray, linear: bool, todo: np.ndarray) -> list:
+    """Per level of the map's _Q_PANELS certifying rows of ``todo``: (rows, panels, the map's part,
+    their edges, K33 panel masses by piece, the masses of the first i panels and of the last i)."""
     x, wk, wg = _kronrod_rule()
-    tables, todo = [], np.arange(edges.shape[0])
-    for panels in _Q_PANELS:
+    tables, part_of = [], _linear_part if linear else _ts_part
+    for panels in _Q_PANELS[not linear:]:
         grid = np.linspace(-_DE_RANGE, _DE_RANGE, panels + 1)
         half = 0.5 * (grid[1] - grid[0])
         s = (0.5 * (grid[1:] + grid[:-1])[:, None] + half * x).ravel()  # every piece's nodes
-        part = _ts_part(s)
+        part = part_of(s)  # computed once, shared by the level's rows
 
         def tile(sl):
             r = todo[sl]
@@ -347,7 +352,7 @@ def _row_tables(logpdf, edges: np.ndarray) -> list:
             raise NumericError("no finite positive mass on the window", edges=tuple(edges[i]))
         ok = np.all(np.abs(mass - gauss) <= _Q_TOL * total[:, None], axis=1)
         if np.any(ok):
-            tables.append((todo[ok], panels, edges[todo[ok]], mass[ok], left[ok], right[ok]))
+            tables.append((todo[ok], panels, part_of, edges[todo[ok]], mass[ok], left[ok], right[ok]))
         todo = todo[~ok]
         if todo.size == 0:
             return tables
@@ -360,7 +365,7 @@ def _row_quantiles(logpdf, tables: list, rows: np.ndarray, u: np.ndarray) -> np.
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise DomainError("quantile levels must lie in [0, 1]")
     (x, wk, _), ulps, out = _kronrod_rule(), 4.0 * np.finfo(float).eps, np.empty(u.size)
-    for level_rows, panels, edges, mass, left, right in tables:
+    for level_rows, panels, part_of, edges, mass, left, right in tables:
         at = np.minimum(np.searchsorted(level_rows, rows), level_rows.size - 1)
         mine = np.flatnonzero(level_rows[at] == rows)
         k, v, n = at[mine], u[mine], mass.shape[1]
@@ -377,17 +382,18 @@ def _row_quantiles(logpdf, tables: list, rows: np.ndarray, u: np.ndarray) -> np.
         a, b, owner = edges[k, piece], edges[k, piece + 1], level_rows[k]
         grid = np.linspace(-_DE_RANGE, _DE_RANGE, panels + 1)
         s_lo, s_hi, sign = grid[cell], grid[cell + 1], np.where(up, -1.0, 1.0)
-        end = np.where(up, s_hi, s_lo)
         # k(s) = (signed mass from end to s) - sign r rises from <= 0 at s_lo to >= 0 at s_hi
-        s = end + sign * np.divide(r, m, out=np.zeros(v.size), where=m > 0.0) * (s_hi - s_lo)
-        todo = np.flatnonzero(r > 0.0)
+        end = np.where(up, s_hi, s_lo)
+        s, todo = end.copy(), np.flatnonzero(r > 0.0)
+        s[todo] = _panel_start(logpdf, part_of, owner[todo], a[todo], b[todo], end[todo],
+                               sign[todo] * (grid[1] - grid[0]), r[todo], m[todo])
         for _ in range(60):
             if todo.size == 0:
                 break
             t, e, lo_t, hi_t = s[todo], end[todo], s_lo[todo], s_hi[todo]
             half = 0.5 * (t - e)
             nodes = np.column_stack([e[:, None] + half[:, None] * (1.0 + x), t])
-            g = _ts_values(logpdf, owner[todo, None], a[todo, None], b[todo, None], nodes)[1]
+            g = _ts_values(logpdf, owner[todo, None], a[todo, None], b[todo, None], nodes, part_of)[1]
             f = half * np.einsum("ik,k->i", g[:, :-1], wk) - sign[todo] * r[todo]
             lo_t, hi_t = np.where(f < 0.0, t, lo_t), np.where(f > 0.0, t, hi_t)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -398,8 +404,37 @@ def _row_quantiles(logpdf, tables: list, rows: np.ndarray, u: np.ndarray) -> np.
             todo = todo[(np.abs(f) > ulps * r[todo]) & (np.abs(new - t) > 1e-14 + ulps * np.abs(t))]
         if todo.size:
             raise NumericError("tabulated quantile did not settle", levels=int(todo.size))
-        out[mine] = _ts_values(logpdf, owner, a, b, s)[0]
+        out[mine] = _ts_values(logpdf, owner, a, b, s, part_of)[0]
     return out
+
+
+def _panel_start(logpdf, part_of, rows, a, b, end, step, r, m):
+    """Where the mass from ``end`` of a panel (``step`` in s to its other end) reaches r, of its m:
+    between the two K33 nodes whose masses from the end (`_kronrod_cumulative` of pdf dz/ds at the
+    nodes) bracket r, the cubic in the mass that takes their s and their ds/dmass."""
+    x, cumulate = _kronrod_cumulative()  # the panel's ends and nodes at x in [0, 1] from its end
+    nodes = end[:, None] + step[:, None] * x[1:-1]
+    g = _ts_values(logpdf, rows[:, None], a[:, None], b[:, None], nodes, part_of)[1]
+    g *= np.abs(step)[:, None]  # dmass/dx
+    c = np.column_stack([np.zeros(r.size), np.einsum("ik,jk->ij", g, cumulate), m])
+    g = np.column_stack([g[:, :1], g, g[:, -1:]])  # the ends take the slopes of their nearest nodes
+    j, each = (c[:, 1:-1] <= r[:, None]).sum(axis=1), np.arange(r.size)
+    c_lo, h, x_lo, x_hi = c[each, j], c[each, j + 1] - c[each, j], x[j], x[j + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (r - c_lo) / h
+        x = x_lo + t * t * (3.0 - 2.0 * t) * (x_hi - x_lo) + h * t * (1.0 - t) * (
+            (1.0 - t) / g[each, j] - t / g[each, j + 1])
+    return end + step * np.where((h > 0.0) & np.isfinite(x), np.clip(x, x_lo, x_hi), x_lo)
+
+
+@lru_cache(maxsize=None)
+def _kronrod_cumulative() -> tuple[np.ndarray, np.ndarray]:
+    """0, the K33 nodes x = (1 + y) / 2 of [0, 1] in increasing order and 1, and the matrix taking a
+    function's values at the nodes to the integrals from 0 to each x of its interpolating polynomial."""
+    y, legendre = np.sort(_kronrod_rule()[0]), np.polynomial.legendre
+    at_nodes = legendre.legvander(y, y.size - 1)  # P_k(y_i)
+    integrals = legendre.legval(y, legendre.legint(np.eye(y.size), lbnd=-1.0)).T  # of P_k to y_i
+    return np.r_[0.0, 0.5 * (1.0 + y), 1.0], 0.5 * np.linalg.solve(at_nodes.T, integrals.T).T
 
 
 def _ts_part(s):
@@ -409,19 +444,24 @@ def _ts_part(s):
     return e / (1.0 + e), np.log(math.pi * np.cosh(s)) - u - 2.0 * np.log1p(e)
 
 
-def _ts_map(a, b, s, part=None):
-    """The tanh-sinh map of [a, b] at s: the distance of z from its nearer end (a where s < 0,
-    b elsewhere) and log dz/ds, formed without exp, so that an integrand's log can take it before
-    its one exp. Functions of s are taken at the shape of s, or given as its `_ts_part`: windows
-    can share one row of s."""
-    frac, log_ds = _ts_part(s) if part is None else part
+def _linear_part(s):
+    """`_ts_part` of the linear map, z running evenly over the window as s runs over [-6, 6]."""
+    return (_DE_RANGE - np.abs(s)) / (2.0 * _DE_RANGE), -math.log(2.0 * _DE_RANGE)
+
+
+def _ts_map(a, b, s, part=_ts_part):
+    """The tanh-sinh map of [a, b] at s, or the map whose part in s is ``part`` (`_linear_part`):
+    the distance of z from its nearer end (a where s < 0, b elsewhere) and log dz/ds, formed
+    without exp, so that an integrand's log can take it before its one exp. Functions of s are taken
+    at the shape of s, or given as the part's values: windows can share one row of s."""
+    frac, log_ds = part(s) if callable(part) else part
     with np.errstate(divide="ignore"):  # a window of zero width has no point inside
         return (b - a) * frac, np.log(b - a) + log_ds
 
 
-def _ts_values(logpdf, rows, a, b, s, part=None):
-    """z and pdf(z) dz/ds of rows ``rows`` under the tanh-sinh map of [a, b] at s (`_ts_map`), all
-    shaped to broadcast together, with ``logpdf(z, rows)``; a point on an end weighs 0."""
+def _ts_values(logpdf, rows, a, b, s, part=_ts_part):
+    """z and pdf(z) dz/ds of rows ``rows`` under the map of [a, b] at s (`_ts_map`), all shaped to
+    broadcast together, with ``logpdf(z, rows)``; a point on an end weighs 0."""
     dist, log_dz = _ts_map(a, b, s, part)
     z = np.where(s < 0.0, a + dist, b - dist)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):

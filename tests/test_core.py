@@ -11,7 +11,7 @@ from scipy import integrate as sci_integrate
 from scipy import special
 
 import quad_reference
-from levybridge import core, numerics, sampler
+from levybridge import checks, core, numerics, sampler
 from levybridge.core import LRBSpec
 from levybridge.errors import (
     DomainError,
@@ -997,6 +997,112 @@ def test_posterior_quantile_mixed_matches_mpmath():
                 miss = (1 - u) - mp.quad(pdf, [z_mp, mp.inf]) / total
             want = z_mp - miss / (pdf(z_mp) / total)
             assert abs(float(want) - z) <= 1e-10
+
+
+# the Markov step's draws of X_T - xi given xi at t, against closed forms far into both tails
+DRAW_LEVELS = np.array([1e-14, 1e-10, 1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10])
+DRAW_TIMES = (0.25, 0.5, 0.75, 0.95)
+DRAW_TOL = 1e-11  # relative, floored at the posterior's standard deviation where w crosses 0
+
+
+def _increment_draws(spec, t, xis):
+    """`core._increment_quantiles` at DRAW_LEVELS for each state, as the Markov step calls it."""
+    xis = np.asarray(xis, dtype=float)
+    win = core._windows(spec, t, xis)
+    log_mass = np.log(core._density_psi_many(spec, t, xis, win))
+    rows = np.repeat(np.arange(xis.size), DRAW_LEVELS.size)
+    u = np.tile(DRAW_LEVELS, xis.size)
+    return core._increment_quantiles(spec, t, xis, log_mass, rows, u, win).reshape(xis.size, -1)
+
+
+def _brownian_posterior(t, xi, prior_precision=0.0, prior_shift=0.0):
+    """Precision and mean of exp(-p z^2 / 2 + b z), the Brownian kernel's tilt of a prior whose log
+    is -prior_precision z^2 / 2 + prior_shift z, given xi at t (T = 1)."""
+    p = prior_precision + t / (1.0 - t)
+    return p, (prior_shift + xi / (1.0 - t)) / p
+
+
+@pytest.mark.parametrize("t", DRAW_TIMES)
+def test_increment_draws_match_closed_forms_in_both_tails(t):
+    # mixed law: the density part's posterior is normal
+    sigma2, mu = 0.64, 0.5
+    xis = np.array([-1.5, 0.3, 1.8]) * t
+    got = _increment_draws(checks.brownian_mixed(), t, xis)
+    for xi, row in zip(xis, got):
+        p, mean = _brownian_posterior(t, xi, 1.0 / sigma2, mu / sigma2)
+        want = mean - xi + special.ndtri(DRAW_LEVELS) / math.sqrt(p)
+        assert np.all(np.abs(row - want) <= DRAW_TOL * np.maximum(np.abs(want), 1.0 / math.sqrt(p)))
+    # uniform(-1, 2) prior: a normal truncated to the support, inverted at 60 digits
+    xis = np.array([-0.8, 0.5, 1.8]) * t
+    got = _increment_draws(LRBSpec(BrownianKernel(), 1.0, TerminalLaw.uniform(-1.0, 2.0)), t, xis)
+    for xi, row in zip(xis, got):
+        p, mean = _brownian_posterior(t, xi)
+        with mp.workdps(60):
+            sd = 1 / mp.sqrt(mp.mpf(p))
+            lo, hi = (mp.ncdf((e - mp.mpf(mean)) / sd) for e in (-1, 2))
+            want = np.array([float(mp.mpf(mean) + sd * mp.sqrt(2) * mp.erfinv(2 * (lo + mp.mpf(u) * (hi - lo)) - 1)
+                                   - mp.mpf(xi)) for u in DRAW_LEVELS])
+        assert np.all(np.abs(row - want) <= DRAW_TOL * np.maximum(np.abs(want), float(sd)))
+    # the bench gamma law: w ~ Gamma(m (T - t), kappa) whatever the state
+    m, kappa = 2.0, 1.5
+    got = _increment_draws(checks.gamma_scaled(m, kappa), t, np.array([0.2, 3.0 * t, 8.0 * t]))
+    a = m * (1.0 - t)
+    want = kappa * np.where(DRAW_LEVELS <= 0.5, special.gammaincinv(a, DRAW_LEVELS),
+                            special.gammainccinv(a, 1.0 - DRAW_LEVELS))
+    assert np.all(np.abs(got / want - 1.0) <= DRAW_TOL)
+
+
+def _row_maps(monkeypatch):
+    """Record (panels, map) of each table level that `numerics._row_tables` certifies rows at."""
+    seen, build = [], numerics._row_tables
+
+    def recording(*args):
+        tables = build(*args)
+        seen.extend((panels, part_of) for _, panels, part_of, *_ in tables)
+        return tables
+
+    monkeypatch.setattr(numerics, "_row_tables", recording)
+    return seen
+
+
+def test_posterior_rows_take_their_map_and_first_level(monkeypatch):
+    # rows smooth up to both ends (a Brownian kernel on a normal prior) certify at 8 linear panels;
+    # gamma-kernel rows, with their (z - xi)^(m (T - t) - 1) end, at 16 tanh-sinh panels
+    seen = _row_maps(monkeypatch)
+    for t in DRAW_TIMES:
+        _increment_draws(checks.brownian_mixed(), t, np.linspace(-2.0, 2.0, 9) * t)
+    assert seen and set(seen) == {(8, numerics._linear_part)}
+    seen.clear()
+    for t in DRAW_TIMES:
+        _increment_draws(checks.gamma_scaled(), t, np.linspace(0.1, 10.0, 9) * t)
+    assert seen and set(seen) == {(16, numerics._ts_part)}
+
+
+def test_undeclared_singular_edge_stays_on_tanh_sinh(monkeypatch):
+    # a prior proportional to z^(-1/2) on (0, 1] that declares neither its edge nor a log-quadratic:
+    # its Brownian posterior rows take the tanh-sinh map, and the lower tail keeps its digits. The
+    # state sits on the edge, where the increment w is z itself; from any other state z = xi + w
+    # rounds the distance to the edge away, and the table is not certified (an open defect). The
+    # engine's psi does not resolve this edge either, so the row's log-density is shifted by the
+    # probe's peak instead (the quantile is normalised). Reference: the cdf in v = sqrt(z),
+    # 2 int_0^v exp(q(x^2)) dx, inverted at 40 digits
+    pdf = lambda z: 0.5 / np.sqrt(np.where(z > 0.0, z, np.inf))
+    spec = LRBSpec(BrownianKernel(), 1.0, TerminalLaw(density=DensityComponent(pdf, 0.0, 1.0)))
+    assert not core._smooth_rows(spec) and core._smooth_rows(checks.brownian_mixed())
+    t, xi = 0.5, np.array([0.0])
+    win = core._windows(spec, t, xi)
+    seen = _row_maps(monkeypatch)
+    rows = np.zeros(4, dtype=int)
+    got = core._increment_quantiles(spec, t, xi, win[2], rows, DRAW_LEVELS[:4], win)
+    assert {part_of for _, part_of in seen} == {numerics._ts_part}
+    p, mean = _brownian_posterior(t, xi[0])
+    with mp.workdps(40):
+        density = lambda v: mp.exp(-p * (v * v - mean) ** 2 / 2)
+        cdf = lambda v: mp.quad(density, [0, v])
+        total = cdf(1)
+        for u, z in zip(DRAW_LEVELS[:4], got):
+            v = mp.findroot(lambda v: cdf(v) / total - u, mp.sqrt(mp.mpf(float(z))))
+            assert abs(float(z) / float(v * v) - 1.0) <= 1e-10
 
 
 def test_restart_psi_matches_the_closed_forms_on_its_clock():

@@ -385,9 +385,11 @@ def test_tabulated_quantile_matches_closed_forms(case):
 
 
 def test_tabulated_quantiles_row_by_row():
-    # each draw of a many-row call equals the one-row call of its own row, bit for bit: normal rows
-    # of several widths and a row with a z^(-0.7) edge, which certify at different levels
+    # each draw of a many-row call equals its row's one-row TabulatedQuantile, bit for bit: normal
+    # rows of several widths, two on linear panels and one on tanh-sinh, and a tanh-sinh row with a
+    # z^(-0.7) edge, which certify at different levels
     sd = np.array([0.5, 1.0, 3.0, 1.0])
+    linear = np.array([True, False, True, False])
 
     def logpdf(z, r):
         return np.where(r == 3, -0.7 * np.log(np.abs(z) + (r != 3)) - z, -0.5 * (z / sd[r]) ** 2)
@@ -396,13 +398,13 @@ def test_tabulated_quantiles_row_by_row():
     edges[3] = (0.0, 40.0, 80.0)
     rng = np.random.default_rng(5)
     rows, u = rng.integers(0, 4, 300), rng.uniform(size=300)
-    many = numerics.tabulated_quantiles(logpdf, edges, rows, u)
+    many = numerics.tabulated_quantiles(logpdf, edges, rows, u, linear)
     for r in range(4):
         mine = rows == r
-        one = numerics.tabulated_quantiles(lambda z, _, r=r: logpdf(z, r), edges[r : r + 1],
-                                           np.zeros(mine.sum(), dtype=int), u[mine])
-        assert np.array_equal(many[mine], one)
-    assert np.all(np.abs(many[rows == 1] - special.ndtri(u[rows == 1])) <= 1e-12)
+        one = numerics.TabulatedQuantile(lambda z, r=r: logpdf(z, r), edges[r], linear[r])
+        assert np.array_equal(many[mine], one(u[mine]))
+    for r in (0, 1):
+        assert np.all(np.abs(many[rows == r] - sd[r] * special.ndtri(u[rows == r])) <= 1e-12)
 
 
 def test_tabulated_quantile_validates_levels():
