@@ -13,7 +13,7 @@ every posterior functional comes from one engine, `_tilted_sums`, which
 evaluates the z^q-weighted aggregate state by state: each state's window,
 nodes and stopping rule depend on that state alone, so its values do not
 change with the batch it comes in (a scalar call is a batch of one); prior
-moments at t = 0 use the double-exponential rule of `numerics.density_sums`.
+moments at t = 0 use the K33 panel sums of `numerics.density_sums`.
 Sampling lives in `sampler`.
 """
 
@@ -536,18 +536,8 @@ def psi_total_many(spec: LRBSpec, t: float, xis) -> np.ndarray:
 
 
 def posterior_mean_many(spec: LRBSpec, t: float, xis) -> np.ndarray:
-    """Vectorized conditional mean of the terminal value given the state."""
-    xis = _finite_states(xis)
-    t = spec._check_time(t)
-    if t == 0.0:
-        return np.full_like(xis, spec.terminal.mean())
-    sums = _tilted_sums(spec, t, xis, powers=(0, 1))
-    bad = sums[0] <= 0.0
-    if np.any(bad):
-        raise UnreachableStateError(
-            f"{int(np.count_nonzero(bad))} states carry zero posterior mass"
-        )
-    return sums[1] / sums[0]
+    """Vectorized conditional mean of the terminal value given the state (`_posterior_moments`)."""
+    return _posterior_moments(spec, spec._check_time(t), xis, (1,))[1].reshape(np.shape(xis))
 
 
 # ---------------------------------------------------------------------------
@@ -704,48 +694,53 @@ def conditional_moment(spec: LRBSpec, s: float, xi: float, q: int) -> float:
 def _posterior_moments(spec: LRBSpec, s, xi, orders) -> tuple[np.ndarray, np.ndarray]:
     """psi and the conditional moments of the given orders at the states (s, xi).
 
-    ``s`` and ``xi`` are broadcast against each other and flattened; returns
-    psi, shape (n,), and the moments, shape (n, len(orders)). Points at
-    s = 0 take the prior's moments, from `TerminalLaw.expect`, computed once;
-    all later points come from one engine call with a time per row. The
-    highest order's tail is certified where it can diverge: on the prior at
-    s = 0, and under the gamma kernel, whose posteriors at s have tails
-    p(z) z^(q - m s) up to a factor tending to 1, on the prior times z^(-m s)
-    once per distinct s. A Brownian posterior past s = 0 is the prior times
-    exp(-s z^2 / (2 T (T - s)) + linear): every moment is finite, no scan.
+    ``s`` and ``xi`` are broadcast against each other and flattened (one time
+    stays one float); returns psi, shape (n,), and the moments, shape
+    (n, len(orders)). Points at s = 0 take the prior's moments, from
+    `TerminalLaw.expect`, computed once; all later points come from one
+    engine call with a time per row. The highest order's tail is certified
+    where it can diverge: on the prior at s = 0, and under the gamma kernel,
+    whose posteriors at s have tails p(z) z^(q - m s) up to a factor tending
+    to 1, on the prior times z^(-m s) for each distinct s, as far as the
+    prior's scans have not certified it (`_certify_moment_tail`). A Brownian
+    posterior past s = 0 is the prior times exp(-s z^2 / (2 T (T - s)) +
+    linear): every moment is finite, no scan.
     """
-    s, xi = (a.ravel() for a in np.broadcast_arrays(np.asarray(s, float), _finite_states(xi)))
-    bad = ~((s >= 0.0) & (s < spec.horizon))
-    if np.any(bad):
-        raise DomainError(f"time {s[bad][0]} outside [0, {spec.horizon})")
+    s, xi = np.asarray(s, float), _finite_states(xi)
+    s, xi = (float(s), xi.ravel()) if s.ndim == 0 else (a.ravel() for a in np.broadcast_arrays(s, xi))
+    times = s + np.zeros(xi.size)
+    ok = (times >= 0.0) & (times < spec.horizon)
+    if not ok.all():
+        raise DomainError(f"time {times[~ok][0]} outside [0, {spec.horizon})")
     q = max(orders)
-    psi, moments = np.ones(s.size), np.empty((s.size, len(orders)))
-    at_zero = s == 0.0
-    if np.any(at_zero):
+    psi, moments = np.ones(xi.size), np.empty((xi.size, len(orders)))
+    later = np.flatnonzero(times)
+    if later.size < xi.size:
         if spec.terminal.density is not None:
             _certify_moment_tail(spec.terminal.density, q)
-        moments[at_zero] = spec.terminal.expect([lambda z, k=k: z**k for k in orders])
-    later = np.flatnonzero(~at_zero)
+        moments[times == 0.0] = spec.terminal.expect([lambda z, k=k: z**k for k in orders])
     if later.size == 0:
         return psi, moments
-    sums = _tilted_sums(spec, s[later], xi[later], powers=(0, *orders))
+    sums = _tilted_sums(spec, _rows(s, later), xi[later], powers=(0, *orders))
     psi[later] = sums[0]
     zero = later[sums[0] <= 0.0]
     if zero.size:
-        raise UnreachableStateError(f"state xi={xi[zero[0]]} at s={s[zero[0]]} has zero mass")
+        raise UnreachableStateError(f"state xi={xi[zero[0]]} at s={_rows(s, zero[0])} has zero mass")
     for j, k in enumerate(orders):
         moments[later, j] = sums[k] / sums[0]
     if spec.terminal.density is not None and not isinstance(spec.kernel, BrownianKernel):
-        for u in np.unique(s[later]):
+        for u, _ in _by_time(_rows(s, later)):
             _certify_moment_tail(spec.terminal.density, q - spec.kernel.m * u)
     return psi, moments
 
 
 def _certify_moment_tail(d: DensityComponent, q: float) -> None:
-    """Scan z^(q+1) pdf(z) out along each infinite tail of ``d`` until it is negligible."""
+    """Scan z^(q+1) pdf(z) out along each infinite tail of ``d`` until it is negligible. The scan
+    starts at |z| >= 2, so a tail that passes at q passes at every smaller q: ``d._tails`` keeps the
+    largest q certified per tail, and a q at or below it is not scanned again."""
     ref = [abs(b) for b in (d.lower, d.upper, *d.breakpoints) if math.isfinite(b)]
     for sign, edge in ((1.0, d.upper), (-1.0, d.lower)):
-        if math.isfinite(edge):
+        if math.isfinite(edge) or q <= d._tails.get(sign, -math.inf):
             continue
         z, scale = 2.0 * max([1.0, *ref]), 0.0
         for _ in range(50):
@@ -759,6 +754,7 @@ def _certify_moment_tail(d: DensityComponent, q: float) -> None:
                 f"cannot certify the z^{q:g} moment tail at {sign * math.inf}; "
                 f"last scan value {v} at |z|={z}"
             )
+        d._tails[sign] = q
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Construction validates the atoms (finite locations, each once, with finite
 positive weights, sorted by location) and total mass 1, so every law handed
 to the conditional-law machinery is an honest probability measure; the
 QUADPACK reference `numerics.integrate` takes a law as its measure. A density
-given by the user has its mass summed by the double-exponential rule of
+given by the user has its mass summed by the K33 panel rule of
 `numerics.density_sums`; the built-in normal, gamma and uniform densities
 carry their mass, the ``weight`` they were built with, in closed form, and
 posterior laws built by `core` take their masses from the sums that define
@@ -269,5 +269,7 @@ class TerminalLaw:
                 breakpoints=tuple(p + dx for p in d.breakpoints),
                 quantile=partial(_shifted_quantile, d.quantile, dx),
                 logpdf=partial(_shifted, d.logpdf, dx),
+                edge_power=d.edge_power,
+                edge_rest=None if d.edge_rest is None else partial(_shifted, d.edge_rest, dx),
             )
         return TerminalLaw._from_sums(atoms, comp, self.density_mass)

@@ -5,16 +5,16 @@ numerical work through this module so that tolerances live in one place.
 A `DensityComponent` is the absolutely continuous part of a law; the atoms
 and their checks live in `laws.TerminalLaw`, which `integrate` takes.
 
-The runtime rules are array rules: `density_sums` (double-exponential
-quadrature of a density component), `composite_quad_batch` (the engine's
-per-row composite Gauss-Kronrod rule, with one fixed stop), `_jacobi_rule`
-(Gauss-Jacobi; the engine builds orders 32 and 48), `_ts_map` (the tanh-sinh
-map of the engine's gamma edge rows and, beside linear panels, of `tabulated_quantiles`:
-numerical quantiles of densities on finite windows, row by row), `_beta_inverse` (certified
-inverse-beta tables) and `solve_brackets` (vectorised bracketing root
-finder). A density component's `quantile` is the only way it is drawn from
-or has its infinite tails cut. QUADPACK and brentq load only in `integrate`
-and `inverse_cdf`, the references of the checks and tests.
+The runtime rules are array rules on three node schemes: K33 panels (the
+33-point Gauss-Kronrod extension of the 16-point Gauss rule G16) in z or in a
+tanh-sinh or exp-sinh coordinate s, Gauss-Jacobi (`_jacobi_rule`; the engine
+builds orders 32 and 48) and inverse-beta tables (`_beta_inverse`). The panel
+rules, `composite_quad_batch` (the engine's rows), `density_sums` (a density
+component's pieces) and `tabulated_quantiles` (densities on finite windows),
+stop on one certificate, K33 against G16. `solve_brackets` is the vectorised
+root finder. A density component's `quantile` is the only way it is drawn
+from or has its infinite tails cut. QUADPACK and brentq load only in
+`integrate` and `inverse_cdf`, the references of the checks and tests.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ class DensityComponent:
     edge_rest: Callable | None = field(default=None, compare=False)
     log_quadratic: tuple[float, float] | None = field(default=None, compare=False)
     _intervals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lower < self.upper:
@@ -150,13 +151,12 @@ def integrate(law, fn: Callable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# double-exponential quadrature of a density component
+# K33 panel sums of a density component
 
 _BULK_EPS = 0.25  # mass cut from each infinite tail to find a component's bulk
 _DE_RANGE = 6.0  # |s| of the outermost node towards a finite end
 _DE_TAIL = 4.0  # s of the outermost node towards an infinite end: z ~ 1e18 bulk widths
-_DE_LEVELS = range(2, 9)  # node spacing 2^-k in s
-_DE_REL_TOL = 1e-12  # error left, relative to the integral of |fn * pdf|
+_SUM_TOL = 1e-12  # |K33 - G16| of a sum, relative to the K33 sum of |fn * pdf dz/ds|
 
 
 def bulk_interval(d: DensityComponent) -> tuple[float, float]:
@@ -166,38 +166,19 @@ def bulk_interval(d: DensityComponent) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _de_grid(finite: bool, level: int, odd_only: bool) -> tuple[np.ndarray, ...]:
-    """Reference nodes of the double-exponential maps at s = j 2^-level.
-
-    A finite piece [a, b] uses tanh-sinh: (s < 0, distance from the nearer
-    end over b - a, dz/ds over b - a), so that nodes crowd into an end
-    singularity without rounding onto it. A half-line [a, inf) uses exp-sinh,
-    z = a + L r with r = e^(pi/2 sinh s): (r, dr/ds); (-inf, b] mirrors it.
-    """
-    h = 2.0**-level
-    top = _DE_RANGE if finite else _DE_TAIL
-    j = np.arange(-_DE_RANGE / h, top / h + 1.0)
-    s = (j[j % 2 == 1] if odd_only else j) * h
-    u, du = 0.5 * math.pi * np.sinh(s), 0.5 * math.pi * np.cosh(s)
-    if finite:
-        e = np.exp(-2.0 * np.abs(u))
-        out = (s < 0.0, e / (1.0 + e), 2.0 * e / (1.0 + e) ** 2 * du)
-    else:
-        r = np.exp(u)
-        out = (r, r * du)
-    for v in out:
-        v.setflags(write=False)
-    return out
-
-
-def _de_nodes(a: float, b: float, scale: float, level: int, odd_only: bool):
-    """Nodes and weights dz/ds of the piece [a, b]; half-lines scale by ``scale``."""
-    if math.isfinite(a) and math.isfinite(b):
-        low, frac, wfrac = _de_grid(True, level, odd_only)
-        dist = (b - a) * frac
-        return np.where(low, a + dist, b - dist), (b - a) * wfrac
-    r, wr = _de_grid(False, level, odd_only)
-    return (a + scale * r if math.isfinite(a) else b - scale * r), scale * wr
+def _piece_rule(panels: int, finite: bool) -> tuple:
+    """`_composite_rule` in s on [-6, 6] under the tanh-sinh map of a finite piece (`_ts_part`),
+    whose nodes crowd into an end singularity such as z^(a-1), or on [-6, 4] under the exp-sinh
+    map of a half-line, z = a + r with r = e^(pi/2 sinh s) in bulk widths; then s = -6 and the top,
+    which weigh 0. Returns s, the map's part (`_ts_map`'s distance from the nearer end and log
+    dz/ds, over the width) and the K33 and G16 weights in s: once per (panels, piece kind)."""
+    x, wk, wg = _composite_rule(panels)
+    span = _DE_RANGE + (_DE_RANGE if finite else _DE_TAIL)
+    s = span * np.r_[x, 0.0, 1.0] - _DE_RANGE
+    u = 0.5 * math.pi * np.sinh(s)
+    part = _ts_part(s) if finite else (np.exp(u), u + np.log(0.5 * math.pi * np.cosh(s)))
+    pad = lambda w: span * np.pad(w, (0, s.size - w.size))
+    return s, *part, pad(wk), pad(wg)
 
 
 def density_sums(
@@ -211,66 +192,66 @@ def density_sums(
 
     Each fn maps an array of points to an array of values. The support is cut
     at its breakpoints, at ``splits`` (points where an fn is not smooth) and
-    at the ends of the bulk, `mass_interval` at eps 1/4 (or ``bulk``); every
-    piece is integrated by the double-exponential rule of `_de_grid`, whose
-    half-lines scale with the bulk's width. The rule needs no knowledge of an
-    end singularity such as z^(a-1): its nodes approach the ends doubly
-    exponentially. The spacing in s halves from 1/4 until the change from
-    the last level, d_k, or the estimate d_k^2 / d_(k-1) of the error left,
-    is within 1e-12 of the integral of |fn * pdf|. A term at the outermost
-    node of a piece that is not negligible (an integrand that does not
-    decay) raises NumericError rather than returning a truncated sum.
+    at the ends of the bulk, `mass_interval` at eps 1/4 (or ``bulk``). Each
+    level of _Q_PANELS sums the pieces not yet certified, each on its
+    `_piece_rule` mapped by `_ts_map` (a half-line's window is the bulk). A
+    node is inside when its distance from the nearer end is positive; from a
+    declared lower edge its logpdf is edge_power log(distance) + edge_rest(z).
+    The certificate is that, for every fn, the gaps |K33 - G16| of the pieces
+    add up to at most _SUM_TOL of the K33 sum of |fn * pdf dz/ds| over all
+    pieces: each piece has an equal share of it, and a piece whose gap is
+    within its share is certified and leaves. A term at s = -6 or at a
+    piece's top that is not negligible (an integrand that does not decay)
+    raises NumericError rather than returning a truncated sum.
     """
     lo_b, hi_b = bulk_interval(d) if bulk is None else bulk
     cuts = sorted({float(p) for p in (lo_b, hi_b, *d.breakpoints, *splits) if d.lower < p < d.upper})
     edges = [d.lower, *cuts, d.upper]
     pieces = list(zip(edges[:-1], edges[1:]))
-
-    def terms(level: int, odd_only: bool) -> np.ndarray:
-        """fn * pdf * dz/ds at the level's nodes, pieces end to end: shape (len(fns), n)."""
-        zs, ws, ins = [], [], []
-        for a, b in pieces:
-            z, w = _de_nodes(a, b, hi_b - lo_b, level, odd_only)
-            zs.append(z)
-            ws.append(w)
-            ins.append((z > a) & (z < b))
-        z, w, inside = np.concatenate(zs), np.concatenate(ws), np.concatenate(ins)
-        wp = np.zeros(z.size)
-        with np.errstate(over="ignore", under="ignore"):
-            wp[inside] = w[inside] * np.exp(d.logpdf(z[inside]))
-        live = wp > 0.0
-        vals = np.zeros((len(fns), z.size))
-        for row, fn in zip(vals, fns):
-            row[live] = np.asarray(fn(z[live]), dtype=float) * wp[live]
-        return vals
-
-    first = terms(_DE_LEVELS[0], False)
-    h = 2.0 ** -_DE_LEVELS[0]
-    total, size = h * first.sum(axis=1), h * np.abs(first).sum(axis=1)
-    sizes = [_de_grid(math.isfinite(a) and math.isfinite(b), _DE_LEVELS[0], False)[1].size
-             for a, b in pieces]
-    stops = np.cumsum(sizes)
-    ends = np.abs(first[:, np.concatenate([stops - sizes, stops - 1])]).max(axis=1)
-    change = None
-    for level in _DE_LEVELS[1:]:
-        new = terms(level, True)
-        h = 2.0**-level
-        prev_change, prev = change, total
-        total = 0.5 * total + h * new.sum(axis=1)
-        size = 0.5 * size + h * np.abs(new).sum(axis=1)
-        if not np.all(np.isfinite(total)):
-            raise NumericError("density sums are not finite", pieces=pieces)
-        change = np.abs(total - prev)
-        left = change if prev_change is None else np.minimum(
-            change, change**2 / np.maximum(prev_change, 1e-300)
-        )
-        if np.all(left <= _DE_REL_TOL * size):
-            if np.any(ends > 1e-15 * size):
-                raise NumericError(
-                    "integrand does not decay at the ends of the rule", pieces=pieces
-                )
+    ab = np.array(pieces)
+    finite = np.all(np.isfinite(ab), axis=1)
+    window = np.where(finite[:, None], ab, (lo_b, hi_b))
+    declared = (ab[:, 0] == d.lower) & (d.edge_power is not None)
+    todo = np.arange(len(pieces))
+    total, size = np.zeros((2, len(fns)))  # over the pieces certified
+    for panels in _Q_PANELS:
+        s, frac, log_ds, wk, wg = map(np.array, zip(*(_piece_rule(panels, f) for f in finite[todo])))
+        a, b = ab[todo, :1], ab[todo, 1:]
+        dist, log_dz = _ts_map(window[todo, :1], window[todo, 1:], s, (frac, log_ds))
+        near_a = np.where(finite[todo, None], s < 0.0, np.isfinite(a))
+        z = np.where(near_a, a + dist, b - dist)
+        edge = declared[todo, None] & (dist > 0.0)
+        plain = ~declared[todo, None] & (dist > 0.0)
+        lp = np.full(z.shape, -np.inf)
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            lp[plain] = d.logpdf(z[plain])
+            if np.any(edge):
+                from_a = np.where(near_a, dist, (b - a) - dist)
+                lp[edge] = d.edge_power * np.log(from_a[edge]) + d.edge_rest(z[edge])
+            # z rounds onto an end once its distance is below half an ulp of the end: a logpdf
+            # that is not finite there (an end singularity not declared) weighs 0, as the end would
+            lp[~np.isfinite(lp) & ((z <= a) | (z >= b))] = -np.inf
+            g = np.exp(lp + log_dz)
+        live = g > 0.0
+        terms = np.zeros((len(fns),) + z.shape)
+        for row, fn in zip(terms, fns):
+            row[live] = np.asarray(fn(z[live]), dtype=float) * g[live]
+        k, size_p = np.einsum("fpn,pn->fp", terms, wk), np.einsum("fpn,pn->fp", np.abs(terms), wk)
+        if not np.all(np.isfinite(k)):
+            raise NumericError("density sums are not finite", pieces=pieces, panels=panels)
+        whole = size + size_p.sum(axis=1)
+        gap_p = np.abs(k - np.einsum("fpn,pn->fp", terms, wg))
+        done = np.all(gap_p <= _SUM_TOL / len(pieces) * whole[:, None], axis=0)
+        # the nodes at s = -6 and at the top, which weigh 0, end each piece's row
+        if np.any(np.abs(terms[:, done, -2:]).max(axis=(1, 2), initial=0.0) > 1e-15 * whole):
+            raise NumericError("integrand does not decay at the ends of the rule",
+                               pieces=pieces, panels=panels)
+        total += k[:, done].sum(axis=1)
+        size += size_p[:, done].sum(axis=1)
+        todo = todo[~done]
+        if todo.size == 0:
             return total
-    raise NumericError("double-exponential sums did not converge", pieces=pieces)
+    raise NumericError("density sums did not converge", pieces=pieces, panels=panels)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from . import core as _core
 from . import numerics
 from .errors import DomainError, NumericError, UnsupportedKernelError
 from .kernels import BrownianKernel, GammaKernel
-from .laws import TerminalLaw
+from .laws import TerminalLaw, _shifted
 
 __all__ = [
     "RateCurve",
@@ -154,10 +154,8 @@ class ExerciseBoundary:
 
 
 def price(spec: _core.LRBSpec, curve: RateCurve, t: float, xi: float) -> float:
-    """Discounted conditional mean of the terminal cash flow at state (t, xi)."""
-    t = spec._check_time(t)
-    df = curve.discount(t, spec.horizon)
-    return df * _core.conditional_moment(spec, t, xi, 1)
+    """Discounted conditional mean of the terminal cash flow at state (t, xi): `price_many` of one."""
+    return float(price_many(spec, curve, t, np.array([float(xi)]))[0])
 
 
 def price_many(spec: _core.LRBSpec, curve: RateCurve, t: float, xis) -> np.ndarray:
@@ -457,14 +455,10 @@ def call_price(
         post = _core.terminal_posterior(spec, s, xi_s)
         centre, sd = xi_s * T / s, math.sqrt(T * (T - s) / s)
         splits += [centre - sd, centre + sd]
-    fn = partial(_shifted, payoff, origin)
+    fn = partial(_shifted, payoff, -origin)
     splits = [c - origin for c in splits]
     bulk = (bulk[0] - origin, bulk[1] - origin)
     return df_st * float(post.expect((fn,), splits=splits, bulk=bulk)[0])
-
-
-def _shifted(fn, dx, w):
-    return fn(w + dx)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ library call.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import levybridge
 from conftest import record_criterion
 from levybridge.checks import CHECKS
 
@@ -59,6 +61,9 @@ def test_cli_simulate_worker_byte_identity(tmp_path):
     }
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(scenario))
+    # the subprocess imports the package this test imported
+    src = os.path.dirname(os.path.dirname(levybridge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     outputs = []
     for workers in (1, 8):
         out = tmp_path / f"paths_{workers}.csv"
@@ -78,6 +83,7 @@ def test_cli_simulate_worker_byte_identity(tmp_path):
             capture_output=True,
             text=True,
             timeout=240,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

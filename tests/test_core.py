@@ -924,6 +924,22 @@ def test_gamma_moment_tail_is_scanned_on_the_prior_once_per_time(monkeypatch):
     assert scans == [0.5, 0.0]
 
 
+def test_moment_tail_scan_keeps_the_largest_exponent_it_certified():
+    # posterior_mean_many asks for the gamma tail scan on every call, at an
+    # exponent q - m s for each time s; a tail that passes at q passes at
+    # every smaller q, so the component keeps one exponent per tail
+    base, calls = TerminalLaw.normal(0.0, 1.0).density, []
+    d = dataclasses.replace(base, pdf=lambda z: calls.append(z) or base.pdf(z))
+    core._certify_moment_tail(d, 1.0)
+    scanned = len(calls)
+    for q in (1.0, 0.5, -0.25):
+        core._certify_moment_tail(d, q)
+    assert scanned > 0 and len(calls) == scanned
+    core._certify_moment_tail(d, 2.0)
+    assert len(calls) > scanned
+    assert d._tails == {1.0: 2.0, -1.0: 2.0}
+
+
 def test_infinite_moment_is_reported():
     with pytest.raises(InfiniteMomentError):
         core.conditional_moment(cauchy_spec(), 0.0, 0.0, 1)
@@ -956,6 +972,14 @@ def test_restart_gamma_posterior_translated():
     sub = core.restart(spec, 0.4, 0.8)
     assert sub.horizon == 0.6
     assert sub.terminal.density.lower == 0.0
+
+
+def test_restart_at_zero_keeps_the_prior_edge():
+    # restart at t = 0 translates the prior; its z^(-1/2) edge moves to -3 and
+    # keeps its declaration, so the mean keeps the mass next to the edge
+    spec = core.restart(LRBSpec(BrownianKernel(), 1.0, TerminalLaw.gamma(0.5, 1.0)), 0.0, 3.0)
+    assert abs(spec.terminal.mean() + 2.5) <= 2.5e-15
+    assert abs(core.conditional_moment(spec, 0.0, 0.0, 1) + 2.5) <= 2.5e-15
 
 
 QUANTILE_LEVELS = np.array([1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])

@@ -275,7 +275,7 @@ def _mp_uniform(a, b, w):
     (TerminalLaw.gamma(0.1, 1.0), _mp_gamma(mpmath.mpf("0.1"), 1)),
 ], ids=["normal+atoms", "uniform+atom", "gamma(0.5,1)", "gamma(1.5,1)", "gamma(2,1.5)", "gamma(0.1,1)"])
 def test_law_mass_and_mean_match_mpmath(law, reference):
-    # the double-exponential rule against mpmath's own quadrature of the
+    # the K33 panel rule of density_sums against mpmath's own quadrature of the
     # closed-form density (30 digits), z^(a - 1) edges included (QUADPACK
     # put the mass of Gamma(0.1, 1) at 0.99999999986 and refused the law)
     pdf, first_moment, points = reference
@@ -298,8 +298,8 @@ def test_law_mass_and_mean_match_mpmath(law, reference):
     TerminalLaw.gamma(0.1, 1.0),
 ], ids=["normal+atoms", "uniform+atom", "gamma(0.5,1)", "gamma(1.5,1)", "gamma(2,1.5)", "gamma(0.1,1)"])
 def test_built_in_masses_are_closed_forms_the_rule_agrees_with(law):
-    # a built-in density's mass is the weight it was built with; the
-    # double-exponential rule that sums a user's density finds the same
+    # a built-in density's mass is the weight it was built with; the K33
+    # panel rule that sums a user's density finds the same
     assert abs(law.density_mass - (1.0 - sum(w for _, w in law.atoms))) <= 1e-15
     summed = numerics.density_sums(law.density, (np.ones_like,))[0]
     assert abs(summed - law.density_mass) <= 1e-12
@@ -338,6 +338,59 @@ def test_density_sums_refuse_an_integrand_that_does_not_decay():
     assert abs(numerics.density_sums(d, (np.ones_like,))[0] - 1.0) < 1e-12
     with pytest.raises(NumericError):
         numerics.density_sums(d, (lambda z: z,))
+
+
+def test_density_sums_certify_a_sum_that_cancels():
+    # z over N(0, 1) cancels between the half-lines and inside the bulk; the
+    # certificate is relative to the sum of |fn * pdf|, not to the signed sum
+    v = numerics.density_sums(TerminalLaw.normal(0.0, 1.0).density, (lambda z: z,))[0]
+    assert abs(v) <= 1e-16
+
+
+def _step_density(breakpoints=()):
+    # mass 1/2 on each side of a jump at 0.3
+    pdf = lambda z: np.where(np.asarray(z) < 0.3, 5.0 / 3.0, 5.0 / 7.0)
+    return DensityComponent(pdf=pdf, lower=0.0, upper=1.0, breakpoints=breakpoints)
+
+
+def test_density_sums_need_a_declared_jump():
+    with pytest.raises(NumericError) as err:
+        numerics.density_sums(_step_density(), (np.ones_like,))
+    assert err.value.diagnostics["pieces"] == [(0.0, 1.0)]
+    assert err.value.diagnostics["panels"] == numerics._Q_PANELS[-1]
+    assert abs(numerics.density_sums(_step_density((0.3,)), (np.ones_like,))[0] - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("a", [1e3, 1e9, 1e15])
+def test_density_sums_keep_a_window_far_from_0(a):
+    # next to a, a + distance rounds onto a: a node is inside by its distance
+    law = TerminalLaw.uniform(a, a + 1.0)
+    assert abs(numerics.density_sums(law.density, (np.ones_like,))[0] - 1.0) <= 2e-16
+    assert abs(law.mean() / (a + 0.5) - 1.0) <= 2.5e-16
+
+
+@pytest.mark.parametrize("lower, sign", [(0.0, -1.0), (1.0, 1.0)])
+def test_density_sums_drop_an_undeclared_singular_end(lower, sign):
+    # Beta(1, 0.7) on [0, 1], pdf infinite at 1, and its mirror on [1, 2],
+    # infinite at 1: a node whose z rounds onto that end weighs 0, which
+    # loses the mass within half an ulp of the end, (1.1e-16)^0.7 ~ 1e-11
+    end = lower if sign > 0 else lower + 1.0
+    d = DensityComponent(pdf=lambda z: 0.7 * (sign * (np.asarray(z) - end)) ** -0.3,
+                         lower=lower, upper=lower + 1.0)
+    law = TerminalLaw(density=d)
+    assert abs(numerics.density_sums(d, (np.ones_like,))[0] - 1.0) <= 1e-11
+    assert abs(law.mean() - (lower + (0.7 if sign > 0 else 1.0) / 1.7)) <= 1e-11
+
+
+@pytest.mark.parametrize("shift", [-3.0, 2.0, 100.0])
+@pytest.mark.parametrize("shape", [0.3, 0.5, 0.7, 1.0, 1.5])
+def test_translated_gamma_sums_to_closed_forms(shape, shift):
+    # the translate keeps the edge declaration, so the singular edge away
+    # from 0 is summed at its exact distance
+    d = TerminalLaw.gamma(shape, 1.0).translate(shift).density
+    mass, mean = numerics.density_sums(d, (np.ones_like, lambda z: z))
+    assert abs(mass - 1.0) <= 5e-15
+    assert abs(mean - (shape + shift)) <= 5e-15 * max(1.0, abs(shape + shift))
 
 
 def test_posterior_logpdf_is_log_base_weight_over_psi():

@@ -148,8 +148,8 @@ ROUTE_LAWS = {
 
 @pytest.mark.parametrize("law", list(ROUTE_LAWS))
 def test_price_and_price_many_agree_bit_for_bit(law):
-    # price takes conditional_moment (with the gamma tail scan) and price_many
-    # posterior_mean_many; both divide the same engine sums
+    # price is price_many on a batch of one state: both take posterior_mean_many,
+    # which divides the engine sums after the gamma tail scan
     spec, points = ROUTE_LAWS[law]
     curve = RateCurve.flat(0.02)
     for t, xi in points:
